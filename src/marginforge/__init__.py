@@ -37,7 +37,6 @@ from .learners import (
     load_transform,
     margin_trace,
     mmc_objective,
-    oracle_eigen,
     save_transform,
     select_margin_columns,
 )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -106,7 +106,11 @@ class LabeledDataset:
             raise SchemaError("no samples")
         joint_count = samples[0].joint_count
         index: dict[str, list[int]] = {}
+        seen: set[str] = set()
         for i, s in enumerate(samples):
+            if s.sample_id in seen:
+                raise SchemaError(f"duplicate sample_id {s.sample_id!r}")
+            seen.add(s.sample_id)
             if s.label is None:
                 raise SchemaError(f"sample {s.sample_id!r} is unlabeled")
             if s.joint_count != joint_count:
@@ -129,9 +133,6 @@ class LabeledDataset:
     @property
     def num_samples(self) -> int:
         return len(self.samples)
-
-    def subset(self, indices: Sequence[int]) -> "LabeledDataset":
-        return LabeledDataset.from_samples(self.samples[i] for i in indices)
 
 
 def flatten(sample: GaitSample, frame_count: int) -> FlatSample:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -320,31 +320,6 @@ def mmc_objective(transform: FeatureTransform, stats: ScatterStatistics) -> floa
     return margin_trace(stats, transform.phi)
 
 
-def oracle_eigen(stats: ScatterStatistics) -> Tuple[np.ndarray, np.ndarray]:
-    """Margin spectrum by direct symmetric eigendecomposition.
-
-    Independent of the SVD route: whiten with the pseudo-inverse square
-    root of St from eigh, then take eigh of the whitened Sb. Returns
-    (eigenvalues, eigenvectors): values descending and clipped to [0, 1],
-    vectors as columns in the original space (total-scatter orthonormal,
-    sign-canonicalized), one per value.
-    """
-    w, q = np.linalg.eigh(stats.sigma_t)
-    w = w[::-1]
-    q = q[:, ::-1]
-    cutoff = stats.dimension * np.finfo(np.float64).eps * max(w[0], 0.0)
-    rank = int(np.sum(w > cutoff))
-    if rank == 0:
-        raise DegenerateDataError("total scatter is zero: no usable variance")
-    whiten = q[:, :rank] / np.sqrt(w[:rank])
-    m = whiten.T @ stats.sigma_b @ whiten
-    m = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    return np.clip(vals, 0.0, 1.0), _canonical_signs(whiten @ vecs)
-
-
 def learn_pcalda(
     stats: ScatterStatistics,
     data: Sequence[FlatSample],
@@ -381,19 +356,19 @@ def learn_pcalda(
     sb_p = (sb_p + sb_p.T) / 2.0
     sw_p = (sw_p + sw_p.T) / 2.0
 
-    ridge_used = False
-    ew = np.linalg.eigvalsh(sw_p)
-    if ew[0] <= max(ew[-1], 0.0) * 1e-12:
-        trace_w = float(np.trace(sw_p))
+    def with_ridge(sw):
+        trace_w = float(np.trace(sw))
         base = trace_w if trace_w > 0 else float(np.trace(p.T @ stats.sigma_t @ p))
-        sw_p = sw_p + (1e-8 * base / pca_dim) * np.eye(pca_dim)
-        ridge_used = True
+        return sw + (1e-8 * base / pca_dim) * np.eye(pca_dim)
+
+    ew = np.linalg.eigvalsh(sw_p)
+    ridge_used = bool(ew[0] <= max(ew[-1], 0.0) * 1e-12)
+    if ridge_used:
+        sw_p = with_ridge(sw_p)
     try:
         lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
     except scipy.linalg.LinAlgError:
-        trace_w = float(np.trace(sw_p))
-        base = trace_w if trace_w > 0 else float(np.trace(p.T @ stats.sigma_t @ p))
-        sw_p = sw_p + (1e-8 * base / pca_dim) * np.eye(pca_dim)
+        sw_p = with_ridge(sw_p)
         ridge_used = True
         lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
     lam = lam[::-1]

@@ -1,11 +1,13 @@
 """Rank and threshold metrics over probe-to-gallery distances.
 
-Everything here is computed from DistanceRecords, each one probe-template
-against one gallery identity with a flag saying whether the pair is
-genuine (same identity) or impostor. Curves are exact, not sampled: the
-threshold sweep visits every distinct observed distance plus -inf/+inf
-sentinels, and acceptance is distance <= threshold (inclusive), so each
-curve equals an exhaustive enumeration of all meaningful thresholds.
+Everything here is computed from a ScoreBlock: one row per probe-template
+against one gallery identity, with a flag saying whether the pair is
+genuine (same identity) or impostor. DistanceRecord is the same row as
+an object; the public *_curve functions take record lists and turn them
+into a block. Curves are exact, not sampled: one ThresholdSweep per
+block visits every distinct observed distance plus -inf/+inf sentinels,
+and acceptance is distance <= threshold (inclusive), so each curve
+equals an exhaustive enumeration of all meaningful thresholds.
 
 Curve kinds and their points:
     cmc      (rank k, fraction of probes whose true class is in the top k)
@@ -45,6 +47,44 @@ class DistanceRecord:
                 f"probe {self.probe_id!r} vs {self.gallery_label!r}: "
                 f"distance must be finite and >= 0, got {self.distance!r}"
             )
+
+
+@dataclass(frozen=True)
+class ScoreBlock:
+    """Probe-against-gallery-identity distances as columns, one row a pair.
+
+    probe indexes probe_ids, and every probe there has at least one row.
+    label is an integer code of the gallery identity; any coding works.
+    genuine marks the rows whose gallery identity is the probe's own.
+    """
+
+    distance: np.ndarray
+    probe: np.ndarray
+    label: np.ndarray
+    genuine: np.ndarray
+    probe_ids: tuple
+
+    def __post_init__(self):
+        bad = ~(np.isfinite(self.distance) & (self.distance >= 0))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ContractError(
+                f"probe {self.probe_ids[self.probe[row]]!r}: distance must be "
+                f"finite and >= 0, got {float(self.distance[row])!r}"
+            )
+
+
+def _block(records: Sequence[DistanceRecord]) -> ScoreBlock:
+    records = list(records)
+    probe_ids, probe = np.unique([r.probe_id for r in records], return_inverse=True)
+    _, label = np.unique([r.gallery_label for r in records], return_inverse=True)
+    return ScoreBlock(
+        distance=np.array([r.distance for r in records], dtype=np.float64),
+        probe=probe,
+        label=label,
+        genuine=np.array([r.genuine for r in records], dtype=bool),
+        probe_ids=tuple(probe_ids.tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -101,171 +141,149 @@ def classify_wta(
     return best.label
 
 
-def _sweep(records: Sequence[DistanceRecord]) -> np.ndarray:
-    # Thresholds where any rate can change: the distinct distances, with a
-    # -inf state (nothing accepted) in front and +inf (everything) behind.
-    distances = np.unique([r.distance for r in records])
-    return np.concatenate(([-np.inf], distances, [np.inf]))
-
-
-def _require_populations(records, need_impostor: bool = True):
-    n_gen = sum(1 for r in records if r.genuine)
-    n_imp = len(records) - n_gen
-    if n_gen == 0:
-        raise ContractError("no genuine records")
-    if need_impostor and n_imp == 0:
-        raise ContractError("no impostor records")
-    return n_gen, n_imp
-
-
-def cmc_curve(records: Sequence[DistanceRecord]):
-    """Cumulative match characteristic over gallery-identity ranks.
+def cmc_fractions(block: ScoreBlock) -> np.ndarray:
+    """Cumulative match fractions at ranks 1 .. number of gallery identities.
 
     For each probe, identities are ranked by their best (minimum) distance;
     the probe scores rank r = 1 + number of identities strictly closer
-    than its own. Point k is the fraction of probes with rank <= k, for
-    k = 1 .. number of gallery identities. Returns (series, ccr) with
-    ccr the rank-1 value. A probe whose identity never appears in its
-    gallery records counts as never matched and triggers a warning.
+    than its own. Entry k - 1 is the fraction of probes with rank <= k. A
+    probe without a genuine row counts as never matched and triggers a
+    warning.
     """
-    records = list(records)
-    if not records:
+    if block.distance.size == 0:
         raise ContractError("no distance records")
-    all_labels = sorted({r.gallery_label for r in records})
-    n_ranks = len(all_labels)
+    present, label = np.unique(block.label, return_inverse=True)
+    n_probes = len(block.probe_ids)
+    best = np.full((n_probes, len(present)), np.inf)
+    np.minimum.at(best, (block.probe, label), block.distance)
 
-    by_probe: dict[str, dict[str, float]] = {}
-    genuine_label: dict[str, str] = {}
-    for r in records:
-        best = by_probe.setdefault(r.probe_id, {})
-        if r.gallery_label not in best or r.distance < best[r.gallery_label]:
-            best[r.gallery_label] = r.distance
-        if r.genuine:
-            genuine_label[r.probe_id] = r.gallery_label
-
-    matched_at = np.zeros(n_ranks)
-    n_probes = len(by_probe)
-    for probe_id in by_probe:
-        if probe_id not in genuine_label:
-            warnings.warn(
-                f"probe {probe_id!r}: its identity is not in the gallery; "
-                "counted as never matched",
-                RuntimeWarning,
-            )
-            continue
-        best = by_probe[probe_id]
-        own = best[genuine_label[probe_id]]
-        rank = 1 + sum(1 for d in best.values() if d < own)
-        matched_at[rank - 1] += 1
-
-    cumulative = np.cumsum(matched_at) / n_probes
-    series = CurveSeries(
-        kind="cmc",
-        points=tuple((float(k + 1), float(cumulative[k])) for k in range(n_ranks)),
-    )
-    return series, float(cumulative[0])
+    # The identity a probe's genuine rows name; they all name the same one.
+    own = np.full(n_probes, -1)
+    rows = np.flatnonzero(block.genuine)
+    own[block.probe[rows]] = label[rows]
+    for p in np.flatnonzero(own < 0):
+        warnings.warn(
+            f"probe {block.probe_ids[p]!r}: its identity is not in the gallery; "
+            "counted as never matched",
+            RuntimeWarning,
+        )
+    matched = np.flatnonzero(own >= 0)
+    own_best = best[matched, own[matched]]
+    ranks = np.sum(best[matched] < own_best[:, None], axis=1)
+    return np.cumsum(np.bincount(ranks, minlength=len(present))) / n_probes
 
 
-def _rates(records: Sequence[DistanceRecord]):
-    # (threshold, FAR, FRR) along the sweep under accept iff d <= threshold.
-    genuine = np.sort([r.distance for r in records if r.genuine])
-    impostor = np.sort([r.distance for r in records if not r.genuine])
-    sweep = _sweep(records)
-    acc_gen = np.searchsorted(genuine, sweep, side="right")
-    acc_imp = np.searchsorted(impostor, sweep, side="right")
-    far = acc_imp / len(impostor) if len(impostor) else np.zeros(len(sweep))
-    frr = (len(genuine) - acc_gen) / len(genuine)
-    return list(zip(sweep.tolist(), far.tolist(), frr.tolist()))
+@dataclass(frozen=True)
+class ThresholdSweep:
+    """Accept counts and error rates at every threshold that matters.
+
+    Entry k belongs to the k-th threshold of [-inf, the distinct distances
+    ascending, +inf]; a pair is accepted iff its distance <= threshold.
+    Built once per block; every threshold metric reads from it.
+    """
+
+    accepted_genuine: np.ndarray
+    accepted_impostor: np.ndarray
+    far: np.ndarray
+    frr: np.ndarray
+
+    @classmethod
+    def of(cls, block: ScoreBlock) -> "ThresholdSweep":
+        n_gen = int(np.count_nonzero(block.genuine))
+        n_imp = block.distance.size - n_gen
+        if n_gen == 0:
+            raise ContractError("no genuine records")
+        order = np.argsort(block.distance, kind="stable")
+        distance = block.distance[order]
+        # Last sorted row of each distinct distance.
+        ends = np.flatnonzero(np.append(distance[1:] != distance[:-1], True))
+        genuine = np.cumsum(block.genuine[order])[ends]
+        acc_gen = np.concatenate(([0], genuine, [n_gen]))
+        acc_imp = np.concatenate(([0], ends + 1 - genuine, [n_imp]))
+        far = acc_imp / n_imp if n_imp else np.zeros(acc_imp.size)
+        return cls(acc_gen, acc_imp, far, (n_gen - acc_gen) / n_gen)
+
+    def _require_impostors(self):
+        if self.accepted_impostor[-1] == 0:
+            raise ContractError("no impostor records")
+
+    @property
+    def quantile(self) -> np.ndarray:
+        """Fraction of all distances at or below each threshold."""
+        accepted = self.accepted_genuine + self.accepted_impostor
+        return accepted / accepted[-1]
+
+    def eer(self) -> float:
+        """Equal error rate at the sign change of FAR - FRR.
+
+        Linearly interpolated between the adjacent sweep points when the
+        difference never hits zero exactly.
+        """
+        self._require_impostors()
+        # The gap runs from -1 to +1 along the sweep, so it always crosses.
+        gap = self.far - self.frr
+        i = int(np.argmax(gap >= 0.0))
+        if gap[i] == 0.0:
+            return float(self.far[i])
+        lam = -gap[i - 1] / (gap[i] - gap[i - 1])
+        return float(self.far[i - 1] + lam * (self.far[i] - self.far[i - 1]))
+
+    def roc(self):
+        """(FAR, TAR) points with strictly increasing FAR, and the AUC.
+
+        Sweep points sharing a FAR value collapse to the best (largest)
+        TAR, which is the last of them in threshold order.
+        """
+        self._require_impostors()
+        last = np.append(self.far[1:] != self.far[:-1], True)
+        far, tar = self.far[last], (1.0 - self.frr)[last]
+        return far, tar, float(np.trapezoid(tar, far))
+
+    def rcl_pcn(self):
+        """(recall, precision) points with strictly increasing recall, and MAP.
+
+        Sweep points with nothing accepted have undefined precision and
+        are skipped; the curve instead starts at recall 0 with the
+        precision of the smallest-threshold point. Among points sharing a
+        recall value the first in threshold order (best precision) is kept.
+        """
+        accepted = self.accepted_genuine + self.accepted_impostor
+        acc_gen = self.accepted_genuine[accepted > 0]
+        recall = acc_gen / self.accepted_genuine[-1]
+        precision = acc_gen / accepted[accepted > 0]
+        first = np.insert(recall[1:] != recall[:-1], 0, True)
+        recall, precision = recall[first], precision[first]
+        if recall[0] > 0.0:
+            recall = np.insert(recall, 0, 0.0)
+            precision = np.insert(precision, 0, precision[0])
+        return recall, precision, float(np.trapezoid(precision, recall))
+
+
+def cmc_curve(records: Sequence[DistanceRecord]):
+    """CMC series over gallery-identity ranks and the CCR, its rank-1 value."""
+    cumulative = cmc_fractions(_block(records))
+    points = tuple(enumerate(cumulative.tolist(), start=1))
+    return CurveSeries(kind="cmc", points=points), float(cumulative[0])
 
 
 def far_frr_curves(records: Sequence[DistanceRecord]):
-    """False accept against false reject along the threshold sweep.
-
-    Returns (series, eer). The series points are (FAR, FRR) in threshold
-    order, running from (0, 1) to (1, 0). The equal error rate is read at
-    the sign change of FAR - FRR, linearly interpolated between the
-    adjacent sweep points when the difference never hits zero exactly.
-    """
-    records = list(records)
-    _require_populations(records)
-    rows = _rates(records)
-    series = CurveSeries(
-        kind="far_frr", points=tuple((far, frr) for _, far, frr in rows)
-    )
-
-    eer = None
-    for i in range(len(rows)):
-        _, far, frr = rows[i]
-        g = far - frr
-        if g == 0.0:
-            eer = far
-            break
-        if g > 0.0:
-            _, far0, frr0 = rows[i - 1]
-            g0 = far0 - frr0
-            lam = -g0 / (g - g0)
-            eer = far0 + lam * (far - far0)
-            break
-    # g runs from -1 to +1 along the sweep, so a crossing always exists.
-    assert eer is not None
-    return series, float(eer)
+    """(FAR, FRR) in threshold order, from (0, 1) to (1, 0), and the EER."""
+    sweep = ThresholdSweep.of(_block(records))
+    eer = sweep.eer()
+    return CurveSeries(kind="far_frr", points=tuple(zip(sweep.far, sweep.frr))), eer
 
 
 def roc_curve(records: Sequence[DistanceRecord]):
-    """Receiver operating characteristic and its trapezoidal area.
-
-    Points are (FAR, TAR = 1 - FRR). Sweep points sharing a FAR value
-    collapse to the best (largest) TAR so x strictly increases; the sweep
-    sentinels guarantee the curve spans FAR = 0 to (1, 1).
-    """
-    records = list(records)
-    _require_populations(records)
-    rows = _rates(records)
-    by_far: dict[float, float] = {}
-    for _, far, frr in rows:
-        tar = 1.0 - frr
-        if far not in by_far or tar > by_far[far]:
-            by_far[far] = tar
-    points = tuple(sorted(by_far.items()))
-    series = CurveSeries(kind="roc", points=points)
-    auc = float(np.trapezoid(series.y, series.x))
-    return series, auc
+    """(FAR, TAR = 1 - FRR) from FAR 0 to (1, 1), and the trapezoidal AUC."""
+    far, tar, auc = ThresholdSweep.of(_block(records)).roc()
+    return CurveSeries(kind="roc", points=tuple(zip(far, tar))), auc
 
 
 def rcl_pcn_curve(records: Sequence[DistanceRecord]):
-    """Recall against precision over the threshold sweep, with MAP.
+    """(recall, precision) with genuine records as the relevant set, and MAP.
 
-    Genuine records are the relevant set. Sweep points with nothing
-    accepted have undefined precision and are skipped; the curve instead
-    starts at recall 0 with the precision of the smallest-threshold
-    point. Among sweep points sharing a recall value the earliest (best
-    precision) is kept. MAP is the trapezoidal area under precision over
-    recall. Impostor-free record sets are legal here: precision is then
-    identically 1.
+    Impostor-free record sets are legal here: precision is then identically 1.
     """
-    records = list(records)
-    _require_populations(records, need_impostor=False)
-    genuine = np.sort([r.distance for r in records if r.genuine])
-    impostor = np.sort([r.distance for r in records if not r.genuine])
-    n_gen = len(genuine)
-
-    sweep = _sweep(records)
-    acc_gen = np.searchsorted(genuine, sweep, side="right")
-    acc_imp = np.searchsorted(impostor, sweep, side="right")
-    accepted = acc_gen + acc_imp
-    raw = [
-        (acc_gen[i] / n_gen, acc_gen[i] / accepted[i])
-        for i in range(len(sweep))
-        if accepted[i] > 0
-    ]
-
-    by_recall: dict[float, float] = {}
-    for recall, precision in raw:
-        if recall not in by_recall:  # first in threshold order wins
-            by_recall[recall] = precision
-    points = sorted(by_recall.items())
-    if points[0][0] > 0.0:
-        points.insert(0, (0.0, raw[0][1]))
-    series = CurveSeries(kind="rcl_pcn", points=tuple(points))
-    map_value = float(np.trapezoid(series.y, series.x))
+    recall, precision, map_value = ThresholdSweep.of(_block(records)).rcl_pcn()
+    series = CurveSeries(kind="rcl_pcn", points=tuple(zip(recall, precision)))
     return series, map_value

@@ -4,8 +4,8 @@ The outer loop splits the dataset into disjoint folds (3 by default),
 learns the feature transform on ONE fold, and evaluates on the union of
 the remaining folds: separability coefficients over the evaluation
 templates, then an inner loop (10 by default) that takes each inner fold
-as probes against the other inner folds as gallery, accumulating
-probe-to-identity distance records for the rank and threshold metrics.
+as probes against the other inner folds as gallery, filling one score
+block of probe-to-identity distances for the rank and threshold metrics.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only, and probes are stripped of their
@@ -33,12 +33,9 @@ from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import identity_transform, learn_mmc, learn_pcalda
 from .metrics_classification import (
     CurveSeries,
-    DistanceRecord,
-    _rates,
-    cmc_curve,
-    far_frr_curves,
-    rcl_pcn_curve,
-    roc_curve,
+    ScoreBlock,
+    ThresholdSweep,
+    cmc_fractions,
 )
 from .metrics_separability import SeparabilityReport, compute_separability
 from .scatter import compute_scatter
@@ -191,35 +188,19 @@ class _FoldResult:
 
 
 def _probe_distances(
-    probe_vector: np.ndarray,
-    gallery_vectors: np.ndarray,
-    inverse: np.ndarray,
+    probes: np.ndarray, gallery: np.ndarray, inverse: np.ndarray
 ) -> np.ndarray:
-    gaps = gallery_vectors - probe_vector
-    d2 = np.einsum("ni,ij,nj->n", gaps, inverse, gaps)
+    # One einsum per probe row, so no distance depends on how many probes
+    # share the call.
+    gaps = (gallery - p for p in probes)
+    d2 = np.stack([np.einsum("ni,ij,nj->n", g, inverse, g) for g in gaps])
     return np.sqrt(np.clip(d2, 0.0, None))
-
-
-def _quantile_resample(
-    records: Sequence[DistanceRecord], rows: Sequence[tuple], grid: np.ndarray
-):
-    # Parameterize the sweep by the empirical quantile of each threshold
-    # among all observed distances; folds then share the [0, 1] axis.
-    # The +inf sentinel duplicates the largest threshold's rates and is
-    # dropped; -inf lands at quantile 0 by itself.
-    distances = np.sort([r.distance for r in records])
-    taus = np.array([row[0] for row in rows])
-    keep = taus < np.inf
-    qs = np.searchsorted(distances, taus[keep], side="right") / len(distances)
-    fars = np.array([row[1] for row in rows])[keep]
-    frrs = np.array([row[2] for row in rows])[keep]
-    return np.interp(grid, qs, fars), np.interp(grid, qs, frrs)
 
 
 def _run_fold(
     fold: int,
     flats: Sequence[FlatSample],
-    true_labels: Sequence[str],
+    label_codes: np.ndarray,
     method: str,
     plan: FoldPlan,
     config: ProtocolConfig,
@@ -245,7 +226,8 @@ def _run_fold(
         [template_of[i] for i in eval_idx], fold_context
     )
 
-    records = []
+    n_labels = int(label_codes.max()) + 1
+    distance, label, probe_rows = [], [], []
     for probe_part in plan.inner_folds[fold]:
         if not probe_part:
             continue
@@ -253,70 +235,56 @@ def _run_fold(
         gallery_idx = [i for i in eval_idx if i not in probe_set]
         if not gallery_idx:
             continue
-        gallery_vectors = np.stack([template_of[i].vector for i in gallery_idx])
-        gallery_labels = [template_of[i].label for i in gallery_idx]
-
+        probes = np.stack([template_of[i].vector for i in probe_part])
+        gallery = np.stack([template_of[i].vector for i in gallery_idx])
+        gallery_codes = label_codes[gallery_idx]
         if config.context_source == "gallery":
             context = build_matching_context(
                 transform, [template_of[i] for i in gallery_idx]
             )
         else:
             context = fold_context
+        # The probes' labels play no part in matching; only the distances
+        # reach the scorer, plus the true labels for the genuine flags.
+        d = _probe_distances(probes, gallery, context.sigma_t_feature_inv)
+        if config.pair_policy == "class_best":
+            best = np.full((len(probe_part), n_labels), np.inf)
+            np.minimum.at(best.T, gallery_codes, d.T)
+            gallery_codes = np.unique(gallery_codes)
+            d = best[:, gallery_codes]
+        distance.append(d.ravel())
+        label.append(np.tile(gallery_codes, len(probe_part)))
+        probe_rows.append(np.repeat(probe_part, len(gallery_codes)))
 
-        for i in probe_part:
-            # The probe's label plays no part in matching; only the
-            # distances below reach the scorer, plus the true label for
-            # the genuine flag.
-            d = _probe_distances(
-                template_of[i].vector,
-                gallery_vectors,
-                context.sigma_t_feature_inv,
-            )
-            truth = true_labels[i]
-            probe_id = template_of[i].sample_id
-            if config.pair_policy == "all":
-                for g, lab in enumerate(gallery_labels):
-                    records.append(
-                        DistanceRecord(
-                            probe_id=probe_id,
-                            gallery_label=lab,
-                            distance=float(d[g]),
-                            genuine=lab == truth,
-                        )
-                    )
-            else:
-                best: dict[str, float] = {}
-                for g, lab in enumerate(gallery_labels):
-                    if lab not in best or d[g] < best[lab]:
-                        best[lab] = float(d[g])
-                for lab in sorted(best):
-                    records.append(
-                        DistanceRecord(
-                            probe_id=probe_id,
-                            gallery_label=lab,
-                            distance=best[lab],
-                            genuine=lab == truth,
-                        )
-                    )
-
-    cmc, ccr = cmc_curve(records)
-    _, eer = far_frr_curves(records)
-    roc, auc = roc_curve(records)
-    rcl_pcn, map_value = rcl_pcn_curve(records)
-
-    rows = _rates(records)
-    far_grid, frr_grid = _quantile_resample(records, rows, grid)
-    tar_grid = np.interp(grid, roc.x, roc.y)
-    precision_grid = np.interp(grid, rcl_pcn.x, rcl_pcn.y)
+    rows = np.concatenate(probe_rows)  # the probe's sample index, per pair
+    probed, probe = np.unique(rows, return_inverse=True)
+    label = np.concatenate(label)
+    block = ScoreBlock(
+        distance=np.concatenate(distance),
+        probe=probe,
+        label=label,
+        genuine=label == label_codes[rows],
+        probe_ids=tuple(template_of[i].sample_id for i in probed),
+    )
+    cmc_y = cmc_fractions(block)
+    sweep = ThresholdSweep.of(block)
+    eer = sweep.eer()
+    roc_far, roc_tar, auc = sweep.roc()
+    recall, precision, map_value = sweep.rcl_pcn()
+    # Parameterize the sweep by the empirical quantile of each threshold
+    # among all observed distances; folds then share the [0, 1] axis.
+    # The +inf sentinel duplicates the largest threshold's rates and is
+    # dropped; -inf lands at quantile 0 by itself.
+    qs = sweep.quantile[:-1]
 
     return _FoldResult(
         separability=separability,
-        scalars={"ccr": ccr, "eer": eer, "auc": auc, "map": map_value},
-        cmc_y=cmc.y,
-        far_grid=far_grid,
-        frr_grid=frr_grid,
-        tar_grid=tar_grid,
-        precision_grid=precision_grid,
+        scalars={"ccr": float(cmc_y[0]), "eer": eer, "auc": auc, "map": map_value},
+        cmc_y=cmc_y,
+        far_grid=np.interp(grid, qs, sweep.far[:-1]),
+        frr_grid=np.interp(grid, qs, sweep.frr[:-1]),
+        tar_grid=np.interp(grid, roc_far, roc_tar),
+        precision_grid=np.interp(grid, recall, precision),
     )
 
 
@@ -349,12 +317,13 @@ def run_protocol(
         raise ContractError("fold plan does not partition this dataset")
 
     flats = [flatten(s, frame_count) for s in dataset.samples]
-    true_labels = [s.label for s in dataset.samples]
+    code_of = {label: k for k, label in enumerate(dataset.labels)}
+    label_codes = np.array([code_of[s.label] for s in dataset.samples])
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
 
     def fold_task(f: int) -> _FoldResult:
         try:
-            return _run_fold(f, flats, true_labels, method, plan, config, grid)
+            return _run_fold(f, flats, label_codes, method, plan, config, grid)
         except MarginforgeError as exc:
             raise type(exc)(f"outer fold {f}: {exc}") from exc
 

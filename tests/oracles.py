@@ -3,12 +3,21 @@
 Everything here is written the dumbest defensible way: per-threshold
 counting loops over the records, exhaustive recursion over warping paths.
 Slow on purpose. The library has to agree with these without sharing a
-line of code with them.
+line of code with them; the one exception is the eigen oracle, which
+borrows the learners' sign convention so its vectors compare column by
+column.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
+
+import numpy as np
+
+from marginforge.errors import DegenerateDataError
+from marginforge.learners import _canonical_signs
+from marginforge.scatter import ScatterStatistics
 
 
 def threshold_sweep(records) -> list:
@@ -132,3 +141,28 @@ def exhaustive_dtw(a, b) -> float:
         return min(options)
 
     return local(0, 0) + walk(0, 0)
+
+
+def oracle_eigen(stats: ScatterStatistics) -> Tuple[np.ndarray, np.ndarray]:
+    """Margin spectrum by direct symmetric eigendecomposition.
+
+    Independent of the SVD route: whiten with the pseudo-inverse square
+    root of St from eigh, then take eigh of the whitened Sb. Returns
+    (eigenvalues, eigenvectors): values descending and clipped to [0, 1],
+    vectors as columns in the original space (total-scatter orthonormal,
+    sign-canonicalized), one per value.
+    """
+    w, q = np.linalg.eigh(stats.sigma_t)
+    w = w[::-1]
+    q = q[:, ::-1]
+    cutoff = stats.dimension * np.finfo(np.float64).eps * max(w[0], 0.0)
+    rank = int(np.sum(w > cutoff))
+    if rank == 0:
+        raise DegenerateDataError("total scatter is zero: no usable variance")
+    whiten = q[:, :rank] / np.sqrt(w[:rank])
+    m = whiten.T @ stats.sigma_b @ whiten
+    m = (m + m.T) / 2.0
+    vals, vecs = np.linalg.eigh(m)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    return np.clip(vals, 0.0, 1.0), _canonical_signs(whiten @ vecs)

@@ -34,7 +34,6 @@ from marginforge import (
     generate_synthetic,
     learn_mmc,
     mmc_objective,
-    oracle_eigen,
     plan_folds,
     rcl_pcn_curve,
     resample_time,
@@ -82,7 +81,7 @@ def battery():
             flats = random_flats(rng, classes=classes, dim=dim)
             stats = compute_scatter(flats)
             transform = learn_mmc(stats, flats)
-            values, vectors = oracle_eigen(stats)
+            values, vectors = oracles.oracle_eigen(stats)
             _battery.append((stats, transform, values, vectors, classes))
         _battery_seconds.append(time.perf_counter() - start)
     return _battery

@@ -240,6 +240,20 @@ class TestExitCodes:
             "--output", tmp_path / "g.json",
         ) == 4
 
+    def test_duplicate_sample_id_is_4(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(
+            "".join(json.dumps({**r, "sample_id": "x"}) + "\n" for r in records)
+        )
+        report = tmp_path / "report.json"
+        assert run(
+            "evaluate", "--input", dup, "--output", report, "--method", "identity"
+        ) == 4
+        assert not report.exists()
+
     def test_alignment_error_is_5(self, tmp_path):
         still = np.tile(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]]), (3, 1, 1))
         samples = [

@@ -90,6 +90,14 @@ class TestDatasetModel:
         with pytest.raises(SchemaError, match="no samples"):
             LabeledDataset.from_samples([])
 
+    def test_duplicate_sample_id_rejected(self):
+        # Scoring keys probes by position; a repeated id would make two
+        # probes one in the per-id view, so it is refused up front.
+        s1 = sample(np.zeros((2, 1, 3)), label="a", sample_id="x")
+        s2 = sample(np.ones((2, 1, 3)), label="b", sample_id="x")
+        with pytest.raises(SchemaError, match="duplicate sample_id 'x'"):
+            LabeledDataset.from_samples([s1, s2])
+
     def test_non_finite_rejected(self):
         with pytest.raises(SchemaError):
             sample([[[0, 0, np.nan]], [[0, 0, 0]]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import flats_1d, flats_nd, principal_angles, random_flats
 from marginforge import (
     EigenSelection,
@@ -14,7 +15,6 @@ from marginforge import (
     load_transform,
     margin_trace,
     mmc_objective,
-    oracle_eigen,
     save_transform,
     select_margin_columns,
 )
@@ -197,7 +197,7 @@ class TestLearnMmc:
             flats = random_flats(rng, classes=c, dim=d)
             stats = compute_scatter(flats)
             t = learn_mmc(stats, flats)
-            vals, vecs = oracle_eigen(stats)
+            vals, vecs = oracles.oracle_eigen(stats)
             sel = select_margin_columns(vals, limit=c - 1)
             ref = vecs[:, list(sel.kept_indices)]
             assert t.feature_dim == ref.shape[1]
@@ -316,7 +316,7 @@ class TestOracleEigen:
                 dim=int(rng.integers(2, 8)),
             )
             stats = compute_scatter(flats)
-            vals, vecs = oracle_eigen(stats)
+            vals, vecs = oracles.oracle_eigen(stats)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
             assert np.all(np.diff(vals) <= 1e-12)
             gram = vecs.T @ stats.sigma_t @ vecs
@@ -324,13 +324,13 @@ class TestOracleEigen:
 
     def test_zero_between_gives_zero_values(self):
         flats = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        vals, _ = oracle_eigen(compute_scatter(flats))
+        vals, _ = oracles.oracle_eigen(compute_scatter(flats))
         assert np.max(vals) < 1e-12
 
     def test_zero_total_is_degenerate(self):
         flats = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
         with pytest.raises(DegenerateDataError):
-            oracle_eigen(compute_scatter(flats))
+            oracles.oracle_eigen(compute_scatter(flats))
 
 
 class TestLearnPcaLda:

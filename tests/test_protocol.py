@@ -1,19 +1,30 @@
 """Nested cross-validation protocol and report aggregation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from marginforge import (
+    DistanceRecord,
     GaitSample,
     LabeledDataset,
     ProtocolConfig,
     SyntheticSpec,
+    build_matching_context,
+    cmc_curve,
     compute_scatter,
     curve_csv_text,
+    extract_template,
+    far_frr_curves,
     flatten,
     generate_synthetic,
+    identity_transform,
     learn_mmc,
+    mahalanobis,
     plan_folds,
+    rcl_pcn_curve,
+    roc_curve,
     run_protocol,
 )
 from marginforge._jsonio import canonical_dumps
@@ -249,6 +260,93 @@ class TestRunProtocol:
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
         with pytest.raises(DegenerateDataError, match="^outer fold 0:"):
             run_protocol(ds, "mmc", plan)
+
+
+def two_sample_class_dataset():
+    # id003 keeps two samples, so with two outer folds each evaluation
+    # half holds one of them, and as a probe it meets a gallery that has
+    # no other member of its identity.
+    ds = small_dataset(classes=4, per_class=4)
+    return LabeledDataset.from_samples(
+        s for s in ds.samples
+        if s.label != "id003" or s.sample_id in ("id003s000", "id003s001")
+    )
+
+
+def brute_force_fold_records(ds, plan, fold, pair_policy):
+    """Every probe/gallery record of one identity-method fold, built one
+    pair at a time with mahalanobis from the learning-fold context."""
+    frame_count = ds.samples[0].frame_count
+    flats = [flatten(s, frame_count) for s in ds.samples]
+    transform = identity_transform(flats[0].dimension)
+    templates = [extract_template(transform, f) for f in flats]
+    context = build_matching_context(
+        transform, [templates[i] for i in plan.outer_folds[fold]]
+    )
+    eval_idx = plan.evaluation_indices(fold)
+    records = []
+    for part in plan.inner_folds[fold]:
+        gallery = [i for i in eval_idx if i not in part]
+        for p in part:
+            best = {}
+            pairs = []
+            for g in gallery:
+                d = mahalanobis(context, templates[p], templates[g])
+                pairs.append((templates[g].label, d))
+                best[templates[g].label] = min(d, best.get(templates[g].label, d))
+            if pair_policy == "class_best":
+                pairs = sorted(best.items())
+            records += [
+                DistanceRecord(
+                    probe_id=templates[p].sample_id,
+                    gallery_label=label,
+                    distance=d,
+                    genuine=label == templates[p].label,
+                )
+                for label, d in pairs
+            ]
+    return records
+
+
+class TestScoreBlockAgainstRecords:
+    @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
+    @pytest.mark.parametrize("dataset", ["full", "two_sample_class"])
+    def test_headline_matches_public_record_functions(self, pair_policy, dataset):
+        if dataset == "full":
+            ds = small_dataset()
+            plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        else:
+            ds = two_sample_class_dataset()
+            plan = plan_folds(ds, outer=2, inner=2, seed=0)
+        report = run_protocol(
+            ds, "identity", plan, ProtocolConfig(pair_policy=pair_policy)
+        )
+        folds = [
+            brute_force_fold_records(ds, plan, f, pair_policy)
+            for f in range(plan.n_outer)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ccr = [cmc_curve(r)[1] for r in folds]
+        assert report.headline["ccr"] == float(np.mean(ccr))
+        for key, curve in (
+            ("eer", far_frr_curves),
+            ("auc", roc_curve),
+            ("map", rcl_pcn_curve),
+        ):
+            expected = float(np.mean([curve(r)[1] for r in folds]))
+            assert report.headline[key] == pytest.approx(expected, abs=1e-12)
+
+    def test_identity_missing_from_gallery_warns(self):
+        ds = two_sample_class_dataset()
+        plan = plan_folds(ds, outer=2, inner=2, seed=0)
+        report = run_protocol(ds, "identity", plan)
+        assert report.warnings == tuple(
+            f"RuntimeWarning: probe {sample_id!r}: its identity is not in "
+            "the gallery; counted as never matched"
+            for sample_id in ("id003s000", "id003s001")
+        )
+        assert report.headline["ccr"] < 1.0
 
 
 class TestCurveCsv:
