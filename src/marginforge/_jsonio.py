@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -26,7 +27,14 @@ def atomic_write_text(path, text: str):
 
 
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Write strict JSON: a non-finite float raises instead of becoming a
+    bare Infinity or NaN token that strict parsers refuse."""
+    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
+def finite_or_null(value: float):
+    """value, or None (JSON null) when it is infinite or NaN."""
+    return value if math.isfinite(value) else None
 
 
 def load_json(path, what: str = "file"):

@@ -39,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .learners import learn_mmc, learn_pcalda, load_transform, save_transform
-from .scatter import compute_scatter
 from .preprocess import (
     align_walk_direction,
     average_length,
@@ -189,15 +188,11 @@ def cmd_learn(opts: _Options) -> int:
     dataset = _load(opts)
     flats = _flatten_all(dataset)
     method = str(opts.get("method", "mmc")).replace("-", "_")
-    if method in ("mmc", "pca_lda"):
-        stats = compute_scatter(flats)
     if method == "mmc":
-        transform = learn_mmc(stats, flats)
+        transform = learn_mmc(flats)
     elif method == "pca_lda":
         pca_dim = opts.get("pca_dim")
-        transform = learn_pcalda(
-            stats, flats, None if pca_dim is None else int(pca_dim)
-        )
+        transform = learn_pcalda(flats, None if pca_dim is None else int(pca_dim))
     else:
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
     output = opts.require("output")
@@ -258,7 +253,8 @@ def cmd_compare(opts: _Options) -> int:
         try:
             method = report["config"]["method"]
             headline = report["headline"]
-            rows.append((method, [float(headline[k]) for k in keys]))
+            values = [headline[k] for k in keys]
+            rows.append((method, [None if v is None else float(v) for v in values]))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"report {path}: missing field {exc}")
 
@@ -267,7 +263,8 @@ def cmd_compare(opts: _Options) -> int:
     lines = [header, "-" * len(header)]
     for method, values in rows:
         lines.append(
-            method.ljust(name_width) + "".join(f"{v:10.4f}" for v in values)
+            method.ljust(name_width)
+            + "".join("n/a".rjust(10) if v is None else f"{v:10.4f}" for v in values)
         )
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)

@@ -1,24 +1,30 @@
 """Linear feature-transform learners.
 
-learn_mmc maximizes the margin trace tr(Sb - Sw) = tr(2 Sb - St) over
-transforms that whiten total scatter. It never forms St eigenvectors
-directly; a two-step SVD route (data matrix, then whitened class-mean
-matrix) gives the same pencil solution with better conditioning:
+Both learners run one kernel that whitens total scatter and diagonalizes
+whitened between-class scatter, fed by the labeled vectors alone. It
+never forms a D x D scatter matrix; a two-step SVD route (data matrix,
+then whitened class-mean matrix) solves the Sb/St pencil with better
+conditioning:
 
     1. X has one column (x_n - mu) / sqrt(N_c(n)) per sample, so
        X X^T = St; U has one column (mu_c - mu) per class, so U U^T = Sb.
     2. SVD of X yields the St eigenbasis Omega and eigenvalues Theta = s^2
-       (columns at or below the numerical-rank cutoff are dropped).
+       (columns at or below the numerical-rank cutoff are dropped, and
+       at most r leading columns are kept when a rank r is given).
     3. B = Theta^(-1/2) Omega^T U; the left singular vectors Xi of B
        diagonalize whitened between-class scatter.
     4. Psi = Omega Theta^(-1/2) Xi satisfies Psi^T St Psi = I and
        Psi^T Sb Psi = diag(delta) with delta in [0, 1] descending.
-    5. Keep columns with delta >= 1/2: exactly the directions where the
-       margin 2*delta - 1 is nonnegative. At most C - 1 can qualify.
 
-learn_pcalda is the comparison route: project onto the top principal
-directions of St, then solve the LDA generalized problem in that subspace,
-with a trace-scaled ridge when projected within-class scatter is singular.
+The learners differ only in the rank and the keep rule:
+
+    learn_mmc     full numerical rank; keep columns with delta >= 1/2,
+                  exactly the directions where the margin 2*delta - 1 is
+                  nonnegative. At most C - 1 can qualify.
+    learn_pcalda  rank pca_dim (PCA), then keep the C - 1 leading columns
+                  with nonzero delta (LDA). Since St = Sb + Sw, an LDA
+                  eigenvalue lambda of the Sb/Sw pencil is the share
+                  delta = lambda / (1 + lambda) on the same direction.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._jsonio import canonical_dumps, load_json, write_json
 from .dataset import FlatSample
@@ -43,7 +48,8 @@ METHODS = ("mmc", "pca_lda", "identity")
 DELTA_KEEP = 0.5
 
 # Off-diagonal mass in Psi^T Sb Psi beyond this (Frobenius) means the two
-# SVD steps disagreed with the scatter computation; diagnose, don't hide.
+# SVD steps failed to diagonalize between-class scatter; diagnose, don't
+# hide.
 OFF_DIAGONAL_WARN = 1e-6
 
 
@@ -94,8 +100,9 @@ class FeatureTransform:
     """A learned linear map from measurement space to feature space.
 
     phi has shape (input_dim, feature_dim); a row vector x maps to x @ phi.
-    delta holds the per-column selection scores (margin shares for mmc,
-    generalized eigenvalues for pca_lda, ones for identity).
+    The learned methods (mmc, pca_lda) whiten total scatter,
+    phi^T St phi = I, and delta holds each column's between-class share
+    of total scatter, phi^T Sb phi = diag(delta); identity has ones.
     """
 
     method: str
@@ -216,84 +223,84 @@ def _canonical_signs(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _check_stats_match(stats: ScatterStatistics, data: Sequence[FlatSample]):
-    # Guard the "stats computed from data" precondition cheaply: same
-    # dimensionality, same labels, same per-class counts.
-    if stats.num_classes < 2:
-        raise ContractError("need at least 2 classes")
-    counts: dict[str, int] = {}
-    for f in data:
-        counts[f.label] = counts.get(f.label, 0) + 1
-        if f.dimension != stats.dimension:
-            raise ContractError(
-                f"sample dimension {f.dimension} does not match "
-                f"statistics dimension {stats.dimension}"
-            )
-    if tuple(sorted(counts)) != stats.labels:
-        raise ContractError("statistics labels do not match data labels")
-    for k, lab in enumerate(stats.labels):
-        if counts[lab] != stats.class_sizes[k]:
-            raise ContractError(
-                f"statistics class sizes do not match data (class {lab!r})"
-            )
+def _whitened_discriminants(data: list, rank: Optional[int] = None):
+    """The shared learner kernel: steps 1-4 of the module docstring.
 
-
-def learn_mmc(stats: ScatterStatistics, data: Sequence[FlatSample]) -> FeatureTransform:
-    """Learn the maximum-margin transform from labeled vectors.
-
-    stats must be the scatter statistics of data. The result whitens total
-    scatter (phi^T St phi = I) and keeps the margin-positive directions.
-
-    Raises DegenerateDataError when the data has no variance at all. When
-    no direction reaches delta >= 1/2, the single best direction is kept
-    and fallback_used is set.
+    rank truncates the total-scatter basis (None: its numerical rank).
+    Returns (psi, delta, num_classes, total_rank): psi columns satisfy
+    psi^T St psi = I and psi^T Sb psi = diag(delta), delta descending;
+    total_rank is the numerical rank of St before truncation.
     """
-    data = list(data)
-    _check_stats_match(stats, data)
-    by_label: dict[str, list[np.ndarray]] = {lab: [] for lab in stats.labels}
+    if not data:
+        raise ContractError("no samples")
+    dim = data[0].dimension
+    by_label: dict[str, list[np.ndarray]] = {}
     for f in data:
-        by_label[f.label].append(f.vector)
+        if f.dimension != dim:
+            raise ContractError(
+                f"sample {f.sample_id!r} has dimension {f.dimension}, expected {dim}"
+            )
+        by_label.setdefault(f.label, []).append(f.vector)
+    labels = sorted(by_label)
+    if len(labels) < 2:
+        raise ContractError("need at least 2 classes")
+    # Means in compute_scatter's order, so the route is bit-stable.
+    stacks = [np.stack(by_label[lab]) for lab in labels]
+    class_means = np.stack([stack.mean(axis=0) for stack in stacks])
+    overall_mean = np.concatenate(stacks).mean(axis=0)
 
     # Data matrix with per-class 1/sqrt(N_c) column scaling: X X^T equals
     # the per-class-normalized total scatter exactly.
-    cols = []
-    for k, lab in enumerate(stats.labels):
-        scale = 1.0 / np.sqrt(stats.class_sizes[k])
-        for v in by_label[lab]:
-            cols.append((v - stats.overall_mean) * scale)
-    x = np.stack(cols, axis=1)
-    u_means = (stats.class_means - stats.overall_mean).T  # (D, C)
+    x = np.concatenate(
+        [(stack - overall_mean) * (1.0 / np.sqrt(len(stack))) for stack in stacks]
+    ).T
+    u_means = (class_means - overall_mean).T  # (D, C)
 
     omega, s, _ = np.linalg.svd(x, full_matrices=False)
     cutoff = max(x.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank == 0:
+    total_rank = int(np.sum(s > cutoff))
+    if total_rank == 0:
         raise DegenerateDataError("total scatter is zero: no usable variance")
-    omega = omega[:, :rank]
-    inv_sqrt_theta = 1.0 / s[:rank]
+    r = total_rank if rank is None else min(rank, total_rank)
+    omega = omega[:, :r]
+    inv_sqrt_theta = 1.0 / s[:r]
 
     b = inv_sqrt_theta[:, None] * (omega.T @ u_means)
     xi, _, _ = np.linalg.svd(b, full_matrices=False)
     psi = omega @ (inv_sqrt_theta[:, None] * xi)
 
-    projected_b = psi.T @ stats.sigma_b @ psi
-    delta_full = np.diag(projected_b).copy()
-    off = projected_b - np.diag(delta_full)
-    off_norm = float(np.linalg.norm(off))
+    # U U^T = Sb, so (psi^T U)(psi^T U)^T is psi^T Sb psi.
+    projected_u = psi.T @ u_means
+    projected_b = projected_u @ projected_u.T
+    delta = np.diag(projected_b).copy()
+    off_norm = float(np.linalg.norm(projected_b - np.diag(delta)))
     if off_norm > OFF_DIAGONAL_WARN:
         warnings.warn(
             f"between-class scatter not diagonalized: off-diagonal norm "
             f"{off_norm:.3e}",
             RuntimeWarning,
         )
+    return psi, delta, len(labels), total_rank
 
-    selection = select_margin_columns(delta_full, limit=stats.num_classes - 1)
+
+def learn_mmc(data: Sequence[FlatSample]) -> FeatureTransform:
+    """Learn the maximum-margin transform from labeled vectors.
+
+    The result whitens total scatter (phi^T St phi = I) and keeps the
+    margin-positive directions.
+
+    Raises ContractError on no samples, mixed dimensions or fewer than 2
+    classes, and DegenerateDataError when the data has no variance at
+    all. When no direction reaches delta >= 1/2, the single best
+    direction is kept and fallback_used is set.
+    """
+    psi, delta, c, _ = _whitened_discriminants(list(data))
+    selection = select_margin_columns(delta, limit=c - 1)
     kept = list(selection.kept_indices)
-    phi = _canonical_signs(psi[:, kept])
     return FeatureTransform(
         method="mmc",
-        phi=phi,
-        delta=delta_full[kept],
+        phi=_canonical_signs(psi[:, kept]),
+        delta=delta[kept],
         fallback_used=selection.fallback_used,
     )
 
@@ -321,21 +328,20 @@ def mmc_objective(transform: FeatureTransform, stats: ScatterStatistics) -> floa
 
 
 def learn_pcalda(
-    stats: ScatterStatistics,
-    data: Sequence[FlatSample],
-    pca_dim: Optional[int] = None,
+    data: Sequence[FlatSample], pca_dim: Optional[int] = None
 ) -> FeatureTransform:
     """Learn the PCA + LDA comparison transform.
 
-    Projects onto the pca_dim (default: number of classes) leading
-    principal directions of total scatter, then solves the generalized
-    between/within eigenproblem there. A trace-scaled ridge is added to
-    projected within-class scatter when it is singular; ridge_used records
-    that.
+    Keeps the pca_dim (default: number of classes) leading principal
+    directions of total scatter and solves LDA there. That is the shared
+    kernel at rank pca_dim: each LDA eigenvalue lambda appears as the
+    between-class share delta = lambda / (1 + lambda), with the same
+    directions, scaled so that phi^T St phi = I. ridge_used records that
+    projected within-class scatter is singular: the top delta is 1, or
+    total scatter has fewer than pca_dim nonzero directions.
     """
     data = list(data)
-    _check_stats_match(stats, data)
-    n, c, d = len(data), stats.num_classes, stats.dimension
+    n, c = len(data), len({f.label for f in data})
     if pca_dim is None:
         pca_dim = c
     if pca_dim < c or pca_dim > n - c:
@@ -343,49 +349,22 @@ def learn_pcalda(
             f"pca_dim must lie in [{c}, {n - c}] "
             f"(classes {c}, samples {n}), got {pca_dim}"
         )
-    if pca_dim > d:
-        raise ContractError(f"pca_dim {pca_dim} exceeds input dimension {d}")
-
-    w, q = np.linalg.eigh(stats.sigma_t)
-    if not np.max(w) > 0:
-        raise DegenerateDataError("total scatter is zero: no usable variance")
-    p = q[:, ::-1][:, :pca_dim]
-
-    sb_p = p.T @ stats.sigma_b @ p
-    sw_p = p.T @ stats.sigma_w @ p
-    sb_p = (sb_p + sb_p.T) / 2.0
-    sw_p = (sw_p + sw_p.T) / 2.0
-
-    def with_ridge(sw):
-        trace_w = float(np.trace(sw))
-        base = trace_w if trace_w > 0 else float(np.trace(p.T @ stats.sigma_t @ p))
-        return sw + (1e-8 * base / pca_dim) * np.eye(pca_dim)
-
-    ew = np.linalg.eigvalsh(sw_p)
-    ridge_used = bool(ew[0] <= max(ew[-1], 0.0) * 1e-12)
-    if ridge_used:
-        sw_p = with_ridge(sw_p)
-    try:
-        lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
-    except scipy.linalg.LinAlgError:
-        sw_p = with_ridge(sw_p)
-        ridge_used = True
-        lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
-    lam = lam[::-1]
-    vecs = vecs[:, ::-1]
+    if data and pca_dim > data[0].dimension:
+        raise ContractError(
+            f"pca_dim {pca_dim} exceeds input dimension {data[0].dimension}"
+        )
+    psi, delta, c, total_rank = _whitened_discriminants(data, pca_dim)
 
     # Between-class rank bounds the useful directions at C - 1; treat
-    # eigenvalues within 1e-9 of the largest magnitude as zero.
-    tol = max(abs(lam[0]), abs(lam[-1])) * 1e-9
-    kept = tuple(int(i) for i in np.flatnonzero(lam > tol)[: c - 1])
+    # shares within 1e-9 of the largest as zero.
+    kept = [int(i) for i in np.flatnonzero(delta > delta[0] * 1e-9)[: c - 1]]
     fallback = not kept
     if fallback:
-        kept = (0,)
-    phi = _canonical_signs(p @ vecs[:, list(kept)])
+        kept = [0]
     return FeatureTransform(
         method="pca_lda",
-        phi=phi,
-        delta=lam[list(kept)],
+        phi=_canonical_signs(psi[:, kept]),
+        delta=delta[kept],
         fallback_used=fallback,
-        ridge_used=ridge_used,
+        ridge_used=bool(total_rank < pca_dim or abs(delta[0] - 1.0) <= 1e-12),
     )

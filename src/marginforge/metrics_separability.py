@@ -4,7 +4,8 @@ All four coefficients run in feature space under the matching context's
 metric, so they describe exactly the geometry the matcher sees. Degenerate
 geometry (coincident centroids, zero dispersion) yields an infinity marker
 plus a DegenerateMetricWarning instead of an exception: a degenerate fold
-should show up in a report, not kill a run.
+should show up in a report, not kill a run. Reports write the marker as
+JSON null; the warning names the metric.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ._jsonio import finite_or_null
 from .errors import ContractError, DegenerateMetricWarning
 from .template_space import GaitTemplate, MatchingContext, mahalanobis
 
@@ -197,10 +199,10 @@ class SeparabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "dbi": self.dbi,
-            "di": self.di,
+            "dbi": finite_or_null(self.dbi),
+            "di": finite_or_null(self.di),
             "sc": self.sc,
-            "fdr": self.fdr,
+            "fdr": finite_or_null(self.fdr),
             "per_class_sigma": {k: v for k, v in self.per_class_sigma.items()},
             "class_centroids": {
                 k: np.asarray(v).tolist() for k, v in self.class_centroids.items()

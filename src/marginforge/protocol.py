@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._jsonio import finite_or_null
 from .dataset import FlatSample, LabeledDataset, flatten
 from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import identity_transform, learn_mmc, learn_pcalda
@@ -38,7 +39,6 @@ from .metrics_classification import (
     cmc_fractions,
 )
 from .metrics_separability import SeparabilityReport, compute_separability
-from .scatter import compute_scatter
 from .template_space import build_matching_context, extract_template
 
 PROTOCOL_METHODS = ("mmc", "pca_lda", "identity")
@@ -169,7 +169,10 @@ class EvaluationReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
-            "headline": self.headline,
+            "headline": {
+                k: finite_or_null(v) if k in ("dbi", "di", "fdr") else v
+                for k, v in self.headline.items()
+            },
             "separability": [s.to_json_dict() for s in self.separability],
             "curves": {k: c.to_json_dict() for k, c in self.curves.items()},
             "warnings": list(self.warnings),
@@ -210,12 +213,10 @@ def _run_fold(
     learning = [flats[i] for i in learn_idx]
     if method == "identity":
         transform = identity_transform(flats[0].dimension)
+    elif method == "mmc":
+        transform = learn_mmc(learning)
     else:
-        stats = compute_scatter(learning)
-        if method == "mmc":
-            transform = learn_mmc(stats, learning)
-        else:
-            transform = learn_pcalda(stats, learning, config.pca_dim)
+        transform = learn_pcalda(learning, config.pca_dim)
 
     learning_templates = [extract_template(transform, f) for f in learning]
     fold_context = build_matching_context(transform, learning_templates)

@@ -12,7 +12,6 @@ from marginforge import (
     GaitTemplate,
     MatchingContext,
     build_matching_context,
-    compute_scatter,
     extract_template,
     learn_mmc,
     mahalanobis,
@@ -185,8 +184,7 @@ def recombination_violation(rng: np.random.Generator) -> float:
     classes = int(rng.integers(2, 5))
     dim = int(rng.integers(3, 8))
     flats = random_flats(rng, classes=classes, dim=dim, members_low=4, members_high=8)
-    stats = compute_scatter(flats)
-    base = learn_mmc(stats, flats)
+    base = learn_mmc(flats)
     k = base.feature_dim
     while True:
         mix = rng.normal(size=(k, k))
@@ -214,8 +212,7 @@ def mmc_euclidean_violation(rng: np.random.Generator) -> float:
     classes = int(rng.integers(2, 5))
     dim = int(rng.integers(3, 8))
     flats = random_flats(rng, classes=classes, dim=dim, members_low=4, members_high=8)
-    stats = compute_scatter(flats)
-    t = learn_mmc(stats, flats)
+    t = learn_mmc(flats)
     temps = [extract_template(t, f) for f in flats]
     ctx = build_matching_context(t, temps)
     worst = 0.0

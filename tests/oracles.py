@@ -3,8 +3,8 @@
 Everything here is written the dumbest defensible way: per-threshold
 counting loops over the records, exhaustive recursion over warping paths.
 Slow on purpose. The library has to agree with these without sharing a
-line of code with them; the one exception is the eigen oracle, which
-borrows the learners' sign convention so its vectors compare column by
+line of code with them; the one exception is the eigen oracles, which
+borrow the learners' sign convention so their vectors compare column by
 column.
 """
 
@@ -14,9 +14,10 @@ import math
 from typing import Tuple
 
 import numpy as np
+import scipy.linalg
 
-from marginforge.errors import DegenerateDataError
-from marginforge.learners import _canonical_signs
+from marginforge.errors import ContractError, DegenerateDataError
+from marginforge.learners import FeatureTransform, _canonical_signs
 from marginforge.scatter import ScatterStatistics
 
 
@@ -166,3 +167,69 @@ def oracle_eigen(stats: ScatterStatistics) -> Tuple[np.ndarray, np.ndarray]:
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     return np.clip(vals, 0.0, 1.0), _canonical_signs(whiten @ vecs)
+
+
+def oracle_pcalda(stats: ScatterStatistics, pca_dim=None) -> FeatureTransform:
+    """PCA + LDA straight from the scatter matrices, by eigensolvers.
+
+    Projects onto the pca_dim (default: number of classes) leading
+    eigenvectors of St from eigh, then solves the generalized Sb/Sw
+    eigenproblem there with scipy. phi is Sw-orthonormal in the subspace
+    and delta holds the LDA eigenvalues lambda. A trace-scaled ridge is
+    added to projected within-class scatter when it is singular;
+    ridge_used records that.
+    """
+    n, c, d = int(np.sum(stats.class_sizes)), stats.num_classes, stats.dimension
+    if pca_dim is None:
+        pca_dim = c
+    if pca_dim < c or pca_dim > n - c:
+        raise ContractError(
+            f"pca_dim must lie in [{c}, {n - c}] "
+            f"(classes {c}, samples {n}), got {pca_dim}"
+        )
+    if pca_dim > d:
+        raise ContractError(f"pca_dim {pca_dim} exceeds input dimension {d}")
+
+    w, q = np.linalg.eigh(stats.sigma_t)
+    if not np.max(w) > 0:
+        raise DegenerateDataError("total scatter is zero: no usable variance")
+    p = q[:, ::-1][:, :pca_dim]
+
+    sb_p = p.T @ stats.sigma_b @ p
+    sw_p = p.T @ stats.sigma_w @ p
+    sb_p = (sb_p + sb_p.T) / 2.0
+    sw_p = (sw_p + sw_p.T) / 2.0
+
+    def with_ridge(sw):
+        trace_w = float(np.trace(sw))
+        base = trace_w if trace_w > 0 else float(np.trace(p.T @ stats.sigma_t @ p))
+        return sw + (1e-8 * base / pca_dim) * np.eye(pca_dim)
+
+    ew = np.linalg.eigvalsh(sw_p)
+    ridge_used = bool(ew[0] <= max(ew[-1], 0.0) * 1e-12)
+    if ridge_used:
+        sw_p = with_ridge(sw_p)
+    try:
+        lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
+    except scipy.linalg.LinAlgError:
+        sw_p = with_ridge(sw_p)
+        ridge_used = True
+        lam, vecs = scipy.linalg.eigh(sb_p, sw_p)
+    lam = lam[::-1]
+    vecs = vecs[:, ::-1]
+
+    # Between-class rank bounds the useful directions at C - 1; treat
+    # eigenvalues within 1e-9 of the largest magnitude as zero.
+    tol = max(abs(lam[0]), abs(lam[-1])) * 1e-9
+    kept = tuple(int(i) for i in np.flatnonzero(lam > tol)[: c - 1])
+    fallback = not kept
+    if fallback:
+        kept = (0,)
+    phi = _canonical_signs(p @ vecs[:, list(kept)])
+    return FeatureTransform(
+        method="pca_lda",
+        phi=phi,
+        delta=lam[list(kept)],
+        fallback_used=fallback,
+        ridge_used=ridge_used,
+    )

@@ -135,6 +135,42 @@ class TestPipeline:
         assert report["config"]["pair_policy"] == "class_best"
         assert report["config"]["context_source"] == "gallery"
 
+    def test_degenerate_metric_is_strict_json_null(self, tmp_path, capsys):
+        # Zero noise puts every member on its class centroid, so the Dunn
+        # index has no within-class spread to divide by.
+        data = tmp_path / "data.jsonl"
+        rpt = tmp_path / "rpt.json"
+        assert run(
+            "gen",
+            "--classes", 4,
+            "--per-class", 6,
+            "--joints", 2,
+            "--frames", 3,
+            "--class-spread", 3,
+            "--noise", 0,
+            "--seed", 5,
+            "--output", data,
+        ) == 0
+        assert run("evaluate", "--input", data, "--output", rpt, "--method", "mmc") == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(rpt.read_text(), parse_constant=refuse)
+        schema = json.loads(
+            resources.files("marginforge")
+            .joinpath("schemas/report.schema.json")
+            .read_text()
+        )
+        jsonschema.validate(instance=report, schema=schema)
+        assert report["headline"]["di"] is None
+        assert all(fold["di"] is None for fold in report["separability"])
+        assert any("Dunn undefined" in w for w in report["warnings"])
+
+        capsys.readouterr()
+        assert run("compare", rpt) == 0
+        assert "n/a" in capsys.readouterr().out
+
     def test_worker_count_is_invisible_in_the_files(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0

@@ -1,7 +1,11 @@
 """Margin-maximizing and PCA+LDA transform learners."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import flats_1d, flats_nd, principal_angles, random_flats
@@ -18,6 +22,7 @@ from marginforge import (
     save_transform,
     select_margin_columns,
 )
+from marginforge._jsonio import canonical_dumps
 from marginforge.dataset import FlatSample
 from marginforge.errors import (
     ContractError,
@@ -144,7 +149,7 @@ class TestLearnMmc:
         # the between share is 8/10 and the margin 2*0.8 - 1 = 0.6.
         flats = flats_1d(FIXTURE)
         stats = compute_scatter(flats)
-        t = learn_mmc(stats, flats)
+        t = learn_mmc(flats)
         assert t.feature_dim == 1
         assert t.phi[0, 0] == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-12)
         assert t.delta[0] == pytest.approx(0.8, abs=1e-12)
@@ -162,17 +167,15 @@ class TestLearnMmc:
 
     def test_coincident_class_means_fall_back(self):
         flats = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        stats = compute_scatter(flats)
-        t = learn_mmc(stats, flats)
+        t = learn_mmc(flats)
         assert t.fallback_used
         assert t.feature_dim == 1
         assert t.delta[0] < 0.5
 
     def test_zero_variance_is_degenerate(self):
         flats = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
-        stats = compute_scatter(flats)
         with pytest.raises(DegenerateDataError):
-            learn_mmc(stats, flats)
+            learn_mmc(flats)
 
     def test_zero_within_scatter_keeps_class_count_minus_one(self):
         # Points sit exactly on their class means; every usable direction
@@ -184,8 +187,7 @@ class TestLearnMmc:
                 "c": [[0.0, 4.0, 0.0, 0.0]] * 3,
             }
         )
-        stats = compute_scatter(flats)
-        t = learn_mmc(stats, flats)
+        t = learn_mmc(flats)
         assert t.feature_dim == 2
         assert np.allclose(t.delta, [1.0, 1.0], atol=1e-9)
 
@@ -196,7 +198,7 @@ class TestLearnMmc:
             d = int(rng.integers(3, 14))
             flats = random_flats(rng, classes=c, dim=d)
             stats = compute_scatter(flats)
-            t = learn_mmc(stats, flats)
+            t = learn_mmc(flats)
             vals, vecs = oracles.oracle_eigen(stats)
             sel = select_margin_columns(vals, limit=c - 1)
             ref = vecs[:, list(sel.kept_indices)]
@@ -204,7 +206,8 @@ class TestLearnMmc:
             assert t.fallback_used == sel.fallback_used
             assert principal_angles(t.phi, ref).max() < 1e-6
 
-    def test_whitens_total_and_diagonalizes_between(self):
+    @pytest.mark.parametrize("learn", [learn_mmc, learn_pcalda], ids=["mmc", "pca_lda"])
+    def test_whitens_total_and_diagonalizes_between(self, learn):
         rng = np.random.default_rng(46)
         for _ in range(20):
             flats = random_flats(
@@ -213,7 +216,9 @@ class TestLearnMmc:
                 dim=int(rng.integers(3, 10)),
             )
             stats = compute_scatter(flats)
-            t = learn_mmc(stats, flats)
+            if learn is learn_pcalda and stats.num_classes > stats.dimension:
+                continue  # no pca_dim can reach the class count
+            t = learn(flats)
             gram = t.phi.T @ stats.sigma_t @ t.phi
             assert np.max(np.abs(gram - np.eye(t.feature_dim))) < 1e-6
             proj_b = t.phi.T @ stats.sigma_b @ t.phi
@@ -230,7 +235,7 @@ class TestLearnMmc:
                 dim=int(rng.integers(3, 10)),
             )
             stats = compute_scatter(flats)
-            t = learn_mmc(stats, flats)
+            t = learn_mmc(flats)
             got = mmc_objective(t, stats)
             want = float(np.sum(2.0 * t.delta - 1.0))
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
@@ -242,7 +247,7 @@ class TestLearnMmc:
         for _ in range(10):
             flats = random_flats(rng, classes=4, dim=6)
             stats = compute_scatter(flats)
-            t = learn_mmc(stats, flats)
+            t = learn_mmc(flats)
             best = mmc_objective(t, stats)
             w, q = np.linalg.eigh(stats.sigma_t)
             order = np.argsort(w)[::-1]
@@ -264,8 +269,8 @@ class TestLearnMmc:
             for f in flats
         ]
         stats, stats_r = compute_scatter(flats), compute_scatter(rotated)
-        a = mmc_objective(learn_mmc(stats, flats), stats)
-        b = mmc_objective(learn_mmc(stats_r, rotated), stats_r)
+        a = mmc_objective(learn_mmc(flats), stats)
+        b = mmc_objective(learn_mmc(rotated), stats_r)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     def test_spherical_within_recovers_mean_difference(self):
@@ -278,25 +283,22 @@ class TestLearnMmc:
             "b": [(2.0 * np.eye(d)[0] + o).tolist() for o in offsets],
         }
         flats = flats_nd(pts)
-        stats = compute_scatter(flats)
-        t = learn_mmc(stats, flats)
+        t = learn_mmc(flats)
         direction = t.phi[:, 0] / np.linalg.norm(t.phi[:, 0])
         assert abs(abs(direction[0]) - 1.0) < 1e-9
 
-    def test_stats_must_describe_data(self):
-        flats = flats_1d(FIXTURE)
-        stats = compute_scatter(flats)
-        relabeled = [
-            FlatSample(vector=f.vector, label="z", sample_id=f.sample_id)
-            for f in flats[:2]
-        ] + flats[2:]
-        with pytest.raises(ContractError):
-            learn_mmc(stats, relabeled)
-        with pytest.raises(ContractError):
-            learn_mmc(stats, flats[:3])
-        wide = flats_nd({"a": [[0.0, 1.0]], "b": [[2.0, 3.0]]})
-        with pytest.raises(ContractError):
-            learn_mmc(stats, wide)
+    @pytest.mark.parametrize("learn", [learn_mmc, learn_pcalda], ids=["mmc", "pca_lda"])
+    def test_learners_reject_malformed_input(self, learn):
+        mixed = flats_nd(
+            {"a": [[0.0, 1.0], [1.0, 2.0]], "b": [[2.0, 3.0], [3.0, 4.0]]}
+        )
+        mixed.append(FlatSample(vector=np.array([5.0]), label="b", sample_id="b9"))
+        with pytest.raises(ContractError, match="dimension 1, expected 2"):
+            learn(mixed)
+        with pytest.raises(ContractError, match="at least 2 classes"):
+            learn(flats_1d({"a": [0.0, 1.0, 2.0]}))
+        with pytest.raises(ContractError, match="no samples"):
+            learn([])
 
     def test_objective_dimension_check(self):
         stats = compute_scatter(flats_1d(FIXTURE))
@@ -340,9 +342,8 @@ class TestLearnPcaLda:
         rng = np.random.default_rng(51)
         for _ in range(10):
             flats = random_flats(rng, classes=2, dim=3, members_low=20, members_high=30)
-            stats = compute_scatter(flats)
-            a = learn_mmc(stats, flats)
-            b = learn_pcalda(stats, flats, pca_dim=3)
+            a = learn_mmc(flats)
+            b = learn_pcalda(flats, pca_dim=3)
             assert a.feature_dim == b.feature_dim == 1
             assert principal_angles(a.phi, b.phi).max() < 1e-3
 
@@ -351,8 +352,7 @@ class TestLearnPcaLda:
         for _ in range(10):
             c = int(rng.integers(2, 6))
             flats = random_flats(rng, classes=c, dim=8)
-            stats = compute_scatter(flats)
-            t = learn_pcalda(stats, flats)
+            t = learn_pcalda(flats)
             assert t.method == "pca_lda"
             assert 1 <= t.feature_dim <= c - 1
             assert np.all(np.diff(t.delta) <= 1e-9)
@@ -364,21 +364,19 @@ class TestLearnPcaLda:
                 "b": [[4.0, 0.1, 0.0], [4.1, 0.0, 0.2], [3.9, 0.2, 0.1]],
             }
         )
-        stats = compute_scatter(flats)
-        t = learn_pcalda(stats, flats)
+        t = learn_pcalda(flats)
         assert t.feature_dim == 1
 
     def test_projection_width_range_enforced(self):
         rng = np.random.default_rng(53)
         flats = random_flats(rng, classes=3, dim=6, members_low=4, members_high=4)
-        stats = compute_scatter(flats)
         with pytest.raises(ContractError):
-            learn_pcalda(stats, flats, pca_dim=2)  # below class count
+            learn_pcalda(flats, pca_dim=2)  # below class count
         with pytest.raises(ContractError):
-            learn_pcalda(stats, flats, pca_dim=10)  # above samples - classes
+            learn_pcalda(flats, pca_dim=10)  # above samples - classes
         narrow = random_flats(rng, classes=3, dim=4, members_low=6, members_high=6)
         with pytest.raises(ContractError):
-            learn_pcalda(compute_scatter(narrow), narrow, pca_dim=5)  # above dim
+            learn_pcalda(narrow, pca_dim=5)  # above dim
 
     def test_singular_within_uses_ridge(self):
         flats = flats_nd(
@@ -388,13 +386,50 @@ class TestLearnPcaLda:
                 "c": [[0.0, 4.0, 0.0, 0.0]] * 3,
             }
         )
-        stats = compute_scatter(flats)
-        t = learn_pcalda(stats, flats)
+        t = learn_pcalda(flats)
         assert t.ridge_used
         assert t.feature_dim <= 2
 
     def test_zero_variance_is_degenerate(self):
         flats = flats_nd({"a": [[3.0, 1.0]] * 2, "b": [[3.0, 1.0]] * 2})
-        stats = compute_scatter(flats)
         with pytest.raises(DegenerateDataError):
-            learn_pcalda(stats, flats)
+            learn_pcalda(flats)
+
+    def test_matches_generalized_eigen_oracle(self):
+        # With nonsingular projected within-class scatter the scatter-matrix
+        # eigensolver route finds the same directions, and its LDA
+        # eigenvalue lambda is the between-class share lambda / (1 + lambda).
+        rng = np.random.default_rng(54)
+        for _ in range(30):
+            c = int(rng.integers(2, 6))
+            d = int(rng.integers(c, 12))
+            flats = random_flats(rng, classes=c, dim=d, members_low=4)
+            pca_dim = int(rng.integers(c, min(d, len(flats) - c) + 1))
+            ref = oracles.oracle_pcalda(compute_scatter(flats), pca_dim)
+            assert not ref.ridge_used
+            t = learn_pcalda(flats, pca_dim)
+            assert t.feature_dim == ref.feature_dim
+            assert not t.ridge_used
+            assert t.fallback_used == ref.fallback_used
+            for j in range(t.feature_dim):
+                assert principal_angles(t.phi[:, [j]], ref.phi[:, [j]])[0] < 1e-6
+            lam = ref.delta
+            assert np.max(np.abs(t.delta - lam / (1.0 + lam))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(2, 4),
+    dim=st.integers(4, 7),
+    method=st.sampled_from(["mmc", "pca_lda"]),
+)
+def test_learned_transform_json_round_trip_is_bit_exact(seed, classes, dim, method):
+    rng = np.random.default_rng(seed)
+    flats = random_flats(rng, classes=classes, dim=dim, members_high=6)
+    t = learn_mmc(flats) if method == "mmc" else learn_pcalda(flats)
+    text = canonical_dumps(t.to_json_dict())
+    back = FeatureTransform.from_json_dict(json.loads(text))
+    assert back.phi.tobytes() == t.phi.tobytes()
+    assert back.delta.tobytes() == t.delta.tobytes()
+    assert back.fingerprint() == t.fingerprint()

@@ -8,7 +8,6 @@ from marginforge import (
     MatchingContext,
     SeparabilityReport,
     build_matching_context,
-    compute_scatter,
     compute_separability,
     davies_bouldin,
     dunn,
@@ -161,8 +160,7 @@ class TestComputeSeparability:
         rng = np.random.default_rng(71)
         for _ in range(10):
             flats = random_flats(rng, classes=3, dim=5, members_low=4, members_high=8)
-            stats = compute_scatter(flats)
-            base = learn_mmc(stats, flats)
+            base = learn_mmc(flats)
             k = base.feature_dim
             mix = rng.normal(size=(k, k)) + np.eye(k)
             mixed = type(base)(

@@ -13,7 +13,6 @@ from marginforge import (
     SyntheticSpec,
     build_matching_context,
     cmc_curve,
-    compute_scatter,
     curve_csv_text,
     extract_template,
     far_frr_curves,
@@ -192,8 +191,8 @@ class TestRunProtocol:
         ]
         learn_a = [flats[i] for i in sorted(fold0)]
         learn_b = [perturbed[i] for i in sorted(fold0)]
-        ta = learn_mmc(compute_scatter(learn_a), learn_a)
-        tb = learn_mmc(compute_scatter(learn_b), learn_b)
+        ta = learn_mmc(learn_a)
+        tb = learn_mmc(learn_b)
         assert ta.phi.tobytes() == tb.phi.tobytes()
 
     def test_method_token_normalization(self):

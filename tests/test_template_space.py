@@ -21,7 +21,6 @@ from marginforge import (
     MatchingContext,
     build_gallery,
     build_matching_context,
-    compute_scatter,
     extract_template,
     identity_transform,
     learn_mmc,
@@ -92,8 +91,7 @@ class TestBuildMatchingContext:
         rng = np.random.default_rng(61)
         for _ in range(10):
             flats = random_flats(rng, classes=3, dim=6)
-            stats = compute_scatter(flats)
-            t = learn_mmc(stats, flats)
+            t = learn_mmc(flats)
             temps = [extract_template(t, f) for f in flats]
             ctx = build_matching_context(t, temps)
             gap = ctx.sigma_t_feature_inv - np.eye(t.feature_dim)
