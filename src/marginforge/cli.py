@@ -23,7 +23,7 @@ from ._jsonio import atomic_write_text, load_json, write_json
 from .dataset import (
     LabeledDataset,
     SyntheticSpec,
-    flatten,
+    flatten_all,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -115,17 +115,6 @@ def _load(opts: _Options) -> LabeledDataset:
     return load_dataset(path, format=_guess_format(path, opts.get("format")))
 
 
-def _flatten_all(dataset: LabeledDataset):
-    frame_count = dataset.samples[0].frame_count
-    for s in dataset.samples:
-        if s.frame_count != frame_count:
-            raise ContractError(
-                f"sample {s.sample_id!r} has {s.frame_count} frames, others have "
-                f"{frame_count}: run preprocess with --target-frames first"
-            )
-    return [flatten(s, frame_count) for s in dataset.samples]
-
-
 def cmd_gen(opts: _Options) -> int:
     spec = SyntheticSpec(
         classes=int(opts.require("classes")),
@@ -186,7 +175,7 @@ def cmd_preprocess(opts: _Options) -> int:
 
 def cmd_learn(opts: _Options) -> int:
     dataset = _load(opts)
-    flats = _flatten_all(dataset)
+    flats = flatten_all(dataset.samples)
     method = str(opts.get("method", "mmc")).replace("-", "_")
     if method == "mmc":
         transform = learn_mmc(flats)
@@ -209,7 +198,7 @@ def cmd_learn(opts: _Options) -> int:
 
 def cmd_enroll(opts: _Options) -> int:
     dataset = _load(opts)
-    flats = _flatten_all(dataset)
+    flats = flatten_all(dataset.samples)
     transform = load_transform(opts.require("transform"))
     gallery = build_gallery(flats, transform)
     output = opts.require("output")

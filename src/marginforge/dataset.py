@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def flatten(sample: GaitSample, frame_count: int) -> FlatSample:
     if sample.frame_count != frame_count:
         raise ContractError(
             f"sample {sample.sample_id!r} has {sample.frame_count} frames, "
-            f"expected {frame_count}"
+            f"expected {frame_count}: run preprocess with --target-frames first"
         )
     if sample.label is None:
         raise ContractError(f"sample {sample.sample_id!r} is unlabeled")
@@ -153,6 +153,11 @@ def flatten(sample: GaitSample, frame_count: int) -> FlatSample:
         label=sample.label,
         sample_id=sample.sample_id,
     )
+
+
+def flatten_all(samples: Sequence[GaitSample]) -> list:
+    """Flatten samples that share the first one's frame count, in order."""
+    return [flatten(s, samples[0].frame_count) for s in samples]
 
 
 def unflatten(flat: FlatSample, joint_count: int, frame_count: int) -> GaitSample:

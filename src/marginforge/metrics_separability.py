@@ -1,7 +1,10 @@
 """Class-separability coefficients over labeled template populations.
 
 All four coefficients run in feature space under the matching context's
-metric, so they describe exactly the geometry the matcher sees. Degenerate
+metric, so they describe exactly the geometry the matcher sees. One
+geometry pass groups the templates, takes feature-space class centroids,
+and measures every distance it needs as a Euclidean distance in the
+context's whitened coordinates; the four scorers only read it. Degenerate
 geometry (coincident centroids, zero dispersion) yields an infinity marker
 plus a DegenerateMetricWarning instead of an exception: a degenerate fold
 should show up in a report, not kill a run. Reports write the marker as
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ._jsonio import finite_or_null
 from .errors import ContractError, DegenerateMetricWarning
-from .template_space import GaitTemplate, MatchingContext, mahalanobis
+from .template_space import GaitTemplate, MatchingContext
 
 
 def _degenerate(message: str) -> float:
@@ -26,56 +30,95 @@ def _degenerate(message: str) -> float:
     return float("inf")
 
 
-def _grouped(templates: Sequence[GaitTemplate], context: MatchingContext):
+@dataclass(frozen=True)
+class _Geometry:
+    """Feature-space class centroids plus every distance the scorers read,
+    each Euclidean in whitened coordinates. Gaps are taken before
+    whitening, so coincident points sit at exactly zero distance."""
+
+    labels: list  # sorted; class k is labels[k]
+    codes: np.ndarray  # (n,) class index of each template
+    centroids: np.ndarray  # (C, k)
+    sigma: np.ndarray  # (C,) mean member-to-centroid distance
+    gaps: np.ndarray  # (C, C) centroid-to-centroid distance
+    dist: np.ndarray  # (n, n) template-to-template distance
+    spread: float  # mean centroid-to-global-mean distance
+    within: float  # mean member-to-centroid distance over all templates
+
+
+def _geometry(
+    templates: Sequence[GaitTemplate], context: MatchingContext
+) -> _Geometry:
     templates = list(templates)
     if not templates:
         raise ContractError("no templates")
     dim = templates[0].dimension
     if context.dimension != dim:
         raise ContractError("context dimension does not match templates")
-    by_label: dict[str, list[int]] = {}
-    for i, t in enumerate(templates):
-        if t.dimension != dim:
-            raise ContractError("templates differ in dimension")
-        by_label.setdefault(t.label, []).append(i)
-    if len(by_label) < 2:
+    if any(t.dimension != dim for t in templates):
+        raise ContractError("templates differ in dimension")
+    labels, codes = np.unique([t.label for t in templates], return_inverse=True)
+    if len(labels) < 2:
         raise ContractError("need at least 2 classes")
-    labels = sorted(by_label)
     vectors = np.stack([t.vector for t in templates])
-    members = {lab: np.array(by_label[lab]) for lab in labels}
-    centroids = np.stack([vectors[members[lab]].mean(axis=0) for lab in labels])
-    return labels, vectors, members, centroids
-
-
-def _pairwise(vectors: np.ndarray, context: MatchingContext) -> np.ndarray:
-    g = vectors @ context.sigma_t_feature_inv @ vectors.T
-    q = np.diag(g)
-    d2 = q[:, None] + q[None, :] - 2.0 * g
-    return np.sqrt(np.clip(d2, 0.0, None))
-
-
-def _point_to(vectors: np.ndarray, point: np.ndarray, context) -> np.ndarray:
-    gap = vectors - point
-    d2 = np.einsum("ni,ij,nj->n", gap, context.sigma_t_feature_inv, gap)
-    return np.sqrt(np.clip(d2, 0.0, None))
-
-
-def _dispersions(labels, vectors, members, centroids, context) -> np.ndarray:
-    # sigma_c: mean member-to-centroid distance of each class.
-    return np.array(
-        [
-            float(_point_to(vectors[members[lab]], centroids[k], context).mean())
-            for k, lab in enumerate(labels)
-        ]
+    centroids = np.stack(
+        [vectors[codes == k].mean(axis=0) for k in range(len(labels))]
+    )
+    whitened = context.whiten(vectors)
+    radius = np.linalg.norm(context.whiten(vectors - centroids[codes]), axis=1)
+    pair_gaps = centroids[:, None, :] - centroids[None, :, :]
+    spread = context.whiten(centroids - vectors.mean(axis=0))
+    return _Geometry(
+        labels=labels.tolist(),
+        codes=codes,
+        centroids=centroids,
+        sigma=np.bincount(codes, weights=radius) / np.bincount(codes),
+        gaps=np.linalg.norm(context.whiten(pair_gaps), axis=2),
+        dist=cdist(whitened, whitened),
+        spread=float(np.linalg.norm(spread, axis=1).mean()),
+        within=float(radius.mean()),
     )
 
 
-def _centroid_distance(centroids, i, j, context) -> float:
-    return mahalanobis(
-        context,
-        GaitTemplate(centroids[i], label="_", sample_id="_"),
-        GaitTemplate(centroids[j], label="_", sample_id="_"),
-    )
+def _davies_bouldin(g: _Geometry) -> float:
+    others = ~np.eye(len(g.labels), dtype=bool)
+    coincident = np.argwhere(others & (g.gaps == 0.0))
+    if len(coincident):
+        i, j = coincident[0]
+        return _degenerate(
+            f"coincident centroids for classes {g.labels[i]!r} and "
+            f"{g.labels[j]!r}: Davies-Bouldin undefined"
+        )
+    # The diagonal divides by +inf and scores 0, below every true ratio.
+    ratio = (g.sigma[:, None] + g.sigma[None, :]) / np.where(others, g.gaps, np.inf)
+    return float(ratio.max(axis=1).mean())
+
+
+def _dunn(g: _Geometry) -> float:
+    sigma_max = float(g.sigma.max())
+    if sigma_max == 0.0:
+        return _degenerate("all classes have zero dispersion: Dunn undefined")
+    separation = g.gaps[np.triu_indices(len(g.labels), k=1)].min()
+    return float(separation / sigma_max)
+
+
+def _silhouette(g: _Geometry) -> float:
+    n = len(g.codes)
+    own = (np.arange(n), g.codes)
+    one_hot = (g.codes[:, None] == np.arange(len(g.labels))).astype(np.float64)
+    mean_to = (g.dist @ one_hot) / one_hot.sum(axis=0)
+    a = mean_to[own]
+    mean_to[own] = np.inf
+    b = mean_to.min(axis=1)
+    peak = np.maximum(a, b)
+    score = np.divide(b - a, peak, out=np.zeros(n), where=peak > 0.0)
+    return float(score.mean())
+
+
+def _fisher_ratio(g: _Geometry) -> float:
+    if g.within == 0.0:
+        return _degenerate("zero within-class spread: Fisher ratio undefined")
+    return g.spread / g.within
 
 
 def davies_bouldin(
@@ -87,24 +130,7 @@ def davies_bouldin(
     centroid; separation of a pair is the centroid distance. Lower is
     better. Coincident centroids make the ratio undefined: infinity marker.
     """
-    labels, vectors, members, centroids = _grouped(templates, context)
-    c = len(labels)
-    disp = _dispersions(labels, vectors, members, centroids, context)
-    total = 0.0
-    for i in range(c):
-        worst = -np.inf
-        for j in range(c):
-            if i == j:
-                continue
-            gap = _centroid_distance(centroids, i, j, context)
-            if gap == 0.0:
-                return _degenerate(
-                    f"coincident centroids for classes {labels[i]!r} and "
-                    f"{labels[j]!r}: Davies-Bouldin undefined"
-                )
-            worst = max(worst, (disp[i] + disp[j]) / gap)
-        total += worst
-    return float(total / c)
+    return _davies_bouldin(_geometry(templates, context))
 
 
 def dunn(templates: Sequence[GaitTemplate], context: MatchingContext) -> float:
@@ -114,19 +140,7 @@ def dunn(templates: Sequence[GaitTemplate], context: MatchingContext) -> float:
     Davies-Bouldin convention. Higher is better. Zero dispersion everywhere
     (every member sits on its centroid) yields the infinity marker.
     """
-    labels, vectors, members, centroids = _grouped(templates, context)
-    c = len(labels)
-    sigma_max = float(
-        _dispersions(labels, vectors, members, centroids, context).max()
-    )
-    separation = min(
-        _centroid_distance(centroids, i, j, context)
-        for i in range(c)
-        for j in range(i + 1, c)
-    )
-    if sigma_max == 0.0:
-        return _degenerate("all classes have zero dispersion: Dunn undefined")
-    return float(separation / sigma_max)
+    return _dunn(_geometry(templates, context))
 
 
 def silhouette(templates: Sequence[GaitTemplate], context: MatchingContext) -> float:
@@ -137,24 +151,7 @@ def silhouette(templates: Sequence[GaitTemplate], context: MatchingContext) -> f
     singleton class gives a(n) = 0. A sample with max(a, b) = 0
     contributes 0.
     """
-    labels, vectors, members, _ = _grouped(templates, context)
-    dist = _pairwise(vectors, context)
-    n = vectors.shape[0]
-    label_of = np.empty(n, dtype=object)
-    for lab in labels:
-        label_of[members[lab]] = lab
-
-    total = 0.0
-    for i in range(n):
-        own = label_of[i]
-        a = float(dist[i, members[own]].sum() / len(members[own]))
-        b = min(
-            float(dist[i, members[lab]].mean()) for lab in labels if lab != own
-        )
-        peak = max(a, b)
-        if peak > 0.0:
-            total += (b - a) / peak
-    return float(total / n)
+    return _silhouette(_geometry(templates, context))
 
 
 def fisher_ratio(
@@ -163,19 +160,7 @@ def fisher_ratio(
     """Mean centroid-to-global-mean distance over mean member-to-centroid
     distance. Higher is better; zero within-class spread yields the
     infinity marker."""
-    labels, vectors, members, centroids = _grouped(templates, context)
-    global_mean = vectors.mean(axis=0)
-    numerator = float(_point_to(centroids, global_mean, context).mean())
-    within = np.concatenate(
-        [
-            _point_to(vectors[members[lab]], centroids[k], context)
-            for k, lab in enumerate(labels)
-        ]
-    )
-    denominator = float(within.mean())
-    if denominator == 0.0:
-        return _degenerate("zero within-class spread: Fisher ratio undefined")
-    return numerator / denominator
+    return _fisher_ratio(_geometry(templates, context))
 
 
 @dataclass(frozen=True)
@@ -213,13 +198,12 @@ class SeparabilityReport:
 def compute_separability(
     templates: Sequence[GaitTemplate], context: MatchingContext
 ) -> SeparabilityReport:
-    labels, vectors, members, centroids = _grouped(templates, context)
-    disp = _dispersions(labels, vectors, members, centroids, context)
+    g = _geometry(templates, context)
     return SeparabilityReport(
-        dbi=davies_bouldin(templates, context),
-        di=dunn(templates, context),
-        sc=silhouette(templates, context),
-        fdr=fisher_ratio(templates, context),
-        per_class_sigma={lab: float(disp[k]) for k, lab in enumerate(labels)},
-        class_centroids={lab: centroids[k].copy() for k, lab in enumerate(labels)},
+        dbi=_davies_bouldin(g),
+        di=_dunn(g),
+        sc=_silhouette(g),
+        fdr=_fisher_ratio(g),
+        per_class_sigma={lab: float(g.sigma[k]) for k, lab in enumerate(g.labels)},
+        class_centroids={lab: g.centroids[k].copy() for k, lab in enumerate(g.labels)},
     )

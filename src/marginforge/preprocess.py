@@ -136,10 +136,13 @@ def filter_gait_cycles(
     """Keep candidates whose DTW distance to the exemplar is <= threshold.
 
     Order is preserved; the boundary is inclusive, so a candidate exactly at
-    the threshold survives.
+    the threshold survives. The exemplar itself, when among the candidates,
+    is kept without a DTW run: its distance to itself is 0.
     """
     if not threshold >= 0:
         raise ContractError("threshold must be >= 0")
     return tuple(
-        c for c in candidates if dtw_distance(c, exemplar) <= threshold
+        c
+        for c in candidates
+        if c is exemplar or dtw_distance(c, exemplar) <= threshold
     )

@@ -6,6 +6,8 @@ the remaining folds: separability coefficients over the evaluation
 templates, then an inner loop (10 by default) that takes each inner fold
 as probes against the other inner folds as gallery, filling one score
 block of probe-to-identity distances for the rank and threshold metrics.
+Each matching context whitens the evaluation templates once, so every
+distance in the block is a Euclidean distance between whitened rows.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only, and probes are stripped of their
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._jsonio import finite_or_null
-from .dataset import FlatSample, LabeledDataset, flatten
+from .dataset import FlatSample, LabeledDataset, flatten_all
 from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import identity_transform, learn_mmc, learn_pcalda
 from .metrics_classification import (
@@ -190,14 +192,11 @@ class _FoldResult:
     precision_grid: np.ndarray
 
 
-def _probe_distances(
-    probes: np.ndarray, gallery: np.ndarray, inverse: np.ndarray
-) -> np.ndarray:
-    # One einsum per probe row, so no distance depends on how many probes
-    # share the call.
-    gaps = (gallery - p for p in probes)
-    d2 = np.stack([np.einsum("ni,ij,nj->n", g, inverse, g) for g in gaps])
-    return np.sqrt(np.clip(d2, 0.0, None))
+def _probe_distances(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    # Whitened rows, so Euclidean distance is the context's Mahalanobis
+    # distance. One row-wise norm per probe, so no distance depends on how
+    # many probes share the call.
+    return np.stack([np.linalg.norm(gallery - p, axis=1) for p in probes])
 
 
 def _run_fold(
@@ -222,10 +221,12 @@ def _run_fold(
     fold_context = build_matching_context(transform, learning_templates)
 
     eval_idx = plan.evaluation_indices(fold)
-    template_of = {i: extract_template(transform, flats[i]) for i in eval_idx}
-    separability = compute_separability(
-        [template_of[i] for i in eval_idx], fold_context
-    )
+    templates = [extract_template(transform, flats[i]) for i in eval_idx]
+    separability = compute_separability(templates, fold_context)
+    # Row of each evaluation sample in templates and the whitened matrices.
+    row_of = {i: r for r, i in enumerate(eval_idx)}
+    vectors = np.stack([t.vector for t in templates])
+    fold_whitened = fold_context.whiten(vectors)
 
     n_labels = int(label_codes.max()) + 1
     distance, label, probe_rows = [], [], []
@@ -236,18 +237,18 @@ def _run_fold(
         gallery_idx = [i for i in eval_idx if i not in probe_set]
         if not gallery_idx:
             continue
-        probes = np.stack([template_of[i].vector for i in probe_part])
-        gallery = np.stack([template_of[i].vector for i in gallery_idx])
         gallery_codes = label_codes[gallery_idx]
+        gallery_rows = [row_of[i] for i in gallery_idx]
+        whitened = fold_whitened
         if config.context_source == "gallery":
-            context = build_matching_context(
-                transform, [template_of[i] for i in gallery_idx]
-            )
-        else:
-            context = fold_context
+            whitened = build_matching_context(
+                transform, [templates[r] for r in gallery_rows]
+            ).whiten(vectors)
         # The probes' labels play no part in matching; only the distances
         # reach the scorer, plus the true labels for the genuine flags.
-        d = _probe_distances(probes, gallery, context.sigma_t_feature_inv)
+        d = _probe_distances(
+            whitened[[row_of[i] for i in probe_part]], whitened[gallery_rows]
+        )
         if config.pair_policy == "class_best":
             best = np.full((len(probe_part), n_labels), np.inf)
             np.minimum.at(best.T, gallery_codes, d.T)
@@ -265,7 +266,7 @@ def _run_fold(
         probe=probe,
         label=label,
         genuine=label == label_codes[rows],
-        probe_ids=tuple(template_of[i].sample_id for i in probed),
+        probe_ids=tuple(templates[row_of[i]].sample_id for i in probed),
     )
     cmc_y = cmc_fractions(block)
     sweep = ThresholdSweep.of(block)
@@ -306,18 +307,11 @@ def run_protocol(
     if method not in PROTOCOL_METHODS:
         raise ValidationError(f"unknown method {method!r}")
 
-    frame_count = dataset.samples[0].frame_count
-    for s in dataset.samples:
-        if s.frame_count != frame_count:
-            raise ContractError(
-                f"sample {s.sample_id!r} has {s.frame_count} frames, others "
-                f"have {frame_count}: resample to a common length first"
-            )
+    flats = flatten_all(dataset.samples)
     covered = sorted(i for fold in plan.outer_folds for i in fold)
     if covered != list(range(dataset.num_samples)):
         raise ContractError("fold plan does not partition this dataset")
 
-    flats = [flatten(s, frame_count) for s in dataset.samples]
     code_of = {label: k for k, label in enumerate(dataset.labels)}
     label_codes = np.array([code_of[s.label] for s in dataset.samples])
     grid = np.linspace(0.0, 1.0, GRID_POINTS)

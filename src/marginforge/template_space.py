@@ -3,9 +3,12 @@
 A template is a gait sample pushed through a feature transform. Matching
 uses the Mahalanobis distance under the inverse total scatter of a
 reference template population, estimated once (normally from the learning
-fold) and frozen into a MatchingContext. Because the margin learner
-whitens total scatter, its context comes out numerically close to the
-identity and the distance close to Euclidean; no special case is made.
+fold) and frozen into a MatchingContext. The context factors that inverse
+once as L L^T (Cholesky), and whiten() maps templates to v @ L: every
+Mahalanobis distance is then a plain Euclidean distance between whitened
+templates, and no other module touches the inverse. Because the margin
+learner whitens total scatter, its context comes out numerically close to
+the identity.
 
 A gallery persists templates together with the matching context and a
 fingerprint of the transform that produced them, so a gallery can never
@@ -14,7 +17,7 @@ be silently matched against features from a different transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,6 +75,8 @@ class MatchingContext:
 
     sigma_t_feature_inv: np.ndarray
     source: str
+    # Lower Cholesky factor of the symmetrized inverse; derived, not stored.
+    whitener: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.source not in CONTEXT_SOURCES:
@@ -79,17 +84,28 @@ class MatchingContext:
         inv = np.ascontiguousarray(self.sigma_t_feature_inv, dtype=np.float64)
         if inv.ndim != 2 or inv.shape[0] != inv.shape[1]:
             raise ContractError("context matrix must be square")
+        if not np.all(np.isfinite(inv)):
+            raise ContractError("context matrix has a non-finite entry")
         scale = max(float(np.linalg.norm(inv)), 1.0)
         if float(np.linalg.norm(inv - inv.T)) > SYMMETRY_TOL * scale:
             raise ContractError("context matrix must be symmetric")
-        if float(np.linalg.eigvalsh((inv + inv.T) / 2.0)[0]) <= 0.0:
+        try:
+            whitener = np.linalg.cholesky((inv + inv.T) / 2.0)
+        except np.linalg.LinAlgError:
             raise ContractError("context matrix must be positive definite")
         inv.flags.writeable = False
+        whitener.flags.writeable = False
         object.__setattr__(self, "sigma_t_feature_inv", inv)
+        object.__setattr__(self, "whitener", whitener)
 
     @property
     def dimension(self) -> int:
         return self.sigma_t_feature_inv.shape[0]
+
+    def whiten(self, vectors: np.ndarray) -> np.ndarray:
+        """Map feature vectors (rows) to coordinates where this context's
+        Mahalanobis distance is the Euclidean one."""
+        return vectors @ self.whitener
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,10 +187,7 @@ def mahalanobis(context: MatchingContext, a: GaitTemplate, b: GaitTemplate) -> f
             f"dimension mismatch: {a.dimension}, {b.dimension}, "
             f"context {context.dimension}"
         )
-    gap = a.vector - b.vector
-    quad = float(gap @ context.sigma_t_feature_inv @ gap)
-    # The matrix is symmetric PSD up to rounding; tiny negatives are noise.
-    return float(np.sqrt(max(quad, 0.0)))
+    return float(np.linalg.norm(context.whiten(a.vector - b.vector)))
 
 
 @dataclass(frozen=True)

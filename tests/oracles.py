@@ -233,3 +233,59 @@ def oracle_pcalda(stats: ScatterStatistics, pca_dim=None) -> FeatureTransform:
         fallback_used=fallback,
         ridge_used=ridge_used,
     )
+
+
+def brute_separability(templates, context) -> dict:
+    """dbi, di, sc, fdr, per_class_sigma and class_centroids, pair by pair.
+
+    Every distance is sqrt(gap' inv gap) on the context's stored inverse,
+    one pair at a time; the whitener is never touched. Silhouette visits
+    one sample per loop turn. Assumes no degenerate geometry.
+    """
+    inv = context.sigma_t_feature_inv
+
+    def dist(u, v):
+        gap = u - v
+        return math.sqrt(max(float(gap @ inv @ gap), 0.0))
+
+    labels = sorted({t.label for t in templates})
+    members = {lab: [t.vector for t in templates if t.label == lab] for lab in labels}
+    centroid = {lab: np.stack(members[lab]).mean(axis=0) for lab in labels}
+    sigma = {
+        lab: sum(dist(v, centroid[lab]) for v in members[lab]) / len(members[lab])
+        for lab in labels
+    }
+
+    dbi = 0.0
+    for i in labels:
+        dbi += max(
+            (sigma[i] + sigma[j]) / dist(centroid[i], centroid[j])
+            for j in labels
+            if j != i
+        )
+    separation = min(
+        dist(centroid[i], centroid[j]) for i in labels for j in labels if i < j
+    )
+
+    sc = 0.0
+    for t in templates:
+        mean_to = {
+            lab: sum(dist(t.vector, v) for v in members[lab]) / len(members[lab])
+            for lab in labels
+        }
+        a = mean_to[t.label]
+        b = min(d for lab, d in mean_to.items() if lab != t.label)
+        if max(a, b) > 0.0:
+            sc += (b - a) / max(a, b)
+
+    global_mean = np.stack([t.vector for t in templates]).mean(axis=0)
+    spread = sum(dist(centroid[lab], global_mean) for lab in labels) / len(labels)
+    within = sum(dist(t.vector, centroid[t.label]) for t in templates) / len(templates)
+    return {
+        "dbi": dbi / len(labels),
+        "di": separation / max(sigma.values()),
+        "sc": sc / len(templates),
+        "fdr": spread / within,
+        "per_class_sigma": sigma,
+        "class_centroids": centroid,
+    }

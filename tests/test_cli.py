@@ -252,6 +252,31 @@ class TestExitCodes:
             "learn", "--input", path, "--output", tmp_path / "t.json"
         ) == 2
 
+    @pytest.mark.parametrize("command", ["learn", "enroll", "evaluate"])
+    def test_mixed_frame_counts_are_2(self, tmp_path, capsys, command):
+        samples = [
+            GaitSample(
+                frames=np.full((3 + (k == 5), 2, 3), float(k)),
+                label=lab,
+                sample_id=f"{lab}{k}",
+            )
+            for lab in ("a", "b")
+            for k in range(6)
+        ]
+        data = tmp_path / "mixed.jsonl"
+        save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
+        absent = tmp_path / "absent.json"  # enroll fails before reading it
+        argv = {
+            "learn": ("--output", tmp_path / "t.json"),
+            "enroll": ("--transform", absent, "--output", tmp_path / "g.json"),
+            "evaluate": ("--output", tmp_path / "r.json", "--method", "identity"),
+        }[command]
+        assert run(command, "--input", data, *argv) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ContractError: sample 'a5' has 4 frames, expected 3: "
+            "run preprocess with --target-frames first\n"
+        )
+
     def test_parse_error_is_3(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import identity_ctx, random_flats, templates_1d, templates_nd
+from conftest import (
+    identity_ctx,
+    random_flats,
+    random_spd_ctx,
+    templates_1d,
+    templates_nd,
+)
 from marginforge import (
     MatchingContext,
     SeparabilityReport,
@@ -18,6 +24,7 @@ from marginforge import (
     silhouette,
 )
 from marginforge.errors import ContractError, DegenerateMetricWarning
+from oracles import brute_separability
 
 FIXTURE = {"a": [0.0, 2.0], "b": [4.0, 6.0]}
 
@@ -145,6 +152,29 @@ class TestComputeSeparability:
         assert report.per_class_sigma == {"a": 0.5, "b": 0.5}
         assert report.dbi == pytest.approx(0.5, abs=1e-12)
         assert report.di == pytest.approx(4.0, abs=1e-12)
+
+    def test_matches_brute_force_oracle(self):
+        # Random populations under identity and random SPD contexts, with
+        # class c00 cut to a single member every time.
+        rng = np.random.default_rng(73)
+        for trial in range(40):
+            dim = int(rng.integers(1, 7))
+            flats = random_flats(
+                rng, classes=int(rng.integers(2, 6)), dim=dim, members_high=8
+            )
+            flats = [f for f in flats if f.label != "c00"] + flats[:1]
+            temps = [extract_template(identity_transform(dim), f) for f in flats]
+            ctx = identity_ctx(dim) if trial % 2 else random_spd_ctx(rng, dim)
+            got = compute_separability(temps, ctx)
+            want = brute_separability(temps, ctx)
+            for name in ("dbi", "di", "sc", "fdr"):
+                assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
+            assert got.per_class_sigma.keys() == want["per_class_sigma"].keys()
+            for lab, sigma in want["per_class_sigma"].items():
+                assert got.per_class_sigma[lab] == pytest.approx(sigma, rel=1e-9)
+            assert got.per_class_sigma["c00"] == 0.0
+            for lab, centroid in want["class_centroids"].items():
+                assert got.class_centroids[lab].tobytes() == centroid.tobytes()
 
     def test_separation_ordering(self):
         near = compute_separability(templates_1d(FIXTURE), identity_ctx(1))

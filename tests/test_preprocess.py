@@ -251,3 +251,26 @@ class TestFilterGaitCycles:
         ]
         kept = filter_gait_cycles(candidates, exemplar, 0.45)
         assert [s.sample_id for s in kept] == ["s0", "s2", "s3"]
+
+    def test_exemplar_is_kept_without_a_dtw_run(self, monkeypatch):
+        # The exemplar's distance to itself is 0, within every threshold,
+        # so only the other candidates pay for the dynamic program.
+        import marginforge.preprocess as preprocess
+
+        calls = []
+
+        def counting(a, b):
+            calls.append((a.sample_id, b.sample_id))
+            return dtw_distance(a, b)
+
+        monkeypatch.setattr(preprocess, "dtw_distance", counting)
+        exemplar = scalar_sequence([0.0, 0.0], sample_id="e")
+        candidates = [
+            scalar_sequence([0.0, d], sample_id=f"s{i}")
+            for i, d in enumerate([0.4, 0.9])
+        ]
+        kept = filter_gait_cycles(
+            [candidates[0], exemplar, candidates[1]], exemplar, 0.0
+        )
+        assert [s.sample_id for s in kept] == ["e"]
+        assert calls == [("s0", "e"), ("s1", "e")]

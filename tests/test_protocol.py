@@ -1,5 +1,6 @@
 """Nested cross-validation protocol and report aggregation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from marginforge import (
     generate_synthetic,
     identity_transform,
     learn_mmc,
-    mahalanobis,
     plan_folds,
     rcl_pcn_curve,
     roc_curve,
@@ -272,9 +272,10 @@ def two_sample_class_dataset():
     )
 
 
-def brute_force_fold_records(ds, plan, fold, pair_policy):
+def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
     """Every probe/gallery record of one identity-method fold, built one
-    pair at a time with mahalanobis from the learning-fold context."""
+    pair at a time as sqrt(gap' inv gap) on the context's stored inverse:
+    the learning-fold context, or one re-estimated from each gallery."""
     frame_count = ds.samples[0].frame_count
     flats = [flatten(s, frame_count) for s in ds.samples]
     transform = identity_transform(flats[0].dimension)
@@ -286,11 +287,17 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
     records = []
     for part in plan.inner_folds[fold]:
         gallery = [i for i in eval_idx if i not in part]
+        if context_source == "gallery":
+            context = build_matching_context(
+                transform, [templates[g] for g in gallery]
+            )
+        inv = context.sigma_t_feature_inv
         for p in part:
             best = {}
             pairs = []
             for g in gallery:
-                d = mahalanobis(context, templates[p], templates[g])
+                gap = templates[p].vector - templates[g].vector
+                d = math.sqrt(max(float(gap @ inv @ gap), 0.0))
                 pairs.append((templates[g].label, d))
                 best[templates[g].label] = min(d, best.get(templates[g].label, d))
             if pair_policy == "class_best":
@@ -308,20 +315,24 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
 
 
 class TestScoreBlockAgainstRecords:
+    @pytest.mark.parametrize("context_source", ["learning", "gallery"])
     @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
     @pytest.mark.parametrize("dataset", ["full", "two_sample_class"])
-    def test_headline_matches_public_record_functions(self, pair_policy, dataset):
+    def test_headline_matches_public_record_functions(
+        self, pair_policy, dataset, context_source
+    ):
         if dataset == "full":
             ds = small_dataset()
             plan = plan_folds(ds, outer=3, inner=2, seed=0)
         else:
             ds = two_sample_class_dataset()
             plan = plan_folds(ds, outer=2, inner=2, seed=0)
-        report = run_protocol(
-            ds, "identity", plan, ProtocolConfig(pair_policy=pair_policy)
+        config = ProtocolConfig(
+            pair_policy=pair_policy, context_source=context_source
         )
+        report = run_protocol(ds, "identity", plan, config)
         folds = [
-            brute_force_fold_records(ds, plan, f, pair_policy)
+            brute_force_fold_records(ds, plan, f, pair_policy, context_source)
             for f in range(plan.n_outer)
         ]
         with warnings.catch_warnings():

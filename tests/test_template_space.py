@@ -9,6 +9,7 @@ from conftest import (
     metric_axiom_violation,
     mmc_euclidean_violation,
     random_flats,
+    random_spd_ctx,
     recombination_violation,
     templates_1d,
     templates_nd,
@@ -174,6 +175,11 @@ class TestMatchingContextValidation:
             MatchingContext(
                 sigma_t_feature_inv=np.diag([1.0, -1.0]), source="exact"
             )
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="non-finite"):
+                MatchingContext(
+                    sigma_t_feature_inv=np.diag([1.0, bad]), source="exact"
+                )
 
     def test_rejects_unknown_source(self):
         with pytest.raises(ValidationError):
@@ -187,6 +193,29 @@ class TestMatchingContextValidation:
             MatchingContext.from_json_dict(ctx.to_json_dict(), dimension=3)
         with pytest.raises(SchemaError):
             MatchingContext.from_json_dict({"source": "exact"}, dimension=2)
+
+
+class TestWhitener:
+    def test_whitened_norm_is_the_quadratic_form(self):
+        rng = np.random.default_rng(65)
+        for _ in range(50):
+            dim = int(rng.integers(1, 7))
+            ctx = random_spd_ctx(rng, dim)
+            gap = rng.normal(0.0, 3.0, size=dim)
+            quad = float(gap @ ctx.sigma_t_feature_inv @ gap)
+            whitened = ctx.whiten(gap)
+            assert float(whitened @ whitened) == pytest.approx(quad, rel=1e-12)
+
+    def test_json_round_trip_rebuilds_the_same_whitener(self):
+        rng = np.random.default_rng(66)
+        for dim in range(1, 7):
+            ctx = random_spd_ctx(rng, dim)
+            back = MatchingContext.from_json_dict(ctx.to_json_dict(), dim)
+            assert back.whitener.tobytes() == ctx.whitener.tobytes()
+
+    def test_whitener_is_read_only(self):
+        with pytest.raises(ValueError):
+            identity_ctx(2).whitener[0, 0] = 2.0
 
 
 class TestGallery:
