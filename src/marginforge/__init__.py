@@ -25,7 +25,6 @@ from .errors import (
     MarginforgeError,
     ParseError,
     SchemaError,
-    StaleGalleryError,
     ValidationError,
 )
 from .learners import (
@@ -76,14 +75,10 @@ from .protocol import (
 from .scatter import ScatterStatistics, compute_scatter
 from .template_space import (
     GaitTemplate,
-    GalleryStore,
     MatchingContext,
-    build_gallery,
     build_matching_context,
     extract_template,
-    load_gallery,
     mahalanobis,
-    save_gallery,
 )
 
 __version__ = "0.1.0"

@@ -44,8 +44,3 @@ def load_json(path, what: str = "file"):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path}: line {exc.lineno}: {exc.msg}") from exc
-
-
-def canonical_dumps(obj) -> str:
-    """Key-sorted, whitespace-free dump used for fingerprinting."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

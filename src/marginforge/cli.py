@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands wire the pipeline end to end: gen makes a synthetic dataset,
-preprocess normalizes poses, learn fits a feature transform, enroll
-builds a gallery, evaluate runs the nested cross-validation, and compare
-tabulates headline scalars across report files.
+preprocess normalizes poses, learn fits a feature transform, evaluate
+runs the nested cross-validation, and compare tabulates headline scalars
+across report files.
 
 Every command reads an optional JSON config file whose keys mirror the
 long flag names (underscored); explicit flags win over the file. Outputs
@@ -35,10 +35,9 @@ from .errors import (
     MarginforgeError,
     ParseError,
     SchemaError,
-    StaleGalleryError,
     ValidationError,
 )
-from .learners import learn_mmc, learn_pcalda, load_transform, save_transform
+from .learners import learn_mmc, learn_pcalda, save_transform
 from .preprocess import (
     align_walk_direction,
     average_length,
@@ -52,7 +51,6 @@ from .protocol import (
     plan_folds,
     run_protocol,
 )
-from .template_space import build_gallery, save_gallery
 
 log = logging.getLogger("marginforge")
 
@@ -63,7 +61,6 @@ EXIT_CODES = (
     (SchemaError, 4),
     (AlignmentError, 5),
     (DegenerateDataError, 6),
-    (StaleGalleryError, 7),
     (MarginforgeError, 1),
     (OSError, 8),
 )
@@ -196,17 +193,6 @@ def cmd_learn(opts: _Options) -> int:
     return 0
 
 
-def cmd_enroll(opts: _Options) -> int:
-    dataset = _load(opts)
-    flats = flatten_all(dataset.samples)
-    transform = load_transform(opts.require("transform"))
-    gallery = build_gallery(flats, transform)
-    output = opts.require("output")
-    save_gallery(gallery, output)
-    log.info("enrolled %d templates, wrote %s", len(gallery.templates), output)
-    return 0
-
-
 def cmd_evaluate(opts: _Options) -> int:
     dataset = _load(opts)
     plan = plan_folds(
@@ -306,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mmc", "pca-lda"])
     p.add_argument("--pca-dim", type=int, dest="pca_dim")
 
-    p = sub.add_parser("enroll", help="build a gallery from a dataset")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--transform")
-    p.add_argument("--output")
-
     p = sub.add_parser("evaluate", help="run the nested cross-validation")
     common(p)
     p.add_argument("--input")
@@ -341,7 +321,6 @@ COMMANDS = {
     "gen": cmd_gen,
     "preprocess": cmd_preprocess,
     "learn": cmd_learn,
-    "enroll": cmd_enroll,
     "evaluate": cmd_evaluate,
     "compare": cmd_compare,
 }

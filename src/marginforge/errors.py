@@ -21,7 +21,7 @@ class ParseError(MarginforgeError):
 
 
 class SchemaError(MarginforgeError):
-    """Parsed input violates the dataset/transform/gallery schema."""
+    """Parsed input violates the dataset, transform or report schema."""
 
 
 class AlignmentError(MarginforgeError):
@@ -30,10 +30,6 @@ class AlignmentError(MarginforgeError):
 
 class DegenerateDataError(MarginforgeError):
     """Data carries no usable variance (e.g. total scatter is zero)."""
-
-
-class StaleGalleryError(MarginforgeError):
-    """A gallery was built with a different transform than the one supplied."""
 
 
 class DegenerateMetricWarning(RuntimeWarning):

@@ -29,17 +29,16 @@ The learners differ only in the rank and the keep rule:
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._jsonio import canonical_dumps, load_json, write_json
+from ._jsonio import load_json, write_json
 from .dataset import FlatSample
-from .errors import ContractError, DegenerateDataError, SchemaError, ValidationError
-from .scatter import ScatterStatistics
+from .errors import ContractError, SchemaError, ValidationError
+from .scatter import ScatterStatistics, total_scatter_basis
 
 METHODS = ("mmc", "pca_lda", "identity")
 
@@ -190,12 +189,6 @@ class FeatureTransform:
             ridge_used=ridge_used,
         )
 
-    def fingerprint(self) -> str:
-        """Content hash binding galleries to the transform that built them."""
-        return hashlib.sha256(
-            canonical_dumps(self.to_json_dict()).encode()
-        ).hexdigest()
-
 
 def save_transform(transform: FeatureTransform, path):
     write_json(path, transform.to_json_dict())
@@ -226,44 +219,17 @@ def _canonical_signs(phi: np.ndarray) -> np.ndarray:
 def _whitened_discriminants(data: list, rank: Optional[int] = None):
     """The shared learner kernel: steps 1-4 of the module docstring.
 
+    Steps 1-2 are scatter.total_scatter_basis, which validates the data.
     rank truncates the total-scatter basis (None: its numerical rank).
     Returns (psi, delta, num_classes, total_rank): psi columns satisfy
     psi^T St psi = I and psi^T Sb psi = diag(delta), delta descending;
     total_rank is the numerical rank of St before truncation.
     """
-    if not data:
-        raise ContractError("no samples")
-    dim = data[0].dimension
-    by_label: dict[str, list[np.ndarray]] = {}
-    for f in data:
-        if f.dimension != dim:
-            raise ContractError(
-                f"sample {f.sample_id!r} has dimension {f.dimension}, expected {dim}"
-            )
-        by_label.setdefault(f.label, []).append(f.vector)
-    labels = sorted(by_label)
-    if len(labels) < 2:
-        raise ContractError("need at least 2 classes")
-    # Means in compute_scatter's order, so the route is bit-stable.
-    stacks = [np.stack(by_label[lab]) for lab in labels]
-    class_means = np.stack([stack.mean(axis=0) for stack in stacks])
-    overall_mean = np.concatenate(stacks).mean(axis=0)
-
-    # Data matrix with per-class 1/sqrt(N_c) column scaling: X X^T equals
-    # the per-class-normalized total scatter exactly.
-    x = np.concatenate(
-        [(stack - overall_mean) * (1.0 / np.sqrt(len(stack))) for stack in stacks]
-    ).T
-    u_means = (class_means - overall_mean).T  # (D, C)
-
-    omega, s, _ = np.linalg.svd(x, full_matrices=False)
-    cutoff = max(x.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    total_rank = int(np.sum(s > cutoff))
-    if total_rank == 0:
-        raise DegenerateDataError("total scatter is zero: no usable variance")
-    r = total_rank if rank is None else min(rank, total_rank)
-    omega = omega[:, :r]
-    inv_sqrt_theta = 1.0 / s[:r]
+    basis = total_scatter_basis(data)
+    r = basis.rank if rank is None else min(rank, basis.rank)
+    omega = basis.omega[:, :r]
+    inv_sqrt_theta = 1.0 / basis.s[:r]
+    u_means = (basis.class_means - basis.overall_mean).T  # (D, C)
 
     b = inv_sqrt_theta[:, None] * (omega.T @ u_means)
     xi, _, _ = np.linalg.svd(b, full_matrices=False)
@@ -280,7 +246,7 @@ def _whitened_discriminants(data: list, rank: Optional[int] = None):
             f"{off_norm:.3e}",
             RuntimeWarning,
         )
-    return psi, delta, len(labels), total_rank
+    return psi, delta, len(basis.labels), basis.rank
 
 
 def learn_mmc(data: Sequence[FlatSample]) -> FeatureTransform:

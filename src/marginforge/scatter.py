@@ -10,6 +10,12 @@ mean mu over all N vectors:
 The between-class sum is over classes, not samples, so class sizes do not
 weight it; the within and total sums normalize per class. Under these
 conventions St = Sb + Sw holds identically.
+
+Two routes read a labeled population. compute_scatter forms the three
+D x D matrices. total_scatter_basis never does: it takes the thin SVD of
+the data matrix X, with one column (x_n - mu) / sqrt(N_c(n)) per sample
+so that X X^T = St, and keeps the St eigenbasis of the data's span. The
+learners and the matching context run on that basis.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FlatSample
-from .errors import ContractError
+from .errors import ContractError, DegenerateDataError
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,11 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
     total[...] = t
 
 
-def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
-    """Compute scatter statistics from labeled flat vectors.
+def _class_stacks(flats: Sequence[FlatSample]) -> tuple:
+    """(labels, stacks): sorted labels and one (N_c, D) row stack each.
 
-    Accumulation over classes runs in sorted label order with compensated
-    summation, so the result is deterministic for a fixed input set.
+    Raises ContractError on no samples, mixed dimensions or fewer than 2
+    classes.
     """
     flats = list(flats)
     if not flats:
@@ -74,11 +80,20 @@ def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
                 f"sample {f.sample_id!r} has dimension {f.dimension}, expected {dim}"
             )
         by_label.setdefault(f.label, []).append(f.vector)
-
     labels = tuple(sorted(by_label))
     if len(labels) < 2:
         raise ContractError("need at least 2 classes")
-    stacks = [np.stack(by_label[lab]) for lab in labels]
+    return labels, [np.stack(by_label[lab]) for lab in labels]
+
+
+def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
+    """Compute scatter statistics from labeled flat vectors.
+
+    Accumulation over classes runs in sorted label order with compensated
+    summation, so the result is deterministic for a fixed input set.
+    """
+    labels, stacks = _class_stacks(flats)
+    dim = stacks[0].shape[1]
     class_sizes = np.array([s.shape[0] for s in stacks], dtype=np.int64)
     class_means = np.stack([s.mean(axis=0) for s in stacks])
     overall_mean = np.concatenate(stacks).mean(axis=0)
@@ -107,5 +122,56 @@ def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
         overall_mean=overall_mean,
         class_means=class_means,
         class_sizes=class_sizes,
+        labels=labels,
+    )
+
+
+@dataclass(frozen=True)
+class ScatterBasis:
+    """The total-scatter eigenbasis of a population's span.
+
+    omega (D x rank) holds the left singular vectors of X whose singular
+    values s (descending) lie above the numerical-rank cutoff, so St =
+    omega diag(s**2) omega^T. Class means follow sorted label order,
+    recorded in labels.
+    """
+
+    omega: np.ndarray
+    s: np.ndarray
+    class_means: np.ndarray
+    overall_mean: np.ndarray
+    labels: tuple
+
+    @property
+    def rank(self) -> int:
+        return self.s.shape[0]
+
+
+def total_scatter_basis(flats: Sequence[FlatSample]) -> ScatterBasis:
+    """Thin SVD of the per-class-scaled data matrix, cut at its numerical rank.
+
+    Means are taken in compute_scatter's order. Raises ContractError like
+    compute_scatter, and DegenerateDataError when the data has no
+    variance at all.
+    """
+    labels, stacks = _class_stacks(flats)
+    class_means = np.stack([stack.mean(axis=0) for stack in stacks])
+    overall_mean = np.concatenate(stacks).mean(axis=0)
+    x = np.concatenate(
+        [(stack - overall_mean) * (1.0 / np.sqrt(len(stack))) for stack in stacks]
+    ).T
+    omega, s, _ = np.linalg.svd(x, full_matrices=False)
+    cutoff = max(x.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.sum(s > cutoff))
+    if rank == 0:
+        raise DegenerateDataError("total scatter is zero: no usable variance")
+    omega, s = omega[:, :rank], s[:rank]
+    for a in (omega, s, class_means, overall_mean):
+        a.flags.writeable = False
+    return ScatterBasis(
+        omega=omega,
+        s=s,
+        class_means=class_means,
+        overall_mean=overall_mean,
         labels=labels,
     )

@@ -78,14 +78,17 @@ def templates_nd(groups: dict) -> list:
 
 
 def identity_ctx(dim: int) -> MatchingContext:
-    return MatchingContext(sigma_t_feature_inv=np.eye(dim), source="exact")
+    return MatchingContext(whitener=np.eye(dim))
 
 
-def random_spd_ctx(rng: np.random.Generator, dim: int) -> MatchingContext:
+def random_spd_ctx(rng: np.random.Generator, dim: int) -> tuple:
+    """(context, m): a context whose quadratic form is the random
+    positive-definite m, whitened by the Cholesky factor of m; m goes to
+    the oracles, which never touch the whitener."""
     a = rng.normal(size=(dim, dim))
     m = a @ a.T + 0.1 * np.eye(dim)
     m = (m + m.T) / 2.0
-    return MatchingContext(sigma_t_feature_inv=m, source="exact")
+    return MatchingContext(whitener=np.linalg.cholesky(m)), m
 
 
 def random_flats(
@@ -155,7 +158,7 @@ def metric_axiom_violation(rng: np.random.Generator) -> float:
     inequality. A correct matcher returns at most rounding noise.
     """
     dim = int(rng.integers(1, 6))
-    ctx = random_spd_ctx(rng, dim)
+    ctx, _ = random_spd_ctx(rng, dim)
     a, b, c = (
         GaitTemplate(
             vector=rng.normal(0.0, 3.0, size=dim), label="x", sample_id=f"t{i}"

@@ -235,18 +235,17 @@ def oracle_pcalda(stats: ScatterStatistics, pca_dim=None) -> FeatureTransform:
     )
 
 
-def brute_separability(templates, context) -> dict:
+def brute_separability(templates, m) -> dict:
     """dbi, di, sc, fdr, per_class_sigma and class_centroids, pair by pair.
 
-    Every distance is sqrt(gap' inv gap) on the context's stored inverse,
-    one pair at a time; the whitener is never touched. Silhouette visits
-    one sample per loop turn. Assumes no degenerate geometry.
+    Every distance is sqrt(gap' m gap) on the quadratic-form matrix m, one
+    pair at a time; no whitener is involved. Silhouette visits one sample
+    per loop turn. Assumes no degenerate geometry.
     """
-    inv = context.sigma_t_feature_inv
 
     def dist(u, v):
         gap = u - v
-        return math.sqrt(max(float(gap @ inv @ gap), 0.0))
+        return math.sqrt(max(float(gap @ m @ gap), 0.0))
 
     labels = sorted({t.label for t in templates})
     members = {lab: [t.vector for t in templates if t.label == lab] for lab in labels}

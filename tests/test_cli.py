@@ -56,7 +56,6 @@ class TestPipeline:
         data = tmp_path / "data.jsonl"
         prep = tmp_path / "prep.jsonl"
         transform = tmp_path / "mmc.json"
-        gallery = tmp_path / "gallery.json"
         rpt_mmc = tmp_path / "rpt_mmc.json"
         rpt_id = tmp_path / "rpt_id.json"
         table = tmp_path / "table.txt"
@@ -80,14 +79,6 @@ class TestPipeline:
             "learn", "--input", prep, "--output", transform, "--method", "mmc"
         ) == 0
         assert json.loads(transform.read_text())["method"] == "mmc"
-
-        assert run(
-            "enroll",
-            "--input", prep,
-            "--transform", transform,
-            "--output", gallery,
-        ) == 0
-        assert len(json.loads(gallery.read_text())["templates"]) == 18
 
         for method, out in (("mmc", rpt_mmc), ("identity", rpt_id)):
             assert run(
@@ -252,7 +243,7 @@ class TestExitCodes:
             "learn", "--input", path, "--output", tmp_path / "t.json"
         ) == 2
 
-    @pytest.mark.parametrize("command", ["learn", "enroll", "evaluate"])
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
     def test_mixed_frame_counts_are_2(self, tmp_path, capsys, command):
         samples = [
             GaitSample(
@@ -265,10 +256,8 @@ class TestExitCodes:
         ]
         data = tmp_path / "mixed.jsonl"
         save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
-        absent = tmp_path / "absent.json"  # enroll fails before reading it
         argv = {
             "learn": ("--output", tmp_path / "t.json"),
-            "enroll": ("--transform", absent, "--output", tmp_path / "g.json"),
             "evaluate": ("--output", tmp_path / "r.json", "--method", "identity"),
         }[command]
         assert run(command, "--input", data, *argv) == 2
@@ -278,28 +267,19 @@ class TestExitCodes:
         )
 
     def test_parse_error_is_3(self, tmp_path):
-        data = tmp_path / "data.jsonl"
-        assert run(*gen_args(data)) == 0
         bad = tmp_path / "bad.json"
         bad.write_text("not json {{{")
-        assert run(
-            "enroll",
-            "--input", data,
-            "--transform", bad,
-            "--output", tmp_path / "g.json",
-        ) == 3
+        assert run(*gen_args(tmp_path / "x.jsonl"), "--config", bad) == 3
 
     def test_schema_error_is_4(self, tmp_path):
-        data = tmp_path / "data.jsonl"
-        assert run(*gen_args(data)) == 0
-        empty = tmp_path / "empty.json"
-        empty.write_text("{}")
-        assert run(
-            "enroll",
-            "--input", data,
-            "--transform", empty,
-            "--output", tmp_path / "g.json",
-        ) == 4
+        report = tmp_path / "report.json"
+        report.write_text('{"config": {"method": "mmc"}}')
+        assert run("compare", report) == 4
+
+    def test_unknown_subcommand_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            run("enroll", "--input", "data.jsonl")
+        assert exc.value.code == 2
 
     def test_duplicate_sample_id_is_4(self, tmp_path):
         data = tmp_path / "data.jsonl"

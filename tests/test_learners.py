@@ -1,6 +1,7 @@
 """Margin-maximizing and PCA+LDA transform learners."""
 
-import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from marginforge import (
     save_transform,
     select_margin_columns,
 )
-from marginforge._jsonio import canonical_dumps
 from marginforge.dataset import FlatSample
 from marginforge.errors import (
     ContractError,
@@ -103,17 +103,9 @@ class TestFeatureTransform:
         save_transform(t, path)
         back = load_transform(path)
         assert back.method == t.method
-        assert np.array_equal(back.phi, t.phi)
-        assert np.array_equal(back.delta, t.delta)
+        assert back.phi.tobytes() == t.phi.tobytes()
+        assert back.delta.tobytes() == t.delta.tobytes()
         assert back.ridge_used and not back.fallback_used
-        assert back.fingerprint() == t.fingerprint()
-
-    def test_fingerprint_tracks_content(self):
-        a = identity_transform(2)
-        b = FeatureTransform(
-            method="identity", phi=np.eye(2) * 1.0000001, delta=np.ones(2)
-        )
-        assert a.fingerprint() != b.fingerprint()
 
     def test_from_json_dict_validates(self):
         good = identity_transform(2).to_json_dict()
@@ -417,7 +409,7 @@ class TestLearnPcaLda:
             assert np.max(np.abs(t.delta - lam / (1.0 + lam))) < 1e-9
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     classes=st.integers(2, 4),
@@ -428,8 +420,9 @@ def test_learned_transform_json_round_trip_is_bit_exact(seed, classes, dim, meth
     rng = np.random.default_rng(seed)
     flats = random_flats(rng, classes=classes, dim=dim, members_high=6)
     t = learn_mmc(flats) if method == "mmc" else learn_pcalda(flats)
-    text = canonical_dumps(t.to_json_dict())
-    back = FeatureTransform.from_json_dict(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "transform.json")
+        save_transform(t, path)
+        back = load_transform(path)
     assert back.phi.tobytes() == t.phi.tobytes()
     assert back.delta.tobytes() == t.delta.tobytes()
-    assert back.fingerprint() == t.fingerprint()

@@ -145,9 +145,7 @@ class TestComputeSeparability:
         temps = templates_nd(
             {"a": [[0.0, 0.0], [2.0, 0.0]], "b": [[4.0, 0.0], [6.0, 0.0]]}
         )
-        ctx = MatchingContext(
-            sigma_t_feature_inv=np.diag([0.25, 1.0]), source="exact"
-        )
+        ctx = MatchingContext(whitener=np.diag([0.5, 1.0]))
         report = compute_separability(temps, ctx)
         assert report.per_class_sigma == {"a": 0.5, "b": 0.5}
         assert report.dbi == pytest.approx(0.5, abs=1e-12)
@@ -164,9 +162,12 @@ class TestComputeSeparability:
             )
             flats = [f for f in flats if f.label != "c00"] + flats[:1]
             temps = [extract_template(identity_transform(dim), f) for f in flats]
-            ctx = identity_ctx(dim) if trial % 2 else random_spd_ctx(rng, dim)
+            if trial % 2:
+                ctx, m = identity_ctx(dim), np.eye(dim)
+            else:
+                ctx, m = random_spd_ctx(rng, dim)
             got = compute_separability(temps, ctx)
-            want = brute_separability(temps, ctx)
+            want = brute_separability(temps, m)
             for name in ("dbi", "di", "sc", "fdr"):
                 assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
             assert got.per_class_sigma.keys() == want["per_class_sigma"].keys()

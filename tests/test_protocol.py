@@ -1,5 +1,6 @@
 """Nested cross-validation protocol and report aggregation."""
 
+import json
 import math
 import warnings
 
@@ -12,8 +13,8 @@ from marginforge import (
     LabeledDataset,
     ProtocolConfig,
     SyntheticSpec,
-    build_matching_context,
     cmc_curve,
+    compute_scatter,
     curve_csv_text,
     extract_template,
     far_frr_curves,
@@ -26,7 +27,6 @@ from marginforge import (
     roc_curve,
     run_protocol,
 )
-from marginforge._jsonio import canonical_dumps
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
 
 
@@ -170,8 +170,8 @@ class TestRunProtocol:
         plan = plan_folds(ds, outer=3, inner=2, seed=3)
         serial = run_protocol(ds, "mmc", plan, ProtocolConfig(workers=1))
         threaded = run_protocol(ds, "mmc", plan, ProtocolConfig(workers=4))
-        assert canonical_dumps(serial.to_json_dict()) == canonical_dumps(
-            threaded.to_json_dict()
+        assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
+            threaded.to_json_dict(), sort_keys=True
         )
 
     def test_learning_uses_only_the_fold_samples(self):
@@ -272,26 +272,31 @@ def two_sample_class_dataset():
     )
 
 
+def scatter_pinv(templates) -> np.ndarray:
+    """The Mahalanobis matrix of a template population, on a route that
+    shares nothing with the whitener: the pseudo-inverse of the D x D
+    total scatter."""
+    return np.linalg.pinv(
+        compute_scatter(templates).sigma_t, rcond=1e-10, hermitian=True
+    )
+
+
 def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
     """Every probe/gallery record of one identity-method fold, built one
-    pair at a time as sqrt(gap' inv gap) on the context's stored inverse:
-    the learning-fold context, or one re-estimated from each gallery."""
+    pair at a time as sqrt(gap' inv gap) on the pseudo-inverse of total
+    scatter: of the learning fold, or of each inner fold's gallery."""
     frame_count = ds.samples[0].frame_count
     flats = [flatten(s, frame_count) for s in ds.samples]
-    transform = identity_transform(flats[0].dimension)
-    templates = [extract_template(transform, f) for f in flats]
-    context = build_matching_context(
-        transform, [templates[i] for i in plan.outer_folds[fold]]
-    )
+    templates = [
+        extract_template(identity_transform(flats[0].dimension), f) for f in flats
+    ]
+    inv = scatter_pinv([templates[i] for i in plan.outer_folds[fold]])
     eval_idx = plan.evaluation_indices(fold)
     records = []
     for part in plan.inner_folds[fold]:
         gallery = [i for i in eval_idx if i not in part]
         if context_source == "gallery":
-            context = build_matching_context(
-                transform, [templates[g] for g in gallery]
-            )
-        inv = context.sigma_t_feature_inv
+            inv = scatter_pinv([templates[g] for g in gallery])
         for p in part:
             best = {}
             pairs = []

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import flats_1d, random_flats
 from marginforge import compute_scatter
-from marginforge.errors import ContractError
+from marginforge.errors import ContractError, DegenerateDataError
+from marginforge.scatter import total_scatter_basis
 
 
 class TestFixtures:
@@ -128,3 +129,77 @@ class TestValidation:
         stats = compute_scatter(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
         with pytest.raises(ValueError):
             stats.sigma_b[0, 0] = 99.0
+
+
+class TestTotalScatterBasis:
+    def test_two_singleton_pairs(self):
+        # Total scatter is 10 (TestFixtures): one singular value sqrt(10).
+        basis = total_scatter_basis(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
+        assert basis.rank == 1
+        assert basis.s[0] == pytest.approx(np.sqrt(10.0), rel=1e-12)
+        assert abs(basis.omega[0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reconstructs_total_scatter(self):
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            flats = random_flats(
+                rng,
+                classes=int(rng.integers(2, 6)),
+                dim=int(rng.integers(1, 30)),
+            )
+            basis = total_scatter_basis(flats)
+            sigma_t = compute_scatter(flats).sigma_t
+            rebuilt = (basis.omega * basis.s**2) @ basis.omega.T
+            scale = max(np.linalg.norm(sigma_t), 1.0)
+            assert np.linalg.norm(rebuilt - sigma_t) / scale < 1e-9
+
+    def test_rank_is_that_of_the_span(self):
+        # N centred samples span at most N - 1 directions.
+        rng = np.random.default_rng(37)
+        for dim in (3, 11, 40):
+            flats = random_flats(
+                rng, classes=3, dim=dim, members_low=4, members_high=4
+            )
+            assert total_scatter_basis(flats).rank == min(dim, 11)
+
+    def test_basis_is_orthonormal_and_values_descend(self):
+        rng = np.random.default_rng(38)
+        for _ in range(10):
+            flats = random_flats(rng, classes=4, dim=int(rng.integers(2, 25)))
+            basis = total_scatter_basis(flats)
+            gram = basis.omega.T @ basis.omega
+            assert np.max(np.abs(gram - np.eye(basis.rank))) < 1e-12
+            assert np.all(basis.s > 0.0)
+            assert np.all(np.diff(basis.s) <= 0.0)
+
+    def test_means_and_labels_match_compute_scatter(self):
+        flats = flats_1d({"b": [-1.0, 0.0, 1.0], "a": [6.0]})
+        basis = total_scatter_basis(flats)
+        stats = compute_scatter(flats)
+        assert basis.labels == stats.labels == ("a", "b")
+        assert np.array_equal(basis.class_means, stats.class_means)
+        assert np.array_equal(basis.overall_mean, stats.overall_mean)
+
+    def test_zero_variance_is_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            total_scatter_basis(flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]}))
+
+    @pytest.mark.parametrize("case", ["empty", "single_class", "dimension_mismatch"])
+    def test_rejects_what_compute_scatter_rejects(self, case):
+        good = flats_1d({"a": [0.0], "b": [1.0]})
+        flats = {
+            "empty": [],
+            "single_class": flats_1d({"a": [0.0, 1.0]}),
+            "dimension_mismatch": good
+            + [type(good[0])(vector=np.zeros(2), label="b", sample_id="x")],
+        }[case]
+        with pytest.raises(ContractError):
+            compute_scatter(flats)
+        with pytest.raises(ContractError):
+            total_scatter_basis(flats)
+
+    def test_results_are_read_only(self):
+        basis = total_scatter_basis(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
+        for a in (basis.omega, basis.s, basis.class_means, basis.overall_mean):
+            with pytest.raises(ValueError):
+                a[0] = 99.0

@@ -1,10 +1,11 @@
-"""Template extraction, matching contexts, Mahalanobis distance, galleries."""
+"""Template extraction, matching contexts, Mahalanobis distance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
-    flats_nd,
     identity_ctx,
     metric_axiom_violation,
     mmc_euclidean_violation,
@@ -18,25 +19,15 @@ from marginforge import (
     FeatureTransform,
     FlatSample,
     GaitTemplate,
-    GalleryStore,
     MatchingContext,
-    build_gallery,
     build_matching_context,
+    compute_scatter,
     extract_template,
     identity_transform,
     learn_mmc,
-    load_gallery,
     mahalanobis,
-    save_gallery,
 )
-from marginforge.errors import (
-    ContractError,
-    DegenerateDataError,
-    ParseError,
-    SchemaError,
-    StaleGalleryError,
-    ValidationError,
-)
+from marginforge.errors import ContractError, DegenerateDataError
 
 
 def pick_first_coordinate(width: int) -> FeatureTransform:
@@ -82,11 +73,11 @@ class TestExtractTemplate:
 class TestBuildMatchingContext:
     def test_one_dimensional_inverse(self):
         # Coincident class point sets: total scatter is pure within, 2,
-        # so the stored inverse must be exactly 0.5.
+        # so a unit gap whitens to squared length exactly 0.5.
         temps = templates_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
         ctx = build_matching_context(identity_transform(1), temps)
-        assert ctx.source == "exact"
-        assert ctx.sigma_t_feature_inv[0, 0] == pytest.approx(0.5, abs=1e-12)
+        whitened = ctx.whiten(np.ones(1))
+        assert float(whitened @ whitened) == pytest.approx(0.5, abs=1e-12)
 
     def test_margin_learner_context_is_near_identity(self):
         rng = np.random.default_rng(61)
@@ -95,16 +86,19 @@ class TestBuildMatchingContext:
             t = learn_mmc(flats)
             temps = [extract_template(t, f) for f in flats]
             ctx = build_matching_context(t, temps)
-            gap = ctx.sigma_t_feature_inv - np.eye(t.feature_dim)
+            gap = ctx.whitener @ ctx.whitener.T - np.eye(t.feature_dim)
             assert np.max(np.abs(gap)) < 1e-6
 
-    def test_flat_direction_triggers_ridge(self):
+    def test_flat_direction_whitens_to_zero(self):
+        # Total scatter is diag(10, 0): the second axis carries no data.
         temps = templates_nd(
             {"a": [[0.0, 0.0], [2.0, 0.0]], "b": [[4.0, 0.0], [6.0, 0.0]]}
         )
         ctx = build_matching_context(identity_transform(2), temps)
-        assert ctx.source == "ridge"
-        assert np.min(np.linalg.eigvalsh(ctx.sigma_t_feature_inv)) > 0.0
+        assert ctx.whitener.shape == (2, 1)
+        assert ctx.whiten(np.array([0.0, 1.0])).tolist() == [0.0]
+        gap = np.linalg.norm(ctx.whiten(np.array([2.0, 0.0])))
+        assert gap == pytest.approx(2.0 / np.sqrt(10.0), rel=1e-12)
 
     def test_zero_scatter_is_degenerate(self):
         temps = templates_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
@@ -130,9 +124,7 @@ class TestMahalanobis:
         assert mahalanobis(identity_ctx(2), a, a) == 0.0
 
     def test_diagonal_context_rescales_axes(self):
-        ctx = MatchingContext(
-            sigma_t_feature_inv=np.diag([0.25, 1.0]), source="exact"
-        )
+        ctx = MatchingContext(whitener=np.diag([0.5, 1.0]))
         a = GaitTemplate(vector=np.array([0.0, 0.0]), label="a", sample_id="a")
         b = GaitTemplate(vector=np.array([2.0, 0.0]), label="b", sample_id="b")
         assert mahalanobis(ctx, a, b) == pytest.approx(1.0, abs=1e-12)
@@ -165,34 +157,16 @@ class TestMahalanobis:
 class TestMatchingContextValidation:
     def test_rejects_bad_matrices(self):
         with pytest.raises(ContractError):
-            MatchingContext(sigma_t_feature_inv=np.zeros((2, 3)), source="exact")
+            MatchingContext(whitener=np.zeros((2, 3)))
         with pytest.raises(ContractError):
-            MatchingContext(
-                sigma_t_feature_inv=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                source="exact",
-            )
+            MatchingContext(whitener=np.zeros((2, 0)))
         with pytest.raises(ContractError):
-            MatchingContext(
-                sigma_t_feature_inv=np.diag([1.0, -1.0]), source="exact"
-            )
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ContractError, match="non-finite"):
-                MatchingContext(
-                    sigma_t_feature_inv=np.diag([1.0, bad]), source="exact"
-                )
+            MatchingContext(whitener=np.ones(2))
 
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValidationError):
-            MatchingContext(sigma_t_feature_inv=np.eye(1), source="guess")
-
-    def test_json_round_trip_and_length_check(self):
-        ctx = identity_ctx(2)
-        back = MatchingContext.from_json_dict(ctx.to_json_dict(), dimension=2)
-        assert np.array_equal(back.sigma_t_feature_inv, ctx.sigma_t_feature_inv)
-        with pytest.raises(SchemaError):
-            MatchingContext.from_json_dict(ctx.to_json_dict(), dimension=3)
-        with pytest.raises(SchemaError):
-            MatchingContext.from_json_dict({"source": "exact"}, dimension=2)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ContractError, match="non-finite"):
+            MatchingContext(whitener=np.diag([1.0, bad]))
 
 
 class TestWhitener:
@@ -200,93 +174,49 @@ class TestWhitener:
         rng = np.random.default_rng(65)
         for _ in range(50):
             dim = int(rng.integers(1, 7))
-            ctx = random_spd_ctx(rng, dim)
+            ctx, m = random_spd_ctx(rng, dim)
             gap = rng.normal(0.0, 3.0, size=dim)
-            quad = float(gap @ ctx.sigma_t_feature_inv @ gap)
+            quad = float(gap @ m @ gap)
             whitened = ctx.whiten(gap)
             assert float(whitened @ whitened) == pytest.approx(quad, rel=1e-12)
-
-    def test_json_round_trip_rebuilds_the_same_whitener(self):
-        rng = np.random.default_rng(66)
-        for dim in range(1, 7):
-            ctx = random_spd_ctx(rng, dim)
-            back = MatchingContext.from_json_dict(ctx.to_json_dict(), dim)
-            assert back.whitener.tobytes() == ctx.whitener.tobytes()
 
     def test_whitener_is_read_only(self):
         with pytest.raises(ValueError):
             identity_ctx(2).whitener[0, 0] = 2.0
 
 
-class TestGallery:
-    def build(self):
-        flats = flats_nd(
-            {
-                "a": [[0.0, 0.1], [0.4, -0.2], [0.2, 0.3]],
-                "b": [[4.0, 1.0], [4.2, 0.8], [3.8, 1.2]],
-            }
-        )
-        transform = identity_transform(2)
-        return flats, transform, build_gallery(flats, transform)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(2, 4),
+    members=st.integers(1, 5),
+    deficient=st.booleans(),
+    extra=st.integers(1, 6),
+)
+def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient, extra):
+    # N samples span N - 1 centred directions: a dimension above that is
+    # rank-deficient, one at or below it is full rank.
+    n = classes * members
+    dim = n - 1 + extra if deficient else max(1, n - extra)
+    rng = np.random.default_rng(seed)
+    flats = random_flats(
+        rng, classes=classes, dim=dim, members_low=members, members_high=members
+    )
+    temps = [extract_template(identity_transform(dim), f) for f in flats]
+    ctx = build_matching_context(identity_transform(dim), temps)
+    assert ctx.whitener.shape[1] == min(n - 1, dim)
 
-    def test_round_trip_preserves_everything(self, tmp_path):
-        flats, transform, store = self.build()
-        path = tmp_path / "gallery.json"
-        save_gallery(store, path)
-        back = load_gallery(path)
-        back.ensure_matches(transform)
-        assert back.transform_fingerprint == store.transform_fingerprint
-        assert back.labels == ("a", "b")
-        assert len(back.templates) == len(store.templates)
-        for t0, t1 in zip(store.templates, back.templates):
-            assert t0.sample_id == t1.sample_id
-            assert t0.label == t1.label
-            assert np.array_equal(t0.vector, t1.vector)
-        assert np.array_equal(
-            back.context.sigma_t_feature_inv, store.context.sigma_t_feature_inv
-        )
-
-    def test_default_context_comes_from_enrolled_templates(self):
-        flats, transform, store = self.build()
-        temps = [extract_template(transform, f) for f in flats]
-        want = build_matching_context(transform, temps)
-        assert np.array_equal(
-            store.context.sigma_t_feature_inv, want.sigma_t_feature_inv
+    m = np.linalg.pinv(compute_scatter(temps).sigma_t, rcond=1e-10, hermitian=True)
+    for _ in range(5):
+        gap = rng.normal(0.0, 3.0, size=dim) - rng.normal(0.0, 3.0, size=dim)
+        whitened = ctx.whiten(gap)
+        assert float(whitened @ whitened) == pytest.approx(
+            float(gap @ m @ gap), rel=1e-9
         )
 
-    def test_stale_transform_is_refused(self):
-        _, _, store = self.build()
-        other = FeatureTransform(
-            method="identity", phi=np.eye(2) * 2.0, delta=np.ones(2)
-        )
-        with pytest.raises(StaleGalleryError):
-            store.ensure_matches(other)
-
-    def test_truncated_file_is_a_parse_error(self, tmp_path):
-        path = tmp_path / "gallery.json"
-        path.write_text('{"transform_fingerprint": "abc", "cont')
-        with pytest.raises(ParseError):
-            load_gallery(path)
-
-    def test_structural_validation(self):
-        _, _, store = self.build()
-        with pytest.raises(ContractError):
-            GalleryStore(
-                transform_fingerprint="x", context=identity_ctx(2), templates=()
-            )
-        with pytest.raises(ContractError):
-            GalleryStore(
-                transform_fingerprint="x",
-                context=identity_ctx(3),
-                templates=store.templates,
-            )
-        doc = store.to_json_dict()
-        doc["templates"] = []
-        with pytest.raises(SchemaError):
-            GalleryStore.from_json_dict(doc)
-        with pytest.raises(SchemaError):
-            GalleryStore.from_json_dict("not a dict")
-
-    def test_enrolling_nothing_is_an_error(self):
-        with pytest.raises(ContractError):
-            build_gallery([], identity_transform(2))
+    centred = np.stack([t.vector for t in temps])
+    centred = centred - centred.mean(axis=0)
+    _, _, vt = np.linalg.svd(centred)
+    off_span = vt[min(n - 1, dim):].T @ rng.normal(size=dim - min(n - 1, dim))
+    scale = np.linalg.norm(ctx.whitener, 2) * max(np.linalg.norm(off_span), 1.0)
+    assert np.linalg.norm(ctx.whiten(off_span)) <= 1e-12 * scale
