@@ -30,7 +30,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaitSample:
     """One gait cycle: frames of shape (T, J, 3), optional identity label."""
 
@@ -66,7 +66,7 @@ class GaitSample:
         return GaitSample(frames=frames, label=self.label, sample_id=self.sample_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatSample:
     """A flattened measurement vector of dimension D = 3*J*T with its label."""
 
@@ -245,17 +245,27 @@ def save_dataset(dataset: LabeledDataset, path, format: str = "jsonl"):
             lines.append(json.dumps(record))
         text = "\n".join(lines) + "\n"
     elif format == "csv":
+        # csv.writer quotes the two text fields; the numeric fields never
+        # need quoting, so they are formatted directly, with repr floats
+        # and the \r\n terminator csv.writer writes. Rows are joined per
+        # sample: one flat list of every row string raises peak memory.
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(CSV_HEADER)
+        parts = [buffer.getvalue()]
         for s in dataset.samples:
-            for t in range(s.frame_count):
-                for j in range(s.joint_count):
-                    x, y, z = (float(v) for v in s.frames[t, j])
-                    writer.writerow(
-                        [s.sample_id, s.label, t, j, repr(x), repr(y), repr(z)]
-                    )
-        text = buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow([s.sample_id, s.label])
+            key = buffer.getvalue()[:-2]
+            parts.append(
+                "".join(
+                    f"{key},{t},{j},{x!r},{y!r},{z!r}\r\n"
+                    for t, frame in enumerate(s.frames.tolist())
+                    for j, (x, y, z) in enumerate(frame)
+                )
+            )
+        text = "".join(parts)
     else:
         raise ValidationError(f"unknown dataset format {format!r}")
     atomic_write_text(path, text)

@@ -94,7 +94,7 @@ def select_margin_columns(values: np.ndarray, limit: Optional[int] = None) -> Ei
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTransform:
     """A learned linear map from measurement space to feature space.
 

@@ -49,7 +49,7 @@ class DistanceRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreBlock:
     """Probe-against-gallery-identity distances as columns, one row a pair.
 
@@ -173,7 +173,7 @@ def cmc_fractions(block: ScoreBlock) -> np.ndarray:
     return np.cumsum(np.bincount(ranks, minlength=len(present))) / n_probes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdSweep:
     """Accept counts and error rates at every threshold that matters.
 

@@ -30,7 +30,7 @@ def _degenerate(message: str) -> float:
     return float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Geometry:
     """Feature-space class centroids plus every distance the scorers read,
     each Euclidean in whitened coordinates. Gaps are taken before
@@ -163,7 +163,7 @@ def fisher_ratio(
     return _fisher_ratio(_geometry(templates, context))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityReport:
     """All four coefficients for one template population, plus the
     per-class geometry (dispersions and centroids) they came from."""

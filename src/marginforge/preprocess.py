@@ -117,17 +117,26 @@ def dtw_distance(a: GaitSample, b: GaitSample) -> float:
         )
     pa = a.frames.reshape(a.frame_count, -1)
     pb = b.frames.reshape(b.frame_count, -1)
-    cost = cdist(pa, pb)
-    n, m = cost.shape
+    cost = cdist(pa, pb).ravel()
+    n, m = a.frame_count, b.frame_count
 
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            acc[i, j] = cost[i - 1, j - 1] + min(
-                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
-            )
-    return float(acc[n, m])
+    # acc is the flat (n+1)x(m+1) table of accumulated costs. Cell (i, j)
+    # needs only cells of the two anti-diagonals before its own, i + j = k,
+    # so each diagonal is filled in one step. Along a diagonal the cells,
+    # and each of their up, left and diagonal neighbours, lie m apart in
+    # acc; their local costs lie m - 1 apart in the flat n x m cost table
+    # (m >= 2, since every sample has at least 2 frames). Every cell gets
+    # the same sum as the row-by-row recurrence, so values are bit-equal.
+    acc = np.full((n + 1) * (m + 1), np.inf)
+    acc[0] = 0.0
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        s, e = lo * m + k, hi * m + k + 1
+        c = lo * (m - 1) + k - m - 1
+        best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
+        np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
+        acc[s:e:m] = cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1] + best
+    return float(acc[-1])
 
 
 def filter_gait_cycles(

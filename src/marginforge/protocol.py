@@ -181,7 +181,7 @@ class EvaluationReport:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _FoldResult:
     separability: SeparabilityReport
     scalars: dict

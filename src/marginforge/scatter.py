@@ -29,7 +29,7 @@ from .dataset import FlatSample
 from .errors import ContractError, DegenerateDataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterStatistics:
     """Scatter matrices plus the means they were computed from.
 
@@ -126,7 +126,7 @@ def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterBasis:
     """The total-scatter eigenbasis of a population's span.
 

@@ -27,7 +27,7 @@ from .learners import FeatureTransform
 from .scatter import total_scatter_basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaitTemplate:
     """A feature-space vector with its identity label and provenance id."""
 
@@ -49,7 +49,7 @@ class GaitTemplate:
         return self.vector.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingContext:
     """Whitener of feature-space total scatter for the Mahalanobis form.
 

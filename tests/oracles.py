@@ -10,6 +10,8 @@ column.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from typing import Tuple
 
@@ -142,6 +144,35 @@ def exhaustive_dtw(a, b) -> float:
         return min(options)
 
     return local(0, 0) + walk(0, 0)
+
+
+def rowwise_dtw(cost) -> float:
+    """DTW accumulated cost over an (n, m) local-cost table, one cell at a
+    time in row-major order: each cell is its cost plus the minimum of its
+    up, left and diagonal neighbours, with full endpoint alignment."""
+    n, m = cost.shape
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            acc[i, j] = cost[i - 1, j - 1] + min(
+                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
+            )
+    return float(acc[n, m])
+
+
+def csv_writer_text(dataset) -> str:
+    """The csv dataset format written one csv.writer row per joint-frame:
+    sample_id,label,frame,joint,x,y,z with repr floats."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["sample_id", "label", "frame", "joint", "x", "y", "z"])
+    for s in dataset.samples:
+        for t in range(s.frame_count):
+            for j in range(s.joint_count):
+                x, y, z = (float(v) for v in s.frames[t, j])
+                writer.writerow([s.sample_id, s.label, t, j, repr(x), repr(y), repr(z)])
+    return buffer.getvalue()
 
 
 def oracle_eigen(stats: ScatterStatistics) -> Tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from marginforge.errors import (
     SchemaError,
     ValidationError,
 )
+from oracles import csv_writer_text
 
 
 def sample(frames, label="a", sample_id="s0"):
@@ -131,6 +132,28 @@ class TestFileFormats:
         assert back.num_samples == 3
         for s_in, s_out in zip(ds.samples, back.samples):
             assert np.array_equal(s_in.frames, s_out.frames)
+
+    def test_csv_bytes_match_the_row_writer(self, tmp_path):
+        # Ids and labels that csv.writer must quote or keep verbatim, and
+        # floats whose repr is signed, subnormal, exponent-form or long.
+        special = [-0.0, 5e-324, 1e22, np.pi, -1e-7, 123456.789]
+        rng = np.random.default_rng(5)
+        names = [("plain", "a"), ("com,ma", ' "q"'), ("line\nbreak", " lead"),
+                 (' "quoted"', "a"), ("  two spaces", "cr\rlf\n")]
+        samples = []
+        for i, (sid, lab) in enumerate(names):
+            frames = rng.normal(size=(2 + i, 2, 3))
+            frames.reshape(-1)[: len(special)] = special
+            samples.append(sample(frames, label=lab, sample_id=sid))
+        ds = LabeledDataset.from_samples(samples)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path, format="csv")
+        assert path.read_bytes() == csv_writer_text(ds).encode()
+        back = load_dataset(path, format="csv")
+        assert [s.sample_id for s in back.samples] == [s.sample_id for s in ds.samples]
+        assert [s.label for s in back.samples] == [s.label for s in ds.samples]
+        for s_in, s_out in zip(ds.samples, back.samples):
+            assert s_in.frames.tobytes() == s_out.frames.tobytes()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

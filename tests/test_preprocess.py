@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from conftest import walking_sample
 from marginforge import (
@@ -14,7 +17,7 @@ from marginforge import (
     resample_time,
 )
 from marginforge.errors import AlignmentError, ContractError
-from oracles import exhaustive_dtw
+from oracles import exhaustive_dtw, rowwise_dtw
 
 
 def sample(frames, label="a", sample_id="s0"):
@@ -211,6 +214,29 @@ class TestDtwDistance:
         b = sample(np.zeros((2, 2, 3)))
         with pytest.raises(ContractError):
             dtw_distance(a, b)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(2, 40),
+    joints=st.integers(1, 4),
+    integral=st.booleans(),
+)
+@example(seed=0, n=2, m=2, joints=1, integral=False)
+@example(seed=1, n=2, m=40, joints=4, integral=False)
+@example(seed=2, n=40, m=2, joints=2, integral=True)
+def test_dtw_equals_the_rowwise_recurrence_exactly(seed, n, m, joints, integral):
+    # Integral coordinates make equal local costs and tied neighbours common.
+    rng = np.random.default_rng(seed)
+    fa = rng.normal(size=(n, joints, 3))
+    fb = rng.normal(size=(m, joints, 3))
+    if integral:
+        fa, fb = np.round(2 * fa), np.round(2 * fb)
+    a, b = sample(fa, sample_id="a"), sample(fb, sample_id="b")
+    expected = rowwise_dtw(cdist(fa.reshape(n, -1), fb.reshape(m, -1)))
+    assert dtw_distance(a, b) == expected
 
 
 class TestFilterGaitCycles:
