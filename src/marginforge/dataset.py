@@ -223,12 +223,17 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 
 def load_dataset(path, format: str = "jsonl") -> LabeledDataset:
     """Load a dataset file in the jsonl or csv on-disk format."""
-    if format == "jsonl":
-        samples = _load_jsonl(path)
-    elif format == "csv":
-        samples = _load_csv(path)
-    else:
-        raise ValidationError(f"unknown dataset format {format!r}")
+    try:
+        if format == "jsonl":
+            samples = _load_jsonl(path)
+        elif format == "csv":
+            samples = _read_csv_fast(path)
+            if samples is None:
+                samples = _read_csv_rows(path)
+        else:
+            raise ValidationError(f"unknown dataset format {format!r}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not {exc.encoding} text: {exc.reason}") from exc
     return LabeledDataset.from_samples(samples)
 
 
@@ -295,7 +300,84 @@ def _load_jsonl(path) -> list:
     return samples
 
 
-def _load_csv(path) -> list:
+# One CSV record: sample_id,label,frame,joint,x,y,z.
+_CSV_RECORD = np.dtype([
+    ("sample_id", object),
+    ("label", object),
+    ("frame", np.int64),
+    ("joint", np.int64),
+    ("xyz", np.float64, (3,)),
+])
+
+
+def _read_csv_fast(path) -> Optional[list]:
+    """The samples of a csv dataset file, read by numpy's C parser, or None.
+
+    None means the file does not open with the header the writer writes,
+    or fails a check; _read_csv_rows then reads it and raises any error.
+    """
+    # newline="" keeps a quoted \r in an id or label as written.
+    with open(path, newline="") as fh:
+        if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
+            return None
+        body = fh.tell()
+        # loadtxt warns on a body without rows, so a blank first record
+        # goes to the row parser.
+        if not fh.readline().strip():
+            return None
+        fh.seek(body)
+        try:
+            # Every field is typed, so a row with an extra column raises.
+            rows = np.loadtxt(fh, dtype=_CSV_RECORD, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+        except ValueError:  # includes UnicodeDecodeError
+            return None
+
+    ids, labels = rows["sample_id"], rows["label"]
+    frame, joint = rows["frame"], rows["joint"]
+    index: dict = {}
+    code = np.array([index.setdefault(s, len(index)) for s in ids.tolist()])
+    first = np.unique(code, return_index=True)[1]
+    if (labels != labels[first][code]).any() or min(frame.min(), joint.min()) < 0:
+        return None
+    counts = np.bincount(code)
+    last_frame = np.zeros(len(first), np.int64)
+    last_joint = np.zeros(len(first), np.int64)
+    np.maximum.at(last_frame, code, frame)
+    np.maximum.at(last_joint, code, joint)
+    # A complete grid has no index past its cell count; checking that
+    # first keeps the products below from overflowing.
+    if (last_frame >= counts).any() or (last_joint >= counts).any():
+        return None
+    n_frames, n_joints = last_frame + 1, last_joint + 1
+    sizes = n_frames * n_joints
+    if (sizes != counts).any():
+        return None
+    # Each sample's cells fill its own block of the flat frame buffer;
+    # as many cells as slots, so every slot hit once means no duplicate.
+    starts = np.cumsum(sizes) - sizes
+    cell = starts[code] + frame * n_joints[code] + joint
+    if (np.bincount(cell, minlength=len(rows)) != 1).any():
+        return None
+    flat = np.empty((len(rows), 3))
+    flat[cell] = rows["xyz"]
+    try:
+        return [
+            GaitSample(
+                frames=flat[a : a + t * j].reshape(t, j, 3),
+                label=labels[f],
+                sample_id=ids[f],
+            )
+            for a, t, j, f in zip(starts.tolist(), n_frames.tolist(),
+                                  n_joints.tolist(), first.tolist())
+        ]
+    except SchemaError:
+        return None
+
+
+def _read_csv_rows(path) -> list:
+    """Read a csv dataset file one record at a time; raises the error, with
+    its line number, of a file that is not well-formed."""
     # rows: sample_id,label,frame,joint,x,y,z sorted by (sample_id, frame, joint)
     order = []
     cells: dict[str, dict] = {}
@@ -319,6 +401,10 @@ def _load_csv(path) -> list:
                 xyz = (float(row[4]), float(row[5]), float(row[6]))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if t < 0 or j < 0:
+                raise ParseError(
+                    f"line {lineno}: frame and joint must be >= 0, got ({t}, {j})"
+                )
             if sample_id not in cells:
                 order.append(sample_id)
                 cells[sample_id] = {}

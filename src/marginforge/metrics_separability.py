@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._jsonio import finite_or_null
 from .errors import ContractError, DegenerateMetricWarning
@@ -57,6 +56,10 @@ def _geometry(
         raise ContractError("context dimension does not match templates")
     if any(t.dimension != dim for t in templates):
         raise ContractError("templates differ in dimension")
+    # scipy.spatial takes most of the package's import time; import it
+    # where it is used.
+    from scipy.spatial.distance import cdist
+
     labels, codes = np.unique([t.label for t in templates], return_inverse=True)
     if len(labels) < 2:
         raise ContractError("need at least 2 classes")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import GaitSample
 from .errors import AlignmentError, ContractError, ValidationError
@@ -115,6 +114,10 @@ def dtw_distance(a: GaitSample, b: GaitSample) -> float:
         raise ContractError(
             f"joint counts differ: {a.joint_count} vs {b.joint_count}"
         )
+    # scipy.spatial takes most of the package's import time; import it
+    # where it is used.
+    from scipy.spatial.distance import cdist
+
     pa = a.frames.reshape(a.frame_count, -1)
     pb = b.frames.reshape(b.frame_count, -1)
     cost = cdist(pa, pb).ravel()

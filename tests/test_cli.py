@@ -1,12 +1,16 @@
 """Command-line interface: pipeline wiring, config merge, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import marginforge
 from marginforge import GaitSample, LabeledDataset, load_dataset, save_dataset
 from marginforge.cli import main
 
@@ -271,6 +275,16 @@ class TestExitCodes:
         bad.write_text("not json {{{")
         assert run(*gen_args(tmp_path / "x.jsonl"), "--config", bad) == 3
 
+    @pytest.mark.parametrize("name", ["data.csv", "data.jsonl"])
+    def test_non_utf8_dataset_is_3(self, tmp_path, capsys, name):
+        data = tmp_path / name
+        assert run(*gen_args(data)) == 0
+        data.write_bytes(data.read_bytes() + b"\xff\n")
+        assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 3
+        assert capsys.readouterr().err == (
+            "marginforge: ParseError: not utf-8 text: invalid start byte\n"
+        )
+
     def test_schema_error_is_4(self, tmp_path):
         report = tmp_path / "report.json"
         report.write_text('{"config": {"method": "mmc"}}')
@@ -340,3 +354,16 @@ class TestLogEnvironment:
     def test_unknown_level_falls_back(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARGINFORGE_LOG", "banana")
         assert run(*gen_args(tmp_path / "x.jsonl")) == 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.spatial was most of the package's import time, which every
+    # CLI call pays; only the DTW filter and separability import it.
+    src = os.path.dirname(os.path.dirname(marginforge.__file__))
+    code = "import sys, marginforge.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginforge import (
     FlatSample,
@@ -22,6 +24,7 @@ from marginforge.errors import (
     SchemaError,
     ValidationError,
 )
+from marginforge.dataset import _read_csv_fast, _read_csv_rows
 from oracles import csv_writer_text
 
 
@@ -185,6 +188,184 @@ class TestFileFormats:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError):
             load_dataset(tmp_path / "x", format="parquet")
+
+
+HEADER = "sample_id,label,frame,joint,x,y,z\r\n"
+# One well-formed 2-frame, 1-joint sample.
+S0 = "s0,a,0,0,1,2,3\r\ns0,a,1,0,4,5,6\r\n"
+
+# (file body after the header, error class, full message). CSV line
+# numbers count records: the header is line 1, and a skipped blank
+# record still takes a number.
+CSV_ERRORS = [
+    pytest.param("s0,a,0,0,1,2\r\n", ParseError,
+                 "line 2: expected 7 columns, got 6", id="six-columns"),
+    pytest.param(S0 + "s1,a,0,0,1,2,3,4\r\n", ParseError,
+                 "line 4: expected 7 columns, got 8", id="eight-columns"),
+    pytest.param("s0,a,x,0,1,2,3\r\n", ParseError,
+                 "line 2: invalid literal for int() with base 10: 'x'", id="bad-int"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns0,a,1,0,4,q,6\r\n", ParseError,
+                 "line 3: could not convert string to float: 'q'", id="bad-float"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns0,b,1,0,4,5,6\r\n", SchemaError,
+                 "sample 's0' has conflicting labels", id="conflicting-labels"),
+    pytest.param(S0 + "s0,a,0,0,7,8,9\r\n", SchemaError,
+                 "sample 's0': duplicate cell (0, 0)", id="duplicate-cell"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns0,a,0,0,1,2,3\r\ns0,a,1,1,4,5,6\r\n"
+                 "s0,a,1,0,4,5,6\r\n", SchemaError, "sample 's0': duplicate cell (0, 0)",
+                 id="duplicate-cell-as-many-rows-as-cells"),
+    pytest.param(S0 + "s0,a,0,1,7,8,9\r\n", SchemaError,
+                 "sample 's0': incomplete frame/joint grid (3 of 4 cells)",
+                 id="incomplete-grid"),
+    pytest.param("", SchemaError, "no samples", id="header-only"),
+    pytest.param("\r\n", SchemaError, "no samples", id="header-and-blank"),
+    pytest.param(S0 + "\r\ns1,b\r\n", ParseError,
+                 "line 5: expected 7 columns, got 2", id="blank-line-is-counted"),
+    pytest.param("s0,a,0,0,1,nan,3\r\ns0,a,1,0,4,5,6\r\n", SchemaError,
+                 "sample 's0': non-finite coordinate", id="non-finite"),
+    pytest.param("s0,a,0,0,1,2,3\r\n", SchemaError,
+                 "sample 's0': needs at least 2 frames", id="one-frame"),
+    # Frame -1 used to index from the end: it overwrote frame 1 and left
+    # frame 0 uninitialized, with a grid that looked complete.
+    pytest.param("s0,a,-1,0,1,2,3\r\ns0,a,1,0,4,5,6\r\n", ParseError,
+                 "line 2: frame and joint must be >= 0, got (-1, 0)",
+                 id="negative-frame"),
+    pytest.param(S0 + "s1,a,0,-1,1,2,3\r\n", ParseError,
+                 "line 4: frame and joint must be >= 0, got (0, -1)",
+                 id="negative-joint"),
+]
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("body, cls, message", CSV_ERRORS)
+    def test_class_message_and_line(self, tmp_path, body, cls, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes((HEADER + body).encode())
+        with pytest.raises(cls) as info:
+            load_dataset(path, format="csv")
+        assert type(info.value) is cls
+        assert str(info.value) == message
+
+    def test_header_mismatch(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("id,label,frame,joint,x,y,z\r\n" + S0).encode())
+        with pytest.raises(ParseError) as info:
+            load_dataset(path, format="csv")
+        assert str(info.value) == "line 1: expected header sample_id,label,frame,joint,x,y,z"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match="^no samples$"):
+            load_dataset(path, format="csv")
+
+    @pytest.mark.parametrize("body", ["", "\r\n\r\n", "\r\n" + S0, S0 + "\r\n"])
+    def test_header_only_and_blank_lines_warn_nothing(self, tmp_path, recwarn, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes((HEADER + body).encode())
+        if S0 in body:
+            assert load_dataset(path, format="csv").num_samples == 1
+        else:
+            with pytest.raises(SchemaError, match="^no samples$"):
+                load_dataset(path, format="csv")
+        assert len(recwarn) == 0
+
+    def test_loose_header_and_quoting_still_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            (' sample_id ,label,frame,joint,x,y,"z"\n'
+             '"s0",a,0,0, 1.5 ,2,3\ns0,a,+1,0,4,5,6').encode()
+        )
+        (s,) = load_dataset(path, format="csv").samples
+        assert s.frames.tolist() == [[[1.5, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]
+
+
+@pytest.mark.parametrize("format, good", [
+    pytest.param("csv", HEADER + S0, id="csv"),
+    pytest.param("jsonl", '{"sample_id": "s0", "label": "a", '
+                 '"frames": [[[0, 0, 0]], [[1, 1, 1]]]}\n', id="jsonl"),
+])
+def test_non_utf8_input_is_a_parse_error(tmp_path, format, good):
+    path = tmp_path / f"d.{format}"
+    path.write_bytes(good.encode() + b"s\xff\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(path, format=format)
+    assert str(info.value) == "not utf-8 text: invalid start byte"
+
+
+def read_outcome(read, path):
+    """(id, label, shape, frame bytes) of each sample read, or the class
+    and message of the error raised."""
+    try:
+        dataset = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(s.sample_id, s.label, s.frames.shape, s.frames.tobytes())
+            for s in dataset.samples]
+
+
+def assert_readers_agree(path):
+    assert read_outcome(lambda p: load_dataset(p, format="csv"), path) == read_outcome(
+        lambda p: LabeledDataset.from_samples(_read_csv_rows(p)), path
+    )
+
+
+# Characters the writer must quote or keep verbatim, and that a CSV
+# tokenizer may treat as comments or whitespace.
+CSV_NAME = st.text(alphabet=st.sampled_from(list(',"\r\n #\ta')), max_size=3)
+EDIT = st.tuples(
+    st.integers(0, 2**16),
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.sampled_from(["-", "_", "e", "\x00", "\r\n", ",", '"', "\n", "\r", " ", "1", "."]),
+)
+
+
+@st.composite
+def csv_datasets(draw):
+    joints = draw(st.integers(1, 2))
+    names = draw(st.lists(st.tuples(CSV_NAME, CSV_NAME), min_size=1, max_size=3,
+                          unique_by=lambda name: name[0]))
+    samples = []
+    for sample_id, label in names:
+        frames = draw(st.integers(2, 3))
+        coords = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=frames * joints * 3, max_size=frames * joints * 3))
+        samples.append(GaitSample(frames=np.reshape(coords, (frames, joints, 3)),
+                                  label=label, sample_id=sample_id))
+    return LabeledDataset.from_samples(samples)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(dataset=csv_datasets(), edits=st.lists(EDIT, max_size=3))
+def test_csv_reader_matches_the_row_parser(tmp_path_factory, dataset, edits):
+    # Either both readers return the same samples bit for bit, or both
+    # raise the same error class and message.
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    save_dataset(dataset, path, format="csv")
+    if not edits:
+        assert _read_csv_fast(path) is not None
+    text = path.read_bytes().decode()
+    for position, op, chars in edits:
+        at = position % (len(text) + 1)
+        if op == "insert":
+            text = text[:at] + chars + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + chars + text[at + 1:]
+    path.write_bytes(text.encode())
+    assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("body", [
+    # usecols would drop the eighth column and read the row.
+    pytest.param(S0 + "s1,a,0,0,1,2,3,4\r\ns1,a,1,0,4,5,6\r\n", id="extra-column"),
+    # Newline translation would turn the quoted \r into \n.
+    pytest.param('"x\r",a,0,0,1,2,3\r\n"x\r",a,1,0,4,5,6\r\n', id="cr-in-id"),
+])
+def test_csv_reader_traps(tmp_path, body):
+    path = tmp_path / "d.csv"
+    path.write_bytes((HEADER + body).encode())
+    assert_readers_agree(path)
 
 
 class TestSynthetic:
