@@ -39,15 +39,7 @@ from .learners import (
     save_transform,
     select_margin_columns,
 )
-from .metrics_classification import (
-    CurveSeries,
-    DistanceRecord,
-    classify_wta,
-    cmc_curve,
-    far_frr_curves,
-    rcl_pcn_curve,
-    roc_curve,
-)
+from .metrics_classification import CurveSeries
 from .metrics_separability import (
     SeparabilityReport,
     compute_separability,

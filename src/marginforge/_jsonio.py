@@ -38,9 +38,12 @@ def finite_or_null(value: float):
 
 
 def load_json(path, what: str = "file"):
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
+        with open(path) as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{what} {path}: not {exc.encoding} text: {exc.reason}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path}: line {exc.lineno}: {exc.msg}") from exc

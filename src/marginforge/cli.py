@@ -92,16 +92,27 @@ class _Options:
                 raise ValidationError("config file must hold a JSON object")
             self._config = obj
 
-    def get(self, key: str, default=None):
+    def get(self, key: str, default=None, kind=None):
+        """The flag, else the config file's value, else default (a null
+        in the file counts as unset). The file is untyped, so the value is
+        passed through kind (int, float) when one is given."""
         value = self._args.get(key)
-        if value is not None:
+        if value is None:
+            value = self._config.get(key)
+        if value is None:
+            value = default
+        if kind is None or value is None:
             return value
-        if key in self._config:
-            return self._config[key]
-        return default
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"option --{key.replace('_', '-')} must be {kind.__name__}, "
+                f"got {value!r}"
+            ) from None
 
-    def require(self, key: str):
-        value = self.get(key)
+    def require(self, key: str, kind=None):
+        value = self.get(key, kind=kind)
         if value is None:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
         return value
@@ -114,13 +125,13 @@ def _load(opts: _Options) -> LabeledDataset:
 
 def cmd_gen(opts: _Options) -> int:
     spec = SyntheticSpec(
-        classes=int(opts.require("classes")),
-        samples_per_class=int(opts.require("per_class")),
-        joints=int(opts.get("joints", 5)),
-        frames=int(opts.get("frames", 10)),
-        class_spread=float(opts.get("class_spread", 5.0)),
-        noise=float(opts.get("noise", 0.5)),
-        seed=int(opts.get("seed", 0)),
+        classes=opts.require("classes", int),
+        samples_per_class=opts.require("per_class", int),
+        joints=opts.get("joints", 5, int),
+        frames=opts.get("frames", 10, int),
+        class_spread=opts.get("class_spread", 5.0, float),
+        noise=opts.get("noise", 0.5, float),
+        seed=opts.get("seed", 0, int),
     )
     dataset = generate_synthetic(spec)
     output = opts.require("output")
@@ -133,25 +144,22 @@ def cmd_preprocess(opts: _Options) -> int:
     dataset = _load(opts)
     samples = list(dataset.samples)
 
-    root_joint = opts.get("root_joint")
+    root_joint = opts.get("root_joint", kind=int)
     if root_joint is not None:
-        root_joint = int(root_joint)
         up_axis = str(opts.get("up_axis", "y"))
         # Align first: centering pins the root at the origin, which erases
         # the displacement the alignment needs.
         samples = [align_walk_direction(s, root_joint, up_axis) for s in samples]
         samples = [center_on_root(s, root_joint) for s in samples]
 
-    target = opts.get("target_frames")
+    target = opts.get("target_frames", kind=int)
     if target is not None:
-        target = int(target)
         if target == 0:  # 0 asks for the dataset's average length
             target = average_length(samples)
         samples = [resample_time(s, target) for s in samples]
 
-    threshold = opts.get("dtw_threshold")
+    threshold = opts.get("dtw_threshold", kind=float)
     if threshold is not None:
-        threshold = float(threshold)
         kept = []
         by_label: dict[str, list] = {}
         for s in samples:
@@ -177,8 +185,7 @@ def cmd_learn(opts: _Options) -> int:
     if method == "mmc":
         transform = learn_mmc(flats)
     elif method == "pca_lda":
-        pca_dim = opts.get("pca_dim")
-        transform = learn_pcalda(flats, None if pca_dim is None else int(pca_dim))
+        transform = learn_pcalda(flats, opts.get("pca_dim", kind=int))
     else:
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
     output = opts.require("output")
@@ -197,16 +204,15 @@ def cmd_evaluate(opts: _Options) -> int:
     dataset = _load(opts)
     plan = plan_folds(
         dataset,
-        outer=int(opts.get("outer_folds", 3)),
-        inner=int(opts.get("inner_folds", 10)),
-        seed=int(opts.get("seed", 0)),
+        outer=opts.get("outer_folds", 3, int),
+        inner=opts.get("inner_folds", 10, int),
+        seed=opts.get("seed", 0, int),
     )
-    pca_dim = opts.get("pca_dim")
     config = ProtocolConfig(
         pair_policy=str(opts.get("pair_policy", "all")).replace("-", "_"),
         context_source=str(opts.get("context_source", "learning")),
-        pca_dim=None if pca_dim is None else int(pca_dim),
-        workers=int(opts.get("workers", 1)),
+        pca_dim=opts.get("pca_dim", kind=int),
+        workers=opts.get("workers", 1, int),
     )
     report = run_protocol(dataset, str(opts.get("method", "mmc")), plan, config)
 
@@ -229,9 +235,16 @@ def cmd_compare(opts: _Options) -> int:
             method = report["config"]["method"]
             headline = report["headline"]
             values = [headline[k] for k in keys]
-            rows.append((method, [None if v is None else float(v) for v in values]))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"report {path}: missing field {exc}")
+        if not isinstance(method, str):
+            raise SchemaError(f"report {path}: config.method is not a string")
+        for key, value in zip(keys, values):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise SchemaError(f"report {path}: headline.{key} is not a number")
+        rows.append((method, [None if v is None else float(v) for v in values]))
 
     name_width = max(len("method"), max(len(r[0]) for r in rows))
     header = "method".ljust(name_width) + "".join(k.rjust(10) for k in keys)

@@ -375,6 +375,16 @@ def _read_csv_fast(path) -> Optional[list]:
         return None
 
 
+def _csv_rows(fh):
+    """csv.reader over fh whose errors, such as a field longer than the
+    csv module's size limit, are ParseErrors naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
+
+
 def _read_csv_rows(path) -> list:
     """Read a csv dataset file one record at a time; raises the error, with
     its line number, of a file that is not well-formed."""
@@ -383,7 +393,7 @@ def _read_csv_rows(path) -> list:
     cells: dict[str, dict] = {}
     labels: dict[str, str] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

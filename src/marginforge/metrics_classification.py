@@ -2,12 +2,11 @@
 
 Everything here is computed from a ScoreBlock: one row per probe-template
 against one gallery identity, with a flag saying whether the pair is
-genuine (same identity) or impostor. DistanceRecord is the same row as
-an object; the public *_curve functions take record lists and turn them
-into a block. Curves are exact, not sampled: one ThresholdSweep per
-block visits every distinct observed distance plus -inf/+inf sentinels,
-and acceptance is distance <= threshold (inclusive), so each curve
-equals an exhaustive enumeration of all meaningful thresholds.
+genuine (same identity) or impostor. Curves are exact, not sampled: one
+ThresholdSweep per block visits every distinct observed distance plus
+-inf/+inf sentinels, and acceptance is distance <= threshold (inclusive),
+so each curve equals an exhaustive enumeration of all meaningful
+thresholds.
 
 Curve kinds and their points:
     cmc      (rank k, fraction of probes whose true class is in the top k)
@@ -19,34 +18,14 @@ Curve kinds and their points:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .template_space import GaitTemplate, MatchingContext, mahalanobis
 
 CURVE_KINDS = ("cmc", "far_frr", "roc", "rcl_pcn")
-
-
-@dataclass(frozen=True)
-class DistanceRecord:
-    """One probe-against-gallery-identity distance."""
-
-    probe_id: str
-    gallery_label: str
-    distance: float
-    genuine: bool
-
-    def __post_init__(self):
-        if not (math.isfinite(self.distance) and self.distance >= 0):
-            raise ContractError(
-                f"probe {self.probe_id!r} vs {self.gallery_label!r}: "
-                f"distance must be finite and >= 0, got {self.distance!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,19 +53,6 @@ class ScoreBlock:
             )
 
 
-def _block(records: Sequence[DistanceRecord]) -> ScoreBlock:
-    records = list(records)
-    probe_ids, probe = np.unique([r.probe_id for r in records], return_inverse=True)
-    _, label = np.unique([r.gallery_label for r in records], return_inverse=True)
-    return ScoreBlock(
-        distance=np.array([r.distance for r in records], dtype=np.float64),
-        probe=probe,
-        label=label,
-        genuine=np.array([r.genuine for r in records], dtype=bool),
-        probe_ids=tuple(probe_ids.tolist()),
-    )
-
-
 @dataclass(frozen=True)
 class CurveSeries:
     """A polyline of (x, y) points of a declared kind."""
@@ -106,39 +72,12 @@ class CurveSeries:
                 raise ContractError(f"{self.kind} x values must strictly increase")
         object.__setattr__(self, "points", points)
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "x": [p[0] for p in self.points],
             "y": [p[1] for p in self.points],
         }
-
-
-def classify_wta(
-    probe: GaitTemplate,
-    gallery: Sequence[GaitTemplate],
-    context: MatchingContext,
-) -> str:
-    """Label of the nearest gallery template, winner takes all.
-
-    Exact distance ties go to the lexicographically smallest gallery
-    sample_id, which makes the result independent of gallery order.
-    """
-    gallery = list(gallery)
-    if not gallery:
-        raise ContractError("empty gallery")
-    best = min(
-        gallery, key=lambda t: (mahalanobis(context, probe, t), t.sample_id)
-    )
-    return best.label
 
 
 def cmc_fractions(block: ScoreBlock) -> np.ndarray:
@@ -258,32 +197,3 @@ class ThresholdSweep:
             precision = np.insert(precision, 0, precision[0])
         return recall, precision, float(np.trapezoid(precision, recall))
 
-
-def cmc_curve(records: Sequence[DistanceRecord]):
-    """CMC series over gallery-identity ranks and the CCR, its rank-1 value."""
-    cumulative = cmc_fractions(_block(records))
-    points = tuple(enumerate(cumulative.tolist(), start=1))
-    return CurveSeries(kind="cmc", points=points), float(cumulative[0])
-
-
-def far_frr_curves(records: Sequence[DistanceRecord]):
-    """(FAR, FRR) in threshold order, from (0, 1) to (1, 0), and the EER."""
-    sweep = ThresholdSweep.of(_block(records))
-    eer = sweep.eer()
-    return CurveSeries(kind="far_frr", points=tuple(zip(sweep.far, sweep.frr))), eer
-
-
-def roc_curve(records: Sequence[DistanceRecord]):
-    """(FAR, TAR = 1 - FRR) from FAR 0 to (1, 1), and the trapezoidal AUC."""
-    far, tar, auc = ThresholdSweep.of(_block(records)).roc()
-    return CurveSeries(kind="roc", points=tuple(zip(far, tar))), auc
-
-
-def rcl_pcn_curve(records: Sequence[DistanceRecord]):
-    """(recall, precision) with genuine records as the relevant set, and MAP.
-
-    Impostor-free record sets are legal here: precision is then identically 1.
-    """
-    recall, precision, map_value = ThresholdSweep.of(_block(records)).rcl_pcn()
-    series = CurveSeries(kind="rcl_pcn", points=tuple(zip(recall, precision)))
-    return series, map_value

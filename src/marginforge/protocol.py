@@ -62,7 +62,6 @@ class FoldPlan:
     outer_folds: tuple
     inner_folds: tuple
     seed: int
-    stratified: bool = True
 
     @property
     def n_outer(self) -> int:
@@ -129,7 +128,6 @@ def plan_folds(
         outer_folds=tuple(tuple(sorted(f)) for f in outer_folds),
         inner_folds=tuple(inner_folds),
         seed=seed,
-        stratified=True,
     )
 
 
@@ -382,7 +380,7 @@ def run_protocol(
         "outer_folds": plan.n_outer,
         "inner_folds": plan.n_inner,
         "seed": plan.seed,
-        "stratified": plan.stratified,
+        "stratified": True,
         "pair_policy": config.pair_policy,
         "context_source": config.context_source,
         "pca_dim": config.pca_dim,

@@ -3,6 +3,8 @@ constructors that keep the test bodies close to the numbers they assert."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from marginforge import (
@@ -16,6 +18,39 @@ from marginforge import (
     learn_mmc,
     mahalanobis,
 )
+from marginforge.metrics_classification import ScoreBlock, ThresholdSweep, cmc_fractions
+
+# One probe-against-gallery-identity distance: a score block row for the
+# library, read field by field by the brute-force oracles.
+Pair = namedtuple("Pair", "probe_id gallery_label distance genuine")
+
+
+def score_block(pairs) -> ScoreBlock:
+    """A ScoreBlock with one row per Pair."""
+    probe_ids, probe = np.unique([p.probe_id for p in pairs], return_inverse=True)
+    _, label = np.unique([p.gallery_label for p in pairs], return_inverse=True)
+    return ScoreBlock(
+        distance=np.array([p.distance for p in pairs], dtype=np.float64),
+        probe=probe,
+        label=label,
+        genuine=np.array([p.genuine for p in pairs], dtype=bool),
+        probe_ids=tuple(probe_ids.tolist()),
+    )
+
+
+def sweep_of(pairs) -> ThresholdSweep:
+    return ThresholdSweep.of(score_block(pairs))
+
+
+def curve_points(x, y) -> list:
+    """A library curve as the oracles' list of (x, y) float pairs."""
+    return list(zip(x.tolist(), y.tolist()))
+
+
+def cmc_points(pairs) -> list:
+    """(rank, cumulative match fraction) pairs, ranks from 1.0."""
+    cmc = cmc_fractions(score_block(pairs))
+    return curve_points(np.arange(1.0, cmc.size + 1), cmc)
 
 
 def flats_1d(groups: dict) -> list:

@@ -13,31 +13,30 @@ import numpy as np
 
 import oracles
 from conftest import (
+    Pair,
+    cmc_points,
+    curve_points,
     metric_axiom_violation,
     mmc_euclidean_violation,
     principal_angles,
     random_flats,
     recombination_violation,
+    sweep_of,
 )
 from marginforge import (
-    DistanceRecord,
     GaitSample,
     LabeledDataset,
     SyntheticSpec,
     align_walk_direction,
     average_length,
-    cmc_curve,
     compute_scatter,
     dtw_distance,
-    far_frr_curves,
     filter_gait_cycles,
     generate_synthetic,
     learn_mmc,
     mmc_objective,
     plan_folds,
-    rcl_pcn_curve,
     resample_time,
-    roc_curve,
     run_protocol,
     select_margin_columns,
 )
@@ -156,18 +155,9 @@ def test_criterion_4_whitening_and_diagonalization():
     )
 
 
-def _rec(probe_id, gallery_label, distance, genuine):
-    return DistanceRecord(
-        probe_id=probe_id,
-        gallery_label=gallery_label,
-        distance=float(distance),
-        genuine=genuine,
-    )
-
-
 def _score_records(genuine, impostor):
-    out = [_rec(f"g{i}", "self", d, True) for i, d in enumerate(genuine)]
-    out += [_rec(f"i{i}", "other", d, False) for i, d in enumerate(impostor)]
+    out = [Pair(f"g{i}", "self", d, True) for i, d in enumerate(genuine)]
+    out += [Pair(f"i{i}", "other", d, False) for i, d in enumerate(impostor)]
     return out
 
 
@@ -182,7 +172,7 @@ def _random_records(rng):
         own = labels[int(rng.integers(n_labels))]
         for lab in labels:
             d = float(rng.integers(0, 6)) / 2.0
-            records.append(_rec(f"p{i}", lab, d, lab == own))
+            records.append(Pair(f"p{i}", lab, d, lab == own))
     return records
 
 
@@ -191,47 +181,46 @@ def test_criterion_5_curves_match_exhaustive_enumeration():
     exact = True
     for _ in range(100):
         records = _random_records(rng)
-        far_series, eer = far_frr_curves(records)
-        roc_series, _ = roc_curve(records)
-        rp_series, _ = rcl_pcn_curve(records)
-        cmc_series, _ = cmc_curve(records)
-        exact = exact and far_series.points == tuple(
-            oracles.brute_far_frr_points(records)
-        )
-        exact = exact and eer == oracles.brute_eer(records)
-        exact = exact and roc_series.points == tuple(
-            oracles.brute_roc_points(records)
-        )
-        exact = exact and rp_series.points == tuple(
-            oracles.brute_rcl_pcn_points(records)
-        )
-        exact = exact and cmc_series.points == tuple(
-            oracles.brute_cmc_points(records)
-        )
+        sweep = sweep_of(records)
+        got = [
+            curve_points(sweep.far, sweep.frr),
+            sweep.eer(),
+            curve_points(*sweep.roc()[:2]),
+            curve_points(*sweep.rcl_pcn()[:2]),
+            cmc_points(records),
+        ]
+        want = [
+            oracles.brute_far_frr_points(records),
+            oracles.brute_eer(records),
+            oracles.brute_roc_points(records),
+            oracles.brute_rcl_pcn_points(records),
+            oracles.brute_cmc_points(records),
+        ]
+        exact = exact and got == want
 
     fixtures = []
-    _, eer = far_frr_curves(_score_records([1.0, 2.0], [3.0, 4.0]))
+    eer = sweep_of(_score_records([1.0, 2.0], [3.0, 4.0])).eer()
     fixtures.append(("eer split", eer, 0.0))
-    _, eer = far_frr_curves(_score_records([1.0, 2.0], [1.0, 2.0]))
+    eer = sweep_of(_score_records([1.0, 2.0], [1.0, 2.0])).eer()
     fixtures.append(("eer overlap", eer, 0.5))
-    _, auc = roc_curve(_score_records([1.0, 2.0], [3.0, 4.0]))
+    _, _, auc = sweep_of(_score_records([1.0, 2.0], [3.0, 4.0])).roc()
     fixtures.append(("auc split", auc, 1.0))
-    _, auc = roc_curve(_score_records([1.0, 2.0], [1.0, 2.0]))
+    _, _, auc = sweep_of(_score_records([1.0, 2.0], [1.0, 2.0])).roc()
     fixtures.append(("auc overlap", auc, 0.5))
-    _, auc = roc_curve(_score_records([1.0], [2.0, 3.0]))
+    _, _, auc = sweep_of(_score_records([1.0], [2.0, 3.0])).roc()
     fixtures.append(("auc swept", auc, 1.0))
-    _, map_value = rcl_pcn_curve(_score_records([1.0, 3.0], [2.0]))
+    _, _, map_value = sweep_of(_score_records([1.0, 3.0], [2.0])).rcl_pcn()
     fixtures.append(("map", map_value, 11.0 / 12.0))
-    cmc_series, ccr = cmc_curve(
+    cmc = cmc_points(
         [
-            _rec("p1", "a", 1.0, True),
-            _rec("p1", "b", 2.0, False),
-            _rec("p2", "a", 2.0, False),
-            _rec("p2", "b", 3.0, True),
+            Pair("p1", "a", 1.0, True),
+            Pair("p1", "b", 2.0, False),
+            Pair("p2", "a", 2.0, False),
+            Pair("p2", "b", 3.0, True),
         ]
     )
-    fixtures.append(("ccr", ccr, 0.5))
-    fixtures.append(("cmc rank 2", cmc_series.points[1][1], 1.0))
+    fixtures.append(("ccr", cmc[0][1], 0.5))
+    fixtures.append(("cmc rank 2", cmc[1][1], 1.0))
 
     worst = max(abs(got - want) for _, got, want in fixtures)
     ok = exact and worst < 1e-9

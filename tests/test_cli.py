@@ -285,10 +285,88 @@ class TestExitCodes:
             "marginforge: ParseError: not utf-8 text: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("command", ["compare", "gen"])
+    def test_non_utf8_json_is_3(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"classes": 3}\xff\n')
+        argv = {
+            "compare": ("compare", bad),
+            "gen": (*gen_args(tmp_path / "x.jsonl"), "--config", bad),
+        }[command]
+        assert run(*argv) == 3
+        what = "report" if command == "compare" else "config"
+        assert capsys.readouterr().err == (
+            f"marginforge: ParseError: {what} {bad}: not utf-8 text: "
+            "invalid start byte\n"
+        )
+
     def test_schema_error_is_4(self, tmp_path):
         report = tmp_path / "report.json"
         report.write_text('{"config": {"method": "mmc"}}')
         assert run("compare", report) == 4
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"headline": {"ccr": "abc"}}, "headline.ccr is not a number"),
+            ({"config": {"method": 5}}, "config.method is not a string"),
+        ],
+    )
+    def test_malformed_report_values_are_4(self, tmp_path, capsys, edit, message):
+        report = {
+            "config": {"method": "mmc"},
+            "headline": dict.fromkeys(
+                ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map"), 0.5
+            ),
+        }
+        for section, values in edit.items():
+            report[section].update(values)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run("compare", path) == 4
+        assert capsys.readouterr().err == (
+            f"marginforge: SchemaError: report {path}: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("gen", {"classes": "abc"}, "option --classes must be int, got 'abc'"),
+            (
+                "preprocess",
+                {"dtw_threshold": "x"},
+                "option --dtw-threshold must be float, got 'x'",
+            ),
+            (
+                "learn",
+                {"method": "pca-lda", "pca_dim": [2]},
+                "option --pca-dim must be int, got [2]",
+            ),
+            (
+                "evaluate",
+                {"outer_folds": "x"},
+                "option --outer-folds must be int, got 'x'",
+            ),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_2(
+        self, tmp_path, capsys, command, config, message
+    ):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        argv = {
+            "gen": ("gen", "--per-class", 4, "--output", out),
+            "preprocess": ("preprocess", "--input", data, "--output", out),
+            "learn": ("learn", "--input", data, "--output", out),
+            "evaluate": ("evaluate", "--input", data, "--output", out),
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, "--config", cfg) == 2
+        assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
+        assert not out.exists()
 
     def test_unknown_subcommand_is_rejected(self):
         with pytest.raises(SystemExit) as exc:

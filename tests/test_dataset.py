@@ -232,6 +232,11 @@ CSV_ERRORS = [
     pytest.param(S0 + "s1,a,0,-1,1,2,3\r\n", ParseError,
                  "line 4: frame and joint must be >= 0, got (0, -1)",
                  id="negative-joint"),
+    # The bad float sends the file to the row parser, whose csv.reader
+    # refuses the 140 000-character id before it reaches that row.
+    pytest.param(f'"{"s" * 140_000}",a,0,0,1,2,3\r\ns1,b,0,0,x,2,3\r\n',
+                 ParseError, "line 2: field larger than field limit (131072)",
+                 id="field-over-csv-size-limit"),
 ]
 
 

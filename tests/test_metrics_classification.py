@@ -1,169 +1,128 @@
-"""Winner-takes-all classification and rank/threshold curves."""
+"""Rank and threshold curves over a score block."""
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import identity_ctx, templates_1d
-from marginforge import (
-    CurveSeries,
-    DistanceRecord,
-    classify_wta,
-    cmc_curve,
-    far_frr_curves,
-    rcl_pcn_curve,
-    roc_curve,
-)
+from conftest import Pair, cmc_points, curve_points, score_block, sweep_of
+from marginforge import CurveSeries
 from marginforge.errors import ContractError, ValidationError
+from marginforge.metrics_classification import cmc_fractions
 
 
-def rec(probe_id, gallery_label, distance, genuine):
-    return DistanceRecord(
-        probe_id=probe_id,
-        gallery_label=gallery_label,
-        distance=float(distance),
-        genuine=genuine,
-    )
-
-
-def score_records(pairs):
-    """Records from (genuine_distances, impostor_distances)."""
+def score_pairs(pairs):
+    """Rows from (genuine_distances, impostor_distances)."""
     genuine, impostor = pairs
-    out = [rec(f"g{i}", "self", d, True) for i, d in enumerate(genuine)]
-    out += [rec(f"i{i}", "other", d, False) for i, d in enumerate(impostor)]
+    out = [Pair(f"g{i}", "self", d, True) for i, d in enumerate(genuine)]
+    out += [Pair(f"i{i}", "other", d, False) for i, d in enumerate(impostor)]
     return out
 
 
-def random_records(rng, n_probes, n_labels):
-    """A random but well-formed record set: every probe scores every
+def random_pairs(rng, n_probes, n_labels):
+    """A random but well-formed row set: every probe scores every
     identity exactly once, and every probe's identity is enrolled."""
     labels = [f"c{j}" for j in range(n_labels)]
-    records = []
+    pairs = []
     for i in range(n_probes):
         own = labels[int(rng.integers(n_labels))]
         for lab in labels:
             # Coarse grid so exact ties actually happen.
             d = float(rng.integers(0, 6)) / 2.0
-            records.append(rec(f"p{i}", lab, d, lab == own))
-    return records
-
-
-class TestClassifyWta:
-    def test_nearest_label_wins(self):
-        gallery = templates_1d({"a": [0.0], "b": [10.0]})
-        probe = templates_1d({"q": [2.0]})[0]
-        assert classify_wta(probe, gallery, identity_ctx(1)) == "a"
-
-    def test_exact_tie_goes_to_smallest_sample_id(self):
-        # Both gallery templates sit 1 away; ids are a0 and b0, so the
-        # tie must resolve to label "a" regardless of list order.
-        gallery = templates_1d({"a": [1.0], "b": [3.0]})
-        probe = templates_1d({"q": [2.0]})[0]
-        assert classify_wta(probe, gallery, identity_ctx(1)) == "a"
-        assert classify_wta(probe, list(reversed(gallery)), identity_ctx(1)) == "a"
-
-    def test_empty_gallery(self):
-        probe = templates_1d({"q": [0.0]})[0]
-        with pytest.raises(ContractError):
-            classify_wta(probe, [], identity_ctx(1))
+            pairs.append(Pair(f"p{i}", lab, d, lab == own))
+    return pairs
 
 
 class TestCmcCurve:
     def test_two_probe_fixture(self):
         # p1 ranks first (1 < 2); p2 ranks second (3 > 2).
-        records = [
-            rec("p1", "a", 1.0, True),
-            rec("p1", "b", 2.0, False),
-            rec("p2", "a", 2.0, False),
-            rec("p2", "b", 3.0, True),
+        pairs = [
+            Pair("p1", "a", 1.0, True),
+            Pair("p1", "b", 2.0, False),
+            Pair("p2", "a", 2.0, False),
+            Pair("p2", "b", 3.0, True),
         ]
-        series, ccr = cmc_curve(records)
-        assert series.points == ((1.0, 0.5), (2.0, 1.0))
-        assert ccr == 0.5
+        assert cmc_points(pairs) == [(1.0, 0.5), (2.0, 1.0)]
 
     def test_best_distance_per_identity(self):
-        # The second, closer record for identity a must drive the rank.
-        records = [
-            rec("p1", "a", 5.0, True),
-            rec("p1", "a", 1.0, True),
-            rec("p1", "b", 2.0, False),
+        # The second, closer row for identity a must drive the rank.
+        pairs = [
+            Pair("p1", "a", 5.0, True),
+            Pair("p1", "a", 1.0, True),
+            Pair("p1", "b", 2.0, False),
         ]
-        _, ccr = cmc_curve(records)
-        assert ccr == 1.0
+        assert cmc_fractions(score_block(pairs))[0] == 1.0
 
     def test_ties_rank_optimistically(self):
-        records = [
-            rec("p1", "a", 2.0, True),
-            rec("p1", "b", 2.0, False),
+        pairs = [
+            Pair("p1", "a", 2.0, True),
+            Pair("p1", "b", 2.0, False),
         ]
-        series, ccr = cmc_curve(records)
-        assert ccr == 1.0
-        assert series.points[0] == (1.0, 1.0)
+        assert cmc_points(pairs)[0] == (1.0, 1.0)
 
     def test_unenrolled_probe_identity_warns(self):
-        records = [
-            rec("p1", "a", 1.0, True),
-            rec("p1", "b", 2.0, False),
-            rec("p2", "a", 1.0, False),
-            rec("p2", "b", 2.0, False),
+        pairs = [
+            Pair("p1", "a", 1.0, True),
+            Pair("p1", "b", 2.0, False),
+            Pair("p2", "a", 1.0, False),
+            Pair("p2", "b", 2.0, False),
         ]
         with pytest.warns(RuntimeWarning):
-            series, ccr = cmc_curve(records)
-        assert ccr == 0.5
-        assert series.points[-1] == (2.0, 0.5)
+            points = cmc_points(pairs)
+        assert points[0] == (1.0, 0.5)
+        assert points[-1] == (2.0, 0.5)
 
     def test_monotone_and_capped(self):
         rng = np.random.default_rng(80)
         for _ in range(20):
-            records = random_records(
+            pairs = random_pairs(
                 rng, n_probes=int(rng.integers(2, 8)), n_labels=int(rng.integers(2, 5))
             )
-            series, ccr = cmc_curve(records)
-            y = series.y
+            y = cmc_fractions(score_block(pairs))
             assert np.all(np.diff(y) >= 0)
-            assert 0.0 <= ccr <= y[-1] <= 1.0
+            assert 0.0 <= y[0] <= y[-1] <= 1.0
 
     def test_empty_records(self):
         with pytest.raises(ContractError):
-            cmc_curve([])
+            cmc_fractions(score_block([]))
 
 
 class TestFarFrrCurves:
     def test_separable_scores_have_zero_eer(self):
-        series, eer = far_frr_curves(score_records(([1.0, 2.0], [3.0, 4.0])))
-        assert eer == 0.0
-        assert series.points[0] == (0.0, 1.0)
-        assert series.points[-1] == (1.0, 0.0)
+        s = sweep_of(score_pairs(([1.0, 2.0], [3.0, 4.0])))
+        assert s.eer() == 0.0
+        points = curve_points(s.far, s.frr)
+        assert points[0] == (0.0, 1.0)
+        assert points[-1] == (1.0, 0.0)
 
     def test_identical_score_multisets_give_half(self):
-        _, eer = far_frr_curves(score_records(([1.0, 2.0], [1.0, 2.0])))
+        eer = sweep_of(score_pairs(([1.0, 2.0], [1.0, 2.0]))).eer()
         assert eer == pytest.approx(0.5, abs=1e-12)
 
     def test_interpolated_crossing(self):
         # FAR - FRR jumps from -1/3 at tau=2 to +2/3 at tau=2.5; the
         # interpolated zero sits a third of the way along FAR 0 -> 1.
-        _, eer = far_frr_curves(score_records(([1.0, 2.0, 3.0], [2.5])))
+        eer = sweep_of(score_pairs(([1.0, 2.0, 3.0], [2.5]))).eer()
         assert eer == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_requires_both_populations(self):
         with pytest.raises(ContractError):
-            far_frr_curves(score_records(([1.0], [])))
+            sweep_of(score_pairs(([1.0], []))).eer()
         with pytest.raises(ContractError):
-            far_frr_curves(score_records(([], [1.0])))
+            sweep_of(score_pairs(([], [1.0])))
 
 
 class TestRocCurve:
     def test_perfect_separation(self):
-        series, auc = roc_curve(score_records(([1.0, 2.0], [3.0, 4.0])))
+        far, tar, auc = sweep_of(score_pairs(([1.0, 2.0], [3.0, 4.0]))).roc()
         assert auc == pytest.approx(1.0, abs=1e-12)
-        assert (0.0, 1.0) in series.points
+        assert (0.0, 1.0) in curve_points(far, tar)
 
     def test_identical_score_multisets(self):
-        _, auc = roc_curve(score_records(([1.0, 2.0], [1.0, 2.0])))
+        _, _, auc = sweep_of(score_pairs(([1.0, 2.0], [1.0, 2.0]))).roc()
         assert auc == pytest.approx(0.5, abs=1e-9)
 
     def test_single_genuine_below_all_impostors(self):
-        _, auc = roc_curve(score_records(([1.0], [2.0, 3.0])))
+        _, _, auc = sweep_of(score_pairs(([1.0], [2.0, 3.0]))).roc()
         assert auc == pytest.approx(1.0, abs=1e-12)
 
     def test_x_strictly_increasing(self):
@@ -171,26 +130,29 @@ class TestRocCurve:
         for _ in range(20):
             genuine = rng.integers(0, 5, size=int(rng.integers(1, 6))) / 2.0
             impostor = rng.integers(0, 5, size=int(rng.integers(1, 6))) / 2.0
-            series, auc = roc_curve(score_records((genuine.tolist(), impostor.tolist())))
-            assert np.all(np.diff(series.x) > 0)
+            pairs = score_pairs((genuine.tolist(), impostor.tolist()))
+            far, _, auc = sweep_of(pairs).roc()
+            assert np.all(np.diff(far) > 0)
             assert 0.0 <= auc <= 1.0
 
 
 class TestRclPcnCurve:
     def test_fixture_map(self):
         # Points (0, 1), (0.5, 1), (1, 2/3): area 1/2 + 5/12 = 11/12.
-        series, map_value = rcl_pcn_curve(score_records(([1.0, 3.0], [2.0])))
-        assert series.points == ((0.0, 1.0), (0.5, 1.0), (1.0, 2.0 / 3.0))
+        s = sweep_of(score_pairs(([1.0, 3.0], [2.0])))
+        recall, precision, map_value = s.rcl_pcn()
+        points = curve_points(recall, precision)
+        assert points == [(0.0, 1.0), (0.5, 1.0), (1.0, 2.0 / 3.0)]
         assert map_value == pytest.approx(11.0 / 12.0, abs=1e-12)
 
     def test_impostor_free_records_are_legal(self):
-        series, map_value = rcl_pcn_curve(score_records(([1.0, 2.0], [])))
+        _, precision, map_value = sweep_of(score_pairs(([1.0, 2.0], []))).rcl_pcn()
         assert map_value == pytest.approx(1.0, abs=1e-12)
-        assert all(p == 1.0 for p in series.y)
+        assert all(p == 1.0 for p in precision)
 
     def test_requires_genuine(self):
         with pytest.raises(ContractError):
-            rcl_pcn_curve(score_records(([], [1.0])))
+            sweep_of(score_pairs(([], [1.0]))).rcl_pcn()
 
 
 class TestAgainstBruteForce:
@@ -199,58 +161,45 @@ class TestAgainstBruteForce:
         # scalar has to equal the counting-loop reference, no tolerance.
         rng = np.random.default_rng(82)
         for _ in range(40):
-            records = random_records(
+            pairs = random_pairs(
                 rng, n_probes=int(rng.integers(2, 6)), n_labels=int(rng.integers(2, 4))
             )
-            far_series, eer = far_frr_curves(records)
-            assert far_series.points == tuple(oracles.brute_far_frr_points(records))
-            assert eer == oracles.brute_eer(records)
-            roc_series, auc = roc_curve(records)
-            assert roc_series.points == tuple(oracles.brute_roc_points(records))
+            s = sweep_of(pairs)
+            assert curve_points(s.far, s.frr) == oracles.brute_far_frr_points(pairs)
+            assert s.eer() == oracles.brute_eer(pairs)
+            far, tar, auc = s.roc()
+            assert curve_points(far, tar) == oracles.brute_roc_points(pairs)
             assert auc == pytest.approx(
-                oracles.trapezoid_area(oracles.brute_roc_points(records)), abs=1e-15
+                oracles.trapezoid_area(oracles.brute_roc_points(pairs)), abs=1e-15
             )
-            rp_series, map_value = rcl_pcn_curve(records)
-            assert rp_series.points == tuple(oracles.brute_rcl_pcn_points(records))
+            recall, precision, map_value = s.rcl_pcn()
+            rcl_pcn = curve_points(recall, precision)
+            assert rcl_pcn == oracles.brute_rcl_pcn_points(pairs)
             assert map_value == pytest.approx(
-                oracles.trapezoid_area(oracles.brute_rcl_pcn_points(records)),
+                oracles.trapezoid_area(oracles.brute_rcl_pcn_points(pairs)),
                 abs=1e-15,
             )
-            cmc_series, _ = cmc_curve(records)
-            assert cmc_series.points == tuple(oracles.brute_cmc_points(records))
+            assert cmc_points(pairs) == oracles.brute_cmc_points(pairs)
 
     def test_monotone_distance_transform_changes_nothing(self):
         # Rank and threshold metrics only see the ordering, so a strictly
         # increasing transform of the distances is invisible.
         rng = np.random.default_rng(83)
         for _ in range(15):
-            records = random_records(rng, n_probes=4, n_labels=3)
-            warped = [
-                rec(r.probe_id, r.gallery_label, r.distance**3 + 2.0, r.genuine)
-                for r in records
-            ]
-            _, eer0 = far_frr_curves(records)
-            _, eer1 = far_frr_curves(warped)
-            assert eer0 == eer1
-            _, auc0 = roc_curve(records)
-            _, auc1 = roc_curve(warped)
-            assert auc0 == auc1
-            _, map0 = rcl_pcn_curve(records)
-            _, map1 = rcl_pcn_curve(warped)
-            assert map0 == map1
-            c0, ccr0 = cmc_curve(records)
-            c1, ccr1 = cmc_curve(warped)
-            assert c0.points == c1.points and ccr0 == ccr1
+            pairs = random_pairs(rng, n_probes=4, n_labels=3)
+            warped = [p._replace(distance=p.distance**3 + 2.0) for p in pairs]
+            s0, s1 = sweep_of(pairs), sweep_of(warped)
+            assert s0.eer() == s1.eer()
+            assert s0.roc()[2] == s1.roc()[2]
+            assert s0.rcl_pcn()[2] == s1.rcl_pcn()[2]
+            assert cmc_points(pairs) == cmc_points(warped)
 
 
 class TestValidation:
-    def test_distance_record_rejects_bad_values(self):
-        with pytest.raises(ContractError):
-            rec("p", "a", -1.0, True)
-        with pytest.raises(ContractError):
-            rec("p", "a", float("nan"), True)
-        with pytest.raises(ContractError):
-            rec("p", "a", float("inf"), True)
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_score_block_rejects_bad_values(self, bad):
+        with pytest.raises(ContractError, match="distance must be finite and >= 0"):
+            score_block([Pair("p", "a", 1.0, True), Pair("p", "b", bad, False)])
 
     def test_curve_series_validation(self):
         with pytest.raises(ValidationError):

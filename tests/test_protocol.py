@@ -2,29 +2,25 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+from conftest import Pair
 from marginforge import (
-    DistanceRecord,
     GaitSample,
     LabeledDataset,
     ProtocolConfig,
     SyntheticSpec,
-    cmc_curve,
     compute_scatter,
     curve_csv_text,
     extract_template,
-    far_frr_curves,
     flatten,
     generate_synthetic,
     identity_transform,
     learn_mmc,
     plan_folds,
-    rcl_pcn_curve,
-    roc_curve,
     run_protocol,
 )
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
@@ -308,12 +304,7 @@ def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
             if pair_policy == "class_best":
                 pairs = sorted(best.items())
             records += [
-                DistanceRecord(
-                    probe_id=templates[p].sample_id,
-                    gallery_label=label,
-                    distance=d,
-                    genuine=label == templates[p].label,
-                )
+                Pair(templates[p].sample_id, label, d, label == templates[p].label)
                 for label, d in pairs
             ]
     return records
@@ -323,7 +314,7 @@ class TestScoreBlockAgainstRecords:
     @pytest.mark.parametrize("context_source", ["learning", "gallery"])
     @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
     @pytest.mark.parametrize("dataset", ["full", "two_sample_class"])
-    def test_headline_matches_public_record_functions(
+    def test_headline_matches_brute_force_oracles(
         self, pair_policy, dataset, context_source
     ):
         if dataset == "full":
@@ -340,16 +331,14 @@ class TestScoreBlockAgainstRecords:
             brute_force_fold_records(ds, plan, f, pair_policy, context_source)
             for f in range(plan.n_outer)
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ccr = [cmc_curve(r)[1] for r in folds]
+        ccr = [oracles.brute_cmc_points(r)[0][1] for r in folds]
         assert report.headline["ccr"] == float(np.mean(ccr))
-        for key, curve in (
-            ("eer", far_frr_curves),
-            ("auc", roc_curve),
-            ("map", rcl_pcn_curve),
+        for key, fold_value in (
+            ("eer", oracles.brute_eer),
+            ("auc", lambda r: oracles.trapezoid_area(oracles.brute_roc_points(r))),
+            ("map", lambda r: oracles.trapezoid_area(oracles.brute_rcl_pcn_points(r))),
         ):
-            expected = float(np.mean([curve(r)[1] for r in folds]))
+            expected = float(np.mean([fold_value(r) for r in folds]))
             assert report.headline[key] == pytest.approx(expected, abs=1e-12)
 
     def test_identity_missing_from_gallery_warns(self):
