@@ -53,6 +53,7 @@ from .preprocess import (
     average_length,
     center_on_root,
     dtw_distance,
+    dtw_distances,
     filter_gait_cycles,
     resample_time,
 )

@@ -38,9 +38,15 @@ def finite_or_null(value: float):
 
 
 def load_json(path, what: str = "file"):
+    """Parse strict JSON: the bare NaN and Infinity tokens that write_json
+    never writes are a ParseError, like any other malformed input."""
+
+    def reject_constant(token: str):
+        raise ParseError(f"{what} {path}: {token} is not a JSON value")
+
     try:
         with open(path) as fh:
-            return json.loads(fh.read())
+            return json.loads(fh.read(), parse_constant=reject_constant)
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{what} {path}: not {exc.encoding} text: {exc.reason}"

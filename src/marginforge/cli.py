@@ -95,7 +95,8 @@ class _Options:
     def get(self, key: str, default=None, kind=None):
         """The flag, else the config file's value, else default (a null
         in the file counts as unset). The file is untyped, so the value is
-        passed through kind (int, float) when one is given."""
+        passed through kind (int, float) when one is given; a boolean, or a
+        number that int would truncate, is refused."""
         value = self._args.get(key)
         if value is None:
             value = self._config.get(key)
@@ -103,13 +104,16 @@ class _Options:
             value = default
         if kind is None or value is None:
             return value
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"option --{key.replace('_', '-')} must be {kind.__name__}, "
-                f"got {value!r}"
-            ) from None
+        truncated = kind is int and isinstance(value, float) and not value.is_integer()
+        if not isinstance(value, bool) and not truncated:
+            try:
+                return kind(value)
+            except (TypeError, ValueError):
+                pass
+        raise ValidationError(
+            f"option --{key.replace('_', '-')} must be {kind.__name__}, "
+            f"got {value!r}"
+        )
 
     def require(self, key: str, kind=None):
         value = self.get(key, kind=kind)

@@ -102,44 +102,62 @@ def average_length(samples: Sequence[GaitSample]) -> int:
     return max(2, int(np.floor(mean + 0.5)))
 
 
-def dtw_distance(a: GaitSample, b: GaitSample) -> float:
-    """Dynamic-time-warping distance between two cycles.
+def dtw_distances(
+    candidates: Sequence[GaitSample], exemplar: GaitSample
+) -> np.ndarray:
+    """Dynamic-time-warping distance of each candidate to the exemplar.
 
     Classic dynamic program with Euclidean local cost between whole poses
     (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
-    full endpoint alignment. The returned value is the unnormalized
-    accumulated cost.
+    full endpoint alignment. Returns the unnormalized accumulated costs in
+    candidate order. Candidates of one frame count share one sweep.
     """
-    if a.joint_count != b.joint_count:
-        raise ContractError(
-            f"joint counts differ: {a.joint_count} vs {b.joint_count}"
-        )
+    for sample in candidates:
+        if sample.joint_count != exemplar.joint_count:
+            raise ContractError(
+                f"joint counts differ: {sample.joint_count} vs {exemplar.joint_count}"
+            )
     # scipy.spatial takes most of the package's import time; import it
     # where it is used.
     from scipy.spatial.distance import cdist
 
-    pa = a.frames.reshape(a.frame_count, -1)
-    pb = b.frames.reshape(b.frame_count, -1)
-    cost = cdist(pa, pb).ravel()
-    n, m = a.frame_count, b.frame_count
+    m = exemplar.frame_count
+    pb = exemplar.frames.reshape(m, -1)
+    groups: dict[int, list[int]] = {}
+    for i, sample in enumerate(candidates):
+        groups.setdefault(sample.frame_count, []).append(i)
+    out = np.empty(len(candidates))
+    for n, members in groups.items():
+        # One flat n x m cost table per candidate, stacked with the
+        # candidate axis innermost: row r holds cell r of every table.
+        poses = np.stack([candidates[i].frames for i in members])
+        cost = cdist(poses.reshape(len(members) * n, -1), pb)
+        cost = np.ascontiguousarray(cost.reshape(len(members), n * m).T)
 
-    # acc is the flat (n+1)x(m+1) table of accumulated costs. Cell (i, j)
-    # needs only cells of the two anti-diagonals before its own, i + j = k,
-    # so each diagonal is filled in one step. Along a diagonal the cells,
-    # and each of their up, left and diagonal neighbours, lie m apart in
-    # acc; their local costs lie m - 1 apart in the flat n x m cost table
-    # (m >= 2, since every sample has at least 2 frames). Every cell gets
-    # the same sum as the row-by-row recurrence, so values are bit-equal.
-    acc = np.full((n + 1) * (m + 1), np.inf)
-    acc[0] = 0.0
-    for k in range(2, n + m + 1):
-        lo, hi = max(1, k - m), min(n, k - 1)
-        s, e = lo * m + k, hi * m + k + 1
-        c = lo * (m - 1) + k - m - 1
-        best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
-        np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
-        acc[s:e:m] = cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1] + best
-    return float(acc[-1])
+        # acc stacks the flat (n+1)x(m+1) tables of accumulated costs the
+        # same way. Cell (i, j) needs only cells of the two anti-diagonals
+        # before its own, i + j = k, so each diagonal is filled in one
+        # step. Along a diagonal the cells, and each of their up, left and
+        # diagonal neighbours, lie m rows apart in acc; their local costs
+        # lie m - 1 rows apart in cost (m >= 2, since every sample has at
+        # least 2 frames). Every cell gets the same sum as the row-by-row
+        # recurrence, so values are bit-equal.
+        acc = np.full(((n + 1) * (m + 1), len(members)), np.inf)
+        acc[0] = 0.0
+        for k in range(2, n + m + 1):
+            lo, hi = max(1, k - m), min(n, k - 1)
+            s, e = lo * m + k, hi * m + k + 1
+            c = lo * (m - 1) + k - m - 1
+            best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
+            np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
+            acc[s:e:m] = cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1] + best
+        out[members] = acc[-1]
+    return out
+
+
+def dtw_distance(a: GaitSample, b: GaitSample) -> float:
+    """Dynamic-time-warping distance between two cycles (see dtw_distances)."""
+    return float(dtw_distances([a], b)[0])
 
 
 def filter_gait_cycles(
@@ -153,8 +171,6 @@ def filter_gait_cycles(
     """
     if not threshold >= 0:
         raise ContractError("threshold must be >= 0")
-    return tuple(
-        c
-        for c in candidates
-        if c is exemplar or dtw_distance(c, exemplar) <= threshold
-    )
+    others = [c for c in candidates if c is not exemplar]
+    within = iter(dtw_distances(others, exemplar) <= threshold)
+    return tuple(c for c in candidates if c is exemplar or next(within))

@@ -225,6 +225,15 @@ class TestConfigFile:
         assert run("gen", "--config", cfg, "--per-class", 2, "--output", out2) == 0
         assert load_dataset(out2, format="jsonl").num_samples == 6
 
+    def test_whole_number_float_reads_as_int(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out.jsonl"
+        cfg.write_text(json.dumps({"classes": 3.0, "per_class": 2.0}))
+        assert run("gen", "--config", cfg, "--output", out) == 0
+        samples = load_dataset(out, format="jsonl").samples
+        assert len(samples) == 6
+        assert len({s.label for s in samples}) == 3
+
     def test_config_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
@@ -300,6 +309,17 @@ class TestExitCodes:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_bare_non_finite_token_in_a_report_is_3(self, tmp_path, capsys, token):
+        report = tmp_path / "report.json"
+        report.write_text(
+            '{"config": {"method": "mmc"}, "headline": {"ccr": %s}}' % token
+        )
+        assert run("compare", report) == 3
+        assert capsys.readouterr().err == (
+            f"marginforge: ParseError: report {report}: {token} is not a JSON value\n"
+        )
+
     def test_schema_error_is_4(self, tmp_path):
         report = tmp_path / "report.json"
         report.write_text('{"config": {"method": "mmc"}}')
@@ -346,6 +366,13 @@ class TestExitCodes:
                 "evaluate",
                 {"outer_folds": "x"},
                 "option --outer-folds must be int, got 'x'",
+            ),
+            ("gen", {"classes": 2.7}, "option --classes must be int, got 2.7"),
+            ("gen", {"classes": True}, "option --classes must be int, got True"),
+            (
+                "gen",
+                {"classes": 3, "noise": False},
+                "option --noise must be float, got False",
             ),
         ],
     )

@@ -13,6 +13,7 @@ from marginforge import (
     average_length,
     center_on_root,
     dtw_distance,
+    dtw_distances,
     filter_gait_cycles,
     resample_time,
 )
@@ -239,6 +240,55 @@ def test_dtw_equals_the_rowwise_recurrence_exactly(seed, n, m, joints, integral)
     assert dtw_distance(a, b) == expected
 
 
+class TestDtwDistances:
+    def test_no_candidates(self):
+        exemplar = scalar_sequence([0.0, 1.0], sample_id="e")
+        got = dtw_distances([], exemplar)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_joint_count_mismatch_anywhere(self, position):
+        exemplar = sample(np.zeros((3, 1, 3)), sample_id="e")
+        candidates = [
+            sample(np.zeros((t, 1, 3)), sample_id=f"s{t}") for t in (2, 3, 4)
+        ]
+        candidates[position] = sample(np.zeros((3, 2, 3)), sample_id="bad")
+        with pytest.raises(ContractError, match="joint counts differ: 2 vs 1"):
+            dtw_distances(candidates, exemplar)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # Lengths come from a pool of at most three, so candidates often share
+    # one sweep and often do not.
+    lengths=st.lists(st.integers(2, 40), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    ),
+    m=st.integers(2, 40),
+    joints=st.integers(1, 4),
+    integral=st.booleans(),
+)
+@example(seed=0, lengths=[2, 2], m=2, joints=1, integral=True)
+@example(seed=1, lengths=[40, 2, 40, 17, 2, 40], m=40, joints=4, integral=False)
+def test_dtw_distances_equal_the_rowwise_recurrence_exactly(
+    seed, lengths, m, joints, integral
+):
+    # Integral coordinates make equal local costs and tied neighbours common.
+    rng = np.random.default_rng(seed)
+    frames = [rng.normal(size=(n, joints, 3)) for n in lengths]
+    fe = rng.normal(size=(m, joints, 3))
+    if integral:
+        frames, fe = [np.round(2 * f) for f in frames], np.round(2 * fe)
+    candidates = [sample(f, sample_id=f"s{i}") for i, f in enumerate(frames)]
+    got = dtw_distances(candidates, sample(fe, sample_id="e"))
+    expected = [
+        rowwise_dtw(cdist(f.reshape(len(f), -1), fe.reshape(m, -1))) for f in frames
+    ]
+    assert got.tolist() == expected
+
+
 class TestFilterGaitCycles:
     def test_infinite_threshold_keeps_all(self):
         rng = np.random.default_rng(10)
@@ -285,11 +335,11 @@ class TestFilterGaitCycles:
 
         calls = []
 
-        def counting(a, b):
-            calls.append((a.sample_id, b.sample_id))
-            return dtw_distance(a, b)
+        def counting(candidates, exemplar):
+            calls.extend((c.sample_id, exemplar.sample_id) for c in candidates)
+            return dtw_distances(candidates, exemplar)
 
-        monkeypatch.setattr(preprocess, "dtw_distance", counting)
+        monkeypatch.setattr(preprocess, "dtw_distances", counting)
         exemplar = scalar_sequence([0.0, 0.0], sample_id="e")
         candidates = [
             scalar_sequence([0.0, d], sample_id=f"s{i}")
