@@ -12,10 +12,14 @@ from .errors import ParseError
 
 def atomic_write_text(path, text: str):
     """Write text to path via a temp file + rename, so readers never see
-    a half-written file."""
+    a half-written file. A temp file that cannot be made raises an
+    OSError that names path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

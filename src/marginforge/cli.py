@@ -214,7 +214,6 @@ def cmd_evaluate(opts: _Options) -> int:
     )
     config = ProtocolConfig(
         pair_policy=str(opts.get("pair_policy", "all")).replace("-", "_"),
-        context_source=str(opts.get("context_source", "learning")),
         pca_dim=opts.get("pca_dim", kind=int),
         workers=opts.get("workers", 1, int),
     )
@@ -319,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-folds", type=int, dest="inner_folds")
     p.add_argument(
         "--pair-policy", choices=["all", "class-best"], dest="pair_policy"
-    )
-    p.add_argument(
-        "--context-source", choices=["learning", "gallery"], dest="context_source"
     )
     p.add_argument("--pca-dim", type=int, dest="pca_dim")
     p.add_argument("--workers", type=int)

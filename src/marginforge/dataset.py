@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -193,10 +194,12 @@ class SyntheticSpec:
             raise ValidationError("need at least 1 joint")
         if self.frames < 2:
             raise ValidationError("need at least 2 frames")
-        if not self.class_spread > 0:
-            raise ValidationError("class_spread must be > 0")
-        if self.noise < 0:
-            raise ValidationError("noise must be >= 0")
+        if not self.class_spread > 0 or not math.isfinite(self.class_spread):
+            raise ValidationError("class_spread must be finite and > 0")
+        if not self.noise >= 0 or not math.isfinite(self.noise):
+            raise ValidationError("noise must be finite and >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:

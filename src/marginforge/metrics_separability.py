@@ -4,11 +4,14 @@ All four coefficients run in feature space under the matching context's
 metric, so they describe exactly the geometry the matcher sees. One
 geometry pass groups the templates, takes feature-space class centroids,
 and measures every distance it needs as a Euclidean distance in the
-context's whitened coordinates; the four scorers only read it. Degenerate
-geometry (coincident centroids, zero dispersion) yields an infinity marker
-plus a DegenerateMetricWarning instead of an exception: a degenerate fold
-should show up in a report, not kill a run. Reports write the marker as
-JSON null; the warning names the metric.
+context's whitened coordinates; the four scorers only read it. The
+template-to-template distances are template_space.pairwise_distances of
+the whitened templates: the evaluator's matching reads the same matrix,
+so separability_of_rows takes it as given. Degenerate geometry
+(coincident centroids, zero dispersion) yields an infinity marker plus a
+DegenerateMetricWarning instead of an exception: a degenerate fold should
+show up in a report, not kill a run. Reports write the marker as JSON
+null; the warning names the metric.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from ._jsonio import finite_or_null
 from .errors import ContractError, DegenerateMetricWarning
-from .template_space import GaitTemplate, MatchingContext
+from .template_space import GaitTemplate, MatchingContext, pairwise_distances
 
 
 def _degenerate(message: str) -> float:
@@ -56,18 +59,24 @@ def _geometry(
         raise ContractError("context dimension does not match templates")
     if any(t.dimension != dim for t in templates):
         raise ContractError("templates differ in dimension")
-    # scipy.spatial takes most of the package's import time; import it
-    # where it is used.
-    from scipy.spatial.distance import cdist
+    vectors = np.stack([t.vector for t in templates])
+    return _row_geometry(
+        vectors,
+        [t.label for t in templates],
+        context,
+        pairwise_distances(context.whiten(vectors)),
+    )
 
-    labels, codes = np.unique([t.label for t in templates], return_inverse=True)
+
+def _row_geometry(
+    vectors: np.ndarray, labels: Sequence, context: MatchingContext, dist: np.ndarray
+) -> _Geometry:
+    labels, codes = np.unique(labels, return_inverse=True)
     if len(labels) < 2:
         raise ContractError("need at least 2 classes")
-    vectors = np.stack([t.vector for t in templates])
     centroids = np.stack(
         [vectors[codes == k].mean(axis=0) for k in range(len(labels))]
     )
-    whitened = context.whiten(vectors)
     radius = np.linalg.norm(context.whiten(vectors - centroids[codes]), axis=1)
     pair_gaps = centroids[:, None, :] - centroids[None, :, :]
     spread = context.whiten(centroids - vectors.mean(axis=0))
@@ -77,7 +86,7 @@ def _geometry(
         centroids=centroids,
         sigma=np.bincount(codes, weights=radius) / np.bincount(codes),
         gaps=np.linalg.norm(context.whiten(pair_gaps), axis=2),
-        dist=cdist(whitened, whitened),
+        dist=dist,
         spread=float(np.linalg.norm(spread, axis=1).mean()),
         within=float(radius.mean()),
     )
@@ -201,7 +210,19 @@ class SeparabilityReport:
 def compute_separability(
     templates: Sequence[GaitTemplate], context: MatchingContext
 ) -> SeparabilityReport:
-    g = _geometry(templates, context)
+    return _report(_geometry(templates, context))
+
+
+def separability_of_rows(
+    vectors: np.ndarray, labels: Sequence, context: MatchingContext, dist: np.ndarray
+) -> SeparabilityReport:
+    """compute_separability of templates given as rows: labels[n] names
+    the class of row n, and dist is pairwise_distances of the whitened
+    rows."""
+    return _report(_row_geometry(vectors, labels, context, dist))
+
+
+def _report(g: _Geometry) -> SeparabilityReport:
     return SeparabilityReport(
         dbi=_davies_bouldin(g),
         di=_dunn(g),

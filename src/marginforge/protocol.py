@@ -6,14 +6,14 @@ the remaining folds: separability coefficients over the evaluation
 templates, then an inner loop (10 by default) that takes each inner fold
 as probes against the other inner folds as gallery, filling one score
 block of probe-to-identity distances for the rank and threshold metrics.
-Each matching context whitens the evaluation templates once, so every
-distance in the block is a Euclidean distance between whitened rows.
+The learning fold's matching context whitens the evaluation templates
+once, and one matrix of Euclidean distances between the whitened rows
+serves both: separability reads all of it, and each inner fold reads its
+probe-by-gallery block.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only, and probes are stripped of their
-labels before matching; true labels come back only for scoring. (The
-context_source="gallery" option deliberately relaxes the context half of
-that rule, re-estimating the metric from each inner iteration's gallery.)
+labels before matching; true labels come back only for scoring.
 
 Reports are deterministic: fold tasks are pure and internally sequential,
 results are assembled in fold order, and captured warnings are
@@ -40,12 +40,11 @@ from .metrics_classification import (
     ThresholdSweep,
     cmc_fractions,
 )
-from .metrics_separability import SeparabilityReport, compute_separability
-from .template_space import build_matching_context, extract_template
+from .metrics_separability import SeparabilityReport, separability_of_rows
+from .template_space import context_of_rows, pairwise_distances, template_rows
 
 PROTOCOL_METHODS = ("mmc", "pca_lda", "identity")
 PAIR_POLICIES = ("all", "class_best")
-CONTEXT_SOURCES = ("learning", "gallery")
 
 # Common grid for pointwise curve averaging across folds.
 GRID_POINTS = 1001
@@ -96,6 +95,8 @@ def plan_folds(
         raise ValidationError("need at least 2 outer folds")
     if inner < 2:
         raise ValidationError("need at least 2 inner folds")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     for label, members in dataset.class_index.items():
         if len(members) < outer:
             raise ValidationError(
@@ -141,17 +142,12 @@ class ProtocolConfig:
     """
 
     pair_policy: str = "all"
-    context_source: str = "learning"
     pca_dim: Optional[int] = None
     workers: int = 1
 
     def __post_init__(self):
         if self.pair_policy not in PAIR_POLICIES:
             raise ValidationError(f"unknown pair policy {self.pair_policy!r}")
-        if self.context_source not in CONTEXT_SOURCES:
-            raise ValidationError(
-                f"unknown context source {self.context_source!r}"
-            )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -190,81 +186,72 @@ class _FoldResult:
     precision_grid: np.ndarray
 
 
-def _probe_distances(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    # Whitened rows, so Euclidean distance is the context's Mahalanobis
-    # distance. One row-wise norm per probe, so no distance depends on how
-    # many probes share the call.
-    return np.stack([np.linalg.norm(gallery - p, axis=1) for p in probes])
-
-
 def _run_fold(
     fold: int,
     flats: Sequence[FlatSample],
+    vectors: np.ndarray,
     label_codes: np.ndarray,
+    label_names: np.ndarray,
     method: str,
     plan: FoldPlan,
     config: ProtocolConfig,
     grid: np.ndarray,
 ) -> _FoldResult:
-    learn_idx = plan.outer_folds[fold]
-    learning = [flats[i] for i in learn_idx]
+    # vectors stacks the flat samples' vectors, one per row; label_codes
+    # index label_names, which are sorted.
+    learn_idx = list(plan.outer_folds[fold])
     if method == "identity":
-        transform = identity_transform(flats[0].dimension)
+        transform = identity_transform(vectors.shape[1])
     elif method == "mmc":
-        transform = learn_mmc(learning)
+        transform = learn_mmc([flats[i] for i in learn_idx])
     else:
-        transform = learn_pcalda(learning, config.pca_dim)
+        transform = learn_pcalda([flats[i] for i in learn_idx], config.pca_dim)
 
-    learning_templates = [extract_template(transform, f) for f in learning]
-    fold_context = build_matching_context(transform, learning_templates)
+    sample_ids = [f.sample_id for f in flats]
+    templates = template_rows(transform, vectors, sample_ids)
+    context = context_of_rows(templates[learn_idx], label_codes[learn_idx])
 
-    eval_idx = plan.evaluation_indices(fold)
-    templates = [extract_template(transform, flats[i]) for i in eval_idx]
-    separability = compute_separability(templates, fold_context)
-    # Row of each evaluation sample in templates and the whitened matrices.
-    row_of = {i: r for r, i in enumerate(eval_idx)}
-    vectors = np.stack([t.vector for t in templates])
-    fold_whitened = fold_context.whiten(vectors)
+    eval_idx = np.array(plan.evaluation_indices(fold))
+    evaluation = templates[eval_idx]
+    codes = label_codes[eval_idx]
+    # Whitened rows, so Euclidean distance is the context's Mahalanobis
+    # distance; every probe/gallery pair of every inner fold is an entry.
+    dist = pairwise_distances(context.whiten(evaluation))
+    separability = separability_of_rows(evaluation, label_names[codes], context, dist)
 
-    n_labels = int(label_codes.max()) + 1
+    # Inner fold of each evaluation row.
+    inner = np.empty(len(eval_idx), dtype=np.intp)
+    for k, part in enumerate(plan.inner_folds[fold]):
+        inner[np.searchsorted(eval_idx, part)] = k
+    n_labels = len(label_names)
     distance, label, probe_rows = [], [], []
-    for probe_part in plan.inner_folds[fold]:
-        if not probe_part:
+    for k in range(plan.n_inner):
+        probes = np.flatnonzero(inner == k)
+        gallery = np.flatnonzero(inner != k)
+        if not len(probes) or not len(gallery):
             continue
-        probe_set = set(probe_part)
-        gallery_idx = [i for i in eval_idx if i not in probe_set]
-        if not gallery_idx:
-            continue
-        gallery_codes = label_codes[gallery_idx]
-        gallery_rows = [row_of[i] for i in gallery_idx]
-        whitened = fold_whitened
-        if config.context_source == "gallery":
-            whitened = build_matching_context(
-                transform, [templates[r] for r in gallery_rows]
-            ).whiten(vectors)
         # The probes' labels play no part in matching; only the distances
         # reach the scorer, plus the true labels for the genuine flags.
-        d = _probe_distances(
-            whitened[[row_of[i] for i in probe_part]], whitened[gallery_rows]
-        )
+        d = dist[np.ix_(probes, gallery)]
+        gallery_codes = codes[gallery]
         if config.pair_policy == "class_best":
-            best = np.full((len(probe_part), n_labels), np.inf)
+            best = np.full((len(probes), n_labels), np.inf)
             np.minimum.at(best.T, gallery_codes, d.T)
             gallery_codes = np.unique(gallery_codes)
             d = best[:, gallery_codes]
         distance.append(d.ravel())
-        label.append(np.tile(gallery_codes, len(probe_part)))
-        probe_rows.append(np.repeat(probe_part, len(gallery_codes)))
+        label.append(np.tile(gallery_codes, len(probes)))
+        probe_rows.append(np.repeat(probes, len(gallery_codes)))
 
-    rows = np.concatenate(probe_rows)  # the probe's sample index, per pair
+    rows = np.concatenate(probe_rows)  # the probe's evaluation row, per pair
     probed, probe = np.unique(rows, return_inverse=True)
     label = np.concatenate(label)
     block = ScoreBlock(
         distance=np.concatenate(distance),
         probe=probe,
         label=label,
-        genuine=label == label_codes[rows],
-        probe_ids=tuple(templates[row_of[i]].sample_id for i in probed),
+        genuine=label == codes[rows],
+        probe_ids=tuple(sample_ids[i] for i in eval_idx[probed]),
     )
     cmc_y = cmc_fractions(block)
     sweep = ThresholdSweep.of(block)
@@ -310,13 +297,15 @@ def run_protocol(
     if covered != list(range(dataset.num_samples)):
         raise ContractError("fold plan does not partition this dataset")
 
-    code_of = {label: k for k, label in enumerate(dataset.labels)}
-    label_codes = np.array([code_of[s.label] for s in dataset.samples])
+    vectors = np.stack([f.vector for f in flats])
+    label_names, label_codes = np.unique([f.label for f in flats], return_inverse=True)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
 
     def fold_task(f: int) -> _FoldResult:
         try:
-            return _run_fold(f, flats, label_codes, method, plan, config, grid)
+            return _run_fold(
+                f, flats, vectors, label_codes, label_names, method, plan, config, grid
+            )
         except MarginforgeError as exc:
             raise type(exc)(f"outer fold {f}: {exc}") from exc
 
@@ -382,7 +371,7 @@ def run_protocol(
         "seed": plan.seed,
         "stratified": True,
         "pair_policy": config.pair_policy,
-        "context_source": config.context_source,
+        "context_source": "learning",
         "pca_dim": config.pca_dim,
     }
     return EvaluationReport(

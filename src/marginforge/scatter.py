@@ -154,7 +154,23 @@ def total_scatter_basis(flats: Sequence[FlatSample]) -> ScatterBasis:
     compute_scatter, and DegenerateDataError when the data has no
     variance at all.
     """
-    labels, stacks = _class_stacks(flats)
+    return _basis(*_class_stacks(flats))
+
+
+def row_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
+    """total_scatter_basis of the rows of a matrix, labels[n] naming the
+    class of row n. Classes stack in sorted label order and keep their
+    rows' order, as total_scatter_basis stacks samples, so both give the
+    same bits for the same population."""
+    names, codes = np.unique(labels, return_inverse=True)
+    if len(names) < 2:
+        raise ContractError("need at least 2 classes")
+    return _basis(
+        tuple(names.tolist()), [rows[codes == k] for k in range(len(names))]
+    )
+
+
+def _basis(labels: tuple, stacks: list) -> ScatterBasis:
     class_means = np.stack([stack.mean(axis=0) for stack in stacks])
     overall_mean = np.concatenate(stacks).mean(axis=0)
     x = np.concatenate(

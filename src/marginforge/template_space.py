@@ -12,6 +12,11 @@ Mahalanobis distance is then a plain Euclidean distance between whitened
 templates, and a direction that carries no data contributes nothing.
 Because the margin learner whitens total scatter, its context is
 numerically an orthogonal matrix.
+
+The evaluator works on matrices, one template per row. template_rows
+gives extract_template's bits for every row; build_matching_context
+stacks its templates and calls context_of_rows; pairwise_distances
+measures every pair of whitened rows at once.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .dataset import FlatSample
 from .errors import ContractError
 from .learners import FeatureTransform
-from .scatter import total_scatter_basis
+from .scatter import row_scatter_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,27 +93,81 @@ def extract_template(transform: FeatureTransform, sample: FlatSample) -> GaitTem
     )
 
 
-def build_matching_context(
-    transform: FeatureTransform, learning_templates: Sequence[GaitTemplate]
-) -> MatchingContext:
-    """Whiten a template population's feature-space total scatter.
+def template_rows(
+    transform: FeatureTransform, vectors: np.ndarray, sample_ids: Sequence[str]
+) -> np.ndarray:
+    """extract_template for every row of a (n, input_dim) matrix, bit for
+    bit: one vector-matrix product per row, as extract_template takes it
+    (a single matrix product sums in another order). sample_ids name the
+    rows in the ContractError a non-finite template raises."""
+    if vectors.shape[1] != transform.input_dim:
+        raise ContractError(
+            f"expected vectors of dimension {transform.input_dim}, "
+            f"got {vectors.shape[1]}"
+        )
+    rows = np.matmul(vectors[:, None, :], transform.phi)[:, 0, :]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = sample_ids[int(np.argmin(finite))]
+        raise ContractError(f"template {bad!r}: non-finite entry")
+    return rows
+
+
+def context_of_rows(rows: np.ndarray, labels: Sequence) -> MatchingContext:
+    """Whiten the feature-space total scatter of a template population
+    given as rows, labels[n] naming the class of row n.
 
     Total scatter follows the same per-class-normalized convention as the
     measurement-space statistics; the whitener comes from the thin SVD of
     the templates' data matrix, cut at its numerical rank, and no D x D
-    matrix is formed. Raises ContractError on templates of the wrong
-    width, no templates or fewer than 2 classes, and DegenerateDataError
-    when the templates do not vary.
+    matrix is formed. Raises ContractError on fewer than 2 classes and
+    DegenerateDataError when the templates do not vary.
     """
+    basis = row_scatter_basis(rows, labels)
+    return MatchingContext(whitener=basis.omega / basis.s)
+
+
+def build_matching_context(
+    transform: FeatureTransform, learning_templates: Sequence[GaitTemplate]
+) -> MatchingContext:
+    """context_of_rows of a template population. Raises ContractError on
+    templates of the wrong width or no templates, and as context_of_rows
+    does."""
     templates = list(learning_templates)
+    if not templates:
+        raise ContractError("no samples")
     for t in templates:
         if t.dimension != transform.feature_dim:
             raise ContractError(
                 f"template {t.sample_id!r} has dimension {t.dimension}, "
                 f"transform produces {transform.feature_dim}"
             )
-    basis = total_scatter_basis(templates)
-    return MatchingContext(whitener=basis.omega / basis.s)
+    return context_of_rows(
+        np.stack([t.vector for t in templates]), [t.label for t in templates]
+    )
+
+
+# Largest temporary pairwise_distances holds, in float64 entries (1 MiB).
+_BLOCK_ENTRIES = 1 << 17
+
+
+def pairwise_distances(rows: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of a matrix.
+
+    Entry (i, j) is np.linalg.norm(rows - rows[i], axis=1)[j]: each row's
+    norms are a reduction over the contiguous last axis, so no entry
+    depends on which other rows share the call. Rows go in blocks whose
+    (block, n, width) difference stays within _BLOCK_ENTRIES.
+    """
+    n, width = rows.shape
+    step = max(1, _BLOCK_ENTRIES // max(1, n * width))
+    dist = np.empty((n, n))
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        dist[start : start + step] = np.linalg.norm(
+            rows[None, :, :] - block[:, None, :], axis=2
+        )
+    return dist
 
 
 def mahalanobis(context: MatchingContext, a: GaitTemplate, b: GaitTemplate) -> float:

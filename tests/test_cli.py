@@ -118,7 +118,6 @@ class TestPipeline:
             "--outer-folds", 3,
             "--inner-folds", 2,
             "--pair-policy", "class-best",
-            "--context-source", "gallery",
         ) == 0
         schema = json.loads(
             resources.files("marginforge")
@@ -128,7 +127,7 @@ class TestPipeline:
         report = json.loads(rpt.read_text())
         jsonschema.validate(instance=report, schema=schema)
         assert report["config"]["pair_policy"] == "class_best"
-        assert report["config"]["context_source"] == "gallery"
+        assert report["config"]["context_source"] == "learning"
 
     def test_degenerate_metric_is_strict_json_null(self, tmp_path, capsys):
         # Zero noise puts every member on its class centroid, so the Dunn
@@ -449,6 +448,55 @@ class TestExitCodes:
             "--output", tmp_path / "t.json",
         ) == 8
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be >= 0"),
+            ("--noise", "nan", "noise must be finite and >= 0"),
+            ("--noise", "-0.5", "noise must be finite and >= 0"),
+            ("--noise", "inf", "noise must be finite and >= 0"),
+            ("--class-spread", "inf", "class_spread must be finite and > 0"),
+            ("--class-spread", "nan", "class_spread must be finite and > 0"),
+        ],
+    )
+    def test_invalid_generator_spec_is_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.jsonl"
+        assert run(*gen_args(out), flag, value) == 2
+        assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
+        assert not out.exists()
+
+    def test_negative_evaluate_seed_is_2(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--input", data, "--output", tmp_path / "r.json", "--seed", -1
+        ) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: seed must be >= 0\n"
+        )
+
+    def test_output_in_a_missing_directory_is_8(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.jsonl"
+        assert run(*gen_args(out)) == 8
+        err = capsys.readouterr().err
+        assert err.startswith("marginforge: FileNotFoundError: ")
+        assert repr(str(out)) in err
+        assert ".tmp-" not in err
+
+    def test_context_source_flag_is_gone(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "evaluate",
+                "--input", data,
+                "--output", tmp_path / "r.json",
+                "--context-source", "learning",
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_required_option_is_2(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
@@ -463,7 +511,7 @@ class TestLogEnvironment:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.spatial was most of the package's import time, which every
-    # CLI call pays; only the DTW filter and separability import it.
+    # CLI call pays; only the DTW filter imports it.
     src = os.path.dirname(os.path.dirname(marginforge.__file__))
     code = "import sys, marginforge.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
@@ -472,3 +520,43 @@ def test_import_leaves_scipy_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout == "False\n"
+
+
+SCIPY_BLOCKED_EVALUATE = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+from marginforge.cli import main
+
+data, out = sys.argv[1:]
+for method in ("mmc", "pca-lda", "identity"):
+    argv = ["evaluate", "--input", data, "--output", f"{out}/{method}.json",
+            "--method", method, "--outer-folds", "3", "--inner-folds", "2"]
+    if main(argv) != 0:
+        sys.exit(f"evaluate --method {method} failed")
+print("scipy" in sys.modules)
+"""
+
+
+def test_evaluate_needs_no_scipy(tmp_path):
+    # Separability and matching read one numpy distance matrix; no
+    # evaluate run may import scipy, even when it is installed.
+    data = tmp_path / "data.jsonl"
+    assert run(*gen_args(data)) == 0
+    src = os.path.dirname(os.path.dirname(marginforge.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_EVALUATE, str(data), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+    for method in ("mmc", "pca-lda", "identity"):
+        assert (tmp_path / f"{method}.json").exists()

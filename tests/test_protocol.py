@@ -92,8 +92,6 @@ class TestProtocolConfig:
         with pytest.raises(ValidationError):
             ProtocolConfig(pair_policy="best")
         with pytest.raises(ValidationError):
-            ProtocolConfig(context_source="probe")
-        with pytest.raises(ValidationError):
             ProtocolConfig(workers=0)
 
 
@@ -200,10 +198,9 @@ class TestRunProtocol:
     def test_alternate_policies_run(self):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
-        config = ProtocolConfig(pair_policy="class_best", context_source="gallery")
+        config = ProtocolConfig(pair_policy="class_best")
         report = run_protocol(ds, "mmc", plan, config)
         assert report.config["pair_policy"] == "class_best"
-        assert report.config["context_source"] == "gallery"
         assert 0.0 <= report.headline["ccr"] <= 1.0
 
     def test_identity_method(self):
@@ -277,10 +274,10 @@ def scatter_pinv(templates) -> np.ndarray:
     )
 
 
-def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
+def brute_force_fold_records(ds, plan, fold, pair_policy):
     """Every probe/gallery record of one identity-method fold, built one
-    pair at a time as sqrt(gap' inv gap) on the pseudo-inverse of total
-    scatter: of the learning fold, or of each inner fold's gallery."""
+    pair at a time as sqrt(gap' inv gap) on the pseudo-inverse of the
+    learning fold's total scatter."""
     frame_count = ds.samples[0].frame_count
     flats = [flatten(s, frame_count) for s in ds.samples]
     templates = [
@@ -291,8 +288,6 @@ def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
     records = []
     for part in plan.inner_folds[fold]:
         gallery = [i for i in eval_idx if i not in part]
-        if context_source == "gallery":
-            inv = scatter_pinv([templates[g] for g in gallery])
         for p in part:
             best = {}
             pairs = []
@@ -311,24 +306,19 @@ def brute_force_fold_records(ds, plan, fold, pair_policy, context_source):
 
 
 class TestScoreBlockAgainstRecords:
-    @pytest.mark.parametrize("context_source", ["learning", "gallery"])
     @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
     @pytest.mark.parametrize("dataset", ["full", "two_sample_class"])
-    def test_headline_matches_brute_force_oracles(
-        self, pair_policy, dataset, context_source
-    ):
+    def test_headline_matches_brute_force_oracles(self, pair_policy, dataset):
         if dataset == "full":
             ds = small_dataset()
             plan = plan_folds(ds, outer=3, inner=2, seed=0)
         else:
             ds = two_sample_class_dataset()
             plan = plan_folds(ds, outer=2, inner=2, seed=0)
-        config = ProtocolConfig(
-            pair_policy=pair_policy, context_source=context_source
-        )
+        config = ProtocolConfig(pair_policy=pair_policy)
         report = run_protocol(ds, "identity", plan, config)
         folds = [
-            brute_force_fold_records(ds, plan, f, pair_policy, context_source)
+            brute_force_fold_records(ds, plan, f, pair_policy)
             for f in range(plan.n_outer)
         ]
         ccr = [oracles.brute_cmc_points(r)[0][1] for r in folds]

@@ -6,7 +6,7 @@ import pytest
 from conftest import flats_1d, random_flats
 from marginforge import compute_scatter
 from marginforge.errors import ContractError, DegenerateDataError
-from marginforge.scatter import total_scatter_basis
+from marginforge.scatter import row_scatter_basis, total_scatter_basis
 
 
 class TestFixtures:
@@ -183,6 +183,25 @@ class TestTotalScatterBasis:
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
             total_scatter_basis(flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]}))
+        with pytest.raises(DegenerateDataError):
+            row_scatter_basis(np.full((4, 1), 3.0), ["a", "a", "b", "b"])
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_rows_give_the_bits_of_the_samples(self, coded):
+        # Shuffled rows, labelled by name or by integer code in sorted name
+        # order: each class stacks its rows in their order, as the
+        # per-sample route stacks samples.
+        rng = np.random.default_rng(39)
+        flats = random_flats(rng, classes=4, dim=12)
+        flats = [flats[i] for i in rng.permutation(len(flats))]
+        names, codes = np.unique([f.label for f in flats], return_inverse=True)
+        rows = np.stack([f.vector for f in flats])
+        got = row_scatter_basis(rows, codes if coded else names[codes])
+        want = total_scatter_basis(flats)
+        for field in ("omega", "s", "class_means", "overall_mean"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        with pytest.raises(ContractError):
+            row_scatter_basis(rows, np.zeros(len(rows)))
 
     @pytest.mark.parametrize("case", ["empty", "single_class", "dimension_mismatch"])
     def test_rejects_what_compute_scatter_rejects(self, case):

@@ -1,8 +1,10 @@
 """Template extraction, matching contexts, Mahalanobis distance."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,7 +29,9 @@ from marginforge import (
     learn_mmc,
     mahalanobis,
 )
+from marginforge import template_space
 from marginforge.errors import ContractError, DegenerateDataError
+from marginforge.template_space import pairwise_distances, template_rows
 
 
 def pick_first_coordinate(width: int) -> FeatureTransform:
@@ -220,3 +224,71 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
     off_span = vt[min(n - 1, dim):].T @ rng.normal(size=dim - min(n - 1, dim))
     scale = np.linalg.norm(ctx.whitener, 2) * max(np.linalg.norm(off_span), 1.0)
     assert np.linalg.norm(ctx.whiten(off_span)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    dim=st.integers(1, 300),
+    k=st.integers(1, 40),
+)
+@example(seed=0, n=7, dim=150, k=1)
+def test_template_rows_equal_extract_template(seed, n, dim, k):
+    # One vector-matrix product per row sums in extract_template's order;
+    # a single (n, dim) @ (dim, k) product would not.
+    rng = np.random.default_rng(seed)
+    transform = FeatureTransform(
+        method="identity", phi=rng.normal(size=(dim, k)), delta=np.ones(k)
+    )
+    vectors = rng.normal(0.0, 3.0, size=(n, dim))
+    ids = [f"s{i}" for i in range(n)]
+    want = np.stack(
+        [
+            extract_template(transform, FlatSample(vector=v, label="a", sample_id=i)).vector
+            for v, i in zip(vectors, ids)
+        ]
+    )
+    got = template_rows(transform, vectors, ids)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_template_rows_name_the_non_finite_row():
+    transform = FeatureTransform(
+        method="identity", phi=np.full((2, 1), 1e300), delta=np.ones(1)
+    )
+    vectors = np.array([[1.0, 1.0], [1e10, 1e10]])
+    with np.errstate(over="ignore"), pytest.raises(
+        ContractError, match="^template 'b': non-finite entry$"
+    ):
+        template_rows(transform, vectors, ["a", "b"])
+    with pytest.raises(ContractError):
+        template_rows(transform, np.ones((2, 3)), ["a", "b"])
+
+
+def one_norm_per_row(rows: np.ndarray) -> np.ndarray:
+    return np.stack([np.linalg.norm(rows - rows[i], axis=1) for i in range(len(rows))])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    width=st.integers(1, 30),
+    budget=st.integers(1, 3000),
+)
+def test_pairwise_distances_equal_one_norm_per_row(seed, n, width, budget):
+    # A small block budget puts block boundaries anywhere, from one row per
+    # block to all rows in one.
+    rows = np.random.default_rng(seed).normal(0.0, 2.0, size=(n, width))
+    with mock.patch.object(template_space, "_BLOCK_ENTRIES", budget):
+        got = pairwise_distances(rows)
+    assert got.tobytes() == one_norm_per_row(rows).tobytes()
+
+
+def test_pairwise_distances_at_the_default_block_size():
+    # 205 rows of width 99 go in blocks of 6 with a partial last block.
+    rows = np.random.default_rng(63).normal(size=(205, 99))
+    assert template_space._BLOCK_ENTRIES // (205 * 99) == 6
+    assert pairwise_distances(rows).tobytes() == one_norm_per_row(rows).tobytes()
