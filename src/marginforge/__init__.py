@@ -40,14 +40,7 @@ from .learners import (
     select_margin_columns,
 )
 from .metrics_classification import CurveSeries
-from .metrics_separability import (
-    SeparabilityReport,
-    compute_separability,
-    davies_bouldin,
-    dunn,
-    fisher_ratio,
-    silhouette,
-)
+from .metrics_separability import SeparabilityReport, separability_of_rows
 from .preprocess import (
     align_walk_direction,
     average_length,
@@ -67,11 +60,10 @@ from .protocol import (
 )
 from .scatter import ScatterStatistics, compute_scatter
 from .template_space import (
-    GaitTemplate,
     MatchingContext,
-    build_matching_context,
-    extract_template,
-    mahalanobis,
+    context_of_rows,
+    pairwise_distances,
+    template_rows,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ runs the nested cross-validation, and compare tabulates headline scalars
 across report files.
 
 Every command reads an optional JSON config file whose keys mirror the
-long flag names (underscored); explicit flags win over the file. Outputs
+long flag names (underscored); explicit flags win over the file, and a
+key that names none of the command's options is an error. Outputs
 are written atomically. Errors exit with a class-specific code and a
 single machine-parsable stderr line. MARGINFORGE_LOG sets the log level.
 """
@@ -90,6 +91,13 @@ class _Options:
             obj = load_json(config_path, what="config")
             if not isinstance(obj, dict):
                 raise ValidationError("config file must hold a JSON object")
+            options = set(self._args) - {"command", "config"}
+            unknown = sorted(set(obj) - options)
+            if unknown:
+                raise ValidationError(
+                    f"unknown config keys for {self._args['command']}: "
+                    + ", ".join(repr(k) for k in unknown)
+                )
             self._config = obj
 
     def get(self, key: str, default=None, kind=None):

@@ -134,16 +134,6 @@ class FeatureTransform:
     def feature_dim(self) -> int:
         return self.phi.shape[1]
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Map vectors (..., input_dim) into feature space (..., feature_dim)."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.shape[-1] != self.input_dim:
-            raise ContractError(
-                f"expected vectors of dimension {self.input_dim}, "
-                f"got {vectors.shape[-1]}"
-            )
-        return vectors @ self.phi
-
     def to_json_dict(self) -> dict:
         return {
             "method": self.method,

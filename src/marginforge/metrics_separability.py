@@ -1,17 +1,18 @@
-"""Class-separability coefficients over labeled template populations.
+"""Class-separability coefficients over a labeled template population.
 
-All four coefficients run in feature space under the matching context's
-metric, so they describe exactly the geometry the matcher sees. One
-geometry pass groups the templates, takes feature-space class centroids,
-and measures every distance it needs as a Euclidean distance in the
-context's whitened coordinates; the four scorers only read it. The
-template-to-template distances are template_space.pairwise_distances of
-the whitened templates: the evaluator's matching reads the same matrix,
-so separability_of_rows takes it as given. Degenerate geometry
-(coincident centroids, zero dispersion) yields an infinity marker plus a
-DegenerateMetricWarning instead of an exception: a degenerate fold should
-show up in a report, not kill a run. Reports write the marker as JSON
-null; the warning names the metric.
+separability_of_rows takes the templates as rows of a matrix, one label
+per row, the matching context and the template-to-template distances,
+template_space.pairwise_distances of the whitened rows: the evaluator's
+matching reads the same matrix. All four coefficients run in feature
+space under the context's metric, so they describe exactly the geometry
+the matcher sees. One geometry pass groups the rows, takes feature-space
+class centroids, and measures every other distance it needs as a
+Euclidean distance in the context's whitened coordinates; the four
+scorers only read it. Degenerate geometry (coincident centroids, zero
+dispersion) yields an infinity marker plus a DegenerateMetricWarning
+instead of an exception: a degenerate fold should show up in a report,
+not kill a run. Reports write the marker as JSON null; the warning names
+the metric.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._jsonio import finite_or_null
 from .errors import ContractError, DegenerateMetricWarning
-from .template_space import GaitTemplate, MatchingContext, pairwise_distances
+from .template_space import MatchingContext
 
 
 def _degenerate(message: str) -> float:
@@ -46,26 +47,6 @@ class _Geometry:
     dist: np.ndarray  # (n, n) template-to-template distance
     spread: float  # mean centroid-to-global-mean distance
     within: float  # mean member-to-centroid distance over all templates
-
-
-def _geometry(
-    templates: Sequence[GaitTemplate], context: MatchingContext
-) -> _Geometry:
-    templates = list(templates)
-    if not templates:
-        raise ContractError("no templates")
-    dim = templates[0].dimension
-    if context.dimension != dim:
-        raise ContractError("context dimension does not match templates")
-    if any(t.dimension != dim for t in templates):
-        raise ContractError("templates differ in dimension")
-    vectors = np.stack([t.vector for t in templates])
-    return _row_geometry(
-        vectors,
-        [t.label for t in templates],
-        context,
-        pairwise_distances(context.whiten(vectors)),
-    )
 
 
 def _row_geometry(
@@ -93,6 +74,8 @@ def _row_geometry(
 
 
 def _davies_bouldin(g: _Geometry) -> float:
+    """Mean over classes of the worst dispersion-to-separation ratio, the
+    separation of a pair being their centroid distance. Lower is better."""
     others = ~np.eye(len(g.labels), dtype=bool)
     coincident = np.argwhere(others & (g.gaps == 0.0))
     if len(coincident):
@@ -107,6 +90,8 @@ def _davies_bouldin(g: _Geometry) -> float:
 
 
 def _dunn(g: _Geometry) -> float:
+    """Smallest centroid separation over largest class dispersion. Higher
+    is better."""
     sigma_max = float(g.sigma.max())
     if sigma_max == 0.0:
         return _degenerate("all classes have zero dispersion: Dunn undefined")
@@ -115,6 +100,10 @@ def _dunn(g: _Geometry) -> float:
 
 
 def _silhouette(g: _Geometry) -> float:
+    """Mean silhouette value in [-1, 1]. Cohesion a(n) averages distance
+    over the sample's own class with the class size as divisor (the zero
+    self-distance included), so a singleton class gives a(n) = 0. A sample
+    with max(a, b) = 0 contributes 0."""
     n = len(g.codes)
     own = (np.arange(n), g.codes)
     one_hot = (g.codes[:, None] == np.arange(len(g.labels))).astype(np.float64)
@@ -128,51 +117,11 @@ def _silhouette(g: _Geometry) -> float:
 
 
 def _fisher_ratio(g: _Geometry) -> float:
+    """Mean centroid-to-global-mean distance over mean member-to-centroid
+    distance. Higher is better."""
     if g.within == 0.0:
         return _degenerate("zero within-class spread: Fisher ratio undefined")
     return g.spread / g.within
-
-
-def davies_bouldin(
-    templates: Sequence[GaitTemplate], context: MatchingContext
-) -> float:
-    """Mean over classes of the worst dispersion-to-separation ratio.
-
-    Dispersion of a class is the mean distance of members to their
-    centroid; separation of a pair is the centroid distance. Lower is
-    better. Coincident centroids make the ratio undefined: infinity marker.
-    """
-    return _davies_bouldin(_geometry(templates, context))
-
-
-def dunn(templates: Sequence[GaitTemplate], context: MatchingContext) -> float:
-    """Smallest centroid separation over largest class dispersion.
-
-    Dispersion is the mean member-to-centroid distance, matching the
-    Davies-Bouldin convention. Higher is better. Zero dispersion everywhere
-    (every member sits on its centroid) yields the infinity marker.
-    """
-    return _dunn(_geometry(templates, context))
-
-
-def silhouette(templates: Sequence[GaitTemplate], context: MatchingContext) -> float:
-    """Mean silhouette value in [-1, 1].
-
-    Cohesion a(n) averages distance over the sample's own class with the
-    class size as divisor (the zero self-distance included), so a
-    singleton class gives a(n) = 0. A sample with max(a, b) = 0
-    contributes 0.
-    """
-    return _silhouette(_geometry(templates, context))
-
-
-def fisher_ratio(
-    templates: Sequence[GaitTemplate], context: MatchingContext
-) -> float:
-    """Mean centroid-to-global-mean distance over mean member-to-centroid
-    distance. Higher is better; zero within-class spread yields the
-    infinity marker."""
-    return _fisher_ratio(_geometry(templates, context))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,22 +156,24 @@ class SeparabilityReport:
         }
 
 
-def compute_separability(
-    templates: Sequence[GaitTemplate], context: MatchingContext
-) -> SeparabilityReport:
-    return _report(_geometry(templates, context))
-
-
 def separability_of_rows(
     vectors: np.ndarray, labels: Sequence, context: MatchingContext, dist: np.ndarray
 ) -> SeparabilityReport:
-    """compute_separability of templates given as rows: labels[n] names
-    the class of row n, and dist is pairwise_distances of the whitened
-    rows."""
-    return _report(_row_geometry(vectors, labels, context, dist))
-
-
-def _report(g: _Geometry) -> SeparabilityReport:
+    """All four coefficients of the templates given as rows: labels[n]
+    names the class of row n, and dist is pairwise_distances of the
+    whitened rows. Raises ContractError on fewer than 2 classes, a context
+    of another width, and labels or dist that do not match the rows."""
+    n, width = vectors.shape
+    if context.dimension != width:
+        raise ContractError(
+            f"context dimension {context.dimension} does not match "
+            f"templates of dimension {width}"
+        )
+    if len(labels) != n:
+        raise ContractError(f"{len(labels)} labels for {n} templates")
+    if dist.shape != (n, n):
+        raise ContractError(f"dist must be ({n}, {n}), got {dist.shape}")
+    g = _row_geometry(vectors, labels, context, dist)
     return SeparabilityReport(
         dbi=_davies_bouldin(g),
         di=_dunn(g),

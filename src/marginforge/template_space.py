@@ -1,22 +1,19 @@
-"""Templates and the Mahalanobis matcher.
+"""Templates and the Mahalanobis matcher, one template per matrix row.
 
-A template is a gait sample pushed through a feature transform. Matching
-uses the Mahalanobis distance of a reference template population's total
-scatter St, estimated once (normally from the learning fold) and frozen
-into a MatchingContext. On the span of the data that distance is
-sqrt(g^T St^+ g) under the pseudo-inverse St^+ (Penrose 1955). The context
-holds the D x r whitener W = Omega_r diag(1/s_r) read off the thin SVD of
-the population's data matrix (scatter.total_scatter_basis), where r is the
-numerical rank, so W W^T = St^+. whiten() maps templates to v @ W: every
-Mahalanobis distance is then a plain Euclidean distance between whitened
-templates, and a direction that carries no data contributes nothing.
-Because the margin learner whitens total scatter, its context is
-numerically an orthogonal matrix.
-
-The evaluator works on matrices, one template per row. template_rows
-gives extract_template's bits for every row; build_matching_context
-stacks its templates and calls context_of_rows; pairwise_distances
-measures every pair of whitened rows at once.
+A template is a gait sample pushed through a feature transform;
+template_rows pushes a whole (n, input_dim) matrix of flattened samples.
+Matching uses the Mahalanobis distance of a reference template
+population's total scatter St, estimated once (normally from the learning
+fold) by context_of_rows and frozen into a MatchingContext. On the span of
+the data that distance is sqrt(g^T St^+ g) under the pseudo-inverse St^+
+(Penrose 1955). The context holds the D x r whitener W = Omega_r diag(1/s_r)
+read off the thin SVD of the population's data matrix
+(scatter.row_scatter_basis), where r is the numerical rank, so
+W W^T = St^+. whiten() maps templates to v @ W: every Mahalanobis distance
+is then a plain Euclidean distance between whitened templates, and a
+direction that carries no data contributes nothing. pairwise_distances
+measures every pair of whitened rows at once. Because the margin learner
+whitens total scatter, its context is numerically an orthogonal matrix.
 """
 
 from __future__ import annotations
@@ -26,32 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FlatSample
 from .errors import ContractError
 from .learners import FeatureTransform
 from .scatter import row_scatter_basis
-
-
-@dataclass(frozen=True, eq=False)
-class GaitTemplate:
-    """A feature-space vector with its identity label and provenance id."""
-
-    vector: np.ndarray
-    label: str
-    sample_id: str
-
-    def __post_init__(self):
-        vector = np.ascontiguousarray(self.vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ContractError("template vector must be 1-D")
-        if not np.all(np.isfinite(vector)):
-            raise ContractError(f"template {self.sample_id!r}: non-finite entry")
-        vector.flags.writeable = False
-        object.__setattr__(self, "vector", vector)
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,22 +58,14 @@ class MatchingContext:
         return vectors @ self.whitener
 
 
-def extract_template(transform: FeatureTransform, sample: FlatSample) -> GaitTemplate:
-    """Push one flattened sample through the transform."""
-    return GaitTemplate(
-        vector=transform.apply(sample.vector),
-        label=sample.label,
-        sample_id=sample.sample_id,
-    )
-
-
 def template_rows(
     transform: FeatureTransform, vectors: np.ndarray, sample_ids: Sequence[str]
 ) -> np.ndarray:
-    """extract_template for every row of a (n, input_dim) matrix, bit for
-    bit: one vector-matrix product per row, as extract_template takes it
-    (a single matrix product sums in another order). sample_ids name the
-    rows in the ContractError a non-finite template raises."""
+    """Templates of the rows of a (n, input_dim) matrix: row i is
+    vectors[i] @ transform.phi, bit for bit. One vector-matrix product per
+    row keeps that summation order; a single matrix product sums in
+    another. sample_ids name the rows in the ContractError a non-finite
+    template raises."""
     if vectors.shape[1] != transform.input_dim:
         raise ContractError(
             f"expected vectors of dimension {transform.input_dim}, "
@@ -127,26 +93,6 @@ def context_of_rows(rows: np.ndarray, labels: Sequence) -> MatchingContext:
     return MatchingContext(whitener=basis.omega / basis.s)
 
 
-def build_matching_context(
-    transform: FeatureTransform, learning_templates: Sequence[GaitTemplate]
-) -> MatchingContext:
-    """context_of_rows of a template population. Raises ContractError on
-    templates of the wrong width or no templates, and as context_of_rows
-    does."""
-    templates = list(learning_templates)
-    if not templates:
-        raise ContractError("no samples")
-    for t in templates:
-        if t.dimension != transform.feature_dim:
-            raise ContractError(
-                f"template {t.sample_id!r} has dimension {t.dimension}, "
-                f"transform produces {transform.feature_dim}"
-            )
-    return context_of_rows(
-        np.stack([t.vector for t in templates]), [t.label for t in templates]
-    )
-
-
 # Largest temporary pairwise_distances holds, in float64 entries (1 MiB).
 _BLOCK_ENTRIES = 1 << 17
 
@@ -169,13 +115,3 @@ def pairwise_distances(rows: np.ndarray) -> np.ndarray:
         )
     return dist
 
-
-def mahalanobis(context: MatchingContext, a: GaitTemplate, b: GaitTemplate) -> float:
-    """Mahalanobis distance between two templates under the context: the
-    Euclidean length of their whitened gap."""
-    if a.dimension != b.dimension or a.dimension != context.dimension:
-        raise ContractError(
-            f"dimension mismatch: {a.dimension}, {b.dimension}, "
-            f"context {context.dimension}"
-        )
-    return float(np.linalg.norm(context.whiten(a.vector - b.vector)))

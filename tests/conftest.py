@@ -11,12 +11,11 @@ from marginforge import (
     FeatureTransform,
     FlatSample,
     GaitSample,
-    GaitTemplate,
     MatchingContext,
-    build_matching_context,
-    extract_template,
+    context_of_rows,
     learn_mmc,
-    mahalanobis,
+    pairwise_distances,
+    template_rows,
 )
 from marginforge.metrics_classification import ScoreBlock, ThresholdSweep, cmc_fractions
 
@@ -83,33 +82,19 @@ def flats_nd(groups: dict) -> list:
     return out
 
 
-def templates_1d(groups: dict) -> list:
-    """1-D GaitTemplates from {label: [value, ...]}."""
-    out = []
-    for label in sorted(groups):
-        for k, v in enumerate(groups[label]):
-            out.append(
-                GaitTemplate(
-                    vector=np.array([float(v)]),
-                    label=label,
-                    sample_id=f"{label}{k}",
-                )
-            )
-    return out
+def rows_of(samples) -> np.ndarray:
+    """The samples' vectors stacked, one row per sample in order."""
+    return np.stack([s.vector for s in samples])
 
 
-def templates_nd(groups: dict) -> list:
-    out = []
-    for label in sorted(groups):
-        for k, v in enumerate(groups[label]):
-            out.append(
-                GaitTemplate(
-                    vector=np.asarray(v, dtype=np.float64),
-                    label=label,
-                    sample_id=f"{label}{k}",
-                )
-            )
-    return out
+def labels_of(samples) -> list:
+    """The samples' labels, one per row of rows_of."""
+    return [s.label for s in samples]
+
+
+def template_matrix(transform: FeatureTransform, samples) -> np.ndarray:
+    """template_rows of FlatSamples, one template per sample in order."""
+    return template_rows(transform, rows_of(samples), [s.sample_id for s in samples])
 
 
 def identity_ctx(dim: int) -> MatchingContext:
@@ -194,21 +179,16 @@ def metric_axiom_violation(rng: np.random.Generator) -> float:
     """
     dim = int(rng.integers(1, 6))
     ctx, _ = random_spd_ctx(rng, dim)
-    a, b, c = (
-        GaitTemplate(
-            vector=rng.normal(0.0, 3.0, size=dim), label="x", sample_id=f"t{i}"
+    rows = np.stack([rng.normal(0.0, 3.0, size=dim) for _ in range(3)])
+    d = pairwise_distances(ctx.whiten(rows))
+    a, b, c = 0, 1, 2
+    return float(
+        max(
+            -min(d[a, b], d[a, c], d[c, b]),
+            abs(d[a, b] - d[b, a]),
+            d[a, a],
+            d[a, b] - (d[a, c] + d[c, b]),
         )
-        for i in range(3)
-    )
-    dab = mahalanobis(ctx, a, b)
-    dba = mahalanobis(ctx, b, a)
-    dac = mahalanobis(ctx, a, c)
-    dcb = mahalanobis(ctx, c, b)
-    return max(
-        -min(dab, dac, dcb),
-        abs(dab - dba),
-        mahalanobis(ctx, a, a),
-        dab - (dac + dcb),
     )
 
 
@@ -229,18 +209,18 @@ def recombination_violation(rng: np.random.Generator) -> float:
         if abs(np.linalg.det(mix)) > 1e-3:
             break
     mixed = FeatureTransform(method=base.method, phi=base.phi @ mix, delta=base.delta)
-    t1 = [extract_template(base, f) for f in flats]
-    t2 = [extract_template(mixed, f) for f in flats]
-    c1 = build_matching_context(base, t1)
-    c2 = build_matching_context(mixed, t2)
+    d1, d2 = (
+        pairwise_distances(context_of_rows(rows, labels_of(flats)).whiten(rows))
+        for rows in (template_matrix(base, flats), template_matrix(mixed, flats))
+    )
     worst = 0.0
     probes = min(6, len(flats))
     for i in range(probes):
         for j in range(i + 1, probes):
-            d1 = mahalanobis(c1, t1[i], t1[j])
-            d2 = mahalanobis(c2, t2[i], t2[j])
-            worst = max(worst, abs(d1 - d2) / max(d1, d2, 1e-9))
-    return worst
+            worst = max(
+                worst, abs(d1[i, j] - d2[i, j]) / max(d1[i, j], d2[i, j], 1e-9)
+            )
+    return float(worst)
 
 
 def mmc_euclidean_violation(rng: np.random.Generator) -> float:
@@ -250,14 +230,12 @@ def mmc_euclidean_violation(rng: np.random.Generator) -> float:
     classes = int(rng.integers(2, 5))
     dim = int(rng.integers(3, 8))
     flats = random_flats(rng, classes=classes, dim=dim, members_low=4, members_high=8)
-    t = learn_mmc(flats)
-    temps = [extract_template(t, f) for f in flats]
-    ctx = build_matching_context(t, temps)
+    temps = template_matrix(learn_mmc(flats), flats)
+    d = pairwise_distances(context_of_rows(temps, labels_of(flats)).whiten(temps))
     worst = 0.0
     probes = min(8, len(temps))
     for i in range(probes):
         for j in range(i + 1, probes):
-            d = mahalanobis(ctx, temps[i], temps[j])
-            e = float(np.linalg.norm(temps[i].vector - temps[j].vector))
-            worst = max(worst, abs(d - e) / max(e, 1e-9))
-    return worst
+            e = float(np.linalg.norm(temps[i] - temps[j]))
+            worst = max(worst, abs(d[i, j] - e) / max(e, 1e-9))
+    return float(worst)

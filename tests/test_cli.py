@@ -497,6 +497,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_unknown_config_key_is_2(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"context_source": "gallery", "inner_fold": 5}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("evaluate", "--input", data, "--output", out, "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: unknown config keys for evaluate: "
+            "'context_source', 'inner_fold'\n"
+        )
+        assert not out.exists()
+
     def test_missing_required_option_is_2(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0

@@ -69,20 +69,6 @@ class TestSelectMarginColumns:
 
 
 class TestFeatureTransform:
-    def test_apply_maps_rows(self):
-        t = FeatureTransform(
-            method="mmc",
-            phi=np.array([[1.0, 0.0], [0.0, 2.0]]),
-            delta=np.array([1.0, 1.0]),
-        )
-        out = t.apply(np.array([[1.0, 1.0], [2.0, 0.0]]))
-        assert out.tolist() == [[1.0, 2.0], [2.0, 0.0]]
-
-    def test_apply_rejects_wrong_width(self):
-        t = identity_transform(3)
-        with pytest.raises(ContractError):
-            t.apply(np.zeros((2, 4)))
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             FeatureTransform(method="rbf", phi=np.eye(1), delta=np.ones(1))

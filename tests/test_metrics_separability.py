@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 
 from conftest import (
+    flats_1d,
+    flats_nd,
     identity_ctx,
+    labels_of,
     random_flats,
     random_spd_ctx,
-    templates_1d,
-    templates_nd,
+    rows_of,
+    template_matrix,
 )
 from marginforge import (
     MatchingContext,
     SeparabilityReport,
-    build_matching_context,
-    compute_separability,
-    davies_bouldin,
-    dunn,
-    extract_template,
-    fisher_ratio,
+    context_of_rows,
     identity_transform,
     learn_mmc,
-    silhouette,
+    pairwise_distances,
+    separability_of_rows,
 )
 from marginforge.errors import ContractError, DegenerateMetricWarning
 from oracles import brute_separability
@@ -29,100 +28,113 @@ from oracles import brute_separability
 FIXTURE = {"a": [0.0, 2.0], "b": [4.0, 6.0]}
 
 
+def separability(rows, labels, ctx):
+    """separability_of_rows with the distance matrix the evaluator passes:
+    pairwise_distances of the whitened rows."""
+    return separability_of_rows(rows, labels, ctx, pairwise_distances(ctx.whiten(rows)))
+
+
+def separability_of(samples, ctx):
+    """separability of FlatSamples' vectors, one row per sample."""
+    return separability(rows_of(samples), labels_of(samples), ctx)
+
+
 class TestDaviesBouldin:
     def test_fixture_value(self):
         # Dispersions 1 and 1; centroid gap 4; both classes share the
         # worst ratio (1+1)/4, so the mean is 0.5.
-        got = davies_bouldin(templates_1d(FIXTURE), identity_ctx(1))
+        got = separability_of(flats_1d(FIXTURE), identity_ctx(1)).dbi
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_larger_separation_scores_lower(self):
-        near = davies_bouldin(templates_1d(FIXTURE), identity_ctx(1))
-        far = davies_bouldin(
-            templates_1d({"a": [0.0, 2.0], "b": [40.0, 42.0]}), identity_ctx(1)
-        )
+        near = separability_of(flats_1d(FIXTURE), identity_ctx(1)).dbi
+        far = separability_of(
+            flats_1d({"a": [0.0, 2.0], "b": [40.0, 42.0]}), identity_ctx(1)
+        ).dbi
         assert far == pytest.approx(0.05, abs=1e-12)
         assert far < near
 
     def test_coincident_centroids_degenerate(self):
-        temps = templates_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
+        temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
         with pytest.warns(DegenerateMetricWarning):
-            got = davies_bouldin(temps, identity_ctx(1))
+            got = separability_of(temps, identity_ctx(1)).dbi
         assert np.isinf(got)
 
 
 class TestDunn:
     def test_fixture_value(self):
-        got = dunn(templates_1d(FIXTURE), identity_ctx(1))
+        got = separability_of(flats_1d(FIXTURE), identity_ctx(1)).di
         assert got == pytest.approx(4.0, abs=1e-12)
 
     def test_three_equally_spaced_classes(self):
-        temps = templates_1d(
+        temps = flats_1d(
             {"a": [-1.0, 1.0], "b": [4.0, 6.0], "c": [9.0, 11.0]}
         )
-        assert dunn(temps, identity_ctx(1)) == pytest.approx(5.0, abs=1e-12)
+        got = separability_of(temps, identity_ctx(1)).di
+        assert got == pytest.approx(5.0, abs=1e-12)
 
     def test_coincident_centroids_score_zero(self):
-        temps = templates_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        assert dunn(temps, identity_ctx(1)) == 0.0
+        temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
+        assert separability_of(temps, identity_ctx(1)).di == 0.0
 
     def test_zero_dispersion_degenerate(self):
-        temps = templates_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
+        temps = flats_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
         with pytest.warns(DegenerateMetricWarning):
-            got = dunn(temps, identity_ctx(1))
+            got = separability_of(temps, identity_ctx(1)).di
         assert np.isinf(got)
 
 
 class TestSilhouette:
     def test_fixture_value(self):
         # Outer points score 0.8, inner points 2/3; the mean is 11/15.
-        got = silhouette(templates_1d(FIXTURE), identity_ctx(1))
+        got = separability_of(flats_1d(FIXTURE), identity_ctx(1)).sc
         assert got == pytest.approx(11.0 / 15.0, abs=1e-12)
 
     def test_zero_dispersion_scores_one(self):
-        temps = templates_1d({"a": [0.0, 0.0], "b": [10.0, 10.0]})
-        assert silhouette(temps, identity_ctx(1)) == pytest.approx(1.0, abs=1e-12)
+        temps = flats_1d({"a": [0.0, 0.0], "b": [10.0, 10.0]})
+        got = separability_of(temps, identity_ctx(1)).sc
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_point_sets_score_zero(self):
-        temps = templates_1d({"a": [0.0, 10.0], "b": [0.0, 10.0]})
-        assert silhouette(temps, identity_ctx(1)) == 0.0
+        temps = flats_1d({"a": [0.0, 10.0], "b": [0.0, 10.0]})
+        assert separability_of(temps, identity_ctx(1)).sc == 0.0
 
     def test_singleton_class_has_zero_cohesion(self):
         # Member 3 is alone: a = 0, b = 3, silhouette 1. The pair at 5
         # and 7 contribute 0.5 and 0.75.
-        temps = templates_1d({"a": [3.0], "b": [5.0, 7.0]})
-        got = silhouette(temps, identity_ctx(1))
+        temps = flats_1d({"a": [3.0], "b": [5.0, 7.0]})
+        got = separability_of(temps, identity_ctx(1)).sc
         assert got == pytest.approx((1.0 + 0.5 + 0.75) / 3.0, abs=1e-12)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(70)
         for _ in range(20):
             flats = random_flats(rng, classes=int(rng.integers(2, 5)), dim=3)
-            temps = [extract_template(identity_transform(3), f) for f in flats]
-            got = silhouette(temps, identity_ctx(3))
+            temps = template_matrix(identity_transform(3), flats)
+            got = separability(temps, labels_of(flats), identity_ctx(3)).sc
             assert -1.0 <= got <= 1.0
 
 
 class TestFisherRatio:
     def test_fixture_value(self):
-        got = fisher_ratio(templates_1d(FIXTURE), identity_ctx(1))
+        got = separability_of(flats_1d(FIXTURE), identity_ctx(1)).fdr
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_translation_invariant(self):
-        shifted = templates_1d({"a": [100.0, 102.0], "b": [104.0, 106.0]})
-        got = fisher_ratio(shifted, identity_ctx(1))
+        shifted = flats_1d({"a": [100.0, 102.0], "b": [104.0, 106.0]})
+        got = separability_of(shifted, identity_ctx(1)).fdr
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_within_spread_degenerate(self):
-        temps = templates_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
+        temps = flats_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
         with pytest.warns(DegenerateMetricWarning):
-            got = fisher_ratio(temps, identity_ctx(1))
+            got = separability_of(temps, identity_ctx(1)).fdr
         assert np.isinf(got)
 
 
 class TestComputeSeparability:
     def test_fixture_report(self):
-        report = compute_separability(templates_1d(FIXTURE), identity_ctx(1))
+        report = separability_of(flats_1d(FIXTURE), identity_ctx(1))
         assert report.dbi == pytest.approx(0.5, abs=1e-12)
         assert report.di == pytest.approx(4.0, abs=1e-12)
         assert report.sc == pytest.approx(11.0 / 15.0, abs=1e-12)
@@ -132,7 +144,7 @@ class TestComputeSeparability:
         assert report.class_centroids["b"].tolist() == [5.0]
 
     def test_json_dict_is_plain(self):
-        report = compute_separability(templates_1d(FIXTURE), identity_ctx(1))
+        report = separability_of(flats_1d(FIXTURE), identity_ctx(1))
         doc = report.to_json_dict()
         assert doc["class_centroids"] == {"a": [1.0], "b": [5.0]}
         assert set(doc) == {
@@ -142,11 +154,11 @@ class TestComputeSeparability:
     def test_context_metric_is_used(self):
         # Shrinking the first axis by half shrinks every distance here,
         # so dispersions halve while the ratio-valued scores hold still.
-        temps = templates_nd(
+        temps = flats_nd(
             {"a": [[0.0, 0.0], [2.0, 0.0]], "b": [[4.0, 0.0], [6.0, 0.0]]}
         )
         ctx = MatchingContext(whitener=np.diag([0.5, 1.0]))
-        report = compute_separability(temps, ctx)
+        report = separability_of(temps, ctx)
         assert report.per_class_sigma == {"a": 0.5, "b": 0.5}
         assert report.dbi == pytest.approx(0.5, abs=1e-12)
         assert report.di == pytest.approx(4.0, abs=1e-12)
@@ -161,13 +173,13 @@ class TestComputeSeparability:
                 rng, classes=int(rng.integers(2, 6)), dim=dim, members_high=8
             )
             flats = [f for f in flats if f.label != "c00"] + flats[:1]
-            temps = [extract_template(identity_transform(dim), f) for f in flats]
+            temps = template_matrix(identity_transform(dim), flats)
             if trial % 2:
                 ctx, m = identity_ctx(dim), np.eye(dim)
             else:
                 ctx, m = random_spd_ctx(rng, dim)
-            got = compute_separability(temps, ctx)
-            want = brute_separability(temps, m)
+            got = separability(temps, labels_of(flats), ctx)
+            want = brute_separability(flats, m)
             for name in ("dbi", "di", "sc", "fdr"):
                 assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
             assert got.per_class_sigma.keys() == want["per_class_sigma"].keys()
@@ -178,9 +190,9 @@ class TestComputeSeparability:
                 assert got.class_centroids[lab].tobytes() == centroid.tobytes()
 
     def test_separation_ordering(self):
-        near = compute_separability(templates_1d(FIXTURE), identity_ctx(1))
-        far = compute_separability(
-            templates_1d({"a": [0.0, 2.0], "b": [40.0, 42.0]}), identity_ctx(1)
+        near = separability_of(flats_1d(FIXTURE), identity_ctx(1))
+        far = separability_of(
+            flats_1d({"a": [0.0, 2.0], "b": [40.0, 42.0]}), identity_ctx(1)
         )
         assert far.dbi < near.dbi
         assert far.di > near.di
@@ -199,9 +211,9 @@ class TestComputeSeparability:
             )
             reports = []
             for t in (base, mixed):
-                temps = [extract_template(t, f) for f in flats]
-                ctx = build_matching_context(t, temps)
-                reports.append(compute_separability(temps, ctx))
+                temps = template_matrix(t, flats)
+                ctx = context_of_rows(temps, labels_of(flats))
+                reports.append(separability(temps, labels_of(flats), ctx))
             a, b = reports
             for name in ("dbi", "di", "sc", "fdr"):
                 x, y = getattr(a, name), getattr(b, name)
@@ -221,13 +233,16 @@ class TestComputeSeparability:
 
     def test_input_validation(self):
         with pytest.raises(ContractError):
-            compute_separability([], identity_ctx(1))
+            separability(np.empty((0, 1)), [], identity_ctx(1))
         with pytest.raises(ContractError):
-            compute_separability(
-                templates_1d({"a": [0.0, 1.0]}), identity_ctx(1)
+            separability_of(
+                flats_1d({"a": [0.0, 1.0]}), identity_ctx(1)
             )
-        with pytest.raises(ContractError):
-            compute_separability(templates_1d(FIXTURE), identity_ctx(2))
-        mixed = templates_1d(FIXTURE) + templates_nd({"c": [[0.0, 1.0]]})
-        with pytest.raises(ContractError):
-            compute_separability(mixed, identity_ctx(1))
+        rows, labels = rows_of(flats_1d(FIXTURE)), labels_of(flats_1d(FIXTURE))
+        dist = pairwise_distances(rows)
+        with pytest.raises(ContractError, match="context dimension"):
+            separability_of_rows(rows, labels, identity_ctx(2), dist)
+        with pytest.raises(ContractError, match="3 labels for 4 templates"):
+            separability_of_rows(rows, labels[:3], identity_ctx(1), dist)
+        with pytest.raises(ContractError, match="dist must be"):
+            separability_of_rows(rows, labels, identity_ctx(1), dist[:, :3])

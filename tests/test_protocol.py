@@ -15,10 +15,8 @@ from marginforge import (
     SyntheticSpec,
     compute_scatter,
     curve_csv_text,
-    extract_template,
     flatten,
     generate_synthetic,
-    identity_transform,
     learn_mmc,
     plan_folds,
     run_protocol,
@@ -277,12 +275,10 @@ def scatter_pinv(templates) -> np.ndarray:
 def brute_force_fold_records(ds, plan, fold, pair_policy):
     """Every probe/gallery record of one identity-method fold, built one
     pair at a time as sqrt(gap' inv gap) on the pseudo-inverse of the
-    learning fold's total scatter."""
+    learning fold's total scatter. The identity method's template of a
+    sample is its flattened vector."""
     frame_count = ds.samples[0].frame_count
-    flats = [flatten(s, frame_count) for s in ds.samples]
-    templates = [
-        extract_template(identity_transform(flats[0].dimension), f) for f in flats
-    ]
+    templates = [flatten(s, frame_count) for s in ds.samples]
     inv = scatter_pinv([templates[i] for i in plan.outer_folds[fold]])
     eval_idx = plan.evaluation_indices(fold)
     records = []

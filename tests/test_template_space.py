@@ -1,4 +1,4 @@
-"""Template extraction, matching contexts, Mahalanobis distance."""
+"""Template rows, matching contexts, Mahalanobis distance."""
 
 from unittest import mock
 
@@ -8,30 +8,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    flats_1d,
+    flats_nd,
     identity_ctx,
+    labels_of,
     metric_axiom_violation,
     mmc_euclidean_violation,
     random_flats,
     random_spd_ctx,
     recombination_violation,
-    templates_1d,
-    templates_nd,
+    rows_of,
+    template_matrix,
 )
 from marginforge import (
     FeatureTransform,
     FlatSample,
-    GaitTemplate,
     MatchingContext,
-    build_matching_context,
     compute_scatter,
-    extract_template,
+    context_of_rows,
     identity_transform,
     learn_mmc,
-    mahalanobis,
+    pairwise_distances,
+    template_rows,
 )
 from marginforge import template_space
 from marginforge.errors import ContractError, DegenerateDataError
-from marginforge.template_space import pairwise_distances, template_rows
 
 
 def pick_first_coordinate(width: int) -> FeatureTransform:
@@ -45,10 +46,8 @@ class TestExtractTemplate:
         flat = FlatSample(
             vector=np.array([5.0, 7.0, 9.0]), label="a", sample_id="s0"
         )
-        t = extract_template(pick_first_coordinate(3), flat)
-        assert t.vector.tolist() == [5.0]
-        assert t.label == "a"
-        assert t.sample_id == "s0"
+        t = template_matrix(pick_first_coordinate(3), [flat])
+        assert t.tolist() == [[5.0]]
 
     def test_linear_in_the_input(self):
         rng = np.random.default_rng(60)
@@ -57,29 +56,19 @@ class TestExtractTemplate:
         )
         x = rng.normal(size=4)
         y = rng.normal(size=4)
-        combo = FlatSample(vector=2.0 * x - 3.0 * y, label="a", sample_id="c")
-        tc = extract_template(transform, combo)
-        tx = extract_template(transform, FlatSample(vector=x, label="a", sample_id="x"))
-        ty = extract_template(transform, FlatSample(vector=y, label="a", sample_id="y"))
-        want = 2.0 * tx.vector - 3.0 * ty.vector
-        assert np.max(np.abs(tc.vector - want)) < 1e-12
-
-    def test_template_validation(self):
-        with pytest.raises(ContractError):
-            GaitTemplate(vector=np.zeros((2, 2)), label="a", sample_id="s")
-        with pytest.raises(ContractError):
-            GaitTemplate(vector=np.array([np.nan]), label="a", sample_id="s")
-        t = GaitTemplate(vector=np.array([1.0]), label="a", sample_id="s")
-        with pytest.raises(ValueError):
-            t.vector[0] = 2.0
+        tc, tx, ty = template_rows(
+            transform, np.stack([2.0 * x - 3.0 * y, x, y]), ["c", "x", "y"]
+        )
+        want = 2.0 * tx - 3.0 * ty
+        assert np.max(np.abs(tc - want)) < 1e-12
 
 
 class TestBuildMatchingContext:
     def test_one_dimensional_inverse(self):
         # Coincident class point sets: total scatter is pure within, 2,
         # so a unit gap whitens to squared length exactly 0.5.
-        temps = templates_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        ctx = build_matching_context(identity_transform(1), temps)
+        temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
+        ctx = context_of_rows(rows_of(temps), labels_of(temps))
         whitened = ctx.whiten(np.ones(1))
         assert float(whitened @ whitened) == pytest.approx(0.5, abs=1e-12)
 
@@ -88,59 +77,57 @@ class TestBuildMatchingContext:
         for _ in range(10):
             flats = random_flats(rng, classes=3, dim=6)
             t = learn_mmc(flats)
-            temps = [extract_template(t, f) for f in flats]
-            ctx = build_matching_context(t, temps)
+            ctx = context_of_rows(template_matrix(t, flats), labels_of(flats))
             gap = ctx.whitener @ ctx.whitener.T - np.eye(t.feature_dim)
             assert np.max(np.abs(gap)) < 1e-6
 
     def test_flat_direction_whitens_to_zero(self):
         # Total scatter is diag(10, 0): the second axis carries no data.
-        temps = templates_nd(
+        temps = flats_nd(
             {"a": [[0.0, 0.0], [2.0, 0.0]], "b": [[4.0, 0.0], [6.0, 0.0]]}
         )
-        ctx = build_matching_context(identity_transform(2), temps)
+        ctx = context_of_rows(rows_of(temps), labels_of(temps))
         assert ctx.whitener.shape == (2, 1)
         assert ctx.whiten(np.array([0.0, 1.0])).tolist() == [0.0]
         gap = np.linalg.norm(ctx.whiten(np.array([2.0, 0.0])))
         assert gap == pytest.approx(2.0 / np.sqrt(10.0), rel=1e-12)
 
     def test_zero_scatter_is_degenerate(self):
-        temps = templates_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
+        temps = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
         with pytest.raises(DegenerateDataError):
-            build_matching_context(identity_transform(1), temps)
+            context_of_rows(rows_of(temps), labels_of(temps))
 
     def test_requires_templates_of_matching_width(self):
         with pytest.raises(ContractError):
-            build_matching_context(identity_transform(1), [])
-        temps = templates_nd({"a": [[0.0, 1.0]], "b": [[2.0, 3.0]]})
+            context_of_rows(np.empty((0, 1)), [])
+        temps = flats_nd({"a": [[0.0, 1.0]], "b": [[2.0, 3.0]]})
         with pytest.raises(ContractError):
-            build_matching_context(identity_transform(1), temps)
+            context_of_rows(
+                template_matrix(identity_transform(1), temps), labels_of(temps)
+            )
+
+
+def whitened_distance(ctx: MatchingContext, a, b) -> float:
+    """The matcher's distance between two feature vectors: entry (0, 1) of
+    pairwise_distances of their whitened rows."""
+    return float(pairwise_distances(ctx.whiten(np.stack([a, b])))[0, 1])
 
 
 class TestMahalanobis:
     def test_identity_context_is_euclidean(self):
-        a = GaitTemplate(vector=np.array([0.0, 0.0]), label="a", sample_id="a")
-        b = GaitTemplate(vector=np.array([3.0, 4.0]), label="b", sample_id="b")
-        assert mahalanobis(identity_ctx(2), a, b) == pytest.approx(5.0, abs=1e-12)
+        a, b = np.array([0.0, 0.0]), np.array([3.0, 4.0])
+        assert whitened_distance(identity_ctx(2), a, b) == pytest.approx(
+            5.0, abs=1e-12
+        )
 
     def test_self_distance_is_zero(self):
-        a = GaitTemplate(vector=np.array([2.5, -1.0]), label="a", sample_id="a")
-        assert mahalanobis(identity_ctx(2), a, a) == 0.0
+        a = np.array([2.5, -1.0])
+        assert whitened_distance(identity_ctx(2), a, a) == 0.0
 
     def test_diagonal_context_rescales_axes(self):
         ctx = MatchingContext(whitener=np.diag([0.5, 1.0]))
-        a = GaitTemplate(vector=np.array([0.0, 0.0]), label="a", sample_id="a")
-        b = GaitTemplate(vector=np.array([2.0, 0.0]), label="b", sample_id="b")
-        assert mahalanobis(ctx, a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        a = GaitTemplate(vector=np.array([0.0]), label="a", sample_id="a")
-        b = GaitTemplate(vector=np.array([0.0, 1.0]), label="b", sample_id="b")
-        with pytest.raises(ContractError):
-            mahalanobis(identity_ctx(1), a, b)
-        c = GaitTemplate(vector=np.array([1.0]), label="c", sample_id="c")
-        with pytest.raises(ContractError):
-            mahalanobis(identity_ctx(2), a, c)
+        a, b = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+        assert whitened_distance(ctx, a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_metric_axioms_hold(self):
         rng = np.random.default_rng(62)
@@ -206,11 +193,11 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
     flats = random_flats(
         rng, classes=classes, dim=dim, members_low=members, members_high=members
     )
-    temps = [extract_template(identity_transform(dim), f) for f in flats]
-    ctx = build_matching_context(identity_transform(dim), temps)
+    temps = template_matrix(identity_transform(dim), flats)
+    ctx = context_of_rows(temps, labels_of(flats))
     assert ctx.whitener.shape[1] == min(n - 1, dim)
 
-    m = np.linalg.pinv(compute_scatter(temps).sigma_t, rcond=1e-10, hermitian=True)
+    m = np.linalg.pinv(compute_scatter(flats).sigma_t, rcond=1e-10, hermitian=True)
     for _ in range(5):
         gap = rng.normal(0.0, 3.0, size=dim) - rng.normal(0.0, 3.0, size=dim)
         whitened = ctx.whiten(gap)
@@ -218,8 +205,7 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
             float(gap @ m @ gap), rel=1e-9
         )
 
-    centred = np.stack([t.vector for t in temps])
-    centred = centred - centred.mean(axis=0)
+    centred = temps - temps.mean(axis=0)
     _, _, vt = np.linalg.svd(centred)
     off_span = vt[min(n - 1, dim):].T @ rng.normal(size=dim - min(n - 1, dim))
     scale = np.linalg.norm(ctx.whitener, 2) * max(np.linalg.norm(off_span), 1.0)
@@ -235,20 +221,15 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
 )
 @example(seed=0, n=7, dim=150, k=1)
 def test_template_rows_equal_extract_template(seed, n, dim, k):
-    # One vector-matrix product per row sums in extract_template's order;
-    # a single (n, dim) @ (dim, k) product would not.
+    # One vector-matrix product per row sums in the order of a single row's
+    # v @ phi; a single (n, dim) @ (dim, k) product would not.
     rng = np.random.default_rng(seed)
     transform = FeatureTransform(
         method="identity", phi=rng.normal(size=(dim, k)), delta=np.ones(k)
     )
     vectors = rng.normal(0.0, 3.0, size=(n, dim))
     ids = [f"s{i}" for i in range(n)]
-    want = np.stack(
-        [
-            extract_template(transform, FlatSample(vector=v, label="a", sample_id=i)).vector
-            for v, i in zip(vectors, ids)
-        ]
-    )
+    want = np.stack([v @ transform.phi for v in vectors])
     got = template_rows(transform, vectors, ids)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ import pytest
 from marginforge import FlatSample, GaitSample, SeparabilityReport, identity_transform
 from marginforge.metrics_classification import ScoreBlock, ThresholdSweep
 from marginforge.scatter import compute_scatter, total_scatter_basis
-from marginforge.template_space import GaitTemplate, MatchingContext
+from marginforge.template_space import MatchingContext
 
 
 def flats():
@@ -37,7 +37,6 @@ FACTORIES = {
     "GaitSample": lambda: GaitSample(frames=np.zeros((2, 1, 3)), label="a", sample_id="s"),
     "FlatSample": lambda: flats()[0],
     "FeatureTransform": lambda: identity_transform(2),
-    "GaitTemplate": lambda: GaitTemplate(vector=np.ones(2), label="a", sample_id="s"),
     "MatchingContext": lambda: MatchingContext(whitener=np.eye(2)),
     "ScoreBlock": block,
     "ThresholdSweep": lambda: ThresholdSweep.of(block()),
