@@ -102,6 +102,26 @@ def average_length(samples: Sequence[GaitSample]) -> int:
     return max(2, int(np.floor(mean + 0.5)))
 
 
+def _local_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between the rows of a and b.
+
+    The squared coordinate differences are summed in coordinate order, one
+    whole table per coordinate, and the root is taken last. That is the
+    order of the Euclidean cdist loop, so entries are bit-equal to
+    cdist(a, b), which the tests keep as the oracle. Besides the result
+    the kernel holds one buffer of its size.
+    """
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    out = np.subtract(at[0, :, None], bt[0])
+    np.square(out, out=out)
+    buf = np.empty_like(out)
+    for ak, bk in zip(at[1:], bt[1:]):
+        np.subtract(ak[:, None], bk, out=buf)
+        np.square(buf, out=buf)
+        out += buf
+    return np.sqrt(out, out=out)
+
+
 def dtw_distances(
     candidates: Sequence[GaitSample], exemplar: GaitSample
 ) -> np.ndarray:
@@ -110,17 +130,16 @@ def dtw_distances(
     Classic dynamic program with Euclidean local cost between whole poses
     (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
     full endpoint alignment. Returns the unnormalized accumulated costs in
-    candidate order. Candidates of one frame count share one sweep.
+    candidate order. Candidates of one frame count share one sweep. The
+    local cost is a Euclidean distance summed in coordinate order
+    (_local_costs), bit-equal to cdist, which the tests keep as the oracle;
+    the filter needs numpy alone.
     """
     for sample in candidates:
         if sample.joint_count != exemplar.joint_count:
             raise ContractError(
                 f"joint counts differ: {sample.joint_count} vs {exemplar.joint_count}"
             )
-    # scipy.spatial takes most of the package's import time; import it
-    # where it is used.
-    from scipy.spatial.distance import cdist
-
     m = exemplar.frame_count
     pb = exemplar.frames.reshape(m, -1)
     groups: dict[int, list[int]] = {}
@@ -131,7 +150,7 @@ def dtw_distances(
         # One flat n x m cost table per candidate, stacked with the
         # candidate axis innermost: row r holds cell r of every table.
         poses = np.stack([candidates[i].frames for i in members])
-        cost = cdist(poses.reshape(len(members) * n, -1), pb)
+        cost = _local_costs(poses.reshape(len(members) * n, -1), pb)
         cost = np.ascontiguousarray(cost.reshape(len(members), n * m).T)
 
         # acc stacks the flat (n+1)x(m+1) tables of accumulated costs the
@@ -150,7 +169,7 @@ def dtw_distances(
             c = lo * (m - 1) + k - m - 1
             best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
             np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
-            acc[s:e:m] = cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1] + best
+            np.add(cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1], best, out=acc[s:e:m])
         out[members] = acc[-1]
     return out
 

@@ -161,7 +161,10 @@ def row_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
     """total_scatter_basis of the rows of a matrix, labels[n] naming the
     class of row n. Classes stack in sorted label order and keep their
     rows' order, as total_scatter_basis stacks samples, so both give the
-    same bits for the same population."""
+    same bits for the same population. Raises ContractError when labels
+    and rows differ in length."""
+    if len(labels) != len(rows):
+        raise ContractError(f"{len(labels)} labels for {len(rows)} rows")
     names, codes = np.unique(labels, return_inverse=True)
     if len(names) < 2:
         raise ContractError("need at least 2 classes")

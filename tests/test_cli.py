@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import marginforge
+from conftest import walking_sample
 from marginforge import GaitSample, LabeledDataset, load_dataset, save_dataset
 from marginforge.cli import main
 
@@ -525,7 +526,7 @@ class TestLogEnvironment:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.spatial was most of the package's import time, which every
-    # CLI call pays; only the DTW filter imports it.
+    # CLI call pays; no module of the package imports it.
     src = os.path.dirname(os.path.dirname(marginforge.__file__))
     code = "import sys, marginforge.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
@@ -536,7 +537,8 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout == "False\n"
 
 
-SCIPY_BLOCKED_EVALUATE = """
+SCIPY_BLOCKED = """
+import json
 import sys
 
 
@@ -549,14 +551,25 @@ class BlockScipy:
 sys.meta_path.insert(0, BlockScipy())
 from marginforge.cli import main
 
-data, out = sys.argv[1:]
-for method in ("mmc", "pca-lda", "identity"):
-    argv = ["evaluate", "--input", data, "--output", f"{out}/{method}.json",
-            "--method", method, "--outer-folds", "3", "--inner-folds", "2"]
+for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
-        sys.exit(f"evaluate --method {method} failed")
+        sys.exit(f"{argv} failed")
 print("scipy" in sys.modules)
 """
+
+
+def run_scipy_blocked(commands):
+    """Run CLI commands in one fresh interpreter that cannot import scipy;
+    return its stdout, which says whether scipy got loaded anyway."""
+    src = os.path.dirname(os.path.dirname(marginforge.__file__))
+    argvs = [[str(a) for a in argv] for argv in commands]
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def test_evaluate_needs_no_scipy(tmp_path):
@@ -564,13 +577,41 @@ def test_evaluate_needs_no_scipy(tmp_path):
     # evaluate run may import scipy, even when it is installed.
     data = tmp_path / "data.jsonl"
     assert run(*gen_args(data)) == 0
-    src = os.path.dirname(os.path.dirname(marginforge.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", SCIPY_BLOCKED_EVALUATE, str(data), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    commands = [
+        ("evaluate", "--input", data, "--output", tmp_path / f"{method}.json",
+         "--method", method, "--outer-folds", 3, "--inner-folds", 2)
+        for method in ("mmc", "pca-lda", "identity")
+    ]
+    assert run_scipy_blocked(commands) == "False\n"
     for method in ("mmc", "pca-lda", "identity"):
         assert (tmp_path / f"{method}.json").exists()
+
+
+def test_preprocess_needs_no_scipy(tmp_path):
+    # The DTW filter's local costs come from a numpy kernel, at a common
+    # length and at raw, mixed lengths alike.
+    rng = np.random.default_rng(14)
+    samples = []
+    for label in ("a", "b"):
+        for k, frames in enumerate((5, 4, 6, 5, 7)):
+            s = walking_sample(
+                np.array([1.0, 0.0, 0.5]), frames=frames, label=label,
+                sample_id=f"{label}{k}", rng=rng,
+            )
+            if k == 3:  # an outlier: every non-root joint moved by 5
+                s = s.with_frames(s.frames + np.array([[0.0], [5.0], [5.0]]))
+            samples.append(s)
+    data = tmp_path / "mixed.jsonl"
+    save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
+    common, raw = tmp_path / "common.jsonl", tmp_path / "raw.jsonl"
+    dtw = ("preprocess", "--input", data, "--root-joint", 0, "--dtw-threshold", 5.0)
+    commands = [
+        (*dtw, "--output", common, "--target-frames", 0),
+        (*dtw, "--output", raw),
+    ]
+    assert run_scipy_blocked(commands) == "False\n"
+    kept = ["a0", "a1", "a2", "a4", "b0", "b1", "b2", "b4"]
+    for path, lengths in ((common, {5}), (raw, {4, 5, 6, 7})):
+        got = load_dataset(path, format="jsonl").samples
+        assert [s.sample_id for s in got] == kept
+        assert {s.frame_count for s in got} == lengths

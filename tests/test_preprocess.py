@@ -18,6 +18,7 @@ from marginforge import (
     resample_time,
 )
 from marginforge.errors import AlignmentError, ContractError
+from marginforge.preprocess import _local_costs
 from oracles import exhaustive_dtw, rowwise_dtw
 
 
@@ -171,6 +172,34 @@ class TestAverageLength:
     def test_empty(self):
         with pytest.raises(ContractError):
             average_length([])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 60),
+    coords=st.integers(1, 93),
+    integral=st.booleans(),
+)
+@example(seed=0, rows=1, cols=1, coords=1, integral=False)
+@example(seed=1, rows=60, cols=60, coords=93, integral=False)
+@example(seed=2, rows=60, cols=1, coords=93, integral=True)
+def test_local_costs_equal_cdist_exactly(seed, rows, cols, coords, integral):
+    # Coordinate scales from 1e-3 to 1e3 make the order of the sum show in
+    # the last bits; integral coordinates make equal costs and zero
+    # differences common; signed zeros must cost what plain zeros do.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=coords)
+    a = rng.normal(size=(rows, coords)) * scale
+    b = rng.normal(size=(cols, coords)) * scale
+    if integral:
+        a, b = np.round(a), np.round(b)
+    a[rng.random(a.shape) < 0.1] = -0.0
+    b[rng.random(b.shape) < 0.1] = -0.0
+    got = _local_costs(a, b)
+    assert got.shape == (rows, cols)
+    assert got.tobytes() == cdist(a, b).tobytes()
 
 
 class TestDtwDistance:

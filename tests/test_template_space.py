@@ -106,6 +106,12 @@ class TestBuildMatchingContext:
                 template_matrix(identity_transform(1), temps), labels_of(temps)
             )
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_labels_must_match_the_rows(self, count):
+        labels = ["a", "a", "b", "b", "b"][:count]
+        with pytest.raises(ContractError, match=f"^{count} labels for 4 rows$"):
+            context_of_rows(np.arange(8.0).reshape(4, 2), labels)
+
 
 def whitened_distance(ctx: MatchingContext, a, b) -> float:
     """The matcher's distance between two feature vectors: entry (0, 1) of
