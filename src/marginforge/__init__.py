@@ -7,15 +7,13 @@ cross-validation protocol.
 """
 
 from .dataset import (
-    FlatSample,
     GaitSample,
     LabeledDataset,
     SyntheticSpec,
-    flatten,
+    flatten_all,
     generate_synthetic,
     load_dataset,
     save_dataset,
-    unflatten,
 )
 from .errors import (
     AlignmentError,

@@ -157,6 +157,8 @@ def cmd_preprocess(opts: _Options) -> int:
     samples = list(dataset.samples)
 
     root_joint = opts.get("root_joint", kind=int)
+    if root_joint is None and opts.get("up_axis") is not None:
+        raise ValidationError("--up-axis applies only with --root-joint")
     if root_joint is not None:
         up_axis = str(opts.get("up_axis", "y"))
         # Align first: centering pins the root at the origin, which erases
@@ -192,14 +194,18 @@ def cmd_preprocess(opts: _Options) -> int:
 
 def cmd_learn(opts: _Options) -> int:
     dataset = _load(opts)
-    flats = flatten_all(dataset.samples)
+    rows = flatten_all(dataset.samples)
+    labels = [s.label for s in dataset.samples]
     method = str(opts.get("method", "mmc")).replace("-", "_")
-    if method == "mmc":
-        transform = learn_mmc(flats)
-    elif method == "pca_lda":
-        transform = learn_pcalda(flats, opts.get("pca_dim", kind=int))
-    else:
+    if method not in ("mmc", "pca_lda"):
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
+    pca_dim = opts.get("pca_dim", kind=int)
+    if method == "pca_lda":
+        transform = learn_pcalda(rows, labels, pca_dim)
+    elif pca_dim is None:
+        transform = learn_mmc(rows, labels)
+    else:
+        raise ValidationError(f"pca_dim applies to pca_lda only, not {method!r}")
     output = opts.require("output")
     save_transform(transform, output)
     log.info(

@@ -1,9 +1,9 @@
 """Labeled gait samples: data model, file ingestion, synthetic generation.
 
 A gait sample is one gait cycle stored as a (T, J, 3) array of 3D joint
-coordinates in meters. Flattening a time-normalized sample yields the
-D = 3*J*T measurement vector consumed by the learners, laid out
-frame-major, joint-minor, coordinate-innermost:
+coordinates in meters. flatten_all stacks time-normalized samples into
+the sample matrix the learners read, one D = 3*J*T row per sample, laid
+out frame-major, joint-minor, coordinate-innermost:
 [x11 y11 z11 ... xJ1 yJ1 zJ1 ... xJT yJT zJT].
 """
 
@@ -23,12 +23,6 @@ from .errors import ContractError, ParseError, SchemaError, ValidationError
 
 DATASET_FORMATS = ("jsonl", "csv")
 CSV_HEADER = ["sample_id", "label", "frame", "joint", "x", "y", "z"]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +46,9 @@ class GaitSample:
             raise SchemaError(f"sample {self.sample_id!r}: needs at least 1 joint")
         if not np.all(np.isfinite(frames)):
             raise SchemaError(f"sample {self.sample_id!r}: non-finite coordinate")
-        object.__setattr__(self, "frames", _freeze(frames))
+        frames = np.ascontiguousarray(frames)
+        frames.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
 
     @property
     def frame_count(self) -> int:
@@ -65,27 +61,6 @@ class GaitSample:
     def with_frames(self, frames: np.ndarray) -> "GaitSample":
         """Copy of this sample with new coordinates, keeping id and label."""
         return GaitSample(frames=frames, label=self.label, sample_id=self.sample_id)
-
-
-@dataclass(frozen=True, eq=False)
-class FlatSample:
-    """A flattened measurement vector of dimension D = 3*J*T with its label."""
-
-    vector: np.ndarray
-    label: str
-    sample_id: str
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise SchemaError(f"sample {self.sample_id!r}: vector must be 1-D")
-        if not np.all(np.isfinite(vector)):
-            raise SchemaError(f"sample {self.sample_id!r}: non-finite entry")
-        object.__setattr__(self, "vector", _freeze(vector))
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,41 +111,25 @@ class LabeledDataset:
         return len(self.samples)
 
 
-def flatten(sample: GaitSample, frame_count: int) -> FlatSample:
-    """Flatten a time-normalized sample into its D = 3*J*T vector.
+def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
+    """The (N, D) sample matrix: row n is sample n's frames flattened.
 
-    frame_count is the dataset-wide normalized length T; a sample with any
-    other length is a contract violation rather than silently resampled.
+    Every sample must be labeled and have the first one's frame count T,
+    the dataset-wide normalized length; any other length is a contract
+    violation rather than silently resampled.
     """
-    if sample.frame_count != frame_count:
-        raise ContractError(
-            f"sample {sample.sample_id!r} has {sample.frame_count} frames, "
-            f"expected {frame_count}: run preprocess with --target-frames first"
-        )
-    if sample.label is None:
-        raise ContractError(f"sample {sample.sample_id!r} is unlabeled")
-    return FlatSample(
-        vector=sample.frames.reshape(-1),
-        label=sample.label,
-        sample_id=sample.sample_id,
-    )
-
-
-def flatten_all(samples: Sequence[GaitSample]) -> list:
-    """Flatten samples that share the first one's frame count, in order."""
-    return [flatten(s, samples[0].frame_count) for s in samples]
-
-
-def unflatten(flat: FlatSample, joint_count: int, frame_count: int) -> GaitSample:
-    """Inverse of flatten: rebuild the (T, J, 3) frames from a flat vector."""
-    expected = 3 * joint_count * frame_count
-    if flat.dimension != expected:
-        raise ContractError(
-            f"vector of dimension {flat.dimension} does not match "
-            f"3*{joint_count}*{frame_count} = {expected}"
-        )
-    frames = flat.vector.reshape(frame_count, joint_count, 3)
-    return GaitSample(frames=frames, label=flat.label, sample_id=flat.sample_id)
+    if not samples:
+        raise ContractError("no samples")
+    frame_count = samples[0].frame_count
+    for s in samples:
+        if s.frame_count != frame_count:
+            raise ContractError(
+                f"sample {s.sample_id!r} has {s.frame_count} frames, "
+                f"expected {frame_count}: run preprocess with --target-frames first"
+            )
+        if s.label is None:
+            raise ContractError(f"sample {s.sample_id!r} is unlabeled")
+    return np.stack([s.frames.reshape(-1) for s in samples])
 
 
 @dataclass(frozen=True)

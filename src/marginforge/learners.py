@@ -1,10 +1,11 @@
 """Linear feature-transform learners.
 
-Both learners run one kernel that whitens total scatter and diagonalizes
-whitened between-class scatter, fed by the labeled vectors alone. It
-never forms a D x D scatter matrix; a two-step SVD route (data matrix,
-then whitened class-mean matrix) solves the Sb/St pencil with better
-conditioning:
+Both learners read a labeled population as scatter does: a matrix with
+one vector per row and one label per row. They run one kernel that
+whitens total scatter and diagonalizes whitened between-class scatter.
+It never forms a D x D scatter matrix; a two-step SVD route (data
+matrix, then whitened class-mean matrix) solves the Sb/St pencil with
+better conditioning:
 
     1. X has one column (x_n - mu) / sqrt(N_c(n)) per sample, so
        X X^T = St; U has one column (mu_c - mu) per class, so U U^T = Sb.
@@ -36,9 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._jsonio import load_json, write_json
-from .dataset import FlatSample
 from .errors import ContractError, SchemaError, ValidationError
-from .scatter import ScatterStatistics, total_scatter_basis
+from .scatter import ScatterBasis, ScatterStatistics, total_scatter_basis
 
 METHODS = ("mmc", "pca_lda", "identity")
 
@@ -206,16 +206,14 @@ def _canonical_signs(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _whitened_discriminants(data: list, rank: Optional[int] = None):
-    """The shared learner kernel: steps 1-4 of the module docstring.
+def _whitened_discriminants(basis: ScatterBasis, rank: Optional[int] = None):
+    """The shared learner kernel: steps 3-4 of the module docstring on the
+    basis of steps 1-2, scatter.total_scatter_basis.
 
-    Steps 1-2 are scatter.total_scatter_basis, which validates the data.
     rank truncates the total-scatter basis (None: its numerical rank).
-    Returns (psi, delta, num_classes, total_rank): psi columns satisfy
-    psi^T St psi = I and psi^T Sb psi = diag(delta), delta descending;
-    total_rank is the numerical rank of St before truncation.
+    Returns (psi, delta): psi columns satisfy psi^T St psi = I and
+    psi^T Sb psi = diag(delta), delta descending.
     """
-    basis = total_scatter_basis(data)
     r = basis.rank if rank is None else min(rank, basis.rank)
     omega = basis.omega[:, :r]
     inv_sqrt_theta = 1.0 / basis.s[:r]
@@ -236,22 +234,23 @@ def _whitened_discriminants(data: list, rank: Optional[int] = None):
             f"{off_norm:.3e}",
             RuntimeWarning,
         )
-    return psi, delta, len(basis.labels), basis.rank
+    return psi, delta
 
 
-def learn_mmc(data: Sequence[FlatSample]) -> FeatureTransform:
-    """Learn the maximum-margin transform from labeled vectors.
+def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
+    """Learn the maximum-margin transform from labeled rows.
 
     The result whitens total scatter (phi^T St phi = I) and keeps the
     margin-positive directions.
 
-    Raises ContractError on no samples, mixed dimensions or fewer than 2
-    classes, and DegenerateDataError when the data has no variance at
-    all. When no direction reaches delta >= 1/2, the single best
-    direction is kept and fallback_used is set.
+    Raises ContractError and DegenerateDataError as
+    scatter.total_scatter_basis does. When no direction reaches
+    delta >= 1/2, the single best direction is kept and fallback_used is
+    set.
     """
-    psi, delta, c, _ = _whitened_discriminants(list(data))
-    selection = select_margin_columns(delta, limit=c - 1)
+    basis = total_scatter_basis(rows, labels)
+    psi, delta = _whitened_discriminants(basis)
+    selection = select_margin_columns(delta, limit=len(basis.labels) - 1)
     kept = list(selection.kept_indices)
     return FeatureTransform(
         method="mmc",
@@ -284,7 +283,7 @@ def mmc_objective(transform: FeatureTransform, stats: ScatterStatistics) -> floa
 
 
 def learn_pcalda(
-    data: Sequence[FlatSample], pca_dim: Optional[int] = None
+    rows: np.ndarray, labels: Sequence, pca_dim: Optional[int] = None
 ) -> FeatureTransform:
     """Learn the PCA + LDA comparison transform.
 
@@ -296,8 +295,8 @@ def learn_pcalda(
     projected within-class scatter is singular: the top delta is 1, or
     total scatter has fewer than pca_dim nonzero directions.
     """
-    data = list(data)
-    n, c = len(data), len({f.label for f in data})
+    basis = total_scatter_basis(rows, labels)
+    n, c, dim = len(labels), len(basis.labels), basis.omega.shape[0]
     if pca_dim is None:
         pca_dim = c
     if pca_dim < c or pca_dim > n - c:
@@ -305,11 +304,9 @@ def learn_pcalda(
             f"pca_dim must lie in [{c}, {n - c}] "
             f"(classes {c}, samples {n}), got {pca_dim}"
         )
-    if data and pca_dim > data[0].dimension:
-        raise ContractError(
-            f"pca_dim {pca_dim} exceeds input dimension {data[0].dimension}"
-        )
-    psi, delta, c, total_rank = _whitened_discriminants(data, pca_dim)
+    if pca_dim > dim:
+        raise ContractError(f"pca_dim {pca_dim} exceeds input dimension {dim}")
+    psi, delta = _whitened_discriminants(basis, pca_dim)
 
     # Between-class rank bounds the useful directions at C - 1; treat
     # shares within 1e-9 of the largest as zero.
@@ -322,5 +319,5 @@ def learn_pcalda(
         phi=_canonical_signs(psi[:, kept]),
         delta=delta[kept],
         fallback_used=fallback,
-        ridge_used=bool(total_rank < pca_dim or abs(delta[0] - 1.0) <= 1e-12),
+        ridge_used=bool(basis.rank < pca_dim or abs(delta[0] - 1.0) <= 1e-12),
     )

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._jsonio import finite_or_null
-from .dataset import FlatSample, LabeledDataset, flatten_all
+from .dataset import LabeledDataset, flatten_all
 from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import identity_transform, learn_mmc, learn_pcalda
 from .metrics_classification import (
@@ -89,7 +89,8 @@ def plan_folds(
     Each class is shuffled once and dealt round-robin to the outer folds
     (with a per-class offset so remainders spread evenly); the evaluation
     set of every outer fold is dealt the same way to the inner folds.
-    Every class must have at least `outer` samples.
+    Every class must have at least `outer` samples, and every inner fold
+    must receive at least one sample.
     """
     if outer < 2:
         raise ValidationError("need at least 2 outer folds")
@@ -123,6 +124,12 @@ def plan_folds(
             shuffled = members[rng.permutation(len(members))]
             for k, part in enumerate(_deal(list(shuffled), inner, ci % inner)):
                 fold_parts[k].extend(part)
+        if not all(fold_parts):
+            raise ValidationError(
+                f"outer fold {f}: {inner} inner folds over "
+                f"{sum(map(len, fold_parts))} evaluation samples leave an "
+                f"inner fold empty"
+            )
         inner_folds.append(tuple(tuple(sorted(p)) for p in fold_parts))
 
     return FoldPlan(
@@ -188,8 +195,8 @@ class _FoldResult:
 
 def _run_fold(
     fold: int,
-    flats: Sequence[FlatSample],
     vectors: np.ndarray,
+    sample_ids: Sequence[str],
     label_codes: np.ndarray,
     label_names: np.ndarray,
     method: str,
@@ -197,19 +204,19 @@ def _run_fold(
     config: ProtocolConfig,
     grid: np.ndarray,
 ) -> _FoldResult:
-    # vectors stacks the flat samples' vectors, one per row; label_codes
+    # vectors is the sample matrix, one row per sample id; label_codes
     # index label_names, which are sorted.
     learn_idx = list(plan.outer_folds[fold])
+    learn_codes = label_codes[learn_idx]
     if method == "identity":
         transform = identity_transform(vectors.shape[1])
     elif method == "mmc":
-        transform = learn_mmc([flats[i] for i in learn_idx])
+        transform = learn_mmc(vectors[learn_idx], learn_codes)
     else:
-        transform = learn_pcalda([flats[i] for i in learn_idx], config.pca_dim)
+        transform = learn_pcalda(vectors[learn_idx], learn_codes, config.pca_dim)
 
-    sample_ids = [f.sample_id for f in flats]
     templates = template_rows(transform, vectors, sample_ids)
-    context = context_of_rows(templates[learn_idx], label_codes[learn_idx])
+    context = context_of_rows(templates[learn_idx], learn_codes)
 
     eval_idx = np.array(plan.evaluation_indices(fold))
     evaluation = templates[eval_idx]
@@ -228,8 +235,6 @@ def _run_fold(
     for k in range(plan.n_inner):
         probes = np.flatnonzero(inner == k)
         gallery = np.flatnonzero(inner != k)
-        if not len(probes) or not len(gallery):
-            continue
         # The probes' labels play no part in matching; only the distances
         # reach the scorer, plus the true labels for the genuine flags.
         d = dist[np.ix_(probes, gallery)]
@@ -291,20 +296,25 @@ def run_protocol(
     method = method.replace("-", "_")
     if method not in PROTOCOL_METHODS:
         raise ValidationError(f"unknown method {method!r}")
+    if config.pca_dim is not None and method != "pca_lda":
+        raise ValidationError(f"pca_dim applies to pca_lda only, not {method!r}")
 
-    flats = flatten_all(dataset.samples)
+    vectors = flatten_all(dataset.samples)
     covered = sorted(i for fold in plan.outer_folds for i in fold)
     if covered != list(range(dataset.num_samples)):
         raise ContractError("fold plan does not partition this dataset")
 
-    vectors = np.stack([f.vector for f in flats])
-    label_names, label_codes = np.unique([f.label for f in flats], return_inverse=True)
+    sample_ids = [s.sample_id for s in dataset.samples]
+    label_names, label_codes = np.unique(
+        [s.label for s in dataset.samples], return_inverse=True
+    )
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
 
     def fold_task(f: int) -> _FoldResult:
         try:
             return _run_fold(
-                f, flats, vectors, label_codes, label_names, method, plan, config, grid
+                f, vectors, sample_ids, label_codes, label_names, method, plan,
+                config, grid
             )
         except MarginforgeError as exc:
             raise type(exc)(f"outer fold {f}: {exc}") from exc

@@ -11,11 +11,14 @@ The between-class sum is over classes, not samples, so class sizes do not
 weight it; the within and total sums normalize per class. Under these
 conventions St = Sb + Sw holds identically.
 
-Two routes read a labeled population. compute_scatter forms the three
-D x D matrices. total_scatter_basis never does: it takes the thin SVD of
-the data matrix X, with one column (x_n - mu) / sqrt(N_c(n)) per sample
-so that X X^T = St, and keeps the St eigenbasis of the data's span. The
-learners and the matching context run on that basis.
+A labeled population is a matrix with one vector per row plus one label
+per row; any sortable labels do, such as names or integer codes. Both
+entry points group it the same way: classes in sorted label order, each
+keeping its rows' order. compute_scatter forms the three D x D matrices.
+total_scatter_basis never does: it takes the thin SVD of the data matrix
+X, with one column (x_n - mu) / sqrt(N_c(n)) per row so that X X^T = St,
+and keeps the St eigenbasis of the data's span. The learners and the
+matching context run on that basis.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import FlatSample
 from .errors import ContractError, DegenerateDataError
 
 
@@ -63,36 +65,36 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
     total[...] = t
 
 
-def _class_stacks(flats: Sequence[FlatSample]) -> tuple:
-    """(labels, stacks): sorted labels and one (N_c, D) row stack each.
+def _class_stacks(rows: np.ndarray, labels: Sequence) -> tuple:
+    """(labels, stacks): the sorted distinct labels and each one's
+    (N_c, D) stack of rows, in row order; labels[n] names the class of
+    row n.
 
-    Raises ContractError on no samples, mixed dimensions or fewer than 2
-    classes.
+    Raises ContractError on a non-2-D input, no rows, a label count other
+    than the row count, a non-finite entry or fewer than 2 classes.
     """
-    flats = list(flats)
-    if not flats:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ContractError(f"rows must form a 2-D matrix, got {rows.ndim}-D")
+    if not len(rows):
         raise ContractError("no samples")
-    dim = flats[0].dimension
-    by_label: dict[str, list[np.ndarray]] = {}
-    for f in flats:
-        if f.dimension != dim:
-            raise ContractError(
-                f"sample {f.sample_id!r} has dimension {f.dimension}, expected {dim}"
-            )
-        by_label.setdefault(f.label, []).append(f.vector)
-    labels = tuple(sorted(by_label))
-    if len(labels) < 2:
+    if len(labels) != len(rows):
+        raise ContractError(f"{len(labels)} labels for {len(rows)} rows")
+    if not np.isfinite(rows).all():
+        raise ContractError("non-finite entry")
+    names, codes = np.unique(labels, return_inverse=True)
+    if len(names) < 2:
         raise ContractError("need at least 2 classes")
-    return labels, [np.stack(by_label[lab]) for lab in labels]
+    return tuple(names.tolist()), [rows[codes == k] for k in range(len(names))]
 
 
-def compute_scatter(flats: Sequence[FlatSample]) -> ScatterStatistics:
-    """Compute scatter statistics from labeled flat vectors.
+def compute_scatter(rows: np.ndarray, labels: Sequence) -> ScatterStatistics:
+    """Compute scatter statistics of a labeled population.
 
     Accumulation over classes runs in sorted label order with compensated
     summation, so the result is deterministic for a fixed input set.
     """
-    labels, stacks = _class_stacks(flats)
+    labels, stacks = _class_stacks(rows, labels)
     dim = stacks[0].shape[1]
     class_sizes = np.array([s.shape[0] for s in stacks], dtype=np.int64)
     class_means = np.stack([s.mean(axis=0) for s in stacks])
@@ -147,33 +149,14 @@ class ScatterBasis:
         return self.s.shape[0]
 
 
-def total_scatter_basis(flats: Sequence[FlatSample]) -> ScatterBasis:
+def total_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
     """Thin SVD of the per-class-scaled data matrix, cut at its numerical rank.
 
     Means are taken in compute_scatter's order. Raises ContractError like
     compute_scatter, and DegenerateDataError when the data has no
     variance at all.
     """
-    return _basis(*_class_stacks(flats))
-
-
-def row_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
-    """total_scatter_basis of the rows of a matrix, labels[n] naming the
-    class of row n. Classes stack in sorted label order and keep their
-    rows' order, as total_scatter_basis stacks samples, so both give the
-    same bits for the same population. Raises ContractError when labels
-    and rows differ in length."""
-    if len(labels) != len(rows):
-        raise ContractError(f"{len(labels)} labels for {len(rows)} rows")
-    names, codes = np.unique(labels, return_inverse=True)
-    if len(names) < 2:
-        raise ContractError("need at least 2 classes")
-    return _basis(
-        tuple(names.tolist()), [rows[codes == k] for k in range(len(names))]
-    )
-
-
-def _basis(labels: tuple, stacks: list) -> ScatterBasis:
+    labels, stacks = _class_stacks(rows, labels)
     class_means = np.stack([stack.mean(axis=0) for stack in stacks])
     overall_mean = np.concatenate(stacks).mean(axis=0)
     x = np.concatenate(

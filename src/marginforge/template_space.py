@@ -8,7 +8,7 @@ fold) by context_of_rows and frozen into a MatchingContext. On the span of
 the data that distance is sqrt(g^T St^+ g) under the pseudo-inverse St^+
 (Penrose 1955). The context holds the D x r whitener W = Omega_r diag(1/s_r)
 read off the thin SVD of the population's data matrix
-(scatter.row_scatter_basis), where r is the numerical rank, so
+(scatter.total_scatter_basis), where r is the numerical rank, so
 W W^T = St^+. whiten() maps templates to v @ W: every Mahalanobis distance
 is then a plain Euclidean distance between whitened templates, and a
 direction that carries no data contributes nothing. pairwise_distances
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError
 from .learners import FeatureTransform
-from .scatter import row_scatter_basis
+from .scatter import total_scatter_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +86,10 @@ def context_of_rows(rows: np.ndarray, labels: Sequence) -> MatchingContext:
     Total scatter follows the same per-class-normalized convention as the
     measurement-space statistics; the whitener comes from the thin SVD of
     the templates' data matrix, cut at its numerical rank, and no D x D
-    matrix is formed. Raises ContractError on fewer than 2 classes and
-    DegenerateDataError when the templates do not vary.
+    matrix is formed. Raises ContractError and DegenerateDataError as
+    scatter.total_scatter_basis does.
     """
-    basis = row_scatter_basis(rows, labels)
+    basis = total_scatter_basis(rows, labels)
     return MatchingContext(whitener=basis.omega / basis.s)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from marginforge import (
     FeatureTransform,
-    FlatSample,
     GaitSample,
     MatchingContext,
     context_of_rows,
@@ -52,49 +51,31 @@ def cmc_points(pairs) -> list:
     return curve_points(np.arange(1.0, cmc.size + 1), cmc)
 
 
-def flats_1d(groups: dict) -> list:
-    """1-D FlatSamples from {label: [value, ...]}."""
-    out = []
-    for label in sorted(groups):
-        for k, v in enumerate(groups[label]):
-            out.append(
-                FlatSample(
-                    vector=np.array([float(v)]),
-                    label=label,
-                    sample_id=f"{label}{k}",
-                )
-            )
-    return out
+def flats_1d(groups: dict) -> tuple:
+    """(rows, labels): one 1-D row per value of {label: [value, ...]}."""
+    return flats_nd({label: [[v] for v in values] for label, values in groups.items()})
 
 
-def flats_nd(groups: dict) -> list:
-    """FlatSamples from {label: [vector, ...]}."""
-    out = []
-    for label in sorted(groups):
-        for k, v in enumerate(groups[label]):
-            out.append(
-                FlatSample(
-                    vector=np.asarray(v, dtype=np.float64),
-                    label=label,
-                    sample_id=f"{label}{k}",
-                )
-            )
-    return out
+def flats_nd(groups: dict) -> tuple:
+    """(rows, labels): one row per vector of {label: [vector, ...]},
+    labels in sorted order, each keeping its vectors' order."""
+    order = sorted(groups)
+    rows = np.array([v for label in order for v in groups[label]], dtype=np.float64)
+    return rows, [label for label in order for _ in groups[label]]
 
 
-def rows_of(samples) -> np.ndarray:
-    """The samples' vectors stacked, one row per sample in order."""
-    return np.stack([s.vector for s in samples])
+# One labeled row, read field by field by oracles.brute_separability.
+Row = namedtuple("Row", "vector label")
 
 
-def labels_of(samples) -> list:
-    """The samples' labels, one per row of rows_of."""
-    return [s.label for s in samples]
+def records(rows, labels) -> list:
+    """The Row records of a labeled population."""
+    return [Row(vector, label) for vector, label in zip(rows, labels)]
 
 
-def template_matrix(transform: FeatureTransform, samples) -> np.ndarray:
-    """template_rows of FlatSamples, one template per sample in order."""
-    return template_rows(transform, rows_of(samples), [s.sample_id for s in samples])
+def template_matrix(transform: FeatureTransform, rows) -> np.ndarray:
+    """template_rows of a row matrix, its rows named by their index."""
+    return template_rows(transform, rows, [f"r{n}" for n in range(len(rows))])
 
 
 def identity_ctx(dim: int) -> MatchingContext:
@@ -119,21 +100,17 @@ def random_flats(
     members_high: int = 20,
     spread: float = 3.0,
     noise: float = 1.0,
-) -> list:
-    """A Gaussian class population: the standard battery instance."""
-    out = []
+) -> tuple:
+    """(rows, labels) of a Gaussian class population: the standard
+    battery instance."""
+    rows, labels = [], []
     for c in range(classes):
         label = f"c{c:02d}"
         mean = rng.normal(0.0, spread, size=dim)
-        for k in range(int(rng.integers(members_low, members_high + 1))):
-            out.append(
-                FlatSample(
-                    vector=mean + rng.normal(0.0, noise, size=dim),
-                    label=label,
-                    sample_id=f"{label}s{k:03d}",
-                )
-            )
-    return out
+        for _ in range(int(rng.integers(members_low, members_high + 1))):
+            rows.append(mean + rng.normal(0.0, noise, size=dim))
+            labels.append(label)
+    return np.array(rows), labels
 
 
 def walking_sample(
@@ -201,8 +178,10 @@ def recombination_violation(rng: np.random.Generator) -> float:
     """
     classes = int(rng.integers(2, 5))
     dim = int(rng.integers(3, 8))
-    flats = random_flats(rng, classes=classes, dim=dim, members_low=4, members_high=8)
-    base = learn_mmc(flats)
+    rows, labels = random_flats(
+        rng, classes=classes, dim=dim, members_low=4, members_high=8
+    )
+    base = learn_mmc(rows, labels)
     k = base.feature_dim
     while True:
         mix = rng.normal(size=(k, k))
@@ -210,11 +189,11 @@ def recombination_violation(rng: np.random.Generator) -> float:
             break
     mixed = FeatureTransform(method=base.method, phi=base.phi @ mix, delta=base.delta)
     d1, d2 = (
-        pairwise_distances(context_of_rows(rows, labels_of(flats)).whiten(rows))
-        for rows in (template_matrix(base, flats), template_matrix(mixed, flats))
+        pairwise_distances(context_of_rows(temps, labels).whiten(temps))
+        for temps in (template_matrix(base, rows), template_matrix(mixed, rows))
     )
     worst = 0.0
-    probes = min(6, len(flats))
+    probes = min(6, len(rows))
     for i in range(probes):
         for j in range(i + 1, probes):
             worst = max(
@@ -229,9 +208,11 @@ def mmc_euclidean_violation(rng: np.random.Generator) -> float:
     worst relative difference over a handful of template pairs."""
     classes = int(rng.integers(2, 5))
     dim = int(rng.integers(3, 8))
-    flats = random_flats(rng, classes=classes, dim=dim, members_low=4, members_high=8)
-    temps = template_matrix(learn_mmc(flats), flats)
-    d = pairwise_distances(context_of_rows(temps, labels_of(flats)).whiten(temps))
+    rows, labels = random_flats(
+        rng, classes=classes, dim=dim, members_low=4, members_high=8
+    )
+    temps = template_matrix(learn_mmc(rows, labels), rows)
+    d = pairwise_distances(context_of_rows(temps, labels).whiten(temps))
     worst = 0.0
     probes = min(8, len(temps))
     for i in range(probes):

@@ -78,8 +78,8 @@ def battery():
             classes = int(rng.integers(2, 9))
             dim = int(rng.integers(4, 51))
             flats = random_flats(rng, classes=classes, dim=dim)
-            stats = compute_scatter(flats)
-            transform = learn_mmc(flats)
+            stats = compute_scatter(*flats)
+            transform = learn_mmc(*flats)
             values, vectors = oracles.oracle_eigen(stats)
             _battery.append((stats, transform, values, vectors, classes))
         _battery_seconds.append(time.perf_counter() - start)

@@ -146,7 +146,12 @@ class TestPipeline:
             "--seed", 5,
             "--output", data,
         ) == 0
-        assert run("evaluate", "--input", data, "--output", rpt, "--method", "mmc") == 0
+        # Each outer fold leaves 4 evaluation samples per class; 4 inner
+        # folds give every inner fold one of each.
+        assert run(
+            "evaluate", "--input", data, "--output", rpt, "--method", "mmc",
+            "--inner-folds", 4,
+        ) == 0
 
         def refuse(token):
             raise ValueError(f"non-standard JSON constant {token}")
@@ -271,7 +276,10 @@ class TestExitCodes:
         save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
         argv = {
             "learn": ("--output", tmp_path / "t.json"),
-            "evaluate": ("--output", tmp_path / "r.json", "--method", "identity"),
+            "evaluate": (
+                "--output", tmp_path / "r.json", "--method", "identity",
+                "--inner-folds", 4,
+            ),
         }[command]
         assert run(command, "--input", data, *argv) == 2
         assert capsys.readouterr().err == (
@@ -516,6 +524,68 @@ class TestExitCodes:
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
         assert run("learn", "--input", data) == 2  # no --output anywhere
+
+    @pytest.mark.parametrize("inner", [9, 100])
+    def test_empty_inner_fold_is_2(self, tmp_path, capsys, inner):
+        # 3 classes of 4: each outer fold leaves 8 evaluation samples.
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data, classes=3, per_class=4)) == 0
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--input", data, "--output", out, "--inner-folds", inner
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"marginforge: ValidationError: outer fold 0: {inner} inner folds "
+            "over 8 evaluation samples leave an inner fold empty\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, method, source",
+        [
+            ("learn", "mmc", "flag"),
+            ("learn", "mmc", "config"),
+            ("evaluate", "mmc", "flag"),
+            ("evaluate", "identity", "config"),
+        ],
+    )
+    def test_pca_dim_outside_pca_lda_is_2(
+        self, tmp_path, capsys, command, method, source
+    ):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        if source == "flag":
+            argv = ["--pca-dim", 5]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"pca_dim": 5}))
+            argv = ["--config", cfg]
+        if command == "evaluate":
+            argv += ["--inner-folds", 2]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(
+            command, "--input", data, "--output", out, "--method", method, *argv
+        ) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: pca_dim applies to pca_lda only, "
+            f"not '{method}'\n"
+        )
+        assert not out.exists()
+
+    def test_up_axis_without_root_joint_is_2(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        assert run(
+            "preprocess", "--input", data, "--output", out, "--up-axis", "z"
+        ) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: --up-axis applies only with --root-joint\n"
+        )
+        assert not out.exists()
 
 
 class TestLogEnvironment:

@@ -1,4 +1,4 @@
-"""Data model, file round trips, flattening, synthetic generation."""
+"""Data model, file round trips, the sample matrix, synthetic generation."""
 
 import json
 
@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginforge import (
-    FlatSample,
     GaitSample,
     LabeledDataset,
     SyntheticSpec,
-    flatten,
+    flatten_all,
     generate_synthetic,
     load_dataset,
     save_dataset,
-    unflatten,
 )
 from marginforge.errors import (
     ContractError,
@@ -35,42 +33,31 @@ def sample(frames, label="a", sample_id="s0"):
 class TestFlatten:
     def test_layout_one_joint_two_frames(self):
         s = sample([[[1, 2, 3]], [[4, 5, 6]]])
-        flat = flatten(s, 2)
-        assert flat.vector.tolist() == [1, 2, 3, 4, 5, 6]
-        assert flat.dimension == 6
+        rows = flatten_all([s])
+        assert rows.tolist() == [[1, 2, 3, 4, 5, 6]]
+        assert rows.shape == (1, 6)
 
     def test_layout_two_joints_one_frame(self):
         # A single frame is below the GaitSample minimum, so the sample
         # carries two identical frames and only the first is inspected.
         s = sample([[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]]])
-        flat = flatten(s, 2)
-        assert flat.vector[:6].tolist() == [1, 0, 0, 0, 1, 0]
+        rows = flatten_all([s])
+        assert rows[0, :6].tolist() == [1, 0, 0, 0, 1, 0]
 
     def test_frame_count_mismatch(self):
         s = sample([[[0, 0, 0]], [[1, 1, 1]]])
-        with pytest.raises(ContractError):
-            flatten(s, 3)
+        longer = sample(np.zeros((3, 1, 3)), sample_id="s1")
+        with pytest.raises(ContractError, match="'s1' has 3 frames, expected 2"):
+            flatten_all([s, longer])
+
+    def test_no_samples(self):
+        with pytest.raises(ContractError, match="no samples"):
+            flatten_all([])
 
     def test_unlabeled_sample_rejected(self):
         s = GaitSample(frames=np.zeros((2, 1, 3)), label=None, sample_id="s0")
         with pytest.raises(ContractError):
-            flatten(s, 2)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            t = int(rng.integers(2, 7))
-            j = int(rng.integers(1, 5))
-            frames = rng.normal(size=(t, j, 3))
-            s = sample(frames)
-            back = unflatten(flatten(s, t), j, t)
-            assert np.array_equal(back.frames, s.frames)
-            assert back.label == s.label and back.sample_id == s.sample_id
-
-    def test_unflatten_dimension_check(self):
-        flat = FlatSample(vector=np.zeros(6), label="a", sample_id="s0")
-        with pytest.raises(ContractError):
-            unflatten(flat, 2, 2)
+            flatten_all([s])
 
 
 class TestDatasetModel:

@@ -23,7 +23,6 @@ from marginforge import (
     save_transform,
     select_margin_columns,
 )
-from marginforge.dataset import FlatSample
 from marginforge.errors import (
     ContractError,
     DegenerateDataError,
@@ -126,8 +125,8 @@ class TestLearnMmc:
         # Total scatter 10 forces phi = 1/sqrt(10) after sign fixing;
         # the between share is 8/10 and the margin 2*0.8 - 1 = 0.6.
         flats = flats_1d(FIXTURE)
-        stats = compute_scatter(flats)
-        t = learn_mmc(flats)
+        stats = compute_scatter(*flats)
+        t = learn_mmc(*flats)
         assert t.feature_dim == 1
         assert t.phi[0, 0] == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-12)
         assert t.delta[0] == pytest.approx(0.8, abs=1e-12)
@@ -135,7 +134,7 @@ class TestLearnMmc:
         assert mmc_objective(t, stats) == pytest.approx(0.6, abs=1e-12)
 
     def test_objective_of_hand_built_transform(self):
-        stats = compute_scatter(flats_1d(FIXTURE))
+        stats = compute_scatter(*flats_1d(FIXTURE))
         t = FeatureTransform(
             method="mmc",
             phi=np.array([[1.0 / np.sqrt(10.0)]]),
@@ -145,7 +144,7 @@ class TestLearnMmc:
 
     def test_coincident_class_means_fall_back(self):
         flats = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        t = learn_mmc(flats)
+        t = learn_mmc(*flats)
         assert t.fallback_used
         assert t.feature_dim == 1
         assert t.delta[0] < 0.5
@@ -153,7 +152,7 @@ class TestLearnMmc:
     def test_zero_variance_is_degenerate(self):
         flats = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
         with pytest.raises(DegenerateDataError):
-            learn_mmc(flats)
+            learn_mmc(*flats)
 
     def test_zero_within_scatter_keeps_class_count_minus_one(self):
         # Points sit exactly on their class means; every usable direction
@@ -165,7 +164,7 @@ class TestLearnMmc:
                 "c": [[0.0, 4.0, 0.0, 0.0]] * 3,
             }
         )
-        t = learn_mmc(flats)
+        t = learn_mmc(*flats)
         assert t.feature_dim == 2
         assert np.allclose(t.delta, [1.0, 1.0], atol=1e-9)
 
@@ -175,8 +174,8 @@ class TestLearnMmc:
             c = int(rng.integers(2, 7))
             d = int(rng.integers(3, 14))
             flats = random_flats(rng, classes=c, dim=d)
-            stats = compute_scatter(flats)
-            t = learn_mmc(flats)
+            stats = compute_scatter(*flats)
+            t = learn_mmc(*flats)
             vals, vecs = oracles.oracle_eigen(stats)
             sel = select_margin_columns(vals, limit=c - 1)
             ref = vecs[:, list(sel.kept_indices)]
@@ -193,10 +192,10 @@ class TestLearnMmc:
                 classes=int(rng.integers(2, 6)),
                 dim=int(rng.integers(3, 10)),
             )
-            stats = compute_scatter(flats)
+            stats = compute_scatter(*flats)
             if learn is learn_pcalda and stats.num_classes > stats.dimension:
                 continue  # no pca_dim can reach the class count
-            t = learn(flats)
+            t = learn(*flats)
             gram = t.phi.T @ stats.sigma_t @ t.phi
             assert np.max(np.abs(gram - np.eye(t.feature_dim))) < 1e-6
             proj_b = t.phi.T @ stats.sigma_b @ t.phi
@@ -212,8 +211,8 @@ class TestLearnMmc:
                 classes=int(rng.integers(2, 6)),
                 dim=int(rng.integers(3, 10)),
             )
-            stats = compute_scatter(flats)
-            t = learn_mmc(flats)
+            stats = compute_scatter(*flats)
+            t = learn_mmc(*flats)
             got = mmc_objective(t, stats)
             want = float(np.sum(2.0 * t.delta - 1.0))
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
@@ -224,8 +223,8 @@ class TestLearnMmc:
         rng = np.random.default_rng(48)
         for _ in range(10):
             flats = random_flats(rng, classes=4, dim=6)
-            stats = compute_scatter(flats)
-            t = learn_mmc(flats)
+            stats = compute_scatter(*flats)
+            t = learn_mmc(*flats)
             best = mmc_objective(t, stats)
             w, q = np.linalg.eigh(stats.sigma_t)
             order = np.argsort(w)[::-1]
@@ -242,13 +241,10 @@ class TestLearnMmc:
         rng = np.random.default_rng(49)
         flats = random_flats(rng, classes=3, dim=5)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        rotated = [
-            FlatSample(vector=q @ f.vector, label=f.label, sample_id=f.sample_id)
-            for f in flats
-        ]
-        stats, stats_r = compute_scatter(flats), compute_scatter(rotated)
-        a = mmc_objective(learn_mmc(flats), stats)
-        b = mmc_objective(learn_mmc(rotated), stats_r)
+        rotated = (flats[0] @ q.T, flats[1])
+        stats, stats_r = compute_scatter(*flats), compute_scatter(*rotated)
+        a = mmc_objective(learn_mmc(*flats), stats)
+        b = mmc_objective(learn_mmc(*rotated), stats_r)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     def test_spherical_within_recovers_mean_difference(self):
@@ -261,25 +257,19 @@ class TestLearnMmc:
             "b": [(2.0 * np.eye(d)[0] + o).tolist() for o in offsets],
         }
         flats = flats_nd(pts)
-        t = learn_mmc(flats)
+        t = learn_mmc(*flats)
         direction = t.phi[:, 0] / np.linalg.norm(t.phi[:, 0])
         assert abs(abs(direction[0]) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("learn", [learn_mmc, learn_pcalda], ids=["mmc", "pca_lda"])
     def test_learners_reject_malformed_input(self, learn):
-        mixed = flats_nd(
-            {"a": [[0.0, 1.0], [1.0, 2.0]], "b": [[2.0, 3.0], [3.0, 4.0]]}
-        )
-        mixed.append(FlatSample(vector=np.array([5.0]), label="b", sample_id="b9"))
-        with pytest.raises(ContractError, match="dimension 1, expected 2"):
-            learn(mixed)
         with pytest.raises(ContractError, match="at least 2 classes"):
-            learn(flats_1d({"a": [0.0, 1.0, 2.0]}))
+            learn(*flats_1d({"a": [0.0, 1.0, 2.0]}))
         with pytest.raises(ContractError, match="no samples"):
-            learn([])
+            learn(np.empty((0, 2)), [])
 
     def test_objective_dimension_check(self):
-        stats = compute_scatter(flats_1d(FIXTURE))
+        stats = compute_scatter(*flats_1d(FIXTURE))
         with pytest.raises(ContractError):
             mmc_objective(identity_transform(2), stats)
         with pytest.raises(ContractError):
@@ -295,7 +285,7 @@ class TestOracleEigen:
                 classes=int(rng.integers(2, 6)),
                 dim=int(rng.integers(2, 8)),
             )
-            stats = compute_scatter(flats)
+            stats = compute_scatter(*flats)
             vals, vecs = oracles.oracle_eigen(stats)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
             assert np.all(np.diff(vals) <= 1e-12)
@@ -304,13 +294,13 @@ class TestOracleEigen:
 
     def test_zero_between_gives_zero_values(self):
         flats = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        vals, _ = oracles.oracle_eigen(compute_scatter(flats))
+        vals, _ = oracles.oracle_eigen(compute_scatter(*flats))
         assert np.max(vals) < 1e-12
 
     def test_zero_total_is_degenerate(self):
         flats = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
         with pytest.raises(DegenerateDataError):
-            oracles.oracle_eigen(compute_scatter(flats))
+            oracles.oracle_eigen(compute_scatter(*flats))
 
 
 class TestLearnPcaLda:
@@ -320,8 +310,8 @@ class TestLearnPcaLda:
         rng = np.random.default_rng(51)
         for _ in range(10):
             flats = random_flats(rng, classes=2, dim=3, members_low=20, members_high=30)
-            a = learn_mmc(flats)
-            b = learn_pcalda(flats, pca_dim=3)
+            a = learn_mmc(*flats)
+            b = learn_pcalda(*flats, pca_dim=3)
             assert a.feature_dim == b.feature_dim == 1
             assert principal_angles(a.phi, b.phi).max() < 1e-3
 
@@ -330,7 +320,7 @@ class TestLearnPcaLda:
         for _ in range(10):
             c = int(rng.integers(2, 6))
             flats = random_flats(rng, classes=c, dim=8)
-            t = learn_pcalda(flats)
+            t = learn_pcalda(*flats)
             assert t.method == "pca_lda"
             assert 1 <= t.feature_dim <= c - 1
             assert np.all(np.diff(t.delta) <= 1e-9)
@@ -342,19 +332,19 @@ class TestLearnPcaLda:
                 "b": [[4.0, 0.1, 0.0], [4.1, 0.0, 0.2], [3.9, 0.2, 0.1]],
             }
         )
-        t = learn_pcalda(flats)
+        t = learn_pcalda(*flats)
         assert t.feature_dim == 1
 
     def test_projection_width_range_enforced(self):
         rng = np.random.default_rng(53)
         flats = random_flats(rng, classes=3, dim=6, members_low=4, members_high=4)
         with pytest.raises(ContractError):
-            learn_pcalda(flats, pca_dim=2)  # below class count
+            learn_pcalda(*flats, pca_dim=2)  # below class count
         with pytest.raises(ContractError):
-            learn_pcalda(flats, pca_dim=10)  # above samples - classes
+            learn_pcalda(*flats, pca_dim=10)  # above samples - classes
         narrow = random_flats(rng, classes=3, dim=4, members_low=6, members_high=6)
         with pytest.raises(ContractError):
-            learn_pcalda(narrow, pca_dim=5)  # above dim
+            learn_pcalda(*narrow, pca_dim=5)  # above dim
 
     def test_singular_within_uses_ridge(self):
         flats = flats_nd(
@@ -364,14 +354,14 @@ class TestLearnPcaLda:
                 "c": [[0.0, 4.0, 0.0, 0.0]] * 3,
             }
         )
-        t = learn_pcalda(flats)
+        t = learn_pcalda(*flats)
         assert t.ridge_used
         assert t.feature_dim <= 2
 
     def test_zero_variance_is_degenerate(self):
         flats = flats_nd({"a": [[3.0, 1.0]] * 2, "b": [[3.0, 1.0]] * 2})
         with pytest.raises(DegenerateDataError):
-            learn_pcalda(flats)
+            learn_pcalda(*flats)
 
     def test_matches_generalized_eigen_oracle(self):
         # With nonsingular projected within-class scatter the scatter-matrix
@@ -382,10 +372,10 @@ class TestLearnPcaLda:
             c = int(rng.integers(2, 6))
             d = int(rng.integers(c, 12))
             flats = random_flats(rng, classes=c, dim=d, members_low=4)
-            pca_dim = int(rng.integers(c, min(d, len(flats) - c) + 1))
-            ref = oracles.oracle_pcalda(compute_scatter(flats), pca_dim)
+            pca_dim = int(rng.integers(c, min(d, len(flats[0]) - c) + 1))
+            ref = oracles.oracle_pcalda(compute_scatter(*flats), pca_dim)
             assert not ref.ridge_used
-            t = learn_pcalda(flats, pca_dim)
+            t = learn_pcalda(*flats, pca_dim)
             assert t.feature_dim == ref.feature_dim
             assert not t.ridge_used
             assert t.fallback_used == ref.fallback_used
@@ -405,7 +395,7 @@ class TestLearnPcaLda:
 def test_learned_transform_json_round_trip_is_bit_exact(seed, classes, dim, method):
     rng = np.random.default_rng(seed)
     flats = random_flats(rng, classes=classes, dim=dim, members_high=6)
-    t = learn_mmc(flats) if method == "mmc" else learn_pcalda(flats)
+    t = learn_mmc(*flats) if method == "mmc" else learn_pcalda(*flats)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "transform.json")
         save_transform(t, path)

@@ -7,10 +7,9 @@ from conftest import (
     flats_1d,
     flats_nd,
     identity_ctx,
-    labels_of,
     random_flats,
     random_spd_ctx,
-    rows_of,
+    records,
     template_matrix,
 )
 from marginforge import (
@@ -34,9 +33,9 @@ def separability(rows, labels, ctx):
     return separability_of_rows(rows, labels, ctx, pairwise_distances(ctx.whiten(rows)))
 
 
-def separability_of(samples, ctx):
-    """separability of FlatSamples' vectors, one row per sample."""
-    return separability(rows_of(samples), labels_of(samples), ctx)
+def separability_of(population, ctx):
+    """separability of a (rows, labels) population."""
+    return separability(*population, ctx)
 
 
 class TestDaviesBouldin:
@@ -110,8 +109,8 @@ class TestSilhouette:
         rng = np.random.default_rng(70)
         for _ in range(20):
             flats = random_flats(rng, classes=int(rng.integers(2, 5)), dim=3)
-            temps = template_matrix(identity_transform(3), flats)
-            got = separability(temps, labels_of(flats), identity_ctx(3)).sc
+            temps = template_matrix(identity_transform(3), flats[0])
+            got = separability(temps, flats[1], identity_ctx(3)).sc
             assert -1.0 <= got <= 1.0
 
 
@@ -169,17 +168,18 @@ class TestComputeSeparability:
         rng = np.random.default_rng(73)
         for trial in range(40):
             dim = int(rng.integers(1, 7))
-            flats = random_flats(
+            rows, labels = random_flats(
                 rng, classes=int(rng.integers(2, 6)), dim=dim, members_high=8
             )
-            flats = [f for f in flats if f.label != "c00"] + flats[:1]
-            temps = template_matrix(identity_transform(dim), flats)
+            keep = [n for n, label in enumerate(labels) if label != "c00"] + [0]
+            rows, labels = rows[keep], [labels[n] for n in keep]
+            temps = template_matrix(identity_transform(dim), rows)
             if trial % 2:
                 ctx, m = identity_ctx(dim), np.eye(dim)
             else:
                 ctx, m = random_spd_ctx(rng, dim)
-            got = separability(temps, labels_of(flats), ctx)
-            want = brute_separability(flats, m)
+            got = separability(temps, labels, ctx)
+            want = brute_separability(records(rows, labels), m)
             for name in ("dbi", "di", "sc", "fdr"):
                 assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
             assert got.per_class_sigma.keys() == want["per_class_sigma"].keys()
@@ -203,7 +203,7 @@ class TestComputeSeparability:
         rng = np.random.default_rng(71)
         for _ in range(10):
             flats = random_flats(rng, classes=3, dim=5, members_low=4, members_high=8)
-            base = learn_mmc(flats)
+            base = learn_mmc(*flats)
             k = base.feature_dim
             mix = rng.normal(size=(k, k)) + np.eye(k)
             mixed = type(base)(
@@ -211,9 +211,9 @@ class TestComputeSeparability:
             )
             reports = []
             for t in (base, mixed):
-                temps = template_matrix(t, flats)
-                ctx = context_of_rows(temps, labels_of(flats))
-                reports.append(separability(temps, labels_of(flats), ctx))
+                temps = template_matrix(t, flats[0])
+                ctx = context_of_rows(temps, flats[1])
+                reports.append(separability(temps, flats[1], ctx))
             a, b = reports
             for name in ("dbi", "di", "sc", "fdr"):
                 x, y = getattr(a, name), getattr(b, name)
@@ -238,7 +238,7 @@ class TestComputeSeparability:
             separability_of(
                 flats_1d({"a": [0.0, 1.0]}), identity_ctx(1)
             )
-        rows, labels = rows_of(flats_1d(FIXTURE)), labels_of(flats_1d(FIXTURE))
+        rows, labels = flats_1d(FIXTURE)
         dist = pairwise_distances(rows)
         with pytest.raises(ContractError, match="context dimension"):
             separability_of_rows(rows, labels, identity_ctx(2), dist)

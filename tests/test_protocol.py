@@ -15,7 +15,7 @@ from marginforge import (
     SyntheticSpec,
     compute_scatter,
     curve_csv_text,
-    flatten,
+    flatten_all,
     generate_synthetic,
     learn_mmc,
     plan_folds,
@@ -84,6 +84,22 @@ class TestPlanFolds:
         with pytest.raises(ValidationError):
             plan_folds(tiny, outer=3, inner=2)
 
+    def test_rejects_an_empty_inner_fold(self):
+        # 3 classes of 4 leave 8 evaluation samples per outer fold.
+        ds = small_dataset(per_class=4)
+        with pytest.raises(ValidationError, match=(
+            "^outer fold 0: 9 inner folds over 8 evaluation samples leave an "
+            "inner fold empty$"
+        )):
+            plan_folds(ds, outer=3, inner=9)
+        # 8 samples could fill 5 inner folds, but each class deals its 2 or
+        # 3 samples from its own offset, and in outer fold 2 none reaches
+        # the fifth.
+        with pytest.raises(ValidationError, match="^outer fold 2: 5 inner folds"):
+            plan_folds(ds, outer=3, inner=5)
+        plan = plan_folds(ds, outer=3, inner=4)
+        assert all(part for parts in plan.inner_folds for part in parts)
+
 
 class TestProtocolConfig:
     def test_validation(self):
@@ -94,6 +110,13 @@ class TestProtocolConfig:
 
 
 class TestRunProtocol:
+    def test_pca_dim_only_with_pca_lda(self):
+        ds = small_dataset()
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        for method in ("mmc", "identity"):
+            with pytest.raises(ValidationError, match="pca_lda only"):
+                run_protocol(ds, method, plan, ProtocolConfig(pca_dim=3))
+
     def test_report_shape(self):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
@@ -171,20 +194,14 @@ class TestRunProtocol:
         # fold's learned transform bit-identical.
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=4)
-        frame_count = ds.samples[0].frame_count
-        flats = [flatten(s, frame_count) for s in ds.samples]
-        fold0 = set(plan.outer_folds[0])
-        perturbed = [
-            f if i in fold0
-            else type(f)(
-                vector=f.vector + 100.0, label=f.label, sample_id=f.sample_id
-            )
-            for i, f in enumerate(flats)
-        ]
-        learn_a = [flats[i] for i in sorted(fold0)]
-        learn_b = [perturbed[i] for i in sorted(fold0)]
-        ta = learn_mmc(learn_a)
-        tb = learn_mmc(learn_b)
+        rows = flatten_all(ds.samples)
+        labels = np.array([s.label for s in ds.samples])
+        fold0 = sorted(plan.outer_folds[0])
+        outside = np.setdiff1d(np.arange(len(rows)), fold0)
+        perturbed = rows.copy()
+        perturbed[outside] += 100.0
+        ta = learn_mmc(rows[fold0], labels[fold0])
+        tb = learn_mmc(perturbed[fold0], labels[fold0])
         assert ta.phi.tobytes() == tb.phi.tobytes()
 
     def test_method_token_normalization(self):
@@ -263,12 +280,12 @@ def two_sample_class_dataset():
     )
 
 
-def scatter_pinv(templates) -> np.ndarray:
+def scatter_pinv(rows, labels) -> np.ndarray:
     """The Mahalanobis matrix of a template population, on a route that
     shares nothing with the whitener: the pseudo-inverse of the D x D
     total scatter."""
     return np.linalg.pinv(
-        compute_scatter(templates).sigma_t, rcond=1e-10, hermitian=True
+        compute_scatter(rows, labels).sigma_t, rcond=1e-10, hermitian=True
     )
 
 
@@ -277,9 +294,10 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
     pair at a time as sqrt(gap' inv gap) on the pseudo-inverse of the
     learning fold's total scatter. The identity method's template of a
     sample is its flattened vector."""
-    frame_count = ds.samples[0].frame_count
-    templates = [flatten(s, frame_count) for s in ds.samples]
-    inv = scatter_pinv([templates[i] for i in plan.outer_folds[fold]])
+    vectors = flatten_all(ds.samples)
+    labels = [s.label for s in ds.samples]
+    learn_idx = list(plan.outer_folds[fold])
+    inv = scatter_pinv(vectors[learn_idx], [labels[i] for i in learn_idx])
     eval_idx = plan.evaluation_indices(fold)
     records = []
     for part in plan.inner_folds[fold]:
@@ -288,14 +306,14 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
             best = {}
             pairs = []
             for g in gallery:
-                gap = templates[p].vector - templates[g].vector
+                gap = vectors[p] - vectors[g]
                 d = math.sqrt(max(float(gap @ inv @ gap), 0.0))
-                pairs.append((templates[g].label, d))
-                best[templates[g].label] = min(d, best.get(templates[g].label, d))
+                pairs.append((labels[g], d))
+                best[labels[g]] = min(d, best.get(labels[g], d))
             if pair_policy == "class_best":
                 pairs = sorted(best.items())
             records += [
-                Pair(templates[p].sample_id, label, d, label == templates[p].label)
+                Pair(ds.samples[p].sample_id, label, d, label == labels[p])
                 for label, d in pairs
             ]
     return records

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import flats_1d, random_flats
-from marginforge import compute_scatter
+from marginforge import compute_scatter, context_of_rows, learn_mmc, learn_pcalda
 from marginforge.errors import ContractError, DegenerateDataError
-from marginforge.scatter import row_scatter_basis, total_scatter_basis
+from marginforge.scatter import total_scatter_basis
 
 
 class TestFixtures:
@@ -15,7 +15,7 @@ class TestFixtures:
         # class sum (1-3)^2 + (5-3)^2 = 8; within normalizes per class,
         # 1 + 1 = 2; total is their sum.
         flats = flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]})
-        stats = compute_scatter(flats)
+        stats = compute_scatter(*flats)
         assert stats.sigma_b[0, 0] == pytest.approx(8.0, abs=1e-12)
         assert stats.sigma_w[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert stats.sigma_t[0, 0] == pytest.approx(10.0, abs=1e-12)
@@ -26,13 +26,13 @@ class TestFixtures:
 
     def test_duplicate_class_means_zero_between(self):
         flats = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        stats = compute_scatter(flats)
+        stats = compute_scatter(*flats)
         assert np.array_equal(stats.sigma_b, np.zeros((1, 1)))
         assert stats.sigma_w[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_all_identical_points(self):
         flats = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
-        stats = compute_scatter(flats)
+        stats = compute_scatter(*flats)
         assert np.array_equal(stats.sigma_b, np.zeros((1, 1)))
         assert np.array_equal(stats.sigma_w, np.zeros((1, 1)))
         assert np.array_equal(stats.sigma_t, np.zeros((1, 1)))
@@ -47,7 +47,7 @@ class TestAlgebraicInvariants:
                 classes=int(rng.integers(2, 7)),
                 dim=int(rng.integers(2, 12)),
             )
-            stats = compute_scatter(flats)
+            stats = compute_scatter(*flats)
             lhs = stats.sigma_t
             rhs = stats.sigma_b + stats.sigma_w
             scale = max(np.linalg.norm(lhs), 1.0)
@@ -57,7 +57,7 @@ class TestAlgebraicInvariants:
         rng = np.random.default_rng(32)
         for _ in range(15):
             flats = random_flats(rng, classes=3, dim=int(rng.integers(2, 8)))
-            stats = compute_scatter(flats)
+            stats = compute_scatter(*flats)
             for m in (stats.sigma_b, stats.sigma_w, stats.sigma_t):
                 assert np.array_equal(m, m.T)
                 assert np.min(np.linalg.eigvalsh(m)) > -1e-10
@@ -67,18 +67,15 @@ class TestAlgebraicInvariants:
         for _ in range(10):
             c = int(rng.integers(2, 6))
             flats = random_flats(rng, classes=c, dim=10)
-            stats = compute_scatter(flats)
+            stats = compute_scatter(*flats)
             assert np.linalg.matrix_rank(stats.sigma_b, tol=1e-8) <= c - 1
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(34)
         flats = random_flats(rng, classes=3, dim=5)
         shift = rng.normal(size=5) * 50.0
-        shifted = [
-            type(f)(vector=f.vector + shift, label=f.label, sample_id=f.sample_id)
-            for f in flats
-        ]
-        a, b = compute_scatter(flats), compute_scatter(shifted)
+        shifted = (flats[0] + shift, flats[1])
+        a, b = compute_scatter(*flats), compute_scatter(*shifted)
         assert np.allclose(a.sigma_b, b.sigma_b, atol=1e-9)
         assert np.allclose(a.sigma_w, b.sigma_w, atol=1e-9)
         assert np.allclose(a.sigma_t, b.sigma_t, atol=1e-9)
@@ -88,11 +85,8 @@ class TestAlgebraicInvariants:
         rng = np.random.default_rng(35)
         flats = random_flats(rng, classes=3, dim=4)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        rotated = [
-            type(f)(vector=q @ f.vector, label=f.label, sample_id=f.sample_id)
-            for f in flats
-        ]
-        a, b = compute_scatter(flats), compute_scatter(rotated)
+        rotated = (flats[0] @ q.T, flats[1])
+        a, b = compute_scatter(*flats), compute_scatter(*rotated)
         assert np.allclose(q @ a.sigma_b @ q.T, b.sigma_b, atol=1e-9)
         assert np.allclose(q @ a.sigma_w @ q.T, b.sigma_w, atol=1e-9)
         assert np.allclose(q @ a.sigma_t @ q.T, b.sigma_t, atol=1e-9)
@@ -101,7 +95,7 @@ class TestAlgebraicInvariants:
         # Overall mean runs over all 4 vectors: 6/4 = 1.5. Between sums
         # the class gaps without size weights: (0-1.5)^2 + (6-1.5)^2.
         flats = flats_1d({"a": [-1.0, 0.0, 1.0], "b": [6.0]})
-        stats = compute_scatter(flats)
+        stats = compute_scatter(*flats)
         assert stats.overall_mean[0] == pytest.approx(1.5, abs=1e-12)
         assert stats.sigma_b[0, 0] == pytest.approx(22.5, abs=1e-12)
         lhs, rhs = stats.sigma_t, stats.sigma_b + stats.sigma_w
@@ -111,22 +105,14 @@ class TestAlgebraicInvariants:
 class TestValidation:
     def test_empty_input(self):
         with pytest.raises(ContractError):
-            compute_scatter([])
+            compute_scatter(np.empty((0, 1)), [])
 
     def test_single_class(self):
         with pytest.raises(ContractError):
-            compute_scatter(flats_1d({"a": [0.0, 1.0]}))
-
-    def test_dimension_mismatch(self):
-        good = flats_1d({"a": [0.0], "b": [1.0]})
-        bad = type(good[0])(
-            vector=np.zeros(2), label="b", sample_id="x"
-        )
-        with pytest.raises(ContractError):
-            compute_scatter(good + [bad])
+            compute_scatter(*flats_1d({"a": [0.0, 1.0]}))
 
     def test_results_are_read_only(self):
-        stats = compute_scatter(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
+        stats = compute_scatter(*flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
         with pytest.raises(ValueError):
             stats.sigma_b[0, 0] = 99.0
 
@@ -134,7 +120,7 @@ class TestValidation:
 class TestTotalScatterBasis:
     def test_two_singleton_pairs(self):
         # Total scatter is 10 (TestFixtures): one singular value sqrt(10).
-        basis = total_scatter_basis(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
+        basis = total_scatter_basis(*flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
         assert basis.rank == 1
         assert basis.s[0] == pytest.approx(np.sqrt(10.0), rel=1e-12)
         assert abs(basis.omega[0, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -147,8 +133,8 @@ class TestTotalScatterBasis:
                 classes=int(rng.integers(2, 6)),
                 dim=int(rng.integers(1, 30)),
             )
-            basis = total_scatter_basis(flats)
-            sigma_t = compute_scatter(flats).sigma_t
+            basis = total_scatter_basis(*flats)
+            sigma_t = compute_scatter(*flats).sigma_t
             rebuilt = (basis.omega * basis.s**2) @ basis.omega.T
             scale = max(np.linalg.norm(sigma_t), 1.0)
             assert np.linalg.norm(rebuilt - sigma_t) / scale < 1e-9
@@ -160,13 +146,13 @@ class TestTotalScatterBasis:
             flats = random_flats(
                 rng, classes=3, dim=dim, members_low=4, members_high=4
             )
-            assert total_scatter_basis(flats).rank == min(dim, 11)
+            assert total_scatter_basis(*flats).rank == min(dim, 11)
 
     def test_basis_is_orthonormal_and_values_descend(self):
         rng = np.random.default_rng(38)
         for _ in range(10):
             flats = random_flats(rng, classes=4, dim=int(rng.integers(2, 25)))
-            basis = total_scatter_basis(flats)
+            basis = total_scatter_basis(*flats)
             gram = basis.omega.T @ basis.omega
             assert np.max(np.abs(gram - np.eye(basis.rank))) < 1e-12
             assert np.all(basis.s > 0.0)
@@ -174,51 +160,72 @@ class TestTotalScatterBasis:
 
     def test_means_and_labels_match_compute_scatter(self):
         flats = flats_1d({"b": [-1.0, 0.0, 1.0], "a": [6.0]})
-        basis = total_scatter_basis(flats)
-        stats = compute_scatter(flats)
+        basis = total_scatter_basis(*flats)
+        stats = compute_scatter(*flats)
         assert basis.labels == stats.labels == ("a", "b")
         assert np.array_equal(basis.class_means, stats.class_means)
         assert np.array_equal(basis.overall_mean, stats.overall_mean)
 
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            total_scatter_basis(flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]}))
-        with pytest.raises(DegenerateDataError):
-            row_scatter_basis(np.full((4, 1), 3.0), ["a", "a", "b", "b"])
+            total_scatter_basis(*flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]}))
 
     @pytest.mark.parametrize("coded", [False, True])
     def test_rows_give_the_bits_of_the_samples(self, coded):
         # Shuffled rows, labelled by name or by integer code in sorted name
-        # order: each class stacks its rows in their order, as the
-        # per-sample route stacks samples.
+        # order: each class stacks its rows in their order, so the bits are
+        # those of the same rows grouped class by class under their names.
         rng = np.random.default_rng(39)
-        flats = random_flats(rng, classes=4, dim=12)
-        flats = [flats[i] for i in rng.permutation(len(flats))]
-        names, codes = np.unique([f.label for f in flats], return_inverse=True)
-        rows = np.stack([f.vector for f in flats])
-        got = row_scatter_basis(rows, codes if coded else names[codes])
-        want = total_scatter_basis(flats)
+        rows, labels = random_flats(rng, classes=4, dim=12)
+        order = rng.permutation(len(rows))
+        rows = rows[order]
+        names, codes = np.unique(np.array(labels)[order], return_inverse=True)
+        got = total_scatter_basis(rows, codes if coded else names[codes])
+        grouped = np.argsort(codes, kind="stable")
+        want = total_scatter_basis(rows[grouped], names[codes[grouped]])
         for field in ("omega", "s", "class_means", "overall_mean"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         with pytest.raises(ContractError):
-            row_scatter_basis(rows, np.zeros(len(rows)))
+            total_scatter_basis(rows, np.zeros(len(rows)))
 
-    @pytest.mark.parametrize("case", ["empty", "single_class", "dimension_mismatch"])
+    @pytest.mark.parametrize("case", ["empty", "single_class"])
     def test_rejects_what_compute_scatter_rejects(self, case):
-        good = flats_1d({"a": [0.0], "b": [1.0]})
         flats = {
-            "empty": [],
+            "empty": (np.empty((0, 1)), []),
             "single_class": flats_1d({"a": [0.0, 1.0]}),
-            "dimension_mismatch": good
-            + [type(good[0])(vector=np.zeros(2), label="b", sample_id="x")],
         }[case]
         with pytest.raises(ContractError):
-            compute_scatter(flats)
+            compute_scatter(*flats)
         with pytest.raises(ContractError):
-            total_scatter_basis(flats)
+            total_scatter_basis(*flats)
 
     def test_results_are_read_only(self):
-        basis = total_scatter_basis(flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
+        basis = total_scatter_basis(*flats_1d({"a": [0.0, 2.0], "b": [4.0, 6.0]}))
         for a in (basis.omega, basis.s, basis.class_means, basis.overall_mean):
             with pytest.raises(ValueError):
                 a[0] = 99.0
+
+
+# Every entry point of a labeled population checks it the same way.
+CONSUMERS = {
+    f.__name__: f
+    for f in (learn_mmc, learn_pcalda, compute_scatter, total_scatter_basis,
+              context_of_rows)
+}
+PAIRS = ["a", "a", "b", "b"]
+MALFORMED = {
+    "not_2d": (np.arange(4.0), PAIRS, "2-D"),
+    "no_rows": (np.empty((0, 2)), [], "no samples"),
+    "label_count": (np.arange(8.0).reshape(4, 2), PAIRS[:3], "3 labels for 4 rows"),
+    "non_finite": (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+                   PAIRS, "non-finite"),
+    "one_class": (np.arange(8.0).reshape(4, 2), ["a"] * 4, "at least 2 classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_every_consumer_rejects_a_malformed_population(consumer, case):
+    rows, labels, message = MALFORMED[case]
+    with pytest.raises(ContractError, match=message):
+        CONSUMERS[consumer](rows, labels)

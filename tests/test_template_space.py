@@ -11,18 +11,15 @@ from conftest import (
     flats_1d,
     flats_nd,
     identity_ctx,
-    labels_of,
     metric_axiom_violation,
     mmc_euclidean_violation,
     random_flats,
     random_spd_ctx,
     recombination_violation,
-    rows_of,
     template_matrix,
 )
 from marginforge import (
     FeatureTransform,
-    FlatSample,
     MatchingContext,
     compute_scatter,
     context_of_rows,
@@ -43,10 +40,7 @@ def pick_first_coordinate(width: int) -> FeatureTransform:
 
 class TestExtractTemplate:
     def test_projects_and_keeps_identity(self):
-        flat = FlatSample(
-            vector=np.array([5.0, 7.0, 9.0]), label="a", sample_id="s0"
-        )
-        t = template_matrix(pick_first_coordinate(3), [flat])
+        t = template_matrix(pick_first_coordinate(3), np.array([[5.0, 7.0, 9.0]]))
         assert t.tolist() == [[5.0]]
 
     def test_linear_in_the_input(self):
@@ -68,7 +62,7 @@ class TestBuildMatchingContext:
         # Coincident class point sets: total scatter is pure within, 2,
         # so a unit gap whitens to squared length exactly 0.5.
         temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        ctx = context_of_rows(rows_of(temps), labels_of(temps))
+        ctx = context_of_rows(*temps)
         whitened = ctx.whiten(np.ones(1))
         assert float(whitened @ whitened) == pytest.approx(0.5, abs=1e-12)
 
@@ -76,8 +70,8 @@ class TestBuildMatchingContext:
         rng = np.random.default_rng(61)
         for _ in range(10):
             flats = random_flats(rng, classes=3, dim=6)
-            t = learn_mmc(flats)
-            ctx = context_of_rows(template_matrix(t, flats), labels_of(flats))
+            t = learn_mmc(*flats)
+            ctx = context_of_rows(template_matrix(t, flats[0]), flats[1])
             gap = ctx.whitener @ ctx.whitener.T - np.eye(t.feature_dim)
             assert np.max(np.abs(gap)) < 1e-6
 
@@ -86,7 +80,7 @@ class TestBuildMatchingContext:
         temps = flats_nd(
             {"a": [[0.0, 0.0], [2.0, 0.0]], "b": [[4.0, 0.0], [6.0, 0.0]]}
         )
-        ctx = context_of_rows(rows_of(temps), labels_of(temps))
+        ctx = context_of_rows(*temps)
         assert ctx.whitener.shape == (2, 1)
         assert ctx.whiten(np.array([0.0, 1.0])).tolist() == [0.0]
         gap = np.linalg.norm(ctx.whiten(np.array([2.0, 0.0])))
@@ -95,7 +89,7 @@ class TestBuildMatchingContext:
     def test_zero_scatter_is_degenerate(self):
         temps = flats_1d({"a": [3.0, 3.0], "b": [3.0, 3.0]})
         with pytest.raises(DegenerateDataError):
-            context_of_rows(rows_of(temps), labels_of(temps))
+            context_of_rows(*temps)
 
     def test_requires_templates_of_matching_width(self):
         with pytest.raises(ContractError):
@@ -103,7 +97,7 @@ class TestBuildMatchingContext:
         temps = flats_nd({"a": [[0.0, 1.0]], "b": [[2.0, 3.0]]})
         with pytest.raises(ContractError):
             context_of_rows(
-                template_matrix(identity_transform(1), temps), labels_of(temps)
+                template_matrix(identity_transform(1), temps[0]), temps[1]
             )
 
     @pytest.mark.parametrize("count", [3, 5])
@@ -199,11 +193,11 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
     flats = random_flats(
         rng, classes=classes, dim=dim, members_low=members, members_high=members
     )
-    temps = template_matrix(identity_transform(dim), flats)
-    ctx = context_of_rows(temps, labels_of(flats))
+    temps = template_matrix(identity_transform(dim), flats[0])
+    ctx = context_of_rows(temps, flats[1])
     assert ctx.whitener.shape[1] == min(n - 1, dim)
 
-    m = np.linalg.pinv(compute_scatter(flats).sigma_t, rcond=1e-10, hermitian=True)
+    m = np.linalg.pinv(compute_scatter(*flats).sigma_t, rcond=1e-10, hermitian=True)
     for _ in range(5):
         gap = rng.normal(0.0, 3.0, size=dim) - rng.normal(0.0, 3.0, size=dim)
         whitened = ctx.whiten(gap)

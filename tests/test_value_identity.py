@@ -8,19 +8,15 @@ identity instead, and hash like any object.
 import numpy as np
 import pytest
 
-from marginforge import FlatSample, GaitSample, SeparabilityReport, identity_transform
+from marginforge import GaitSample, SeparabilityReport, identity_transform
 from marginforge.metrics_classification import ScoreBlock, ThresholdSweep
 from marginforge.scatter import compute_scatter, total_scatter_basis
 from marginforge.template_space import MatchingContext
 
 
-def flats():
-    return [
-        FlatSample(vector=np.array(v, dtype=float), label=lab, sample_id=f"s{i}")
-        for i, (v, lab) in enumerate(
-            [([0.0, 1.0], "a"), ([1.0, 0.0], "a"), ([3.0, 2.0], "b"), ([2.0, 4.0], "b")]
-        )
-    ]
+def population():
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 2.0], [2.0, 4.0]])
+    return rows, ["a", "a", "b", "b"]
 
 
 def block():
@@ -35,7 +31,6 @@ def block():
 
 FACTORIES = {
     "GaitSample": lambda: GaitSample(frames=np.zeros((2, 1, 3)), label="a", sample_id="s"),
-    "FlatSample": lambda: flats()[0],
     "FeatureTransform": lambda: identity_transform(2),
     "MatchingContext": lambda: MatchingContext(whitener=np.eye(2)),
     "ScoreBlock": block,
@@ -44,8 +39,8 @@ FACTORIES = {
         dbi=0.5, di=2.0, sc=0.5, fdr=3.0,
         per_class_sigma={"a": 1.0}, class_centroids={"a": np.zeros(2)},
     ),
-    "ScatterStatistics": lambda: compute_scatter(flats()),
-    "ScatterBasis": lambda: total_scatter_basis(flats()),
+    "ScatterStatistics": lambda: compute_scatter(*population()),
+    "ScatterBasis": lambda: total_scatter_basis(*population()),
 }
 
 
