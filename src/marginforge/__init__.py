@@ -19,7 +19,6 @@ from .errors import (
     AlignmentError,
     ContractError,
     DegenerateDataError,
-    DegenerateMetricWarning,
     MarginforgeError,
     ParseError,
     SchemaError,

@@ -18,7 +18,6 @@ import argparse
 import logging
 import os
 import sys
-from typing import Optional
 
 from ._jsonio import atomic_write_text, load_json, write_json
 from .dataset import (
@@ -74,12 +73,6 @@ def _exit_code(exc: BaseException) -> int:
     return 1
 
 
-def _guess_format(path: str, explicit: Optional[str]) -> str:
-    if explicit and explicit != "auto":
-        return explicit
-    return "csv" if str(path).endswith(".csv") else "jsonl"
-
-
 class _Options:
     """Flag values merged over a JSON config file; flags override."""
 
@@ -103,8 +96,9 @@ class _Options:
     def get(self, key: str, default=None, kind=None):
         """The flag, else the config file's value, else default (a null
         in the file counts as unset). The file is untyped, so the value is
-        passed through kind (int, float) when one is given; a boolean, or a
-        number that int would truncate, is refused."""
+        passed through kind (int, float, str) when one is given; a boolean,
+        a number that int would truncate, or a str option's non-string is
+        refused."""
         value = self._args.get(key)
         if value is None:
             value = self._config.get(key)
@@ -113,7 +107,8 @@ class _Options:
         if kind is None or value is None:
             return value
         truncated = kind is int and isinstance(value, float) and not value.is_integer()
-        if not isinstance(value, bool) and not truncated:
+        mistyped = kind is str and not isinstance(value, str)
+        if not isinstance(value, bool) and not truncated and not mistyped:
             try:
                 return kind(value)
             except (TypeError, ValueError):
@@ -130,9 +125,16 @@ class _Options:
         return value
 
 
+def _format(opts: _Options, path: str) -> str:
+    explicit = opts.get("format", kind=str)
+    if explicit and explicit != "auto":
+        return explicit
+    return "csv" if path.endswith(".csv") else "jsonl"
+
+
 def _load(opts: _Options) -> LabeledDataset:
-    path = opts.require("input")
-    return load_dataset(path, format=_guess_format(path, opts.get("format")))
+    path = opts.require("input", str)
+    return load_dataset(path, format=_format(opts, path))
 
 
 def cmd_gen(opts: _Options) -> int:
@@ -146,8 +148,8 @@ def cmd_gen(opts: _Options) -> int:
         seed=opts.get("seed", 0, int),
     )
     dataset = generate_synthetic(spec)
-    output = opts.require("output")
-    save_dataset(dataset, output, format=_guess_format(output, opts.get("format")))
+    output = opts.require("output", str)
+    save_dataset(dataset, output, format=_format(opts, output))
     log.info("wrote %d samples to %s", dataset.num_samples, output)
     return 0
 
@@ -160,7 +162,7 @@ def cmd_preprocess(opts: _Options) -> int:
     if root_joint is None and opts.get("up_axis") is not None:
         raise ValidationError("--up-axis applies only with --root-joint")
     if root_joint is not None:
-        up_axis = str(opts.get("up_axis", "y"))
+        up_axis = opts.get("up_axis", "y", str)
         # Align first: centering pins the root at the origin, which erases
         # the displacement the alignment needs.
         samples = [align_walk_direction(s, root_joint, up_axis) for s in samples]
@@ -186,8 +188,8 @@ def cmd_preprocess(opts: _Options) -> int:
         samples = sorted(kept, key=lambda s: order[s.sample_id])
 
     result = LabeledDataset.from_samples(samples)
-    output = opts.require("output")
-    save_dataset(result, output, format=_guess_format(output, opts.get("format")))
+    output = opts.require("output", str)
+    save_dataset(result, output, format=_format(opts, output))
     log.info("wrote %d samples to %s", result.num_samples, output)
     return 0
 
@@ -196,7 +198,7 @@ def cmd_learn(opts: _Options) -> int:
     dataset = _load(opts)
     rows = flatten_all(dataset.samples)
     labels = [s.label for s in dataset.samples]
-    method = str(opts.get("method", "mmc")).replace("-", "_")
+    method = opts.get("method", "mmc", str).replace("-", "_")
     if method not in ("mmc", "pca_lda"):
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
     pca_dim = opts.get("pca_dim", kind=int)
@@ -206,7 +208,9 @@ def cmd_learn(opts: _Options) -> int:
         transform = learn_mmc(rows, labels)
     else:
         raise ValidationError(f"pca_dim applies to pca_lda only, not {method!r}")
-    output = opts.require("output")
+    for finding in transform.warnings:
+        log.warning("%s", finding)
+    output = opts.require("output", str)
     save_transform(transform, output)
     log.info(
         "learned %s transform %d -> %d, wrote %s",
@@ -227,15 +231,15 @@ def cmd_evaluate(opts: _Options) -> int:
         seed=opts.get("seed", 0, int),
     )
     config = ProtocolConfig(
-        pair_policy=str(opts.get("pair_policy", "all")).replace("-", "_"),
+        pair_policy=opts.get("pair_policy", "all", str).replace("-", "_"),
         pca_dim=opts.get("pca_dim", kind=int),
         workers=opts.get("workers", 1, int),
     )
-    report = run_protocol(dataset, str(opts.get("method", "mmc")), plan, config)
+    report = run_protocol(dataset, opts.get("method", "mmc", str), plan, config)
 
-    output = opts.require("output")
+    output = opts.require("output", str)
     write_json(output, report.to_json_dict())
-    stem = output[: -len(".json")] if str(output).endswith(".json") else str(output)
+    stem = output[: -len(".json")] if output.endswith(".json") else output
     for kind, series in report.curves.items():
         atomic_write_text(f"{stem}.{kind}.csv", curve_csv_text(series))
     log.info("wrote report %s and %d curve files", output, len(report.curves))
@@ -273,7 +277,7 @@ def cmd_compare(opts: _Options) -> int:
         )
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
-    output = opts.get("output")
+    output = opts.get("output", kind=str)
     if output:
         atomic_write_text(output, table)
     return 0

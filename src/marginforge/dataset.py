@@ -21,7 +21,6 @@ import numpy as np
 from ._jsonio import atomic_write_text
 from .errors import ContractError, ParseError, SchemaError, ValidationError
 
-DATASET_FORMATS = ("jsonl", "csv")
 CSV_HEADER = ["sample_id", "label", "frame", "joint", "x", "y", "z"]
 
 
@@ -34,7 +33,7 @@ class GaitSample:
     sample_id: str
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.array(self.frames, dtype=np.float64, order="C")  # own copy
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise SchemaError(
                 f"sample {self.sample_id!r}: frames must have shape (T, J, 3), "
@@ -46,7 +45,6 @@ class GaitSample:
             raise SchemaError(f"sample {self.sample_id!r}: needs at least 1 joint")
         if not np.all(np.isfinite(frames)):
             raise SchemaError(f"sample {self.sample_id!r}: non-finite coordinate")
-        frames = np.ascontiguousarray(frames)
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
 

@@ -30,7 +30,3 @@ class AlignmentError(MarginforgeError):
 
 class DegenerateDataError(MarginforgeError):
     """Data carries no usable variance (e.g. total scatter is zero)."""
-
-
-class DegenerateMetricWarning(RuntimeWarning):
-    """A metric hit a zero denominator and returned an infinity marker."""

@@ -30,7 +30,6 @@ The learners differ only in the rank and the keep rule:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,7 +47,7 @@ DELTA_KEEP = 0.5
 
 # Off-diagonal mass in Psi^T Sb Psi beyond this (Frobenius) means the two
 # SVD steps failed to diagonalize between-class scatter; diagnose, don't
-# hide.
+# hide: the transform carries a finding.
 OFF_DIAGONAL_WARN = 1e-6
 
 
@@ -102,6 +101,7 @@ class FeatureTransform:
     The learned methods (mmc, pca_lda) whiten total scatter,
     phi^T St phi = I, and delta holds each column's between-class share
     of total scatter, phi^T Sb phi = diag(delta); identity has ones.
+    warnings holds the learner's findings; it is not part of the JSON form.
     """
 
     method: str
@@ -109,19 +109,18 @@ class FeatureTransform:
     delta: np.ndarray
     fallback_used: bool = False
     ridge_used: bool = False
+    warnings: tuple = ()
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        phi = np.asarray(self.phi, dtype=np.float64)
-        delta = np.asarray(self.delta, dtype=np.float64)
+        phi = np.array(self.phi, dtype=np.float64, order="C")  # own copy
+        delta = np.array(self.delta, dtype=np.float64, order="C")
         if phi.ndim != 2 or phi.shape[1] < 1:
             raise ContractError("phi must be a (input_dim, feature_dim) matrix")
         if delta.shape != (phi.shape[1],):
             raise ContractError("delta must have one entry per phi column")
-        phi = np.ascontiguousarray(phi)
         phi.flags.writeable = False
-        delta = np.ascontiguousarray(delta)
         delta.flags.writeable = False
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "delta", delta)
@@ -211,8 +210,8 @@ def _whitened_discriminants(basis: ScatterBasis, rank: Optional[int] = None):
     basis of steps 1-2, scatter.total_scatter_basis.
 
     rank truncates the total-scatter basis (None: its numerical rank).
-    Returns (psi, delta): psi columns satisfy psi^T St psi = I and
-    psi^T Sb psi = diag(delta), delta descending.
+    Returns (psi, delta, findings): psi^T St psi = I, psi^T Sb psi =
+    diag(delta) with delta descending; findings names an off-diagonal residue.
     """
     r = basis.rank if rank is None else min(rank, basis.rank)
     omega = basis.omega[:, :r]
@@ -228,13 +227,13 @@ def _whitened_discriminants(basis: ScatterBasis, rank: Optional[int] = None):
     projected_b = projected_u @ projected_u.T
     delta = np.diag(projected_b).copy()
     off_norm = float(np.linalg.norm(projected_b - np.diag(delta)))
+    findings = ()
     if off_norm > OFF_DIAGONAL_WARN:
-        warnings.warn(
-            f"between-class scatter not diagonalized: off-diagonal norm "
-            f"{off_norm:.3e}",
-            RuntimeWarning,
+        findings = (
+            "RuntimeWarning: between-class scatter not diagonalized: "
+            f"off-diagonal norm {off_norm:.3e}",
         )
-    return psi, delta
+    return psi, delta, findings
 
 
 def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
@@ -249,7 +248,7 @@ def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
     set.
     """
     basis = total_scatter_basis(rows, labels)
-    psi, delta = _whitened_discriminants(basis)
+    psi, delta, findings = _whitened_discriminants(basis)
     selection = select_margin_columns(delta, limit=len(basis.labels) - 1)
     kept = list(selection.kept_indices)
     return FeatureTransform(
@@ -257,6 +256,7 @@ def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
         phi=_canonical_signs(psi[:, kept]),
         delta=delta[kept],
         fallback_used=selection.fallback_used,
+        warnings=findings,
     )
 
 
@@ -306,7 +306,7 @@ def learn_pcalda(
         )
     if pca_dim > dim:
         raise ContractError(f"pca_dim {pca_dim} exceeds input dimension {dim}")
-    psi, delta = _whitened_discriminants(basis, pca_dim)
+    psi, delta, findings = _whitened_discriminants(basis, pca_dim)
 
     # Between-class rank bounds the useful directions at C - 1; treat
     # shares within 1e-9 of the largest as zero.
@@ -320,4 +320,5 @@ def learn_pcalda(
         delta=delta[kept],
         fallback_used=fallback,
         ridge_used=bool(basis.rank < pca_dim or abs(delta[0] - 1.0) <= 1e-12),
+        warnings=findings,
     )

@@ -18,7 +18,6 @@ Curve kinds and their points:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +79,14 @@ class CurveSeries:
         }
 
 
-def cmc_fractions(block: ScoreBlock) -> np.ndarray:
-    """Cumulative match fractions at ranks 1 .. number of gallery identities.
+def cmc_fractions(block: ScoreBlock) -> tuple[np.ndarray, tuple]:
+    """(fractions, findings): cumulative match fractions at ranks 1 ..
+    number of gallery identities, and one finding per never-matched probe.
 
     For each probe, identities are ranked by their best (minimum) distance;
     the probe scores rank r = 1 + number of identities strictly closer
     than its own. Entry k - 1 is the fraction of probes with rank <= k. A
-    probe without a genuine row counts as never matched and triggers a
-    warning.
+    probe without a genuine row is never matched.
     """
     if block.distance.size == 0:
         raise ContractError("no distance records")
@@ -100,16 +99,15 @@ def cmc_fractions(block: ScoreBlock) -> np.ndarray:
     own = np.full(n_probes, -1)
     rows = np.flatnonzero(block.genuine)
     own[block.probe[rows]] = label[rows]
-    for p in np.flatnonzero(own < 0):
-        warnings.warn(
-            f"probe {block.probe_ids[p]!r}: its identity is not in the gallery; "
-            "counted as never matched",
-            RuntimeWarning,
-        )
+    findings = tuple(
+        f"RuntimeWarning: probe {block.probe_ids[p]!r}: its identity is not in "
+        "the gallery; counted as never matched"
+        for p in np.flatnonzero(own < 0)
+    )
     matched = np.flatnonzero(own >= 0)
     own_best = best[matched, own[matched]]
     ranks = np.sum(best[matched] < own_best[:, None], axis=1)
-    return np.cumsum(np.bincount(ranks, minlength=len(present))) / n_probes
+    return np.cumsum(np.bincount(ranks, minlength=len(present))) / n_probes, findings
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,27 +9,26 @@ the matcher sees. One geometry pass groups the rows, takes feature-space
 class centroids, and measures every other distance it needs as a
 Euclidean distance in the context's whitened coordinates; the four
 scorers only read it. Degenerate geometry (coincident centroids, zero
-dispersion) yields an infinity marker plus a DegenerateMetricWarning
-instead of an exception: a degenerate fold should show up in a report,
-not kill a run. Reports write the marker as JSON null; the warning names
-the metric.
+dispersion) yields an infinity marker instead of an exception, plus a
+"DegenerateMetricWarning: ..." finding on the report that names the
+metric: a degenerate fold should show up in a report, not kill a run.
+Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
 
 from ._jsonio import finite_or_null
-from .errors import ContractError, DegenerateMetricWarning
+from .errors import ContractError
 from .template_space import MatchingContext
 
 
-def _degenerate(message: str) -> float:
-    warnings.warn(message, DegenerateMetricWarning)
+def _degenerate(findings: list, message: str) -> float:
+    findings.append(f"DegenerateMetricWarning: {message}")
     return float("inf")
 
 
@@ -73,7 +72,7 @@ def _row_geometry(
     )
 
 
-def _davies_bouldin(g: _Geometry) -> float:
+def _davies_bouldin(g: _Geometry, findings: list) -> float:
     """Mean over classes of the worst dispersion-to-separation ratio, the
     separation of a pair being their centroid distance. Lower is better."""
     others = ~np.eye(len(g.labels), dtype=bool)
@@ -81,6 +80,7 @@ def _davies_bouldin(g: _Geometry) -> float:
     if len(coincident):
         i, j = coincident[0]
         return _degenerate(
+            findings,
             f"coincident centroids for classes {g.labels[i]!r} and "
             f"{g.labels[j]!r}: Davies-Bouldin undefined"
         )
@@ -89,12 +89,12 @@ def _davies_bouldin(g: _Geometry) -> float:
     return float(ratio.max(axis=1).mean())
 
 
-def _dunn(g: _Geometry) -> float:
+def _dunn(g: _Geometry, findings: list) -> float:
     """Smallest centroid separation over largest class dispersion. Higher
     is better."""
     sigma_max = float(g.sigma.max())
     if sigma_max == 0.0:
-        return _degenerate("all classes have zero dispersion: Dunn undefined")
+        return _degenerate(findings, "all classes have zero dispersion: Dunn undefined")
     separation = g.gaps[np.triu_indices(len(g.labels), k=1)].min()
     return float(separation / sigma_max)
 
@@ -116,18 +116,19 @@ def _silhouette(g: _Geometry) -> float:
     return float(score.mean())
 
 
-def _fisher_ratio(g: _Geometry) -> float:
+def _fisher_ratio(g: _Geometry, findings: list) -> float:
     """Mean centroid-to-global-mean distance over mean member-to-centroid
     distance. Higher is better."""
     if g.within == 0.0:
-        return _degenerate("zero within-class spread: Fisher ratio undefined")
+        return _degenerate(findings, "zero within-class spread: Fisher ratio undefined")
     return g.spread / g.within
 
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityReport:
-    """All four coefficients for one template population, plus the
-    per-class geometry (dispersions and centroids) they came from."""
+    """All four coefficients for one template population, the per-class
+    geometry (dispersions and centroids) they came from, and in warnings,
+    not in the JSON form, one finding per degenerate coefficient."""
 
     dbi: float
     di: float
@@ -135,6 +136,7 @@ class SeparabilityReport:
     fdr: float
     per_class_sigma: Dict[str, float]
     class_centroids: Dict[str, np.ndarray]
+    warnings: tuple = ()
 
     def __post_init__(self):
         if not -1.0 - 1e-9 <= self.sc <= 1.0 + 1e-9:
@@ -174,11 +176,13 @@ def separability_of_rows(
     if dist.shape != (n, n):
         raise ContractError(f"dist must be ({n}, {n}), got {dist.shape}")
     g = _row_geometry(vectors, labels, context, dist)
+    findings = []  # arguments evaluate in order: the scorers fill it first
     return SeparabilityReport(
-        dbi=_davies_bouldin(g),
-        di=_dunn(g),
+        dbi=_davies_bouldin(g, findings),
+        di=_dunn(g, findings),
         sc=_silhouette(g),
-        fdr=_fisher_ratio(g),
+        fdr=_fisher_ratio(g, findings),
         per_class_sigma={lab: float(g.sigma[k]) for k, lab in enumerate(g.labels)},
         class_centroids={lab: g.centroids[k].copy() for k, lab in enumerate(g.labels)},
+        warnings=tuple(findings),
     )

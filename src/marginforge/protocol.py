@@ -16,14 +16,14 @@ functions of the learning fold only, and probes are stripped of their
 labels before matching; true labels come back only for scoring.
 
 Reports are deterministic: fold tasks are pure and internally sequential,
-results are assembled in fold order, and captured warnings are
-deduplicated and sorted, so the report bytes do not depend on how many
-worker threads ran the folds.
+results are assembled in fold order, and the findings each fold returns
+(from the learner, separability and the rank metrics) are deduplicated
+and sorted, so the report bytes do not depend on how many worker threads
+ran the folds, nor on anything else in the process that warns.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -116,6 +116,13 @@ def plan_folds(
     inner_folds = []
     for f in range(outer):
         in_fold = set(outer_folds[f])
+        n_eval = dataset.num_samples - len(in_fold)
+        empty = (
+            f"outer fold {f}: {inner} inner folds over {n_eval} evaluation "
+            "samples leave an inner fold empty"
+        )
+        if n_eval < inner:  # refuse before allocating `inner` lists
+            raise ValidationError(empty)
         fold_parts = [[] for _ in range(inner)]
         for ci, label in enumerate(dataset.labels):
             members = np.array(
@@ -125,11 +132,7 @@ def plan_folds(
             for k, part in enumerate(_deal(list(shuffled), inner, ci % inner)):
                 fold_parts[k].extend(part)
         if not all(fold_parts):
-            raise ValidationError(
-                f"outer fold {f}: {inner} inner folds over "
-                f"{sum(map(len, fold_parts))} evaluation samples leave an "
-                f"inner fold empty"
-            )
+            raise ValidationError(empty)
         inner_folds.append(tuple(tuple(sorted(p)) for p in fold_parts))
 
     return FoldPlan(
@@ -191,6 +194,7 @@ class _FoldResult:
     frr_grid: np.ndarray
     tar_grid: np.ndarray
     precision_grid: np.ndarray
+    warnings: tuple
 
 
 def _run_fold(
@@ -258,7 +262,7 @@ def _run_fold(
         genuine=label == codes[rows],
         probe_ids=tuple(sample_ids[i] for i in eval_idx[probed]),
     )
-    cmc_y = cmc_fractions(block)
+    cmc_y, cmc_findings = cmc_fractions(block)
     sweep = ThresholdSweep.of(block)
     eer = sweep.eer()
     roc_far, roc_tar, auc = sweep.roc()
@@ -277,6 +281,7 @@ def _run_fold(
         frr_grid=np.interp(grid, qs, sweep.frr[:-1]),
         tar_grid=np.interp(grid, roc_far, roc_tar),
         precision_grid=np.interp(grid, recall, precision),
+        warnings=transform.warnings + separability.warnings + cmc_findings,
     )
 
 
@@ -319,16 +324,11 @@ def run_protocol(
         except MarginforgeError as exc:
             raise type(exc)(f"outer fold {f}: {exc}") from exc
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(fold_task, range(plan.n_outer)))
-        else:
-            results = [fold_task(f) for f in range(plan.n_outer)]
-    captured = tuple(
-        sorted({f"{w.category.__name__}: {w.message}" for w in caught})
-    )
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(fold_task, range(plan.n_outer)))
+    else:
+        results = [fold_task(f) for f in range(plan.n_outer)]
 
     headline = {}
     for key in ("ccr", "eer", "auc", "map"):
@@ -389,7 +389,7 @@ def run_protocol(
         curves=curves,
         headline=headline,
         config=config_echo,
-        warnings=captured,
+        warnings=tuple(sorted({w for r in results for w in r.warnings})),
     )
 
 

@@ -40,7 +40,7 @@ class MatchingContext:
     whitener: np.ndarray
 
     def __post_init__(self):
-        whitener = np.ascontiguousarray(self.whitener, dtype=np.float64)
+        whitener = np.array(self.whitener, dtype=np.float64, order="C")  # own copy
         if whitener.ndim != 2 or not 1 <= whitener.shape[1] <= whitener.shape[0]:
             raise ContractError("whitener must be a (dimension, rank) matrix")
         if not np.all(np.isfinite(whitener)):

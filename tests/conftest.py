@@ -47,7 +47,7 @@ def curve_points(x, y) -> list:
 
 def cmc_points(pairs) -> list:
     """(rank, cumulative match fraction) pairs, ranks from 1.0."""
-    cmc = cmc_fractions(score_block(pairs))
+    cmc, _ = cmc_fractions(score_block(pairs))
     return curve_points(np.arange(1.0, cmc.size + 1), cmc)
 
 

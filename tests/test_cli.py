@@ -1,6 +1,7 @@
 """Command-line interface: pipeline wiring, config merge, exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import marginforge
 from conftest import walking_sample
-from marginforge import GaitSample, LabeledDataset, load_dataset, save_dataset
+from marginforge import GaitSample, LabeledDataset, learners, load_dataset, save_dataset
 from marginforge.cli import main
 
 
@@ -403,6 +404,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("evaluate", {"input": 0}, "option --input must be str, got 0"),
+            ("gen", {"output": 5}, "option --output must be str, got 5"),
+            ("gen", {"output": True}, "option --output must be str, got True"),
+            ("gen", {"format": 0}, "option --format must be str, got 0"),
+            ("learn", {"method": 1}, "option --method must be str, got 1"),
+            (
+                "evaluate",
+                {"pair_policy": ["all"]},
+                "option --pair-policy must be str, got ['all']",
+            ),
+            ("preprocess", {"up_axis": 1}, "option --up-axis must be str, got 1"),
+        ],
+    )
+    def test_config_path_or_name_that_is_not_a_string_is_2(
+        self, tmp_path, capsys, command, config, message
+    ):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        argv = {
+            "gen": ("gen", "--classes", 2, "--per-class", 4),
+            "preprocess": ("preprocess", "--root-joint", 0),
+            "learn": ("learn",),
+            "evaluate": ("evaluate", "--inner-folds", 2),
+        }[command]
+        if "input" not in config and command != "gen":
+            argv += ("--input", data)
+        if "output" not in config:
+            argv += ("--output", out)
+        capsys.readouterr()
+        assert run(*argv, "--config", cfg) == 2
+        assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data.jsonl"]
+
     def test_unknown_subcommand_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run("enroll", "--input", "data.jsonl")
@@ -592,6 +633,18 @@ class TestLogEnvironment:
     def test_unknown_level_falls_back(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARGINFORGE_LOG", "banana")
         assert run(*gen_args(tmp_path / "x.jsonl")) == 0
+
+    def test_learn_logs_each_learner_finding(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(learners, "OFF_DIAGONAL_WARN", -1.0)
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        with caplog.at_level(logging.WARNING, logger="marginforge"):
+            assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 0
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage().startswith(
+            "RuntimeWarning: between-class scatter not diagonalized: "
+        )
 
 
 def test_import_leaves_scipy_unloaded():

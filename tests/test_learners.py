@@ -17,6 +17,7 @@ from marginforge import (
     identity_transform,
     learn_mmc,
     learn_pcalda,
+    learners,
     load_transform,
     margin_trace,
     mmc_objective,
@@ -110,6 +111,20 @@ class TestFeatureTransform:
         del doc["feature_dim"]
         with pytest.raises(SchemaError):
             FeatureTransform.from_json_dict(doc)
+
+    def test_off_diagonal_residue_is_a_finding_outside_the_json(self, monkeypatch):
+        rows, labels = random_flats(np.random.default_rng(45), classes=3, dim=4)
+        assert learn_mmc(rows, labels).warnings == ()
+        monkeypatch.setattr(learners, "OFF_DIAGONAL_WARN", -1.0)
+        for t in (learn_mmc(rows, labels), learn_pcalda(rows, labels)):
+            (finding,) = t.warnings
+            assert finding.startswith(
+                "RuntimeWarning: between-class scatter not diagonalized: "
+                "off-diagonal norm "
+            )
+            doc = t.to_json_dict()
+            assert "warnings" not in doc
+            assert FeatureTransform.from_json_dict(doc).warnings == ()
 
     def test_identity_transform(self):
         t = identity_transform(3)

@@ -50,7 +50,7 @@ class TestCmcCurve:
             Pair("p1", "a", 1.0, True),
             Pair("p1", "b", 2.0, False),
         ]
-        assert cmc_fractions(score_block(pairs))[0] == 1.0
+        assert cmc_fractions(score_block(pairs))[0][0] == 1.0
 
     def test_ties_rank_optimistically(self):
         pairs = [
@@ -66,8 +66,12 @@ class TestCmcCurve:
             Pair("p2", "a", 1.0, False),
             Pair("p2", "b", 2.0, False),
         ]
-        with pytest.warns(RuntimeWarning):
-            points = cmc_points(pairs)
+        _, findings = cmc_fractions(score_block(pairs))
+        assert findings == (
+            "RuntimeWarning: probe 'p2': its identity is not in the gallery; "
+            "counted as never matched",
+        )
+        points = cmc_points(pairs)
         assert points[0] == (1.0, 0.5)
         assert points[-1] == (2.0, 0.5)
 
@@ -77,7 +81,7 @@ class TestCmcCurve:
             pairs = random_pairs(
                 rng, n_probes=int(rng.integers(2, 8)), n_labels=int(rng.integers(2, 5))
             )
-            y = cmc_fractions(score_block(pairs))
+            y, _ = cmc_fractions(score_block(pairs))
             assert np.all(np.diff(y) >= 0)
             assert 0.0 <= y[0] <= y[-1] <= 1.0
 

@@ -1,5 +1,7 @@
 """Davies-Bouldin, Dunn, silhouette, Fisher ratio."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,18 @@ from marginforge import (
     pairwise_distances,
     separability_of_rows,
 )
-from marginforge.errors import ContractError, DegenerateMetricWarning
+from marginforge.errors import ContractError
 from oracles import brute_separability
 
 FIXTURE = {"a": [0.0, 2.0], "b": [4.0, 6.0]}
+COINCIDENT = (
+    "DegenerateMetricWarning: coincident centroids for classes 'a' and 'b': "
+    "Davies-Bouldin undefined",
+)
+ZERO_DISPERSION = (
+    "DegenerateMetricWarning: all classes have zero dispersion: Dunn undefined",
+    "DegenerateMetricWarning: zero within-class spread: Fisher ratio undefined",
+)
 
 
 def separability(rows, labels, ctx):
@@ -55,9 +65,17 @@ class TestDaviesBouldin:
 
     def test_coincident_centroids_degenerate(self):
         temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
-        with pytest.warns(DegenerateMetricWarning):
-            got = separability_of(temps, identity_ctx(1)).dbi
-        assert np.isinf(got)
+        report = separability_of(temps, identity_ctx(1))
+        assert report.warnings == COINCIDENT
+        assert np.isinf(report.dbi)
+
+    def test_degenerate_is_a_finding_even_when_warnings_are_errors(self):
+        temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = separability_of(temps, identity_ctx(1))
+        assert report.dbi == float("inf")
+        assert report.warnings == COINCIDENT
 
 
 class TestDunn:
@@ -78,9 +96,9 @@ class TestDunn:
 
     def test_zero_dispersion_degenerate(self):
         temps = flats_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
-        with pytest.warns(DegenerateMetricWarning):
-            got = separability_of(temps, identity_ctx(1)).di
-        assert np.isinf(got)
+        report = separability_of(temps, identity_ctx(1))
+        assert report.warnings == ZERO_DISPERSION
+        assert np.isinf(report.di)
 
 
 class TestSilhouette:
@@ -126,9 +144,9 @@ class TestFisherRatio:
 
     def test_zero_within_spread_degenerate(self):
         temps = flats_1d({"a": [1.0, 1.0], "b": [5.0, 5.0]})
-        with pytest.warns(DegenerateMetricWarning):
-            got = separability_of(temps, identity_ctx(1)).fdr
-        assert np.isinf(got)
+        report = separability_of(temps, identity_ctx(1))
+        assert report.warnings == ZERO_DISPERSION
+        assert np.isinf(report.fdr)
 
 
 class TestComputeSeparability:

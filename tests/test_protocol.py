@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from marginforge import (
     flatten_all,
     generate_synthetic,
     learn_mmc,
+    learners,
     plan_folds,
+    protocol,
     run_protocol,
 )
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
@@ -100,6 +104,22 @@ class TestPlanFolds:
         plan = plan_folds(ds, outer=3, inner=4)
         assert all(part for parts in plan.inner_folds for part in parts)
 
+    def test_impossible_inner_count_is_rejected_before_dealing(self):
+        # 4 classes of 6 leave 16 evaluation samples per outer fold; dealing
+        # them to a million inner folds would build a million lists first.
+        ds = small_dataset(noise=0.0, classes=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=(
+                "^outer fold 0: 1000000 inner folds over 16 evaluation samples "
+                "leave an inner fold empty$"
+            )):
+                plan_folds(ds, outer=3, inner=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestProtocolConfig:
     def test_validation(self):
@@ -164,6 +184,30 @@ class TestRunProtocol:
         assert np.isinf(report.headline["di"])
         assert np.isinf(report.headline["fdr"])
         assert any("DegenerateMetricWarning" in w for w in report.warnings)
+
+    def test_unrelated_warnings_stay_with_the_caller(self, monkeypatch):
+        def chatty_learn_mmc(rows, labels):
+            warnings.warn("unrelated library chatter", UserWarning)
+            return learn_mmc(rows, labels)
+
+        monkeypatch.setattr(protocol, "learn_mmc", chatty_learn_mmc)
+        ds = small_dataset()
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        with pytest.warns(UserWarning, match="^unrelated library chatter$"):
+            report = run_protocol(ds, "mmc", plan)
+        assert report.warnings == ()
+
+    def test_learner_findings_reach_the_report(self, monkeypatch):
+        monkeypatch.setattr(learners, "OFF_DIAGONAL_WARN", -1.0)
+        ds = small_dataset()
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        report = run_protocol(ds, "pca_lda", plan)
+        assert report.warnings
+        assert all(
+            w.startswith("RuntimeWarning: between-class scatter not diagonalized")
+            for w in report.warnings
+        )
+        assert list(report.warnings) == sorted(set(report.warnings))
 
     def test_shuffled_labels_sit_near_chance(self):
         ds = small_dataset(per_class=9, seed=11)
