@@ -6,14 +6,19 @@ import json
 import math
 import os
 import tempfile
+from typing import Iterable
 
 from .errors import ParseError
 
 
-def atomic_write_text(path, text: str):
-    """Write text to path via a temp file + rename, so readers never see
-    a half-written file. A temp file that cannot be made raises an
-    OSError that names path."""
+def atomic_write_text(path, chunks: Iterable[str]):
+    """Write chunks, a sequence or generator of strings, to path via a
+    temp file + rename, so readers never see a half-written file. Each
+    chunk is written as it arrives, so a generator's text is never held
+    whole; one string goes in as a one-element list (a bare str would be
+    written a character at a time). A temp file that cannot be made
+    raises an OSError that names path; a failed write removes the temp
+    file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -22,7 +27,7 @@ def atomic_write_text(path, text: str):
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -33,7 +38,7 @@ def atomic_write_text(path, text: str):
 def write_json(path, obj):
     """Write strict JSON: a non-finite float raises instead of becoming a
     bare Infinity or NaN token that strict parsers refuse."""
-    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    atomic_write_text(path, [json.dumps(obj, indent=2, allow_nan=False) + "\n"])
 
 
 def finite_or_null(value: float):

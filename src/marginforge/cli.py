@@ -241,7 +241,7 @@ def cmd_evaluate(opts: _Options) -> int:
     write_json(output, report.to_json_dict())
     stem = output[: -len(".json")] if output.endswith(".json") else output
     for kind, series in report.curves.items():
-        atomic_write_text(f"{stem}.{kind}.csv", curve_csv_text(series))
+        atomic_write_text(f"{stem}.{kind}.csv", [curve_csv_text(series)])
     log.info("wrote report %s and %d curve files", output, len(report.curves))
     return 0
 
@@ -279,7 +279,7 @@ def cmd_compare(opts: _Options) -> int:
     sys.stdout.write(table)
     output = opts.get("output", kind=str)
     if output:
-        atomic_write_text(output, table)
+        atomic_write_text(output, [table])
     return 0
 
 
@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, dataset_files=True):
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--format", choices=["auto", "jsonl", "csv"], default=None)
+        if dataset_files:
+            p.add_argument("--format", choices=["auto", "jsonl", "csv"], default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic labeled dataset")
     common(p)
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int)
 
     p = sub.add_parser("compare", help="tabulate headline scalars of reports")
-    common(p)
+    common(p, dataset_files=False)
     p.add_argument("inputs", nargs="+", help="report JSON files")
     p.add_argument("--output")
 

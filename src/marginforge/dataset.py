@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -198,42 +199,45 @@ def load_dataset(path, format: str = "jsonl") -> LabeledDataset:
 
 
 def save_dataset(dataset: LabeledDataset, path, format: str = "jsonl"):
-    """Write a dataset file atomically; coordinates round-trip exactly."""
+    """Write a dataset file atomically, one sample's text at a time;
+    coordinates round-trip exactly."""
     if format == "jsonl":
-        lines = []
-        for s in dataset.samples:
-            record = {
+        chunks = (
+            json.dumps({
                 "sample_id": s.sample_id,
                 "label": s.label,
                 "frames": s.frames.tolist(),
-            }
-            lines.append(json.dumps(record))
-        text = "\n".join(lines) + "\n"
+            }) + "\n"
+            for s in dataset.samples
+        )
     elif format == "csv":
-        # csv.writer quotes the two text fields; the numeric fields never
-        # need quoting, so they are formatted directly, with repr floats
-        # and the \r\n terminator csv.writer writes. Rows are joined per
-        # sample: one flat list of every row string raises peak memory.
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(CSV_HEADER)
-        parts = [buffer.getvalue()]
-        for s in dataset.samples:
-            buffer.seek(0)
-            buffer.truncate()
-            writer.writerow([s.sample_id, s.label])
-            key = buffer.getvalue()[:-2]
-            parts.append(
-                "".join(
-                    f"{key},{t},{j},{x!r},{y!r},{z!r}\r\n"
-                    for t, frame in enumerate(s.frames.tolist())
-                    for j, (x, y, z) in enumerate(frame)
-                )
-            )
-        text = "".join(parts)
+        chunks = _csv_chunks(dataset.samples)
     else:
         raise ValidationError(f"unknown dataset format {format!r}")
-    atomic_write_text(path, text)
+    atomic_write_text(path, chunks)
+
+
+def _csv_chunks(samples):
+    """The csv file's text: the header, then one string per sample.
+
+    csv.writer quotes the two text fields; the numeric fields never need
+    quoting, so they are formatted directly, with repr floats and the
+    CRLF terminator csv.writer writes.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    yield buffer.getvalue()
+    for s in samples:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([s.sample_id, s.label])
+        key = buffer.getvalue()[:-2]
+        yield "".join(
+            f"{key},{t},{j},{x!r},{y!r},{z!r}\r\n"
+            for t, frame in enumerate(s.frames.tolist())
+            for j, (x, y, z) in enumerate(frame)
+        )
 
 
 def _load_jsonl(path) -> list:
@@ -260,14 +264,23 @@ def _load_jsonl(path) -> list:
     return samples
 
 
-# One CSV record: sample_id,label,frame,joint,x,y,z.
+# One CSV record: sample_id,label,frame,joint,x,y,z, with the id and
+# label read as int codes.
 _CSV_RECORD = np.dtype([
-    ("sample_id", object),
-    ("label", object),
+    ("sample_id", np.int64),
+    ("label", np.int64),
     ("frame", np.int64),
     ("joint", np.int64),
     ("xyz", np.float64, (3,)),
 ])
+
+
+def _coder() -> defaultdict:
+    """A map that gives each new key the next int code, in order of first
+    appearance; its __getitem__ is a C-level converter for loadtxt."""
+    codes = defaultdict()
+    codes.default_factory = codes.__len__
+    return codes
 
 
 def _read_csv_fast(path) -> Optional[list]:
@@ -276,6 +289,7 @@ def _read_csv_fast(path) -> Optional[list]:
     None means the file does not open with the header the writer writes,
     or fails a check; _read_csv_rows then reads it and raises any error.
     """
+    ids, labels = _coder(), _coder()
     # newline="" keeps a quoted \r in an id or label as written.
     with open(path, newline="") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
@@ -289,16 +303,15 @@ def _read_csv_fast(path) -> Optional[list]:
         try:
             # Every field is typed, so a row with an extra column raises.
             rows = np.loadtxt(fh, dtype=_CSV_RECORD, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+                              comments=None, ndmin=1,
+                              converters={0: ids.__getitem__, 1: labels.__getitem__})
         except ValueError:  # includes UnicodeDecodeError
             return None
 
-    ids, labels = rows["sample_id"], rows["label"]
+    code, label = rows["sample_id"], rows["label"]
     frame, joint = rows["frame"], rows["joint"]
-    index: dict = {}
-    code = np.array([index.setdefault(s, len(index)) for s in ids.tolist()])
     first = np.unique(code, return_index=True)[1]
-    if (labels != labels[first][code]).any() or min(frame.min(), joint.min()) < 0:
+    if (label != label[first][code]).any() or min(frame.min(), joint.min()) < 0:
         return None
     counts = np.bincount(code)
     last_frame = np.zeros(len(first), np.int64)
@@ -321,15 +334,20 @@ def _read_csv_fast(path) -> Optional[list]:
         return None
     flat = np.empty((len(rows), 3))
     flat[cell] = rows["xyz"]
+    names = list(labels)
+    sample_labels = [names[c] for c in label[first].tolist()]
+    # Free the records before each sample copies its frames out of flat.
+    del rows, code, label, frame, joint, cell
     try:
         return [
             GaitSample(
                 frames=flat[a : a + t * j].reshape(t, j, 3),
-                label=labels[f],
-                sample_id=ids[f],
+                label=sample_label,
+                sample_id=sample_id,
             )
-            for a, t, j, f in zip(starts.tolist(), n_frames.tolist(),
-                                  n_joints.tolist(), first.tolist())
+            for sample_id, sample_label, a, t, j in zip(
+                ids, sample_labels, starts.tolist(), n_frames.tolist(),
+                n_joints.tolist())
         ]
     except SchemaError:
         return None

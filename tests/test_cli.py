@@ -131,6 +131,24 @@ class TestPipeline:
         assert report["config"]["pair_policy"] == "class_best"
         assert report["config"]["context_source"] == "learning"
 
+    def test_schema_refuses_the_deleted_gallery_context_source(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        rpt = tmp_path / "rpt.json"
+        assert run(*gen_args(data)) == 0
+        assert run(
+            "evaluate", "--input", data, "--output", rpt, "--inner-folds", 2,
+        ) == 0
+        schema = json.loads(
+            resources.files("marginforge")
+            .joinpath("schemas/report.schema.json")
+            .read_text()
+        )
+        report = json.loads(rpt.read_text())
+        jsonschema.validate(instance=report, schema=schema)
+        report["config"]["context_source"] = "gallery"
+        with pytest.raises(jsonschema.ValidationError, match="'gallery' is not one of"):
+            jsonschema.validate(instance=report, schema=schema)
+
     def test_degenerate_metric_is_strict_json_null(self, tmp_path, capsys):
         # Zero noise puts every member on its class centroid, so the Dunn
         # index has no within-class spread to divide by.
@@ -560,6 +578,38 @@ class TestExitCodes:
             "'context_source', 'inner_fold'\n"
         )
         assert not out.exists()
+
+    @staticmethod
+    def valid_report(path):
+        path.write_text(json.dumps({
+            "config": {"method": "mmc"},
+            "headline": dict.fromkeys(
+                ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map"), 0.5
+            ),
+        }))
+        return path
+
+    def test_compare_refuses_the_format_flag(self, tmp_path, capsys):
+        # compare reads reports, never a dataset file.
+        report = self.valid_report(tmp_path / "r.json")
+        assert run("compare", report) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("compare", report, "--format", "csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_compare_refuses_a_format_config_key(self, tmp_path, capsys):
+        report = self.valid_report(tmp_path / "r.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        capsys.readouterr()
+        assert run("compare", report, "--config", cfg) == 2
+        assert capsys.readouterr() == (
+            "",
+            "marginforge: ValidationError: unknown config keys for compare: "
+            "'format'\n",
+        )
 
     def test_missing_required_option_is_2(self, tmp_path):
         data = tmp_path / "data.jsonl"

@@ -1,6 +1,7 @@
 """Data model, file round trips, the sample matrix, synthetic generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ class TestFileFormats:
         assert [s.label for s in back.samples] == [s.label for s in ds.samples]
         for s_in, s_out in zip(ds.samples, back.samples):
             assert s_in.frames.tobytes() == s_out.frames.tobytes()
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_failed_save_keeps_the_old_file(self, tmp_path, format):
+        # Samples are written as they are formatted, so the error below
+        # comes after the temp file holds the first sample's text.
+        path = tmp_path / f"d.{format}"
+        path.write_bytes(b"old")
+        broken = LabeledDataset(samples=(sample(np.zeros((2, 1, 3))), None),
+                                joint_count=1, class_index={})
+        with pytest.raises(AttributeError):
+            save_dataset(broken, path, format=format)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -353,11 +367,55 @@ def test_csv_reader_matches_the_row_parser(tmp_path_factory, dataset, edits):
     pytest.param(S0 + "s1,a,0,0,1,2,3,4\r\ns1,a,1,0,4,5,6\r\n", id="extra-column"),
     # Newline translation would turn the quoted \r into \n.
     pytest.param('"x\r",a,0,0,1,2,3\r\n"x\r",a,1,0,4,5,6\r\n', id="cr-in-id"),
+    # The fast reader codes ids and labels in order of first appearance.
+    pytest.param("s0,a,0,0,1,2,3\r\ns1,b,0,0,7,8,9\r\n"
+                 "s0,a,1,0,4,5,6\r\ns1,b,1,0,1,1,1\r\n", id="interleaved-samples"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns1,b,0,0,7,8,9\r\n"
+                 "s0,b,1,0,4,5,6\r\ns1,b,1,0,1,1,1\r\n", id="one-id-two-labels"),
+    pytest.param("a,b,0,0,1,2,3\r\na,b,1,0,4,5,6\r\n"
+                 "s1,a,0,0,7,8,9\r\ns1,a,1,0,1,1,1\r\n", id="id-equal-to-a-label"),
+    pytest.param('"s0",a,0,0,1,2,3\r\ns0,a,1,0,4,5,6\r\n', id="quoted-and-bare-id"),
 ])
 def test_csv_reader_traps(tmp_path, body):
     path = tmp_path / "d.csv"
     path.write_bytes((HEADER + body).encode())
     assert_readers_agree(path)
+
+
+class TestCsvMemory:
+    """Traced heap peaks of a CSV round trip, against the 20 000-row file's
+    size: both directions hold typed arrays and one sample's text, never a
+    Python object per row or the whole file's text."""
+
+    ROWS = 20_000  # 100 samples of 20 frames x 10 joints
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(SyntheticSpec(
+            classes=10, samples_per_class=10, joints=10, frames=20,
+            class_spread=5.0, noise=0.5, seed=1))
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_per_row(self, tmp_path, dataset):
+        path = tmp_path / "d.csv"
+        save_dataset(dataset, path, format="csv")
+        back, peak = self.traced_peak(lambda: load_dataset(path, format="csv"))
+        assert sum(s.frames.shape[0] * s.frames.shape[1] for s in back.samples) == self.ROWS
+        assert peak <= 160 * self.ROWS
+
+    def test_save_peak_against_file_size(self, tmp_path, dataset):
+        path = tmp_path / "d.csv"
+        _, peak = self.traced_peak(lambda: save_dataset(dataset, path, format="csv"))
+        assert peak <= 0.5 * path.stat().st_size
 
 
 class TestSynthetic:
