@@ -34,6 +34,12 @@ class GaitSample:
     sample_id: str
 
     def __post_init__(self):
+        if not isinstance(self.sample_id, str):
+            raise SchemaError(f"sample {self.sample_id!r}: sample_id must be a string")
+        if not isinstance(self.label, (str, type(None))):
+            raise SchemaError(
+                f"sample {self.sample_id!r}: label must be a string or null"
+            )
         frames = np.array(self.frames, dtype=np.float64, order="C")  # own copy
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise SchemaError(
@@ -247,7 +253,9 @@ def _load_jsonl(path) -> list:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                # An integer parses as the float that the CSV reader's
+                # float() gives, so one too large to hold is non-finite.
+                record = json.loads(line, parse_int=float)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             try:

@@ -130,10 +130,10 @@ def dtw_distances(
     Classic dynamic program with Euclidean local cost between whole poses
     (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
     full endpoint alignment. Returns the unnormalized accumulated costs in
-    candidate order. Candidates of one frame count share one sweep. The
-    local cost is a Euclidean distance summed in coordinate order
-    (_local_costs), bit-equal to cdist, which the tests keep as the oracle;
-    the filter needs numpy alone.
+    candidate order. All candidates share one zero-padded sweep, at any mix
+    of frame counts. The local cost is a Euclidean distance summed in
+    coordinate order (_local_costs), bit-equal to cdist, which the tests
+    keep as the oracle; the filter needs numpy alone.
     """
     for sample in candidates:
         if sample.joint_count != exemplar.joint_count:
@@ -142,36 +142,36 @@ def dtw_distances(
             )
     m = exemplar.frame_count
     pb = exemplar.frames.reshape(m, -1)
-    groups: dict[int, list[int]] = {}
-    for i, sample in enumerate(candidates):
-        groups.setdefault(sample.frame_count, []).append(i)
-    out = np.empty(len(candidates))
-    for n, members in groups.items():
-        # One flat n x m cost table per candidate, stacked with the
-        # candidate axis innermost: row r holds cell r of every table.
-        poses = np.stack([candidates[i].frames for i in members])
-        cost = _local_costs(poses.reshape(len(members) * n, -1), pb)
-        cost = np.ascontiguousarray(cost.reshape(len(members), n * m).T)
+    n = max((sample.frame_count for sample in candidates), default=2)
+    # One flat n x m cost table per candidate, stacked with the candidate
+    # axis innermost: row r holds cell r of every table. A candidate with
+    # fewer than n frames is zero-padded at the end.
+    poses = np.zeros((len(candidates), n, exemplar.joint_count, 3))
+    for pose, sample in zip(poses, candidates):
+        pose[: sample.frame_count] = sample.frames
+    cost = _local_costs(poses.reshape(-1, pb.shape[1]), pb)
+    cost = np.ascontiguousarray(cost.reshape(len(candidates), n * m).T)
 
-        # acc stacks the flat (n+1)x(m+1) tables of accumulated costs the
-        # same way. Cell (i, j) needs only cells of the two anti-diagonals
-        # before its own, i + j = k, so each diagonal is filled in one
-        # step. Along a diagonal the cells, and each of their up, left and
-        # diagonal neighbours, lie m rows apart in acc; their local costs
-        # lie m - 1 rows apart in cost (m >= 2, since every sample has at
-        # least 2 frames). Every cell gets the same sum as the row-by-row
-        # recurrence, so values are bit-equal.
-        acc = np.full(((n + 1) * (m + 1), len(members)), np.inf)
-        acc[0] = 0.0
-        for k in range(2, n + m + 1):
-            lo, hi = max(1, k - m), min(n, k - 1)
-            s, e = lo * m + k, hi * m + k + 1
-            c = lo * (m - 1) + k - m - 1
-            best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
-            np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
-            np.add(cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1], best, out=acc[s:e:m])
-        out[members] = acc[-1]
-    return out
+    # acc stacks the flat (n+1)x(m+1) tables of accumulated costs the same
+    # way. Cell (i, j) needs only cells of the two anti-diagonals before its
+    # own, i + j = k, so each diagonal is filled in one step. Along a
+    # diagonal the cells, and each of their up, left and diagonal
+    # neighbours, lie m rows apart in acc; their local costs lie m - 1 rows
+    # apart in cost (m >= 2, since every sample has at least 2 frames).
+    # Every cell gets the same sum as the row-by-row recurrence, so values
+    # are bit-equal. Cell (i, j) reads no cell below row i, so candidate
+    # c's distance, cell (n_c, m), never reads its padding.
+    acc = np.full(((n + 1) * (m + 1), len(candidates)), np.inf)
+    acc[0] = 0.0
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        s, e = lo * m + k, hi * m + k + 1
+        c = lo * (m - 1) + k - m - 1
+        best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
+        np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
+        np.add(cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1], best, out=acc[s:e:m])
+    ends = [sample.frame_count * (m + 1) + m for sample in candidates]
+    return acc[ends, np.arange(len(candidates))]
 
 
 def dtw_distance(a: GaitSample, b: GaitSample) -> float:

@@ -481,6 +481,54 @@ class TestExitCodes:
         ) == 4
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, every, named",
+        [
+            # The reader parses an integer as a float.
+            ("sample_id", 1, False, "1.0"),
+            ("sample_id", ["x"], False, "['x']"),
+            ("sample_id", True, False, "True"),
+            ("label", 1, True, "'id000s000'"),
+            ("label", ["x"], True, "'id000s000'"),
+            ("label", True, True, "'id000s000'"),
+            # One int label among string labels.
+            ("label", 1, False, "'id000s000'"),
+        ],
+    )
+    def test_a_non_string_id_or_label_is_4(
+        self, tmp_path, capsys, field, value, every, named
+    ):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(
+            json.dumps({**r, field: value} if every or i == 0 else r) + "\n"
+            for i, r in enumerate(records)
+        ))
+        report = tmp_path / "report.json"
+        assert run(
+            "evaluate", "--input", bad, "--output", report, "--method", "identity"
+        ) == 4
+        must = {"sample_id": "a string", "label": "a string or null"}[field]
+        assert capsys.readouterr().err == (
+            f"marginforge: SchemaError: sample {named}: {field} must be {must}\n"
+        )
+        assert not report.exists()
+
+    def test_an_integer_coordinate_too_large_for_a_float_is_4(self, tmp_path, capsys):
+        # 401 digits overflow a float; 5000 pass Python's int-parsing limit.
+        data = tmp_path / "big.jsonl"
+        for digits in ("1" + "0" * 400, "9" * 5000):
+            data.write_text(
+                '{"sample_id": "s0", "label": "a", '
+                f'"frames": [[[{digits}, 0, 0]], [[0, 0, 0]]]}}\n'
+            )
+            assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 4
+            assert capsys.readouterr().err == (
+                "marginforge: SchemaError: sample 's0': non-finite coordinate\n"
+            )
+
     def test_alignment_error_is_5(self, tmp_path):
         still = np.tile(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]]), (3, 1, 1))
         samples = [

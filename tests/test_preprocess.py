@@ -291,7 +291,7 @@ class TestDtwDistances:
 @given(
     seed=st.integers(0, 2**32 - 1),
     # Lengths come from a pool of at most three, so candidates often share
-    # one sweep and often do not.
+    # one length and often do not.
     lengths=st.lists(st.integers(2, 40), min_size=1, max_size=3).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
     ),
@@ -301,6 +301,7 @@ class TestDtwDistances:
 )
 @example(seed=0, lengths=[2, 2], m=2, joints=1, integral=True)
 @example(seed=1, lengths=[40, 2, 40, 17, 2, 40], m=40, joints=4, integral=False)
+@example(seed=2, lengths=[2, 40], m=2, joints=1, integral=True)
 def test_dtw_distances_equal_the_rowwise_recurrence_exactly(
     seed, lengths, m, joints, integral
 ):
