@@ -159,8 +159,8 @@ def dtw_distances(
     # neighbours, lie m rows apart in acc; their local costs lie m - 1 rows
     # apart in cost (m >= 2, since every sample has at least 2 frames).
     # Every cell gets the same sum as the row-by-row recurrence, so values
-    # are bit-equal. Cell (i, j) reads no cell below row i, so candidate
-    # c's distance, cell (n_c, m), never reads its padding.
+    # are bit-equal. Cell (i, j) reads no row below i, so a candidate of
+    # t frames ends at cell (t, m), which never reads its padding.
     acc = np.full(((n + 1) * (m + 1), len(candidates)), np.inf)
     acc[0] = 0.0
     for k in range(2, n + m + 1):
