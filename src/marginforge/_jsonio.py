@@ -48,7 +48,9 @@ def finite_or_null(value: float):
 
 def load_json(path, what: str = "file"):
     """Parse strict JSON: the bare NaN and Infinity tokens that write_json
-    never writes are a ParseError, like any other malformed input."""
+    never writes are a ParseError, like any other malformed input, and so
+    are an integer past Python's digit limit and nesting past its
+    recursion limit."""
 
     def reject_constant(token: str):
         raise ParseError(f"{what} {path}: {token} is not a JSON value")
@@ -62,3 +64,5 @@ def load_json(path, what: str = "file"):
         ) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path}: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} {path}: {exc}") from exc

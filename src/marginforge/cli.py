@@ -260,12 +260,19 @@ def cmd_compare(opts: _Options) -> int:
             raise SchemaError(f"report {path}: missing field {exc}")
         if not isinstance(method, str):
             raise SchemaError(f"report {path}: config.method is not a string")
+        numbers = []
         for key, value in zip(keys, values):
             if value is not None and (
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise SchemaError(f"report {path}: headline.{key} is not a number")
-        rows.append((method, [None if v is None else float(v) for v in values]))
+            try:
+                numbers.append(None if value is None else float(value))
+            except OverflowError:
+                raise SchemaError(
+                    f"report {path}: headline.{key} is too large for a float"
+                ) from None
+        rows.append((method, numbers))
 
     name_width = max(len("method"), max(len(r[0]) for r in rows))
     header = "method".ljust(name_width) + "".join(k.rjust(10) for k in keys)

@@ -258,6 +258,8 @@ def _load_jsonl(path) -> list:
                 record = json.loads(line, parse_int=float)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
             try:
                 sample_id = record["sample_id"]
                 label = record["label"]

@@ -152,11 +152,11 @@ class FeatureTransform:
             method = obj["method"]
             input_dim = int(obj["input_dim"])
             feature_dim = int(obj["feature_dim"])
-            delta = obj["delta"]
-            phi = obj["phi"]
+            delta = _finite_reals(obj, "delta")
+            phi = _finite_reals(obj, "phi")
             fallback_used = bool(obj["fallback_used"])
             ridge_used = bool(obj["ridge_used"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"transform document missing/invalid field: {exc}")
         if method not in METHODS:
             raise SchemaError(f"unknown method {method!r}")
@@ -169,14 +169,30 @@ class FeatureTransform:
             )
         if len(delta) != feature_dim:
             raise SchemaError("delta length must equal feature_dim")
-        phi = np.asarray(phi, dtype=np.float64).reshape(input_dim, feature_dim)
         return cls(
             method=method,
-            phi=phi,
-            delta=np.asarray(delta, dtype=np.float64),
+            phi=phi.reshape(input_dim, feature_dim),
+            delta=delta,
             fallback_used=fallback_used,
             ridge_used=ridge_used,
         )
+
+
+def _finite_reals(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; it must be a list of finite real
+    numbers, so a null, a boolean or a number string is refused."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise SchemaError(f"{key} must be a list of numbers")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        array = None
+    if array is None or not np.isfinite(array).all():
+        raise SchemaError(f"{key} must hold finite numbers")
+    return array
 
 
 def save_transform(transform: FeatureTransform, path):

@@ -3,13 +3,13 @@
 The outer loop splits the dataset into disjoint folds (3 by default),
 learns the feature transform on ONE fold, and evaluates on the union of
 the remaining folds: separability coefficients over the evaluation
-templates, then an inner loop (10 by default) that takes each inner fold
-as probes against the other inner folds as gallery, filling one score
-block of probe-to-identity distances for the rank and threshold metrics.
-The learning fold's matching context whitens the evaluation templates
-once, and one matrix of Euclidean distances between the whitened rows
-serves both: separability reads all of it, and each inner fold reads its
-probe-by-gallery block.
+templates, then one score block for the rank and threshold metrics, in
+which every evaluation template is a probe once, against the templates
+of the other inner folds (10 by default) as gallery. The learning fold's
+matching context whitens the evaluation templates once, and one matrix
+of Euclidean distances between the whitened rows serves both:
+separability reads all of it, and the score block reads each entry
+whose two rows lie in different inner folds.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only, and probes are stripped of their
@@ -74,13 +74,6 @@ class FoldPlan:
         return tuple(sorted(i for part in self.inner_folds[fold] for i in part))
 
 
-def _deal(indices: Sequence[int], n_folds: int, offset: int) -> list:
-    folds = [[] for _ in range(n_folds)]
-    for k, idx in enumerate(indices):
-        folds[(k + offset) % n_folds].append(idx)
-    return folds
-
-
 def plan_folds(
     dataset: LabeledDataset, outer: int = 3, inner: int = 10, seed: int = 0
 ) -> FoldPlan:
@@ -110,8 +103,8 @@ def plan_folds(
     for ci, label in enumerate(dataset.labels):
         members = np.array(dataset.class_index[label])
         shuffled = members[rng.permutation(len(members))]
-        for k, part in enumerate(_deal(list(shuffled), outer, ci % outer)):
-            outer_folds[k].extend(part)
+        for k, idx in enumerate(shuffled):
+            outer_folds[(k + ci) % outer].append(idx)
 
     inner_folds = []
     for f in range(outer):
@@ -129,8 +122,8 @@ def plan_folds(
                 [i for i in dataset.class_index[label] if i not in in_fold]
             )
             shuffled = members[rng.permutation(len(members))]
-            for k, part in enumerate(_deal(list(shuffled), inner, ci % inner)):
-                fold_parts[k].extend(part)
+            for k, idx in enumerate(shuffled):
+                fold_parts[(k + ci) % inner].append(idx)
         if not all(fold_parts):
             raise ValidationError(empty)
         inner_folds.append(tuple(tuple(sorted(p)) for p in fold_parts))
@@ -189,11 +182,7 @@ class EvaluationReport:
 class _FoldResult:
     separability: SeparabilityReport
     scalars: dict
-    cmc_y: np.ndarray
-    far_grid: np.ndarray
-    frr_grid: np.ndarray
-    tar_grid: np.ndarray
-    precision_grid: np.ndarray
+    curves: dict  # cmc fractions by rank; far, frr, tar, precision on the grid
     warnings: tuple
 
 
@@ -230,37 +219,30 @@ def _run_fold(
     dist = pairwise_distances(context.whiten(evaluation))
     separability = separability_of_rows(evaluation, label_names[codes], context, dist)
 
-    # Inner fold of each evaluation row.
+    # Every two evaluation rows in different inner folds are a probe/gallery
+    # pair; a probe's own label only flags its genuine pairs.
     inner = np.empty(len(eval_idx), dtype=np.intp)
     for k, part in enumerate(plan.inner_folds[fold]):
         inner[np.searchsorted(eval_idx, part)] = k
-    n_labels = len(label_names)
-    distance, label, probe_rows = [], [], []
-    for k in range(plan.n_inner):
-        probes = np.flatnonzero(inner == k)
-        gallery = np.flatnonzero(inner != k)
-        # The probes' labels play no part in matching; only the distances
-        # reach the scorer, plus the true labels for the genuine flags.
-        d = dist[np.ix_(probes, gallery)]
-        gallery_codes = codes[gallery]
-        if config.pair_policy == "class_best":
-            best = np.full((len(probes), n_labels), np.inf)
-            np.minimum.at(best.T, gallery_codes, d.T)
-            gallery_codes = np.unique(gallery_codes)
-            d = best[:, gallery_codes]
-        distance.append(d.ravel())
-        label.append(np.tile(gallery_codes, len(probes)))
-        probe_rows.append(np.repeat(probes, len(gallery_codes)))
-
-    rows = np.concatenate(probe_rows)  # the probe's evaluation row, per pair
-    probed, probe = np.unique(rows, return_inverse=True)
-    label = np.concatenate(label)
+    probe, gallery = np.nonzero(inner[:, None] != inner)
+    distance, label = dist[probe, gallery], codes[gallery]
+    if config.pair_policy == "class_best":
+        # One pair per probe and gallery identity, at its best distance. A
+        # pair exists by membership, so the block checks every distance.
+        best = np.full((len(eval_idx), len(label_names)), np.inf)
+        # ufunc.at is several times faster on one flat index than on two.
+        cell = np.ravel_multi_index((probe, label), best.shape)
+        np.minimum.at(best.reshape(-1), cell, distance)
+        enrolled = np.zeros(best.shape, dtype=bool)
+        enrolled[probe, label] = True
+        probe, label = np.nonzero(enrolled)
+        distance = best[probe, label]
     block = ScoreBlock(
-        distance=np.concatenate(distance),
+        distance=distance,
         probe=probe,
         label=label,
-        genuine=label == codes[rows],
-        probe_ids=tuple(sample_ids[i] for i in eval_idx[probed]),
+        genuine=label == codes[probe],
+        probe_ids=tuple(sample_ids[i] for i in eval_idx),
     )
     cmc_y, cmc_findings = cmc_fractions(block)
     sweep = ThresholdSweep.of(block)
@@ -273,14 +255,18 @@ def _run_fold(
     # dropped; -inf lands at quantile 0 by itself.
     qs = sweep.quantile[:-1]
 
+    scalars = {"ccr": float(cmc_y[0]), "eer": eer, "auc": auc, "map": map_value}
+    scalars.update((k, getattr(separability, k)) for k in ("dbi", "di", "sc", "fdr"))
     return _FoldResult(
         separability=separability,
-        scalars={"ccr": float(cmc_y[0]), "eer": eer, "auc": auc, "map": map_value},
-        cmc_y=cmc_y,
-        far_grid=np.interp(grid, qs, sweep.far[:-1]),
-        frr_grid=np.interp(grid, qs, sweep.frr[:-1]),
-        tar_grid=np.interp(grid, roc_far, roc_tar),
-        precision_grid=np.interp(grid, recall, precision),
+        scalars=scalars,
+        curves={
+            "cmc": cmc_y,
+            "far": np.interp(grid, qs, sweep.far[:-1]),
+            "frr": np.interp(grid, qs, sweep.frr[:-1]),
+            "tar": np.interp(grid, roc_far, roc_tar),
+            "precision": np.interp(grid, recall, precision),
+        },
         warnings=transform.warnings + separability.warnings + cmc_findings,
     )
 
@@ -330,48 +316,26 @@ def run_protocol(
     else:
         results = [fold_task(f) for f in range(plan.n_outer)]
 
-    headline = {}
-    for key in ("ccr", "eer", "auc", "map"):
-        headline[key] = float(np.mean([r.scalars[key] for r in results]))
-    for key in ("dbi", "di", "sc", "fdr"):
-        headline[key] = float(
-            np.mean([getattr(r.separability, key) for r in results])
-        )
-
-    max_ranks = max(len(r.cmc_y) for r in results)
-    cmc_stack = np.stack(
-        [
-            np.concatenate([r.cmc_y, np.full(max_ranks - len(r.cmc_y), r.cmc_y[-1])])
-            for r in results
-        ]
-    )
-    cmc_mean = cmc_stack.mean(axis=0)
+    headline = {
+        key: float(np.mean([r.scalars[key] for r in results]))
+        for key in results[0].scalars
+    }
+    # Pointwise fold means. A fold's curve holds at its last value past its
+    # end; only cmc lengths differ, one rank per identity in the gallery.
+    mean = {"grid": grid}
+    for key in results[0].curves:
+        folds = [r.curves[key] for r in results]
+        n = max(map(len, folds))
+        mean[key] = np.mean([np.pad(c, (0, n - len(c)), "edge") for c in folds], axis=0)
+    mean["rank"] = np.arange(1.0, len(mean["cmc"]) + 1)
     curves = {
-        "cmc": CurveSeries(
-            kind="cmc",
-            points=tuple(
-                (float(k + 1), float(cmc_mean[k])) for k in range(max_ranks)
-            ),
-        ),
-        "far_frr": CurveSeries(
-            kind="far_frr",
-            points=tuple(
-                zip(
-                    np.mean([r.far_grid for r in results], axis=0),
-                    np.mean([r.frr_grid for r in results], axis=0),
-                )
-            ),
-        ),
-        "roc": CurveSeries(
-            kind="roc",
-            points=tuple(zip(grid, np.mean([r.tar_grid for r in results], axis=0))),
-        ),
-        "rcl_pcn": CurveSeries(
-            kind="rcl_pcn",
-            points=tuple(
-                zip(grid, np.mean([r.precision_grid for r in results], axis=0))
-            ),
-        ),
+        kind: CurveSeries(kind=kind, points=tuple(zip(mean[x], mean[y])))
+        for kind, x, y in (
+            ("cmc", "rank", "cmc"),
+            ("far_frr", "far", "frr"),
+            ("roc", "grid", "tar"),
+            ("rcl_pcn", "grid", "precision"),
+        )
     }
 
     config_echo = {

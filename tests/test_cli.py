@@ -336,6 +336,35 @@ class TestExitCodes:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize(
+        "value", ["9" * 5000, "[" * 200_000 + "]" * 200_000], ids=["digits", "depth"]
+    )
+    @pytest.mark.parametrize("command", ["compare", "gen"])
+    def test_json_past_python_limits_is_3(self, tmp_path, capsys, command, value):
+        # An integer past Python's digit limit, or nesting past its
+        # recursion limit, is malformed input like any other.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"classes": %s}' % value)
+        argv = {
+            "compare": ("compare", bad),
+            "gen": (*gen_args(tmp_path / "x.jsonl"), "--config", bad),
+        }[command]
+        assert run(*argv) == 3
+        what = "report" if command == "compare" else "config"
+        err = capsys.readouterr().err
+        assert err.startswith(f"marginforge: ParseError: {what} {bad}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_a_dataset_line_nested_past_the_recursion_limit_is_3(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "deep.jsonl"
+        data.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+        assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("marginforge: ParseError: line 1: invalid JSON (")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_bare_non_finite_token_in_a_report_is_3(self, tmp_path, capsys, token):
         report = tmp_path / "report.json"
@@ -357,6 +386,7 @@ class TestExitCodes:
         [
             ({"headline": {"ccr": "abc"}}, "headline.ccr is not a number"),
             ({"config": {"method": 5}}, "config.method is not a string"),
+            ({"headline": {"eer": 10**400}}, "headline.eer is too large for a float"),
         ],
     )
     def test_malformed_report_values_are_4(self, tmp_path, capsys, edit, message):

@@ -1,5 +1,6 @@
 """Margin-maximizing and PCA+LDA transform learners."""
 
+import json
 import os
 import tempfile
 
@@ -102,6 +103,7 @@ class TestFeatureTransform:
             {"phi": [1.0, 0.0, 0.0]},
             {"delta": [1.0]},
             {"input_dim": 0},
+            {"input_dim": float("inf")},
         ):
             doc = dict(good)
             doc.update(breakage)
@@ -111,6 +113,33 @@ class TestFeatureTransform:
         del doc["feature_dim"]
         with pytest.raises(SchemaError):
             FeatureTransform.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("phi", [None, 0.0, 0.0, 1.0], "phi must be a list of numbers"),
+            ("delta", [True, 1.0], "delta must be a list of numbers"),
+            ("phi", ["1.0", 0.0, 0.0, 1.0], "phi must be a list of numbers"),
+            ("delta", ["x", 1.0], "delta must be a list of numbers"),
+            ("phi", [[1.0], [0.0], [0.0], [1.0]], "phi must be a list of numbers"),
+            ("delta", [10**400, 1.0], "delta must hold finite numbers"),
+            ("phi", 4, "phi must be a list of numbers"),
+            ("delta", "ab", "delta must be a list of numbers"),
+        ],
+        ids=[
+            "null", "true", "number-string", "word", "nested", "huge-int",
+            "number-phi", "string-delta",
+        ],
+    )
+    def test_load_refuses_entries_that_are_not_finite_reals(
+        self, tmp_path, key, value, message
+    ):
+        doc = identity_transform(2).to_json_dict()
+        doc[key] = value
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_transform(path)
 
     def test_off_diagonal_residue_is_a_finding_outside_the_json(self, monkeypatch):
         rows, labels = random_flats(np.random.default_rng(45), classes=3, dim=4)

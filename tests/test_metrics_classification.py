@@ -162,28 +162,33 @@ class TestRclPcnCurve:
 class TestAgainstBruteForce:
     def test_small_record_sets_match_exactly(self):
         # Coarse random scores with deliberate ties: every curve and every
-        # scalar has to equal the counting-loop reference, no tolerance.
+        # scalar has to equal the counting-loop reference, no tolerance,
+        # with the rows in either order. A generator of its own shuffles
+        # them, so the record sets stay those of seed 82.
         rng = np.random.default_rng(82)
+        shuffle = np.random.default_rng(84)
         for _ in range(40):
-            pairs = random_pairs(
+            generated = random_pairs(
                 rng, n_probes=int(rng.integers(2, 6)), n_labels=int(rng.integers(2, 4))
             )
-            s = sweep_of(pairs)
-            assert curve_points(s.far, s.frr) == oracles.brute_far_frr_points(pairs)
-            assert s.eer() == oracles.brute_eer(pairs)
-            far, tar, auc = s.roc()
-            assert curve_points(far, tar) == oracles.brute_roc_points(pairs)
-            assert auc == pytest.approx(
-                oracles.trapezoid_area(oracles.brute_roc_points(pairs)), abs=1e-15
-            )
-            recall, precision, map_value = s.rcl_pcn()
-            rcl_pcn = curve_points(recall, precision)
-            assert rcl_pcn == oracles.brute_rcl_pcn_points(pairs)
-            assert map_value == pytest.approx(
-                oracles.trapezoid_area(oracles.brute_rcl_pcn_points(pairs)),
-                abs=1e-15,
-            )
-            assert cmc_points(pairs) == oracles.brute_cmc_points(pairs)
+            shuffled = [generated[i] for i in shuffle.permutation(len(generated))]
+            for pairs in (generated, shuffled):
+                s = sweep_of(pairs)
+                assert curve_points(s.far, s.frr) == oracles.brute_far_frr_points(pairs)
+                assert s.eer() == oracles.brute_eer(pairs)
+                far, tar, auc = s.roc()
+                assert curve_points(far, tar) == oracles.brute_roc_points(pairs)
+                assert auc == pytest.approx(
+                    oracles.trapezoid_area(oracles.brute_roc_points(pairs)), abs=1e-15
+                )
+                recall, precision, map_value = s.rcl_pcn()
+                rcl_pcn = curve_points(recall, precision)
+                assert rcl_pcn == oracles.brute_rcl_pcn_points(pairs)
+                assert map_value == pytest.approx(
+                    oracles.trapezoid_area(oracles.brute_rcl_pcn_points(pairs)),
+                    abs=1e-15,
+                )
+                assert cmc_points(pairs) == oracles.brute_cmc_points(pairs)
 
     def test_monotone_distance_transform_changes_nothing(self):
         # Rank and threshold metrics only see the ordering, so a strictly

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import Pair
@@ -16,6 +18,7 @@ from marginforge import (
     ProtocolConfig,
     SyntheticSpec,
     compute_scatter,
+    context_of_rows,
     curve_csv_text,
     flatten_all,
     generate_synthetic,
@@ -365,11 +368,13 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
 
 class TestScoreBlockAgainstRecords:
     @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
-    @pytest.mark.parametrize("dataset", ["full", "two_sample_class"])
+    @pytest.mark.parametrize("dataset", ["full", "full3", "two_sample_class"])
     def test_headline_matches_brute_force_oracles(self, pair_policy, dataset):
-        if dataset == "full":
+        # With 3 inner folds a probe's gallery spans two other folds, so
+        # "every other fold" and "the next fold" differ.
+        if dataset in ("full", "full3"):
             ds = small_dataset()
-            plan = plan_folds(ds, outer=3, inner=2, seed=0)
+            plan = plan_folds(ds, outer=3, inner=2 if dataset == "full" else 3, seed=0)
         else:
             ds = two_sample_class_dataset()
             plan = plan_folds(ds, outer=2, inner=2, seed=0)
@@ -399,6 +404,100 @@ class TestScoreBlockAgainstRecords:
             for sample_id in ("id003s000", "id003s001")
         )
         assert report.headline["ccr"] < 1.0
+
+
+def mapped_dataset(ds, f):
+    """ds with each sample's flattened vector x replaced by f(x)."""
+    return LabeledDataset.from_samples(
+        GaitSample(
+            frames=f(s.frames.reshape(-1)).reshape(s.frames.shape),
+            label=s.label,
+            sample_id=s.sample_id,
+        )
+        for s in ds.samples
+    )
+
+
+def random_orthogonal(rng, n) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q
+
+
+class TestMetamorphicInvariance:
+    """Whitening total scatter makes the report independent of the
+    measurement basis (Mahalanobis 1936), so a change of basis that the
+    route can see through must leave the report in place.
+
+    The tolerances were fixed from the worst case of 400 random draws of
+    each map on these sets, before the properties first ran: headlines
+    moved 6.7e-14 (A) and 1.3e-14 (B) relative, and no curve point moved.
+    Curves are rank-based, so a near-tie could still flip a point.
+    """
+
+    HEADLINE_RTOL = 1e-12
+    CURVE_ATOL = 1e-12
+
+    def assert_same_report(self, a, b):
+        for key, value in a.headline.items():
+            expected = pytest.approx(value, rel=self.HEADLINE_RTOL, abs=0)
+            assert b.headline[key] == expected, key
+        for kind, series in a.curves.items():
+            np.testing.assert_allclose(
+                b.curves[kind].points, series.points, rtol=0, atol=self.CURVE_ATOL
+            )
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        map_seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.25, 4.0),
+    )
+    def test_a_similarity_map_moves_no_method(self, data_seed, map_seed, alpha):
+        # A: x -> alpha x Q + b, Q orthogonal, on rank-deficient folds (D=18,
+        # 6 learning samples); every route sees through it.
+        ds = small_dataset(seed=data_seed)
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        rng = np.random.default_rng(map_seed)
+        dim = ds.samples[0].frames.size
+        q = random_orthogonal(rng, dim)
+        b = rng.normal(scale=5.0, size=dim)
+        moved = mapped_dataset(ds, lambda x: alpha * (x @ q) + b)
+        for method in protocol.PROTOCOL_METHODS:
+            self.assert_same_report(
+                run_protocol(ds, method, plan), run_protocol(moved, method, plan)
+            )
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(data_seed=st.integers(0, 2**32 - 1), map_seed=st.integers(0, 2**32 - 1))
+    def test_an_invertible_map_moves_no_full_rank_identity_route(
+        self, data_seed, map_seed
+    ):
+        # B: x -> x G, G invertible with condition number <= 4. The
+        # pseudo-inverse metric is invariant only where every learning fold
+        # spans all D = 6 dimensions, and PCA is not invariant at all.
+        spec = SyntheticSpec(
+            classes=3,
+            samples_per_class=9,
+            joints=1,
+            frames=2,
+            class_spread=3.0,
+            noise=0.3,
+            seed=data_seed,
+        )
+        ds = generate_synthetic(spec)
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        rows = flatten_all(ds.samples)
+        labels = [s.label for s in ds.samples]
+        for fold in plan.outer_folds:
+            context = context_of_rows(rows[list(fold)], [labels[i] for i in fold])
+            assert context.whitener.shape == (6, 6)
+        rng = np.random.default_rng(map_seed)
+        u, v = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
+        g = (u * rng.uniform(0.5, 2.0, size=6)) @ v.T
+        moved = mapped_dataset(ds, lambda x: x @ g)
+        self.assert_same_report(
+            run_protocol(ds, "identity", plan), run_protocol(moved, "identity", plan)
+        )
 
 
 class TestCurveCsv:
