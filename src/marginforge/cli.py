@@ -155,24 +155,24 @@ def cmd_gen(opts: _Options) -> int:
 
 
 def cmd_preprocess(opts: _Options) -> int:
-    dataset = _load(opts)
-    samples = list(dataset.samples)
+    # Each sample's next form replaces it here: one copy of each is alive.
+    samples = list(_load(opts).samples)
 
     root_joint = opts.get("root_joint", kind=int)
     if root_joint is None and opts.get("up_axis") is not None:
         raise ValidationError("--up-axis applies only with --root-joint")
-    if root_joint is not None:
-        up_axis = opts.get("up_axis", "y", str)
-        # Align first: centering pins the root at the origin, which erases
-        # the displacement the alignment needs.
-        samples = [align_walk_direction(s, root_joint, up_axis) for s in samples]
-        samples = [center_on_root(s, root_joint) for s in samples]
-
+    up_axis = opts.get("up_axis", "y", str)
     target = opts.get("target_frames", kind=int)
-    if target is not None:
-        if target == 0:  # 0 asks for the dataset's average length
-            target = average_length(samples)
-        samples = [resample_time(s, target) for s in samples]
+    if target == 0:  # 0 asks for the dataset's average length
+        target = average_length(samples)
+    for k, s in enumerate(samples):
+        if root_joint is not None:
+            # Align first: centering pins the root at the origin, which
+            # erases the displacement the alignment needs.
+            s = center_on_root(align_walk_direction(s, root_joint, up_axis), root_joint)
+        if target is not None:
+            s = resample_time(s, target)
+        samples[k] = s
 
     threshold = opts.get("dtw_threshold", kind=float)
     if threshold is not None:

@@ -150,14 +150,14 @@ class FeatureTransform:
             raise SchemaError("transform document must be a JSON object")
         try:
             method = obj["method"]
-            input_dim = int(obj["input_dim"])
-            feature_dim = int(obj["feature_dim"])
+            input_dim = _scalar(obj, "input_dim", int)
+            feature_dim = _scalar(obj, "feature_dim", int)
             delta = _finite_reals(obj, "delta")
             phi = _finite_reals(obj, "phi")
-            fallback_used = bool(obj["fallback_used"])
-            ridge_used = bool(obj["ridge_used"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"transform document missing/invalid field: {exc}")
+            fallback_used = _scalar(obj, "fallback_used", bool)
+            ridge_used = _scalar(obj, "ridge_used", bool)
+        except KeyError as exc:
+            raise SchemaError(f"transform document missing field: {exc}")
         if method not in METHODS:
             raise SchemaError(f"unknown method {method!r}")
         if input_dim < 1 or feature_dim < 1:
@@ -176,6 +176,17 @@ class FeatureTransform:
             fallback_used=fallback_used,
             ridge_used=ridge_used,
         )
+
+
+def _scalar(doc: dict, key: str, kind: type):
+    """doc[key] as kind: a JSON boolean for bool, a whole non-bool number for int."""
+    value = doc[key]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    what = "boolean" if kind is bool else "whole number"
+    raise SchemaError(f"{key} must be a {what}")
 
 
 def _finite_reals(doc: dict, key: str) -> np.ndarray:

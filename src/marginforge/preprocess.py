@@ -102,24 +102,26 @@ def average_length(samples: Sequence[GaitSample]) -> int:
     return max(2, int(np.floor(mean + 0.5)))
 
 
-def _local_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between the rows of a and b.
+def _local_costs(coords: np.ndarray, exemplar: np.ndarray) -> np.ndarray:
+    """The (n+1, m+1, P) DTW table of the (D, n, P) coordinate-major
+    candidate stack against the (m, D) exemplar: 0 at the corner, inf on
+    the rest of row and column 0, and the frames' Euclidean distances inside.
 
-    The squared coordinate differences are summed in coordinate order, one
-    whole table per coordinate, and the root is taken last. That is the
-    order of the Euclidean cdist loop, so entries are bit-equal to
-    cdist(a, b), which the tests keep as the oracle. Besides the result
-    the kernel holds one buffer of its size.
+    Per exemplar frame, one workspace of the stack's size holds the squared
+    differences, summed over the leading axis, so in coordinate order, as
+    the Euclidean cdist loop sums them; with n * P >= 2 (else numpy sums
+    pairwise) entries are bit-equal to cdist, which the tests keep as the
+    oracle. The root comes last and keeps the boundary.
     """
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    out = np.subtract(at[0, :, None], bt[0])
-    np.square(out, out=out)
-    buf = np.empty_like(out)
-    for ak, bk in zip(at[1:], bt[1:]):
-        np.subtract(ak[:, None], bk, out=buf)
-        np.square(buf, out=buf)
-        out += buf
-    return np.sqrt(out, out=out)
+    _, n, p = coords.shape
+    table = np.full((n + 1, len(exemplar) + 1, p), np.inf)
+    table[0, 0] = 0.0
+    work = np.empty_like(coords)
+    for j, pose in enumerate(exemplar, start=1):
+        np.subtract(coords, pose[:, None, None], out=work)
+        np.square(work, out=work)
+        np.add.reduce(work, axis=0, out=table[1:, j])
+    return np.sqrt(table, out=table)
 
 
 def dtw_distances(
@@ -131,9 +133,9 @@ def dtw_distances(
     (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
     full endpoint alignment. Returns the unnormalized accumulated costs in
     candidate order. All candidates share one zero-padded sweep, at any mix
-    of frame counts. The local cost is a Euclidean distance summed in
-    coordinate order (_local_costs), bit-equal to cdist, which the tests
-    keep as the oracle; the filter needs numpy alone.
+    of frame counts, over one table: it holds the local costs (_local_costs)
+    until the sweep accumulates them in place. Besides it the call holds
+    two blocks of the candidates' size; the filter needs numpy alone.
     """
     for sample in candidates:
         if sample.joint_count != exemplar.joint_count:
@@ -143,33 +145,28 @@ def dtw_distances(
     m = exemplar.frame_count
     pb = exemplar.frames.reshape(m, -1)
     n = max((sample.frame_count for sample in candidates), default=2)
-    # One flat n x m cost table per candidate, stacked with the candidate
-    # axis innermost: row r holds cell r of every table. A candidate with
-    # fewer than n frames is zero-padded at the end.
-    poses = np.zeros((len(candidates), n, exemplar.joint_count, 3))
-    for pose, sample in zip(poses, candidates):
-        pose[: sample.frame_count] = sample.frames
-    cost = _local_costs(poses.reshape(-1, pb.shape[1]), pb)
-    cost = np.ascontiguousarray(cost.reshape(len(candidates), n * m).T)
+    # The candidates' poses, coordinate-major and zero-padded to n frames;
+    # their tables are stacked with the candidate axis innermost.
+    coords = np.zeros((pb.shape[1], n, len(candidates)))
+    for p, c in enumerate(candidates):
+        coords[:, : c.frame_count, p] = c.frames.reshape(c.frame_count, -1).T
+    table = _local_costs(coords, pb)
 
-    # acc stacks the flat (n+1)x(m+1) tables of accumulated costs the same
-    # way. Cell (i, j) needs only cells of the two anti-diagonals before its
-    # own, i + j = k, so each diagonal is filled in one step. Along a
-    # diagonal the cells, and each of their up, left and diagonal
-    # neighbours, lie m rows apart in acc; their local costs lie m - 1 rows
-    # apart in cost (m >= 2, since every sample has at least 2 frames).
-    # Every cell gets the same sum as the row-by-row recurrence, so values
-    # are bit-equal. Cell (i, j) reads no row below i, so a candidate of
-    # t frames ends at cell (t, m), which never reads its padding.
-    acc = np.full(((n + 1) * (m + 1), len(candidates)), np.inf)
-    acc[0] = 0.0
+    # Row r of acc is cell r of every table. Cell (i, j) needs only cells
+    # of the two anti-diagonals before its own, i + j = k, so each diagonal
+    # is filled in one step, adding to each cell's local cost. Along it the
+    # cells, and each of their up, left and diagonal neighbours, lie m rows
+    # apart (m >= 2, since every sample has at least 2 frames). Every cell
+    # gets the same sum as the row-by-row recurrence, so values are
+    # bit-equal. Cell (i, j) reads no row below i, so a candidate of t
+    # frames ends at cell (t, m), which never reads its padding.
+    acc = table.reshape((n + 1) * (m + 1), len(candidates))
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
         s, e = lo * m + k, hi * m + k + 1
-        c = lo * (m - 1) + k - m - 1
         best = np.minimum(acc[s - m - 1 : e - m - 1 : m], acc[s - 1 : e - 1 : m])
         np.minimum(best, acc[s - m - 2 : e - m - 2 : m], out=best)
-        np.add(cost[c : c + (hi - lo) * (m - 1) + 1 : m - 1], best, out=acc[s:e:m])
+        np.add(acc[s:e:m], best, out=acc[s:e:m])
     ends = [sample.frame_count * (m + 1) + m for sample in candidates]
     return acc[ends, np.arange(len(candidates))]
 

@@ -3,6 +3,7 @@ constructors that keep the test bodies close to the numbers they assert."""
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -220,3 +221,22 @@ def mmc_euclidean_violation(rng: np.random.Generator) -> float:
             e = float(np.linalg.norm(temps[i] - temps[j]))
             worst = max(worst, abs(d[i, j] - e) / max(e, 1e-9))
     return float(worst)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that call() holds beyond what was live before it, as
+    tracemalloc counts them (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def dtw_bytes(lengths, exemplar_frames: int, joints: int) -> int:
+    """What dtw_distances may hold for candidates of the given frame
+    counts: its (n+1, m+1, P) table and two (3J, n, P) blocks, in float64."""
+    n, p = max(lengths), len(lengths)
+    return 8 * p * ((n + 1) * (exemplar_frames + 1) + 2 * 3 * joints * n)

@@ -10,11 +10,23 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import marginforge
-from conftest import walking_sample
-from marginforge import GaitSample, LabeledDataset, learners, load_dataset, save_dataset
+from conftest import dtw_bytes, traced_peak, walking_sample
+from marginforge import (
+    GaitSample,
+    LabeledDataset,
+    align_walk_direction,
+    average_length,
+    center_on_root,
+    learners,
+    load_dataset,
+    resample_time,
+    save_dataset,
+)
 from marginforge.cli import main
+from oracles import rowwise_dtw
 
 
 def run(*argv) -> int:
@@ -866,3 +878,85 @@ def test_preprocess_needs_no_scipy(tmp_path):
         got = load_dataset(path, format="jsonl").samples
         assert [s.sample_id for s in got] == kept
         assert {s.frame_count for s in got} == lengths
+
+
+def raw_cycles(seed, identities, cycles, frames):
+    """Raw 3-joint cycles of lengths drawn from the inclusive range frames,
+    each walking a random heading from a random start, with the identities
+    interleaved. Cycle 1 of each identity is an outlier: every non-root
+    joint moved by 5. Returns the samples and the outliers' ids."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for k in range(cycles):
+        for c in range(identities):
+            angle = rng.uniform(0.0, 2 * np.pi)
+            s = walking_sample(
+                1.5 * np.array([np.cos(angle), 0.0, np.sin(angle)]),
+                frames=int(rng.integers(frames[0], frames[1], endpoint=True)),
+                label=f"id{c}", sample_id=f"id{c}c{k}", rng=rng,
+            )
+            shift = rng.uniform(-5.0, 5.0, size=3) * np.array([1.0, 0.0, 1.0])
+            if k == 1:
+                shift = shift + np.array([[0.0], [5.0], [5.0]])
+            samples.append(s.with_frames(s.frames + shift))
+    return samples, [f"id{c}c1" for c in range(identities)]
+
+
+class TestPreprocess:
+    # Above every inlier's DTW distance to its exemplar and below every
+    # outlier's on the sets raw_cycles makes here.
+    THRESHOLD = 20.0
+    # Peak bytes the command may hold beyond one copy of the frames and the
+    # DTW bound: one sample's parsed JSON line, its copies between steps
+    # and its CSV text, the samples' Python objects, and numpy's ufunc
+    # buffers. The worst case measured on the set below was 118 813.
+    SLACK = 128 * 1024
+
+    def argv(self, data, out, target):
+        argv = ["preprocess", "--input", data, "--output", out, "--root-joint", 0,
+                "--dtw-threshold", self.THRESHOLD]
+        return argv if target is None else [*argv, "--target-frames", target]
+
+    @pytest.mark.parametrize("target", [None, 0])
+    def test_writes_what_its_steps_compose_to(self, tmp_path, target):
+        samples, planted = raw_cycles(15, identities=3, cycles=5, frames=(4, 9))
+        data, out = tmp_path / "raw.jsonl", tmp_path / "prep.csv"
+        save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
+        assert run(*self.argv(data, out, target)) == 0
+
+        steps = [center_on_root(align_walk_direction(s, 0), 0) for s in samples]
+        if target is not None:
+            steps = [resample_time(s, average_length(samples)) for s in steps]
+        exemplars = {}
+        for s in steps:
+            exemplars.setdefault(s.label, s)
+
+        def dtw(s):
+            e = exemplars[s.label]
+            return rowwise_dtw(cdist(s.frames.reshape(s.frame_count, -1),
+                                     e.frames.reshape(e.frame_count, -1)))
+
+        kept = [s for s in steps if dtw(s) <= self.THRESHOLD]
+        dropped = {s.sample_id for s in steps} - {s.sample_id for s in kept}
+        assert sorted(dropped) == planted
+        expected = tmp_path / "expected.csv"
+        save_dataset(LabeledDataset.from_samples(kept), expected, format="csv")
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("target", [None, 0])
+    def test_holds_one_copy_of_the_frames(self, tmp_path, target):
+        samples, _ = raw_cycles(16, identities=4, cycles=12, frames=(40, 60))
+        data, out = tmp_path / "raw.jsonl", tmp_path / "prep.csv"
+        save_dataset(LabeledDataset.from_samples(samples), data, format="jsonl")
+        argv = self.argv(data, out, target)
+        assert run(*argv) == 0  # warm up lazy imports and caches
+        peak = traced_peak(lambda: run(*argv))
+
+        # Each sample counts at the longer of its raw and resampled lengths.
+        t = average_length(samples) if target == 0 else None
+        frames = sum(max(s.frame_count, t or 0) * s.frames[0].nbytes for s in samples)
+        groups: dict = {}
+        for s in samples:
+            groups.setdefault(s.label, []).append(t or s.frame_count)
+        dtw = max(dtw_bytes(g[1:], t or g[0], 3) for g in groups.values())
+        assert peak <= frames + dtw + self.SLACK

@@ -141,6 +141,28 @@ class TestFeatureTransform:
         with pytest.raises(SchemaError, match=f"^{message}$"):
             load_transform(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fallback_used", "no", "fallback_used must be a boolean"),
+            ("ridge_used", 1, "ridge_used must be a boolean"),
+            ("input_dim", 2.9, "input_dim must be a whole number"),
+            ("feature_dim", "2", "feature_dim must be a whole number"),
+            ("input_dim", True, "input_dim must be a whole number"),
+        ],
+        ids=["string-flag", "number-flag", "fraction", "number-string", "true"],
+    )
+    def test_load_refuses_scalars_of_another_json_type(
+        self, tmp_path, key, value, message
+    ):
+        # Coercion would read "no" as true and 2.9 as 2 without a word.
+        doc = identity_transform(2).to_json_dict()
+        doc[key] = value
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_transform(path)
+
     def test_off_diagonal_residue_is_a_finding_outside_the_json(self, monkeypatch):
         rows, labels = random_flats(np.random.default_rng(45), classes=3, dim=4)
         assert learn_mmc(rows, labels).warnings == ()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import walking_sample
+from conftest import dtw_bytes, traced_peak, walking_sample
 from marginforge import (
     GaitSample,
     align_walk_direction,
@@ -197,7 +197,13 @@ def test_local_costs_equal_cdist_exactly(seed, rows, cols, coords, integral):
         a, b = np.round(a), np.round(b)
     a[rng.random(a.shape) < 0.1] = -0.0
     b[rng.random(b.shape) < 0.1] = -0.0
-    got = _local_costs(a, b)
+    # a is one candidate and b the exemplar, laid out as dtw_distances
+    # lays them out. A one-frame a is zero-padded, as a shorter candidate
+    # is, to the 2 frames every cycle has: with one cell per exemplar
+    # frame numpy would sum the coordinates pairwise (see _local_costs).
+    stack = np.zeros((coords, max(rows, 2), 1))
+    stack[:, :rows, 0] = a.T
+    got = _local_costs(stack, b)[1 : rows + 1, 1:, 0]
     assert got.shape == (rows, cols)
     assert got.tobytes() == cdist(a, b).tobytes()
 
@@ -317,6 +323,31 @@ def test_dtw_distances_equal_the_rowwise_recurrence_exactly(
         rowwise_dtw(cdist(f.reshape(len(f), -1), fe.reshape(m, -1))) for f in frames
     ]
     assert got.tolist() == expected
+
+
+# numpy's ufunc buffers: 8192 float64 elements. The worst case measured
+# over the shapes below was 59 544 bytes beyond the table and two blocks.
+DTW_SLACK = 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "lengths, m, joints",
+    [
+        ([80, 120, 95, 101, 88, 117, 80, 99, 110, 92], 100, 5),
+        ([40, 60, 55], 120, 5),
+        ([200], 200, 2),
+    ],
+    ids=["mixed", "short-candidates", "one-candidate"],
+)
+def test_dtw_distances_hold_one_table_and_two_candidate_blocks(lengths, m, joints):
+    rng = np.random.default_rng(len(lengths))
+    candidates = [
+        sample(rng.normal(size=(t, joints, 3)), sample_id=f"s{i}")
+        for i, t in enumerate(lengths)
+    ]
+    exemplar = sample(rng.normal(size=(m, joints, 3)), sample_id="e")
+    peak = traced_peak(lambda: dtw_distances(candidates, exemplar))
+    assert peak <= dtw_bytes(lengths, m, joints) + DTW_SLACK
 
 
 class TestFilterGaitCycles:
