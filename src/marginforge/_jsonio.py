@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from typing import Iterable
 
 from .errors import ParseError
@@ -16,13 +15,17 @@ def atomic_write_text(path, chunks: Iterable[str]):
     temp file + rename, so readers never see a half-written file. Each
     chunk is written as it arrives, so a generator's text is never held
     whole; one string goes in as a one-element list (a bare str would be
-    written a character at a time). A temp file that cannot be made
-    raises an OSError that names path; a failed write removes the temp
-    file."""
+    written a character at a time). The file gets the mode that
+    open(path, "w") gives a new file: 0o666 less the umask, which the
+    kernel applies when it creates the temp file. A temp file that
+    cannot be made raises an OSError that names path; a failed write
+    removes the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    # 64 random bits; O_EXCL makes a name that is taken fail, not reused.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:

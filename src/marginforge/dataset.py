@@ -227,23 +227,27 @@ def _csv_chunks(samples):
     """The csv file's text: the header, then one string per sample.
 
     csv.writer quotes the two text fields; the numeric fields never need
-    quoting, so they are formatted directly, with repr floats and the
-    CRLF terminator csv.writer writes.
+    quoting, so each sample's text is one %-format: its quoted key, with
+    every % doubled, before each of its (T, J) shape's ",t,j,%r,%r,%r"
+    cells and the CRLF terminator csv.writer writes, applied to its
+    coordinates. %r is the float's repr. The cells are rebuilt only when
+    the shape changes.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
     yield buffer.getvalue()
+    shape = cells = None
     for s in samples:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow([s.sample_id, s.label])
-        key = buffer.getvalue()[:-2]
-        yield "".join(
-            f"{key},{t},{j},{x!r},{y!r},{z!r}\r\n"
-            for t, frame in enumerate(s.frames.tolist())
-            for j, (x, y, z) in enumerate(frame)
-        )
+        key = buffer.getvalue()[:-2].replace("%", "%%")
+        if s.frames.shape != shape:
+            shape = s.frames.shape
+            cells = [f",{t},{j},%r,%r,%r\r\n"
+                     for t in range(shape[0]) for j in range(shape[1])]
+        yield (key + key.join(cells)) % tuple(s.frames.reshape(-1).tolist())
 
 
 def _load_jsonl(path) -> list:
@@ -270,6 +274,8 @@ def _load_jsonl(path) -> list:
                 frames = np.asarray(frames, dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: ragged frames array") from exc
+            except TypeError as exc:  # float() of a dict
+                raise ParseError(f"line {lineno}: frames hold a JSON object") from exc
             samples.append(GaitSample(frames=frames, label=label, sample_id=sample_id))
     return samples
 

@@ -120,6 +120,28 @@ class TestPipeline:
         assert shown == table.read_text()
         assert "method" in shown and "mmc" in shown and "identity" in shown
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        data = tmp_path / "data.jsonl"
+        prep = tmp_path / "prep.csv"
+        rpt = tmp_path / "rpt.json"
+        previous = os.umask(umask)
+        try:
+            assert run(*gen_args(data)) == 0
+            assert run("preprocess", "--input", data, "--output", prep) == 0
+            assert run("learn", "--input", data, "--output", tmp_path / "t.json",
+                       "--method", "mmc") == 0
+            assert run("evaluate", "--input", data, "--output", rpt,
+                       "--outer-folds", 3, "--inner-folds", 2) == 0
+            assert run("compare", rpt, rpt, "--output", tmp_path / "table.txt") == 0
+            with open(tmp_path / "control", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert len(modes) == 10  # 9 outputs, 4 of them curve CSVs
+        assert set(modes.values()) == {0o666 & ~umask}
+
     def test_report_matches_shipped_schema(self, tmp_path):
         data = tmp_path / "data.jsonl"
         rpt = tmp_path / "rpt.json"
@@ -376,6 +398,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("marginforge: ParseError: line 1: invalid JSON (")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("frames", [
+        {"a": 1},
+        [[[{"x": 1}, 0, 0]], [[0, 0, 0]]],
+    ], ids=["object", "object-inside"])
+    def test_a_json_object_in_frames_is_3(self, tmp_path, capsys, frames):
+        data = tmp_path / "objects.jsonl"
+        good = {"sample_id": "s0", "label": "a", "frames": [[[0, 0, 0]], [[1, 1, 1]]]}
+        bad = {"sample_id": "s1", "label": "a", "frames": frames}
+        data.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 3
+        err = capsys.readouterr().err
+        assert err == "marginforge: ParseError: line 2: frames hold a JSON object\n"
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_bare_non_finite_token_in_a_report_is_3(self, tmp_path, capsys, token):

@@ -125,12 +125,14 @@ class TestFileFormats:
             assert np.array_equal(s_in.frames, s_out.frames)
 
     def test_csv_bytes_match_the_row_writer(self, tmp_path):
-        # Ids and labels that csv.writer must quote or keep verbatim, and
-        # floats whose repr is signed, subnormal, exponent-form or long.
+        # Ids and labels that csv.writer must quote or keep verbatim or
+        # that hold % directives, and floats whose repr is signed,
+        # subnormal, exponent-form or long.
         special = [-0.0, 5e-324, 1e22, np.pi, -1e-7, 123456.789]
         rng = np.random.default_rng(5)
         names = [("plain", "a"), ("com,ma", ' "q"'), ("line\nbreak", " lead"),
-                 (' "quoted"', "a"), ("  two spaces", "cr\rlf\n")]
+                 (' "quoted"', "a"), ("  two spaces", "cr\rlf\n"),
+                 ("100%", "%r"), ("%%d", "a,%")]
         samples = []
         for i, (sid, lab) in enumerate(names):
             frames = rng.normal(size=(2 + i, 2, 3))
@@ -315,9 +317,9 @@ def assert_readers_agree(path):
     )
 
 
-# Characters the writer must quote or keep verbatim, and that a CSV
-# tokenizer may treat as comments or whitespace.
-CSV_NAME = st.text(alphabet=st.sampled_from(list(',"\r\n #\ta')), max_size=3)
+# Characters the writer must quote or keep verbatim, that a CSV
+# tokenizer may treat as comments or whitespace, and % directives.
+CSV_NAME = st.text(alphabet=st.sampled_from(list(',"\r\n #\ta%')), max_size=3)
 EDIT = st.tuples(
     st.integers(0, 2**16),
     st.sampled_from(["insert", "delete", "replace"]),

@@ -189,9 +189,9 @@ class TestRunProtocol:
         assert any("DegenerateMetricWarning" in w for w in report.warnings)
 
     def test_unrelated_warnings_stay_with_the_caller(self, monkeypatch):
-        def chatty_learn_mmc(rows, labels):
+        def chatty_learn_mmc(*args, **kwargs):
             warnings.warn("unrelated library chatter", UserWarning)
-            return learn_mmc(rows, labels)
+            return learn_mmc(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "learn_mmc", chatty_learn_mmc)
         ds = small_dataset()
