@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from typing import Iterable
 
 from .errors import ParseError
@@ -16,12 +17,16 @@ def atomic_write_text(path, chunks: Iterable[str]):
     chunk is written as it arrives, so a generator's text is never held
     whole; one string goes in as a one-element list (a bare str would be
     written a character at a time). The file gets the mode that
-    open(path, "w") gives a new file: 0o666 less the umask, which the
-    kernel applies when it creates the temp file. A temp file that
-    cannot be made raises an OSError that names path; a failed write
-    removes the temp file."""
+    open(path, "w") gives it: an existing file's own mode, else 0o666
+    less the umask, which the kernel applies when it creates the temp
+    file. A temp file that cannot be made raises an OSError that names
+    path; a failed write removes the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:  # no such file; os.open reports any other fault
+        mode = None
     # 64 random bits; O_EXCL makes a name that is taken fail, not reused.
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
@@ -31,6 +36,8 @@ def atomic_write_text(path, chunks: Iterable[str]):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

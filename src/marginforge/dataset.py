@@ -271,13 +271,35 @@ def _load_jsonl(path) -> list:
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"line {lineno}: missing field {exc}") from exc
             try:
-                frames = np.asarray(frames, dtype=np.float64)
+                # No dtype: float() would read "1.5" and true as numbers.
+                array = np.asarray(frames)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: ragged frames array") from exc
-            except TypeError as exc:  # float() of a dict
-                raise ParseError(f"line {lineno}: frames hold a JSON object") from exc
-            samples.append(GaitSample(frames=frames, label=label, sample_id=sample_id))
+            # Numbers alone (all floats here) give float64, but so do true and
+            # false among them, as 1.0 and 0.0: a line that may hold one is walked.
+            if array.dtype != np.float64 or (
+                np.any((array == 0.0) | (array == 1.0))
+                and ("true" in line or "false" in line)
+            ):
+                _refuse_non_numbers(frames, lineno)
+            samples.append(GaitSample(frames=array, label=label, sample_id=sample_id))
     return samples
+
+
+def _refuse_non_numbers(frames, lineno: int):
+    """Raise ParseError at the first leaf of a JSON value of nested lists
+    that is not a float: a string, a boolean, null or an object."""
+    stack = [frames]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif isinstance(value, dict):
+            raise ParseError(f"line {lineno}: frames hold a JSON object")
+        elif type(value) is not float:
+            raise ParseError(
+                f"line {lineno}: coordinate {json.dumps(value)} is not a number"
+            )
 
 
 # One CSV record: sample_id,label,frame,joint,x,y,z, with the id and

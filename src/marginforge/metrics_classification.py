@@ -1,12 +1,12 @@
 """Rank and threshold metrics over probe-to-gallery distances.
 
-Everything here is computed from a ScoreBlock: one row per probe-template
-against one gallery identity, with a flag saying whether the pair is
-genuine (same identity) or impostor. Curves are exact, not sampled: one
-ThresholdSweep per block visits every distinct observed distance plus
--inf/+inf sentinels, and acceptance is distance <= threshold (inclusive),
-so each curve equals an exhaustive enumeration of all meaningful
-thresholds.
+CMC/CCR reads each probe's best (minimum) distance to each gallery
+identity; the threshold metrics read one ThresholdSweep of the pair
+distances, each pair genuine (same identity) or impostor. Curves are
+exact, not sampled: the sweep visits every distinct observed distance
+plus -inf/+inf sentinels, and acceptance is distance <= threshold
+(inclusive), so each curve equals an exhaustive enumeration of all
+meaningful thresholds.
 
 Curve kinds and their points:
     cmc      (rank k, fraction of probes whose true class is in the top k)
@@ -25,31 +25,6 @@ import numpy as np
 from .errors import ContractError, ValidationError
 
 CURVE_KINDS = ("cmc", "far_frr", "roc", "rcl_pcn")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreBlock:
-    """Probe-against-gallery-identity distances as columns, one row a pair.
-
-    probe indexes probe_ids, and every probe there has at least one row.
-    label is an integer code of the gallery identity; any coding works.
-    genuine marks the rows whose gallery identity is the probe's own.
-    """
-
-    distance: np.ndarray
-    probe: np.ndarray
-    label: np.ndarray
-    genuine: np.ndarray
-    probe_ids: tuple
-
-    def __post_init__(self):
-        bad = ~(np.isfinite(self.distance) & (self.distance >= 0))
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ContractError(
-                f"probe {self.probe_ids[self.probe[row]]!r}: distance must be "
-                f"finite and >= 0, got {float(self.distance[row])!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -79,35 +54,28 @@ class CurveSeries:
         }
 
 
-def cmc_fractions(block: ScoreBlock) -> tuple[np.ndarray, tuple]:
+def cmc_fractions(best, genuine, probe_ids) -> tuple[np.ndarray, tuple]:
     """(fractions, findings): cumulative match fractions at ranks 1 ..
     number of gallery identities, and one finding per never-matched probe.
 
-    For each probe, identities are ranked by their best (minimum) distance;
-    the probe scores rank r = 1 + number of identities strictly closer
-    than its own. Entry k - 1 is the fraction of probes with rank <= k. A
-    probe without a genuine row is never matched.
+    best[p, c] is probe p's minimum distance to gallery identity c, +inf
+    where its gallery holds none; genuine[p, c] marks its own identity and
+    probe_ids[p] names it. A probe scores rank r = 1 + number of
+    identities strictly closer than its own. Entry k - 1 is the fraction
+    of probes with rank <= k. A probe whose identity is not in its gallery
+    is never matched.
     """
-    if block.distance.size == 0:
+    if best.size == 0:
         raise ContractError("no distance records")
-    present, label = np.unique(block.label, return_inverse=True)
-    n_probes = len(block.probe_ids)
-    best = np.full((n_probes, len(present)), np.inf)
-    np.minimum.at(best, (block.probe, label), block.distance)
-
-    # The identity a probe's genuine rows name; they all name the same one.
-    own = np.full(n_probes, -1)
-    rows = np.flatnonzero(block.genuine)
-    own[block.probe[rows]] = label[rows]
+    own_best = np.min(best, axis=1, where=genuine, initial=np.inf)
     findings = tuple(
-        f"RuntimeWarning: probe {block.probe_ids[p]!r}: its identity is not in "
+        f"RuntimeWarning: probe {probe_ids[p]!r}: its identity is not in "
         "the gallery; counted as never matched"
-        for p in np.flatnonzero(own < 0)
+        for p in np.flatnonzero(own_best == np.inf)
     )
-    matched = np.flatnonzero(own >= 0)
-    own_best = best[matched, own[matched]]
-    ranks = np.sum(best[matched] < own_best[:, None], axis=1)
-    return np.cumsum(np.bincount(ranks, minlength=len(present))) / n_probes, findings
+    matched = own_best < np.inf
+    ranks = np.sum(best[matched] < own_best[matched, None], axis=1)
+    return np.cumsum(np.bincount(ranks, minlength=best.shape[1])) / len(best), findings
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +84,7 @@ class ThresholdSweep:
 
     Entry k belongs to the k-th threshold of [-inf, the distinct distances
     ascending, +inf]; a pair is accepted iff its distance <= threshold.
-    Built once per block; every threshold metric reads from it.
+    Built once per fold; every threshold metric reads from it.
     """
 
     accepted_genuine: np.ndarray
@@ -125,18 +93,24 @@ class ThresholdSweep:
     frr: np.ndarray
 
     @classmethod
-    def of(cls, block: ScoreBlock) -> "ThresholdSweep":
-        n_gen = int(np.count_nonzero(block.genuine))
-        n_imp = block.distance.size - n_gen
+    def of(cls, distance: np.ndarray, genuine: np.ndarray) -> "ThresholdSweep":
+        """The sweep over pairs given in any order: their distances, and
+        genuine marking the genuine ones. Every rate is a ratio of counts,
+        so giving each pair twice changes no rate."""
+        ordered = np.sort(distance)
+        if ordered.size and not (ordered[0] >= 0 and ordered[-1] < np.inf):
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ContractError(f"distance must be finite and >= 0, got {float(bad)!r}")
+        n_gen = int(np.count_nonzero(genuine))
+        n_imp = distance.size - n_gen
         if n_gen == 0:
             raise ContractError("no genuine records")
-        order = np.argsort(block.distance, kind="stable")
-        distance = block.distance[order]
-        # Last sorted row of each distinct distance.
-        ends = np.flatnonzero(np.append(distance[1:] != distance[:-1], True))
-        genuine = np.cumsum(block.genuine[order])[ends]
-        acc_gen = np.concatenate(([0], genuine, [n_gen]))
-        acc_imp = np.concatenate(([0], ends + 1 - genuine, [n_imp]))
+        # Last sorted pair of each distinct distance, and the genuine pairs
+        # at or below it.
+        ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+        accepted = np.searchsorted(np.sort(distance[genuine]), ordered[ends], "right")
+        acc_gen = np.concatenate(([0], accepted, [n_gen]))
+        acc_imp = np.concatenate(([0], ends + 1 - accepted, [n_imp]))
         far = acc_imp / n_imp if n_imp else np.zeros(acc_imp.size)
         return cls(acc_gen, acc_imp, far, (n_gen - acc_gen) / n_gen)
 

@@ -3,13 +3,13 @@
 The outer loop splits the dataset into disjoint folds (3 by default),
 learns the feature transform on ONE fold, and evaluates on the union of
 the remaining folds: separability coefficients over the evaluation
-templates, then one score block for the rank and threshold metrics, in
-which every evaluation template is a probe once, against the templates
-of the other inner folds (10 by default) as gallery. The learning fold's
-matching context whitens the evaluation templates once, and one matrix
-of Euclidean distances between the whitened rows serves both:
-separability reads all of it, and the score block reads each entry
-whose two rows lie in different inner folds.
+templates, then the rank and threshold metrics, in which every
+evaluation template is a probe once, against the templates of the other
+inner folds (10 by default) as gallery. The learning fold's matching
+context whitens the evaluation templates once, and one matrix of
+Euclidean distances between the whitened rows serves both: separability
+reads all of it, and the metrics read each entry whose two rows lie in
+different inner folds, as per-identity minima and one threshold sweep.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only, and probes are stripped of their
@@ -34,12 +34,7 @@ from ._jsonio import finite_or_null
 from .dataset import LabeledDataset, flatten_all
 from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import identity_transform, learn_mmc, learn_pcalda
-from .metrics_classification import (
-    CurveSeries,
-    ScoreBlock,
-    ThresholdSweep,
-    cmc_fractions,
-)
+from .metrics_classification import CurveSeries, ThresholdSweep, cmc_fractions
 from .metrics_separability import SeparabilityReport, separability_of_rows
 from .template_space import context_of_rows, pairwise_distances, template_rows
 
@@ -224,28 +219,28 @@ def _run_fold(
     inner = np.empty(len(eval_idx), dtype=np.intp)
     for k, part in enumerate(plan.inner_folds[fold]):
         inner[np.searchsorted(eval_idx, part)] = k
-    probe, gallery = np.nonzero(inner[:, None] != inner)
-    distance, label = dist[probe, gallery], codes[gallery]
+    cross = inner[:, None] != inner
+    # best[p, k]: probe p's minimum distance to the gallery rows of the k-th
+    # identity present, +inf where it has none (enrolled is False there).
+    present = np.flatnonzero(np.bincount(codes))
+    best = np.empty((len(eval_idx), len(present)))
+    enrolled = np.empty(best.shape, dtype=bool)
+    for k, c in enumerate(present):
+        members = np.flatnonzero(codes == c)
+        gallery = cross[:, members]
+        best[:, k] = np.min(dist[:, members], axis=1, where=gallery, initial=np.inf)
+        enrolled[:, k] = np.any(gallery, axis=1)
+    own = codes[:, None] == present
     if config.pair_policy == "class_best":
-        # One pair per probe and gallery identity, at its best distance. A
-        # pair exists by membership, so the block checks every distance.
-        best = np.full((len(eval_idx), len(label_names)), np.inf)
-        # ufunc.at is several times faster on one flat index than on two.
-        cell = np.ravel_multi_index((probe, label), best.shape)
-        np.minimum.at(best.reshape(-1), cell, distance)
-        enrolled = np.zeros(best.shape, dtype=bool)
-        enrolled[probe, label] = True
-        probe, label = np.nonzero(enrolled)
-        distance = best[probe, label]
-    block = ScoreBlock(
-        distance=distance,
-        probe=probe,
-        label=label,
-        genuine=label == codes[probe],
-        probe_ids=tuple(sample_ids[i] for i in eval_idx),
-    )
-    cmc_y, cmc_findings = cmc_fractions(block)
-    sweep = ThresholdSweep.of(block)
+        # One pair per probe and gallery identity, at its best distance.
+        sweep = ThresholdSweep.of(best[enrolled], own[enrolled])
+    else:
+        # dist and cross are symmetric and cross is false on the diagonal,
+        # so the upper triangle holds each pair once, not twice; the rates
+        # the sweep gives are the same.
+        upper = np.triu(cross)
+        sweep = ThresholdSweep.of(dist[upper], (codes[:, None] == codes)[upper])
+    cmc_y, cmc_findings = cmc_fractions(best, own, [sample_ids[i] for i in eval_idx])
     eer = sweep.eer()
     roc_far, roc_tar, auc = sweep.roc()
     recall, precision, map_value = sweep.rcl_pcn()

@@ -17,28 +17,36 @@ from marginforge import (
     pairwise_distances,
     template_rows,
 )
-from marginforge.metrics_classification import ScoreBlock, ThresholdSweep, cmc_fractions
+from marginforge.metrics_classification import ThresholdSweep, cmc_fractions
 
-# One probe-against-gallery-identity distance: a score block row for the
-# library, read field by field by the brute-force oracles.
+# One probe-against-gallery-identity distance, read field by field by the
+# brute-force oracles; the helpers below turn a list of them into the
+# library's inputs.
 Pair = namedtuple("Pair", "probe_id gallery_label distance genuine")
 
 
-def score_block(pairs) -> ScoreBlock:
-    """A ScoreBlock with one row per Pair."""
-    probe_ids, probe = np.unique([p.probe_id for p in pairs], return_inverse=True)
-    _, label = np.unique([p.gallery_label for p in pairs], return_inverse=True)
-    return ScoreBlock(
-        distance=np.array([p.distance for p in pairs], dtype=np.float64),
-        probe=probe,
-        label=label,
-        genuine=np.array([p.genuine for p in pairs], dtype=bool),
-        probe_ids=tuple(probe_ids.tolist()),
-    )
+def score_block(pairs) -> tuple:
+    """(best, genuine, probe_ids), cmc_fractions' inputs: best[p, c] is
+    the minimum distance of the Pairs of probe p and gallery identity c
+    (+inf where there is none) and genuine[p, c] marks a genuine one, with
+    probes and identities in sorted order."""
+    probe_ids = sorted({p.probe_id for p in pairs})
+    labels = sorted({p.gallery_label for p in pairs})
+    best = np.full((len(probe_ids), len(labels)), np.inf)
+    genuine = np.zeros(best.shape, dtype=bool)
+    for p in pairs:
+        cell = probe_ids.index(p.probe_id), labels.index(p.gallery_label)
+        best[cell] = min(best[cell], p.distance)
+        genuine[cell] |= p.genuine
+    return best, genuine, tuple(probe_ids)
 
 
 def sweep_of(pairs) -> ThresholdSweep:
-    return ThresholdSweep.of(score_block(pairs))
+    """The ThresholdSweep of the Pairs' distances and genuine flags."""
+    return ThresholdSweep.of(
+        np.array([p.distance for p in pairs], dtype=np.float64),
+        np.array([p.genuine for p in pairs], dtype=bool),
+    )
 
 
 def curve_points(x, y) -> list:
@@ -48,7 +56,7 @@ def curve_points(x, y) -> list:
 
 def cmc_points(pairs) -> list:
     """(rank, cumulative match fraction) pairs, ranks from 1.0."""
-    cmc, _ = cmc_fractions(score_block(pairs))
+    cmc, _ = cmc_fractions(*score_block(pairs))
     return curve_points(np.arange(1.0, cmc.size + 1), cmc)
 
 

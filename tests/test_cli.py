@@ -142,6 +142,25 @@ class TestPipeline:
         assert len(modes) == 10  # 9 outputs, 4 of them curve CSVs
         assert set(modes.values()) == {0o666 & ~umask}
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["600", "640"])
+    def test_rewritten_outputs_keep_their_mode(self, tmp_path, mode):
+        # As with open(path, "w"), an existing file keeps its mode.
+        data = tmp_path / "data.jsonl"
+        rpt = tmp_path / "rpt.json"
+        for path in (data, rpt):
+            path.write_text("old")
+            path.chmod(mode)
+        previous = os.umask(0o022)
+        try:
+            assert run(*gen_args(data)) == 0
+            assert run("evaluate", "--input", data, "--output", rpt,
+                       "--outer-folds", 3, "--inner-folds", 2) == 0
+        finally:
+            os.umask(previous)
+        assert data.stat().st_mode & 0o777 == mode
+        assert rpt.stat().st_mode & 0o777 == mode
+        assert (tmp_path / "rpt.cmc.csv").stat().st_mode & 0o777 == 0o644
+
     def test_report_matches_shipped_schema(self, tmp_path):
         data = tmp_path / "data.jsonl"
         rpt = tmp_path / "rpt.json"
@@ -411,6 +430,30 @@ class TestExitCodes:
         assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 3
         err = capsys.readouterr().err
         assert err == "marginforge: ParseError: line 2: frames hold a JSON object\n"
+
+    @pytest.mark.parametrize("coordinate, shown", [
+        ("1.5", '"1.5"'),
+        (" 2 ", '" 2 "'),
+        (True, "true"),
+        (False, "false"),
+        (None, "null"),
+    ], ids=["number-string", "padded-string", "true", "false", "null"])
+    def test_a_coordinate_that_is_not_a_number_is_3(
+        self, tmp_path, capsys, coordinate, shown
+    ):
+        # Among floats, true would convert to 1.0 and "1.5" to 1.5.
+        data = tmp_path / "coordinates.jsonl"
+        good = {"sample_id": "s0", "label": "a", "frames": [[[0, 0, 0]], [[1, 1, 1]]]}
+        bad = {"sample_id": "s1", "label": "a",
+               "frames": [[[0.5, coordinate, 0]], [[1, 1, 1]]]}
+        data.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "out.csv"
+        assert run("preprocess", "--input", data, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"marginforge: ParseError: line 2: coordinate {shown} is not a number\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_bare_non_finite_token_in_a_report_is_3(self, tmp_path, capsys, token):

@@ -176,6 +176,17 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path)
 
+    def test_true_and_false_outside_frames_load(self, tmp_path):
+        # A line that spells true or false has its frames walked; numbers
+        # alone still load.
+        path = tmp_path / "words.jsonl"
+        frames = [[[0, 1.5, 2]], [[1, 1, 1]]]
+        row = {"sample_id": "true", "label": "false", "frames": frames}
+        path.write_text(json.dumps(row) + "\n")
+        (sample,) = load_dataset(path).samples
+        assert sample.sample_id == "true" and sample.label == "false"
+        assert sample.frames.tolist() == [[[0.0, 1.5, 2.0]], [[1.0, 1.0, 1.0]]]
+
     def test_inconsistent_joints_across_file(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         rows = [

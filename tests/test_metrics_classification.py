@@ -1,4 +1,4 @@
-"""Rank and threshold curves over a score block."""
+"""Rank and threshold curves over probe-to-gallery distances."""
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ class TestCmcCurve:
             Pair("p1", "a", 1.0, True),
             Pair("p1", "b", 2.0, False),
         ]
-        assert cmc_fractions(score_block(pairs))[0][0] == 1.0
+        assert cmc_fractions(*score_block(pairs))[0][0] == 1.0
 
     def test_ties_rank_optimistically(self):
         pairs = [
@@ -66,7 +66,7 @@ class TestCmcCurve:
             Pair("p2", "a", 1.0, False),
             Pair("p2", "b", 2.0, False),
         ]
-        _, findings = cmc_fractions(score_block(pairs))
+        _, findings = cmc_fractions(*score_block(pairs))
         assert findings == (
             "RuntimeWarning: probe 'p2': its identity is not in the gallery; "
             "counted as never matched",
@@ -81,13 +81,13 @@ class TestCmcCurve:
             pairs = random_pairs(
                 rng, n_probes=int(rng.integers(2, 8)), n_labels=int(rng.integers(2, 5))
             )
-            y, _ = cmc_fractions(score_block(pairs))
+            y, _ = cmc_fractions(*score_block(pairs))
             assert np.all(np.diff(y) >= 0)
             assert 0.0 <= y[0] <= y[-1] <= 1.0
 
     def test_empty_records(self):
         with pytest.raises(ContractError):
-            cmc_fractions(score_block([]))
+            cmc_fractions(*score_block([]))
 
 
 class TestFarFrrCurves:
@@ -208,7 +208,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_score_block_rejects_bad_values(self, bad):
         with pytest.raises(ContractError, match="distance must be finite and >= 0"):
-            score_block([Pair("p", "a", 1.0, True), Pair("p", "b", bad, False)])
+            sweep_of([Pair("p", "a", 1.0, True), Pair("p", "b", bad, False)])
 
     def test_curve_series_validation(self):
         with pytest.raises(ValidationError):

@@ -327,6 +327,26 @@ def two_sample_class_dataset():
     )
 
 
+def grid_dataset():
+    """3 identities x 10 samples, each a copy of one of 12 patterns on the
+    0..3 integer grid drawn from one pool, so samples of different
+    identities coincide and genuine and impostor distances tie exactly.
+    No two pattern pairs share a difference vector, so the oracle's ties
+    are ties of the same two patterns, which the library's distances
+    share bit for bit."""
+    rng = np.random.default_rng(2)
+    pool = rng.integers(0, 4, size=(12, 2, 1, 3)).astype(np.float64)
+    flat = pool.reshape(12, -1)
+    assert len({tuple(a - b) for a in flat for b in flat}) == 12 * 11 + 1
+    return LabeledDataset.from_samples(
+        GaitSample(
+            frames=pool[int(rng.integers(12))], label=f"id{c}", sample_id=f"id{c}s{k}"
+        )
+        for c in range(3)
+        for k in range(10)
+    )
+
+
 def scatter_pinv(rows, labels) -> np.ndarray:
     """The Mahalanobis matrix of a template population, on a route that
     shares nothing with the whitener: the pseudo-inverse of the D x D
@@ -368,13 +388,16 @@ def brute_force_fold_records(ds, plan, fold, pair_policy):
 
 class TestScoreBlockAgainstRecords:
     @pytest.mark.parametrize("pair_policy", ["all", "class_best"])
-    @pytest.mark.parametrize("dataset", ["full", "full3", "two_sample_class"])
+    @pytest.mark.parametrize("dataset", ["full", "full3", "two_sample_class", "grid"])
     def test_headline_matches_brute_force_oracles(self, pair_policy, dataset):
         # With 3 inner folds a probe's gallery spans two other folds, so
         # "every other fold" and "the next fold" differ.
         if dataset in ("full", "full3"):
             ds = small_dataset()
             plan = plan_folds(ds, outer=3, inner=2 if dataset == "full" else 3, seed=0)
+        elif dataset == "grid":
+            ds = grid_dataset()
+            plan = plan_folds(ds, outer=3, inner=2, seed=0)
         else:
             ds = two_sample_class_dataset()
             plan = plan_folds(ds, outer=2, inner=2, seed=0)
@@ -384,6 +407,15 @@ class TestScoreBlockAgainstRecords:
             brute_force_fold_records(ds, plan, f, pair_policy)
             for f in range(plan.n_outer)
         ]
+        if dataset == "grid":
+            for r in folds:
+                # A genuine and an impostor record tie, and distinct
+                # distances lie too far apart for rounding to reorder them.
+                assert {p.distance for p in r if p.genuine} & {
+                    p.distance for p in r if not p.genuine
+                }
+                distinct = np.unique([p.distance for p in r])
+                assert np.all(np.diff(distinct) > 1e-9 * distinct[1:])
         ccr = [oracles.brute_cmc_points(r)[0][1] for r in folds]
         assert report.headline["ccr"] == float(np.mean(ccr))
         for key, fold_value in (

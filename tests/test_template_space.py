@@ -266,6 +266,10 @@ def test_pairwise_distances_equal_one_norm_per_row(seed, n, width, budget):
     with mock.patch.object(template_space, "_BLOCK_ENTRIES", budget):
         got = pairwise_distances(rows)
     assert got.tobytes() == one_norm_per_row(rows).tobytes()
+    # The protocol's "all" sweep reads the upper triangle alone, which
+    # holds every pair once only because of these two.
+    assert got.tobytes() == got.T.tobytes()
+    assert np.all(np.diagonal(got) == 0.0)
 
 
 def test_pairwise_distances_at_the_default_block_size():

@@ -16,7 +16,7 @@ from marginforge import (
     SeparabilityReport,
     identity_transform,
 )
-from marginforge.metrics_classification import ScoreBlock, ThresholdSweep
+from marginforge.metrics_classification import ThresholdSweep
 from marginforge.scatter import compute_scatter, total_scatter_basis
 from marginforge.template_space import MatchingContext
 
@@ -26,22 +26,13 @@ def population():
     return rows, ["a", "a", "b", "b"]
 
 
-def block():
-    return ScoreBlock(
-        distance=np.array([0.5, 1.5]),
-        probe=np.array([0, 0]),
-        label=np.array([0, 1]),
-        genuine=np.array([True, False]),
-        probe_ids=("p",),
-    )
-
-
 FACTORIES = {
     "GaitSample": lambda: GaitSample(frames=np.zeros((2, 1, 3)), label="a", sample_id="s"),
     "FeatureTransform": lambda: identity_transform(2),
     "MatchingContext": lambda: MatchingContext(whitener=np.eye(2)),
-    "ScoreBlock": block,
-    "ThresholdSweep": lambda: ThresholdSweep.of(block()),
+    "ThresholdSweep": lambda: ThresholdSweep.of(
+        np.array([0.5, 1.5]), np.array([True, False])
+    ),
     "SeparabilityReport": lambda: SeparabilityReport(
         dbi=0.5, di=2.0, sc=0.5, fdr=3.0,
         per_class_sigma={"a": 1.0}, class_centroids={"a": np.zeros(2)},
