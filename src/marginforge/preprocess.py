@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import GaitSample
-from .errors import AlignmentError, ContractError, ValidationError
+from .errors import AlignmentError, ContractError, SchemaError, ValidationError
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
@@ -102,6 +102,34 @@ def average_length(samples: Sequence[GaitSample]) -> int:
     return max(2, int(np.floor(mean + 0.5)))
 
 
+def _poses(sample: GaitSample) -> np.ndarray:
+    """The sample's frames as (T, 3J) pose rows."""
+    return sample.frames.reshape(sample.frame_count, -1)
+
+
+def _check_poses(candidates: Sequence[GaitSample], exemplar: GaitSample):
+    """Refuse, before any DTW work, candidates whose poses cannot be scored
+    against the exemplar's: other joint counts (ContractError), and a
+    coordinate of any of them past the magnitude `limit` (SchemaError).
+    Within `limit` a squared coordinate difference summed over a pose's 3J
+    coordinates stays below half the float64 maximum, so no local cost,
+    path sum or bound overflows.
+    """
+    for sample in candidates:
+        if sample.joint_count != exemplar.joint_count:
+            raise ContractError(
+                f"joint counts differ: {sample.joint_count} vs {exemplar.joint_count}"
+            )
+    limit = np.sqrt(np.finfo(float).max / (6 * exemplar.joint_count)) / 2
+    for sample in (exemplar, *candidates):
+        magnitude = np.abs(sample.frames).max()
+        if magnitude > limit:
+            raise SchemaError(
+                f"sample {sample.sample_id!r}: coordinate magnitude {magnitude:.3g} "
+                f"is too large for DTW costs (limit {limit:.3g})"
+            )
+
+
 def _local_costs(coords: np.ndarray, exemplar: np.ndarray) -> np.ndarray:
     """The (n+1, m+1, P) DTW table of the (D, n, P) coordinate-major
     candidate stack against the (m, D) exemplar: 0 at the corner, inf on
@@ -109,9 +137,11 @@ def _local_costs(coords: np.ndarray, exemplar: np.ndarray) -> np.ndarray:
 
     Per exemplar frame, one workspace of the stack's size holds the squared
     differences, summed over the leading axis, so in coordinate order, as
-    the Euclidean cdist loop sums them; with n * P >= 2 (else numpy sums
-    pairwise) entries are bit-equal to cdist, which the tests keep as the
-    oracle. The root comes last and keeps the boundary.
+    the Euclidean cdist loop sums them. That order rests on the coordinate
+    axis being the C-ordered workspace's outermost axis, so that numpy adds
+    one whole (n, P) slab at a time, and on n * P >= 2 (else numpy sums
+    pairwise); entries are then bit-equal to cdist, which the tests keep as
+    the oracle. The root comes last and keeps the boundary.
     """
     _, n, p = coords.shape
     table = np.full((n + 1, len(exemplar) + 1, p), np.inf)
@@ -124,43 +154,32 @@ def _local_costs(coords: np.ndarray, exemplar: np.ndarray) -> np.ndarray:
     return np.sqrt(table, out=table)
 
 
-def dtw_distances(
-    candidates: Sequence[GaitSample], exemplar: GaitSample
-) -> np.ndarray:
-    """Dynamic-time-warping distance of each candidate to the exemplar.
-
-    Classic dynamic program with Euclidean local cost between whole poses
-    (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
-    full endpoint alignment. Returns the unnormalized accumulated costs in
-    candidate order. All candidates share one zero-padded sweep, at any mix
-    of frame counts, over one table: it holds the local costs (_local_costs)
-    until the sweep accumulates them in place. Besides it the call holds
-    two blocks of the candidates' size; the filter needs numpy alone.
-    """
-    for sample in candidates:
-        if sample.joint_count != exemplar.joint_count:
-            raise ContractError(
-                f"joint counts differ: {sample.joint_count} vs {exemplar.joint_count}"
-            )
-    m = exemplar.frame_count
-    pb = exemplar.frames.reshape(m, -1)
+def _dtw_table(candidates: Sequence[GaitSample], exemplar: np.ndarray) -> np.ndarray:
+    """The _local_costs table of the candidates against the (m, D) exemplar
+    poses, with the candidate axis innermost. Each candidate is padded to
+    the longest with inf poses, so its rows past its own frames cost inf."""
     n = max((sample.frame_count for sample in candidates), default=2)
-    # The candidates' poses, coordinate-major and zero-padded to n frames;
-    # their tables are stacked with the candidate axis innermost.
-    coords = np.zeros((pb.shape[1], n, len(candidates)))
+    coords = np.full((exemplar.shape[1], n, len(candidates)), np.inf)
     for p, c in enumerate(candidates):
-        coords[:, : c.frame_count, p] = c.frames.reshape(c.frame_count, -1).T
-    table = _local_costs(coords, pb)
+        coords[:, : c.frame_count, p] = _poses(c).T
+    return _local_costs(coords, exemplar)
 
-    # Row r of acc is cell r of every table. Cell (i, j) needs only cells
-    # of the two anti-diagonals before its own, i + j = k, so each diagonal
-    # is filled in one step, adding to each cell's local cost. Along it the
-    # cells, and each of their up, left and diagonal neighbours, lie m rows
-    # apart (m >= 2, since every sample has at least 2 frames). Every cell
-    # gets the same sum as the row-by-row recurrence, so values are
-    # bit-equal. Cell (i, j) reads no row below i, so a candidate of t
-    # frames ends at cell (t, m), which never reads its padding.
-    acc = table.reshape((n + 1) * (m + 1), len(candidates))
+
+def _sweep(acc: np.ndarray, m: int, candidates: Sequence[GaitSample]) -> np.ndarray:
+    """Accumulate, in place, the flat ((n+1)(m+1), P) view `acc` of the
+    candidates' _dtw_table columns, and return their DTW distances.
+
+    Row r of acc is cell r of every table. Cell (i, j) needs only cells of
+    the two anti-diagonals before its own, i + j = k, so each diagonal is
+    filled in one step, adding to each cell's local cost. Along it the
+    cells, and each of their up, left and diagonal neighbours, lie m rows
+    apart (m >= 2, since every sample has at least 2 frames). Every cell
+    gets the same sum as the row-by-row recurrence, so values are
+    bit-equal. Cell (i, j) reads no row below i, so a candidate of t frames
+    ends at cell (t, m), which never reads its padding, and the sweep stops
+    at the longest candidate's last row.
+    """
+    n = max((sample.frame_count for sample in candidates), default=2)
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
         s, e = lo * m + k, hi * m + k + 1
@@ -171,9 +190,59 @@ def dtw_distances(
     return acc[ends, np.arange(len(candidates))]
 
 
+def dtw_distances(
+    candidates: Sequence[GaitSample], exemplar: GaitSample
+) -> np.ndarray:
+    """Dynamic-time-warping distance of each candidate to the exemplar.
+
+    Classic dynamic program with Euclidean local cost between whole poses
+    (frames flattened to 3*J vectors), step set {(1,0), (0,1), (1,1)}, and
+    full endpoint alignment. Returns the unnormalized accumulated costs in
+    candidate order. It is two steps over one table: _dtw_table stacks the
+    candidates, padded to the longest at any mix of frame counts, and holds
+    their local costs; _sweep then accumulates them in place, one numpy
+    step per anti-diagonal for all candidates at once. Besides the table
+    the call holds two blocks of the candidates' size; it needs numpy alone.
+    """
+    _check_poses(candidates, exemplar)
+    pb = _poses(exemplar)
+    table = _dtw_table(candidates, pb)
+    return _sweep(table.reshape(len(table) * (len(pb) + 1), -1), len(pb), candidates)
+
+
 def dtw_distance(a: GaitSample, b: GaitSample) -> float:
     """Dynamic-time-warping distance between two cycles (see dtw_distances)."""
     return float(dtw_distances([a], b)[0])
+
+
+def _path_costs(candidate: GaitSample, exemplar: np.ndarray) -> np.ndarray:
+    """Local costs along the linear warping path of the candidate against
+    the (m, D) exemplar poses: frames i_k = k(n-1)//(L-1) and
+    j_k = k(m-1)//(L-1) for k < L = max(n, m), so each step is (1,0), (0,1)
+    or (1,1). The loop adds the squared differences in coordinate order,
+    as _local_costs does, so each cost is bit-equal to its table entry;
+    np.sum along a pose row may add them pairwise, an ulp away.
+    """
+    n, m = candidate.frame_count, len(exemplar)
+    k = np.arange(max(n, m))
+    diff = _poses(candidate)[k * (n - 1) // k[-1]] - exemplar[k * (m - 1) // k[-1]]
+    np.square(diff, out=diff)
+    costs = diff[:, 0].copy()
+    for column in diff.T[1:]:
+        costs += column
+    return np.sqrt(costs, out=costs)
+
+
+def _lower_bounds(table: np.ndarray, candidates: Sequence[GaitSample]) -> np.ndarray:
+    """Per candidate of a _dtw_table, the larger of the chained sums of its
+    row minima and of its column minima: every warping path visits every
+    row and every column. Padded rows cost inf, so they enter no minimum
+    that a candidate's chain reads."""
+    cells = table[1:, 1:]
+    rows = np.add.accumulate(cells.min(axis=1), axis=0)
+    columns = np.add.accumulate(cells.min(axis=0), axis=0)
+    ends = [sample.frame_count - 1 for sample in candidates]
+    return np.maximum(rows[ends, np.arange(len(candidates))], columns[-1])
 
 
 def filter_gait_cycles(
@@ -183,10 +252,42 @@ def filter_gait_cycles(
 
     Order is preserved; the boundary is inclusive, so a candidate exactly at
     the threshold survives. The exemplar itself, when among the candidates,
-    is kept without a DTW run: its distance to itself is 0.
+    is kept without any DTW work: its distance to itself is 0.
+
+    Two bounds settle most candidates without the dynamic program. The
+    upper bound U chains the local costs of one warping path (_path_costs);
+    U <= threshold keeps the candidate, with no table. The rest share one
+    _dtw_table, whose chained row and column minima give the lower bound B
+    (_lower_bounds); B > threshold drops the candidate, and only those
+    that neither bound settles are swept, on that same table.
+
+    Both bounds hold bit for bit on the computed values. Rounded addition
+    is monotone, and the sweep sets each cell to one rounded sum, its local
+    cost plus the least of its neighbours, as the chains add one cost per
+    step. By induction, each cell on the path is then at most the path's
+    chained sum up to it, and every cell is at least the chained minima of
+    the rows, and of the columns, up to its own. So B <= DTW <= U exactly,
+    and the verdicts are those of dtw_distances.
     """
     if not threshold >= 0:
         raise ContractError("threshold must be >= 0")
     others = [c for c in candidates if c is not exemplar]
-    within = iter(dtw_distances(others, exemplar) <= threshold)
-    return tuple(c for c in candidates if c is exemplar or next(within))
+    _check_poses(others, exemplar)
+    pb = _poses(exemplar)
+    upper = np.array([np.add.accumulate(_path_costs(c, pb))[-1] for c in others])
+    within = upper <= threshold
+    beyond = np.flatnonzero(~within)
+    if beyond.size:
+        cycles = [others[i] for i in beyond]
+        table = _dtw_table(cycles, pb)
+        undecided = np.flatnonzero(_lower_bounds(table, cycles) <= threshold)
+        if undecided.size:
+            # Move the open cycles' columns to the front and sweep only them.
+            acc = table.reshape(-1, len(cycles))
+            for dst, src in enumerate(undecided):
+                acc[:, dst] = acc[:, src]
+            swept = [cycles[i] for i in undecided]
+            distances = _sweep(acc[:, : len(swept)], len(pb), swept)
+            within[beyond[undecided]] = distances <= threshold
+    verdicts = iter(within)
+    return tuple(c for c in candidates if c is exemplar or next(verdicts))

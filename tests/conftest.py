@@ -148,6 +148,44 @@ def walking_sample(
     return GaitSample(frames=data, label=label, sample_id=sample_id)
 
 
+def swinging_cycles(
+    rng: np.random.Generator,
+    cycles: int,
+    frames: tuple,
+    joints: int = 5,
+    label: str = "id0",
+) -> list:
+    """One identity's centred, aligned gait cycles, shaped like the bench's
+    preprocess-dtw input: fixed joint offsets from the root plus a
+    sinusoidal swing per coordinate over one cycle, lengths drawn from the
+    inclusive range `frames` and 1 cm of capture noise. Cycle 1 is an
+    outlier: every non-root joint moved 0.6 m in a random direction.
+    DTW_GAP_THRESHOLD lies between the inliers' distances to cycle 0 and
+    the outlier's."""
+    body = rng.normal(0.0, 0.3, size=(joints, 3))
+    swing = rng.uniform(-0.1, 0.1, size=(joints, 3))
+    phase = rng.uniform(0.0, 2 * np.pi, size=(joints, 3))
+    body[0] = swing[0] = 0.0
+    samples = []
+    for k in range(cycles):
+        length = int(rng.integers(frames[0], frames[1], endpoint=True))
+        t = np.linspace(0.0, 1.0, length)
+        pose = body + swing * np.sin(2 * np.pi * t[:, None, None] + phase)
+        if k == 1:
+            way = rng.normal(size=(joints - 1, 3))
+            pose[:, 1:] += 0.6 * way / np.linalg.norm(way, axis=1, keepdims=True)
+        pose = pose + rng.normal(0.0, 0.01, size=pose.shape)
+        samples.append(GaitSample(frames=pose, label=label, sample_id=f"{label}c{k}"))
+    return samples
+
+
+# For swinging_cycles at about 100 frames and 5 joints: the geometric mean
+# of an inlier's distance (about 100 steps of 2 cm noise over 12 non-root
+# coordinates) and an outlier's (about 100 steps of the 0.6 m shift less
+# the swing), as the bench's preprocess-dtw workload sets it.
+DTW_GAP_THRESHOLD = 18.75
+
+
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angles between the column spans of a and b, in radians."""
     qa, _ = np.linalg.qr(a)

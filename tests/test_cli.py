@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -648,6 +649,53 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 "marginforge: SchemaError: sample 's0': non-finite coordinate\n"
             )
+
+    def test_dtw_costs_past_the_float_range_are_4(self, tmp_path, capsys):
+        # Pose differences past about 1e154 square past the float64 maximum;
+        # the cycles' true DTW distances lie far below 1e250. The refusal
+        # does not depend on the threshold or on which bound would settle
+        # a cycle. A threshold that is not a number >= 0 is refused first.
+        grid = np.broadcast_to(
+            np.arange(1.0, 4.0)[:, None, None] * np.arange(1.0, 3.0)[None, :, None],
+            (3, 2, 3),
+        )
+
+        def cycles(path, scale):
+            frames = {"e": grid * scale, "neg": -grid * scale, "one": grid}
+            samples = [
+                GaitSample(frames=f, label="a", sample_id=k) for k, f in frames.items()
+            ]
+            save_dataset(LabeledDataset.from_samples(samples), path, format="jsonl")
+            return path
+
+        big = cycles(tmp_path / "big.jsonl", 1e200)
+        plain = cycles(tmp_path / "plain.jsonl", 1.0)
+        out = tmp_path / "out.jsonl"
+
+        def preprocess(data, threshold):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(
+                    "preprocess", "--input", data, "--output", out,
+                    "--dtw-threshold", threshold,
+                )
+            assert [str(w.message) for w in caught] == []
+            return code, capsys.readouterr().err
+
+        refused = (
+            "marginforge: SchemaError: sample 'e': coordinate magnitude 6e+200 "
+            "is too large for DTW costs (limit 1.94e+153)\n"
+        )
+        for threshold in ("1e250", "inf"):
+            assert preprocess(big, threshold) == (4, refused)
+            assert not out.exists()
+        for threshold in ("nan", "-1"):
+            assert preprocess(big, threshold) == (
+                2, "marginforge: ContractError: threshold must be >= 0\n"
+            )
+            assert not out.exists()
+        assert preprocess(plain, "inf") == (0, "")
+        assert [s.sample_id for s in load_dataset(out).samples] == ["e", "neg", "one"]
 
     def test_alignment_error_is_5(self, tmp_path):
         still = np.tile(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]]), (3, 1, 1))

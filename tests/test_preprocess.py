@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import dtw_bytes, traced_peak, walking_sample
+from conftest import (
+    DTW_GAP_THRESHOLD,
+    dtw_bytes,
+    swinging_cycles,
+    traced_peak,
+    walking_sample,
+)
 from marginforge import (
     GaitSample,
     align_walk_direction,
@@ -17,8 +23,13 @@ from marginforge import (
     filter_gait_cycles,
     resample_time,
 )
-from marginforge.errors import AlignmentError, ContractError
-from marginforge.preprocess import _local_costs
+from marginforge.errors import AlignmentError, ContractError, SchemaError
+from marginforge.preprocess import (
+    _dtw_table,
+    _local_costs,
+    _lower_bounds,
+    _path_costs,
+)
 from oracles import exhaustive_dtw, rowwise_dtw
 
 
@@ -391,16 +402,9 @@ class TestFilterGaitCycles:
 
     def test_exemplar_is_kept_without_a_dtw_run(self, monkeypatch):
         # The exemplar's distance to itself is 0, within every threshold,
-        # so only the other candidates pay for the dynamic program.
-        import marginforge.preprocess as preprocess
-
-        calls = []
-
-        def counting(candidates, exemplar):
-            calls.extend((c.sample_id, exemplar.sample_id) for c in candidates)
-            return dtw_distances(candidates, exemplar)
-
-        monkeypatch.setattr(preprocess, "dtw_distances", counting)
+        # so it enters no bound, table or sweep; only the other candidates
+        # pay for DTW work, and each of them is decided.
+        calls = spy_on_dtw_steps(monkeypatch)
         exemplar = scalar_sequence([0.0, 0.0], sample_id="e")
         candidates = [
             scalar_sequence([0.0, d], sample_id=f"s{i}")
@@ -410,4 +414,228 @@ class TestFilterGaitCycles:
             [candidates[0], exemplar, candidates[1]], exemplar, 0.0
         )
         assert [s.sample_id for s in kept] == ["e"]
-        assert calls == [("s0", "e"), ("s1", "e")]
+        # U (0.4 and 0.9) leaves both open; B (the same) drops both.
+        assert [call for call in calls if call[0] != "_local_costs"] == [
+            ("_path_costs", ["s0"]),
+            ("_path_costs", ["s1"]),
+            ("_dtw_table", ["s0", "s1"]),
+            ("_lower_bounds", ["s0", "s1"]),
+        ]
+
+
+def spy_on_dtw_steps(monkeypatch) -> list:
+    """Record every bound, table and sweep entry of the DTW filter as
+    (name, ids of the cycles it works on), and every _local_costs call as
+    ("_local_costs", None)."""
+    import marginforge.preprocess as preprocess
+
+    calls = []
+
+    def wrap(name, cycles_of):
+        inner = getattr(preprocess, name)
+
+        def spy(*args):
+            calls.append((name, cycles_of(*args)))
+            return inner(*args)
+
+        monkeypatch.setattr(preprocess, name, spy)
+
+    wrap("_path_costs", lambda candidate, exemplar: [candidate.sample_id])
+    wrap("_dtw_table", lambda candidates, exemplar: [c.sample_id for c in candidates])
+    wrap("_lower_bounds", lambda table, candidates: [c.sample_id for c in candidates])
+    wrap("_sweep", lambda acc, m, candidates: [c.sample_id for c in candidates])
+    wrap("_local_costs", lambda coords, exemplar: None)
+    return calls
+
+
+def upper_bound(candidate, exemplar_poses) -> float:
+    """U: the chained local costs of the candidate's linear warping path."""
+    return np.add.accumulate(_path_costs(candidate, exemplar_poses))[-1]
+
+
+def random_cycles(seed, lengths, m, joints, integral) -> tuple:
+    """Candidates of the given frame counts and an m-frame exemplar "e".
+    Coordinate scales from 1e-3 to 1e3 make the order of each sum show in
+    the last bits; integral coordinates make equal costs and ties common."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(joints, 3))
+    frames = [rng.normal(size=(n, joints, 3)) * scale for n in (*lengths, m)]
+    if integral:
+        frames = [np.round(f) for f in frames]
+    *candidates, exemplar = [sample(f, sample_id=f"s{i}") for i, f in enumerate(frames)]
+    return candidates, sample(exemplar.frames, sample_id="e")
+
+
+# Mixed lengths from a pool of at most three; 3J >= 9 coordinates.
+CYCLE_SETS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(2, 40), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    ),
+    m=st.integers(2, 40),
+    joints=st.integers(3, 5),
+    integral=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(**CYCLE_SETS)
+@example(seed=0, lengths=[2, 2], m=2, joints=3, integral=True)
+@example(seed=1, lengths=[40, 2, 40, 17, 2, 40], m=40, joints=5, integral=False)
+@example(seed=2, lengths=[2, 40], m=3, joints=3, integral=False)
+def test_bounds_hold_bit_for_bit(seed, lengths, m, joints, integral):
+    candidates, exemplar = random_cycles(seed, lengths, m, joints, integral)
+    pb = exemplar.frames.reshape(m, -1)
+    table = _dtw_table(candidates, pb)
+    lower = _lower_bounds(table, candidates)
+    distances = dtw_distances(candidates, exemplar)
+    for p, c in enumerate(candidates):
+        n = c.frame_count
+        k = np.arange(max(n, m))
+        i, j = k * (n - 1) // k[-1], k * (m - 1) // k[-1]
+        assert (i[-1], j[-1]) == (n - 1, m - 1)
+        assert set(zip(np.diff(i).tolist(), np.diff(j).tolist())) <= {
+            (1, 0), (0, 1), (1, 1)
+        }
+        costs = _path_costs(c, pb)
+        assert costs.tobytes() == table[i + 1, j + 1, p].tobytes()
+        assert lower[p] <= distances[p] <= upper_bound(c, pb)
+        # Padded rows enter no minimum: B is what the cycle's own table gives.
+        assert lower[p] == _lower_bounds(_dtw_table([c], pb), [c])[0]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(**CYCLE_SETS)
+@example(seed=0, lengths=[2, 2], m=2, joints=3, integral=True)
+@example(seed=3, lengths=[9, 30, 9], m=20, joints=4, integral=True)
+def test_filter_keeps_exactly_what_the_distances_keep(
+    seed, lengths, m, joints, integral
+):
+    candidates, exemplar = random_cycles(seed, lengths, m, joints, integral)
+    # A copy of the exemplar is at distance 0, where every bound ties.
+    candidates.append(sample(exemplar.frames.copy(), sample_id="twin"))
+    distances = dtw_distances(candidates, exemplar)
+    thresholds = {0.0, np.inf}
+    for d in distances:
+        thresholds |= {d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)}
+    for threshold in sorted(t for t in thresholds if t >= 0):
+        kept = filter_gait_cycles(candidates, exemplar, threshold)
+        assert list(kept) == [
+            c for c, d in zip(candidates, distances) if d <= threshold
+        ]
+
+
+def test_cycles_whose_bounds_equal_their_distance_are_decided_at_the_last_bit():
+    # The exemplar's frames lie far apart and each candidate is a jittered
+    # copy of it, so the linear path (here the diagonal) is optimal, its row
+    # and column minima lie on it, and B = DTW = U. Chained any other way,
+    # B or U would miss the distance by an ulp for some of the candidates.
+    rng = np.random.default_rng(26)
+    steps = np.arange(30.0)[:, None, None] * np.array([10.0, 0.0, 0.0])
+    exemplar = sample(steps + rng.normal(size=(30, 3, 3)), sample_id="e")
+    candidates = [
+        sample(
+            exemplar.frames + rng.normal(0.0, 0.3, size=(30, 3, 3)),
+            sample_id=f"s{i}",
+        )
+        for i in range(20)
+    ]
+    pb = exemplar.frames.reshape(30, -1)
+    distances = dtw_distances(candidates, exemplar)
+    lower = _lower_bounds(_dtw_table(candidates, pb), candidates)
+    upper = [upper_bound(c, pb) for c in candidates]
+    assert lower.tolist() == distances.tolist() == upper
+    for d in distances:
+        for threshold in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)):
+            kept = filter_gait_cycles(candidates, exemplar, threshold)
+            assert list(kept) == [
+                c for c, e in zip(candidates, distances) if e <= threshold
+            ]
+
+
+class TestFilterRoutes:
+    @pytest.mark.parametrize(
+        "frames", [(80, 120), (100, 100)], ids=["raw", "resampled"]
+    )
+    def test_a_bench_shaped_set_reaches_no_sweep(self, monkeypatch, frames):
+        calls = spy_on_dtw_steps(monkeypatch)
+        rng = np.random.default_rng(23)
+        labels = ("id0", "id1", "id2")
+        for label in labels:
+            cycles = swinging_cycles(rng, 10, frames, label=label)
+            kept = filter_gait_cycles(cycles, cycles[0], DTW_GAP_THRESHOLD)
+            assert kept == tuple(c for c in cycles if c is not cycles[1])
+        # U keeps every inlier; only the outliers reach a table, where B
+        # drops them.
+        assert [ids for name, ids in calls if name == "_dtw_table"] == [
+            [f"{label}c1"] for label in labels
+        ]
+        assert "_sweep" not in [name for name, _ in calls]
+
+    def test_open_cycles_are_swept_once_on_their_bound_table(self, monkeypatch):
+        calls = spy_on_dtw_steps(monkeypatch)
+        rng = np.random.default_rng(24)
+        for label in ("id0", "id1", "id2"):
+            cycles = swinging_cycles(rng, 10, (80, 120), label=label)
+            exemplar, others = cycles[0], cycles[1:]
+            distances = dtw_distances(others, exemplar)
+            threshold = float(np.median(distances))
+            pb = exemplar.frames.reshape(exemplar.frame_count, -1)
+            lower = _lower_bounds(_dtw_table(others, pb), others)
+            left_open = [
+                c.sample_id
+                for c, b in zip(others, lower)
+                if b <= threshold < upper_bound(c, pb)
+            ]
+            assert left_open  # a threshold between B and U for some cycle
+            calls.clear()
+            kept = filter_gait_cycles(cycles, exemplar, threshold)
+            assert kept == (
+                exemplar, *(c for c, d in zip(others, distances) if d <= threshold)
+            )
+            assert [name for name, _ in calls].count("_local_costs") == 1
+            assert [ids for name, ids in calls if name == "_sweep"] == [left_open]
+
+    @pytest.mark.parametrize("threshold", [0.0, "median", DTW_GAP_THRESHOLD])
+    def test_filter_holds_the_table_of_the_cycles_u_left_open(self, threshold):
+        rng = np.random.default_rng(25)
+        cycles = swinging_cycles(rng, 10, (80, 120))
+        exemplar, others = cycles[0], cycles[1:]
+        if threshold == "median":
+            threshold = float(np.median(dtw_distances(others, exemplar)))
+        pb = exemplar.frames.reshape(exemplar.frame_count, -1)
+        left_open = [
+            c.frame_count for c in others if upper_bound(c, pb) > threshold
+        ]
+        peak = traced_peak(lambda: filter_gait_cycles(cycles, exemplar, threshold))
+        assert peak <= dtw_bytes(left_open, exemplar.frame_count, 5) + DTW_SLACK
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_joint_count_mismatch_anywhere_raises_before_any_bound(
+        self, monkeypatch, position
+    ):
+        calls = spy_on_dtw_steps(monkeypatch)
+        exemplar = sample(np.zeros((3, 1, 3)), sample_id="e")
+        candidates = [
+            sample(np.ones((t, 1, 3)), sample_id=f"s{t}") for t in (2, 3, 4)
+        ]
+        candidates[position] = sample(np.zeros((3, 2, 3)), sample_id="bad")
+        with pytest.raises(ContractError, match="joint counts differ: 2 vs 1"):
+            filter_gait_cycles([exemplar, *candidates], exemplar, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e250, np.inf])
+    def test_costs_past_the_float_range_raise_before_any_bound(
+        self, monkeypatch, threshold
+    ):
+        # Pose differences past about 1e154 square past the float64
+        # maximum, whichever bound would settle the cycle.
+        calls = spy_on_dtw_steps(monkeypatch)
+        exemplar = scalar_sequence([0.0, 1.0], sample_id="e")
+        far = scalar_sequence([0.0, -1e200], sample_id="far")
+        refused = "sample 'far': coordinate magnitude 1e\\+200"
+        with pytest.raises(SchemaError, match=refused):
+            filter_gait_cycles([exemplar, far], exemplar, threshold)
+        assert calls == []
+        with pytest.raises(SchemaError, match="sample 'far'"):
+            dtw_distances([far], exemplar)
