@@ -30,6 +30,7 @@ from .learners import (
     identity_transform,
     learn_mmc,
     learn_pcalda,
+    learner_for,
     load_transform,
     margin_trace,
     mmc_objective,

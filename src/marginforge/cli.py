@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .learners import learn_mmc, learn_pcalda, save_transform
+from .learners import learner_for, save_transform
 from .preprocess import (
     align_walk_direction,
     average_length,
@@ -155,8 +155,11 @@ def cmd_gen(opts: _Options) -> int:
 
 
 def cmd_preprocess(opts: _Options) -> int:
-    # Each sample's next form replaces it here: one copy of each is alive.
-    samples = list(_load(opts).samples)
+    # Each sample's next form replaces it here: with the loaded dataset
+    # dropped, one copy of each is alive.
+    dataset = _load(opts)
+    samples, class_index = list(dataset.samples), dataset.class_index
+    del dataset
 
     root_joint = opts.get("root_joint", kind=int)
     if root_joint is None and opts.get("up_axis") is not None:
@@ -176,16 +179,14 @@ def cmd_preprocess(opts: _Options) -> int:
 
     threshold = opts.get("dtw_threshold", kind=float)
     if threshold is not None:
-        kept = []
-        by_label: dict[str, list] = {}
-        for s in samples:
-            by_label.setdefault(s.label, []).append(s)
-        for label in sorted(by_label):
-            group = by_label[label]
-            # First cycle of each identity serves as the exemplar.
-            kept.extend(filter_gait_cycles(group, group[0], threshold))
-        order = {s.sample_id: k for k, s in enumerate(samples)}
-        samples = sorted(kept, key=lambda s: order[s.sample_id])
+        kept = set()
+        for members in class_index.values():
+            group = [samples[i] for i in members]
+            # The identity's first cycle in file order is its exemplar.
+            kept.update(
+                s.sample_id for s in filter_gait_cycles(group, group[0], threshold)
+            )
+        samples = [s for s in samples if s.sample_id in kept]
 
     result = LabeledDataset.from_samples(samples)
     output = opts.require("output", str)
@@ -198,16 +199,12 @@ def cmd_learn(opts: _Options) -> int:
     dataset = _load(opts)
     rows = flatten_all(dataset.samples)
     labels = [s.label for s in dataset.samples]
-    method = opts.get("method", "mmc", str).replace("-", "_")
-    if method not in ("mmc", "pca_lda"):
+    method, learn = learner_for(
+        opts.get("method", "mmc", str), opts.get("pca_dim", kind=int)
+    )
+    if method == "identity":
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
-    pca_dim = opts.get("pca_dim", kind=int)
-    if method == "pca_lda":
-        transform = learn_pcalda(rows, labels, pca_dim)
-    elif pca_dim is None:
-        transform = learn_mmc(rows, labels)
-    else:
-        raise ValidationError(f"pca_dim applies to pca_lda only, not {method!r}")
+    transform = learn(rows, labels)
     for finding in transform.warnings:
         log.warning("%s", finding)
     output = opts.require("output", str)

@@ -31,7 +31,7 @@ The learners differ only in the rank and the keep rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -349,3 +349,25 @@ def learn_pcalda(
         ridge_used=bool(basis.rank < pca_dim or abs(delta[0] - 1.0) <= 1e-12),
         warnings=findings,
     )
+
+
+def learner_for(
+    method: str, pca_dim: Optional[int] = None
+) -> Tuple[str, Callable[[np.ndarray, Sequence], FeatureTransform]]:
+    """The learner a method name selects, as (name, learn).
+
+    name is the method with "-" read as "_"; learn(rows, labels) returns
+    its FeatureTransform of the labeled rows. pca_dim is learn_pcalda's
+    rank (None: its default). Raises ValidationError on a name outside
+    METHODS and on a pca_dim given to another method than pca_lda.
+    """
+    name = method.replace("-", "_")
+    if name not in METHODS:
+        raise ValidationError(f"unknown method {name!r}")
+    if pca_dim is not None and name != "pca_lda":
+        raise ValidationError(f"pca_dim applies to pca_lda only, not {name!r}")
+    if name == "mmc":
+        return name, learn_mmc
+    if name == "pca_lda":
+        return name, lambda rows, labels: learn_pcalda(rows, labels, pca_dim)
+    return name, lambda rows, labels: identity_transform(rows.shape[1])

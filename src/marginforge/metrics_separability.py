@@ -5,14 +5,14 @@ per row, the matching context and the template-to-template distances,
 template_space.pairwise_distances of the whitened rows: the evaluator's
 matching reads the same matrix. All four coefficients run in feature
 space under the context's metric, so they describe exactly the geometry
-the matcher sees. One geometry pass groups the rows, takes feature-space
-class centroids, and measures every other distance it needs as a
-Euclidean distance in the context's whitened coordinates; the four
-scorers only read it. Degenerate geometry (coincident centroids, zero
-dispersion) yields an infinity marker instead of an exception, plus a
-"DegenerateMetricWarning: ..." finding on the report that names the
-metric: a degenerate fold should show up in a report, not kill a run.
-Reports write the marker as JSON null.
+the matcher sees. separability_of_rows groups the rows, takes
+feature-space class centroids, and measures every other distance as a
+Euclidean distance in the context's whitened coordinates; each scorer
+takes only the arrays it reads. Degenerate geometry (coincident
+centroids, zero dispersion) yields an infinity marker instead of an
+exception, plus a "DegenerateMetricWarning: ..." finding on the report
+that names the metric: a degenerate fold should show up in a report, not
+kill a run. Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
@@ -32,82 +32,44 @@ def _degenerate(findings: list, message: str) -> float:
     return float("inf")
 
 
-@dataclass(frozen=True, eq=False)
-class _Geometry:
-    """Feature-space class centroids plus every distance the scorers read,
-    each Euclidean in whitened coordinates. Gaps are taken before
-    whitening, so coincident points sit at exactly zero distance."""
-
-    labels: list  # sorted; class k is labels[k]
-    codes: np.ndarray  # (n,) class index of each template
-    centroids: np.ndarray  # (C, k)
-    sigma: np.ndarray  # (C,) mean member-to-centroid distance
-    gaps: np.ndarray  # (C, C) centroid-to-centroid distance
-    dist: np.ndarray  # (n, n) template-to-template distance
-    spread: float  # mean centroid-to-global-mean distance
-    within: float  # mean member-to-centroid distance over all templates
-
-
-def _row_geometry(
-    vectors: np.ndarray, labels: Sequence, context: MatchingContext, dist: np.ndarray
-) -> _Geometry:
-    labels, codes = np.unique(labels, return_inverse=True)
-    if len(labels) < 2:
-        raise ContractError("need at least 2 classes")
-    centroids = np.stack(
-        [vectors[codes == k].mean(axis=0) for k in range(len(labels))]
-    )
-    radius = np.linalg.norm(context.whiten(vectors - centroids[codes]), axis=1)
-    pair_gaps = centroids[:, None, :] - centroids[None, :, :]
-    spread = context.whiten(centroids - vectors.mean(axis=0))
-    return _Geometry(
-        labels=labels.tolist(),
-        codes=codes,
-        centroids=centroids,
-        sigma=np.bincount(codes, weights=radius) / np.bincount(codes),
-        gaps=np.linalg.norm(context.whiten(pair_gaps), axis=2),
-        dist=dist,
-        spread=float(np.linalg.norm(spread, axis=1).mean()),
-        within=float(radius.mean()),
-    )
-
-
-def _davies_bouldin(g: _Geometry, findings: list) -> float:
+def _davies_bouldin(
+    labels: list, sigma: np.ndarray, gaps: np.ndarray, findings: list
+) -> float:
     """Mean over classes of the worst dispersion-to-separation ratio, the
     separation of a pair being their centroid distance. Lower is better."""
-    others = ~np.eye(len(g.labels), dtype=bool)
-    coincident = np.argwhere(others & (g.gaps == 0.0))
+    others = ~np.eye(len(labels), dtype=bool)
+    coincident = np.argwhere(others & (gaps == 0.0))
     if len(coincident):
         i, j = coincident[0]
         return _degenerate(
             findings,
-            f"coincident centroids for classes {g.labels[i]!r} and "
-            f"{g.labels[j]!r}: Davies-Bouldin undefined"
+            f"coincident centroids for classes {labels[i]!r} and "
+            f"{labels[j]!r}: Davies-Bouldin undefined"
         )
     # The diagonal divides by +inf and scores 0, below every true ratio.
-    ratio = (g.sigma[:, None] + g.sigma[None, :]) / np.where(others, g.gaps, np.inf)
+    ratio = (sigma[:, None] + sigma[None, :]) / np.where(others, gaps, np.inf)
     return float(ratio.max(axis=1).mean())
 
 
-def _dunn(g: _Geometry, findings: list) -> float:
+def _dunn(sigma: np.ndarray, gaps: np.ndarray, findings: list) -> float:
     """Smallest centroid separation over largest class dispersion. Higher
     is better."""
-    sigma_max = float(g.sigma.max())
+    sigma_max = float(sigma.max())
     if sigma_max == 0.0:
         return _degenerate(findings, "all classes have zero dispersion: Dunn undefined")
-    separation = g.gaps[np.triu_indices(len(g.labels), k=1)].min()
+    separation = gaps[np.triu_indices(len(gaps), k=1)].min()
     return float(separation / sigma_max)
 
 
-def _silhouette(g: _Geometry) -> float:
+def _silhouette(codes: np.ndarray, classes: int, dist: np.ndarray) -> float:
     """Mean silhouette value in [-1, 1]. Cohesion a(n) averages distance
     over the sample's own class with the class size as divisor (the zero
     self-distance included), so a singleton class gives a(n) = 0. A sample
     with max(a, b) = 0 contributes 0."""
-    n = len(g.codes)
-    own = (np.arange(n), g.codes)
-    one_hot = (g.codes[:, None] == np.arange(len(g.labels))).astype(np.float64)
-    mean_to = (g.dist @ one_hot) / one_hot.sum(axis=0)
+    n = len(codes)
+    own = (np.arange(n), codes)
+    one_hot = (codes[:, None] == np.arange(classes)).astype(np.float64)
+    mean_to = (dist @ one_hot) / one_hot.sum(axis=0)
     a = mean_to[own]
     mean_to[own] = np.inf
     b = mean_to.min(axis=1)
@@ -116,12 +78,12 @@ def _silhouette(g: _Geometry) -> float:
     return float(score.mean())
 
 
-def _fisher_ratio(g: _Geometry, findings: list) -> float:
-    """Mean centroid-to-global-mean distance over mean member-to-centroid
-    distance. Higher is better."""
-    if g.within == 0.0:
+def _fisher_ratio(spread: float, within: float, findings: list) -> float:
+    """Mean centroid-to-global-mean distance (spread) over mean
+    member-to-centroid distance (within). Higher is better."""
+    if within == 0.0:
         return _degenerate(findings, "zero within-class spread: Fisher ratio undefined")
-    return g.spread / g.within
+    return spread / within
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +137,32 @@ def separability_of_rows(
         raise ContractError(f"{len(labels)} labels for {n} templates")
     if dist.shape != (n, n):
         raise ContractError(f"dist must be ({n}, {n}), got {dist.shape}")
-    g = _row_geometry(vectors, labels, context, dist)
+    labels, codes = np.unique(labels, return_inverse=True)
+    if len(labels) < 2:
+        raise ContractError("need at least 2 classes")
+    labels = labels.tolist()  # sorted; class k is labels[k]
+    # Feature-space centroids; every distance is Euclidean in whitened
+    # coordinates, each gap taken before whitening, so coincident points
+    # sit at exactly zero distance.
+    centroids = np.stack(
+        [vectors[codes == k].mean(axis=0) for k in range(len(labels))]
+    )
+    radius = np.linalg.norm(context.whiten(vectors - centroids[codes]), axis=1)
+    pair_gaps = centroids[:, None, :] - centroids[None, :, :]
+    offsets = context.whiten(centroids - vectors.mean(axis=0))
+    # sigma: each class's mean member-to-centroid distance; gaps: the
+    # centroid-to-centroid distances; spread: the centroids' mean distance
+    # to the global mean.
+    sigma = np.bincount(codes, weights=radius) / np.bincount(codes)
+    gaps = np.linalg.norm(context.whiten(pair_gaps), axis=2)
+    spread = float(np.linalg.norm(offsets, axis=1).mean())
     findings = []  # arguments evaluate in order: the scorers fill it first
     return SeparabilityReport(
-        dbi=_davies_bouldin(g, findings),
-        di=_dunn(g, findings),
-        sc=_silhouette(g),
-        fdr=_fisher_ratio(g, findings),
-        per_class_sigma={lab: float(g.sigma[k]) for k, lab in enumerate(g.labels)},
-        class_centroids={lab: g.centroids[k].copy() for k, lab in enumerate(g.labels)},
+        dbi=_davies_bouldin(labels, sigma, gaps, findings),
+        di=_dunn(sigma, gaps, findings),
+        sc=_silhouette(codes, len(labels), dist),
+        fdr=_fisher_ratio(spread, float(radius.mean()), findings),
+        per_class_sigma={lab: float(sigma[k]) for k, lab in enumerate(labels)},
+        class_centroids={lab: centroids[k].copy() for k, lab in enumerate(labels)},
         warnings=tuple(findings),
     )

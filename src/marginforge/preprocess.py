@@ -9,6 +9,7 @@ an exemplar.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +31,27 @@ def _check_root(sample: GaitSample, root_joint: int):
         )
 
 
+@contextmanager
+def _within_float_range(sample: GaitSample, step: str):
+    """Refuse, with SchemaError naming the sample and the step, float
+    arithmetic in the block that overflows float64: finite coordinates
+    whose result numpy would leave as inf or nan, with a RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise SchemaError(
+            f"sample {sample.sample_id!r}: {step} overflows the float64 range"
+        ) from None
+
+
 def center_on_root(sample: GaitSample, root_joint: int) -> GaitSample:
-    """Translate each frame so the root joint sits at the origin."""
+    """Translate each frame so the root joint sits at the origin. A
+    coordinate whose offset from the root overflows float64 raises
+    SchemaError."""
     _check_root(sample, root_joint)
-    frames = sample.frames - sample.frames[:, root_joint : root_joint + 1, :]
+    with _within_float_range(sample, f"centering on root joint {root_joint}"):
+        frames = sample.frames - sample.frames[:, root_joint : root_joint + 1, :]
     return sample.with_frames(frames)
 
 
@@ -46,7 +64,8 @@ def align_walk_direction(
     the first and last frame. With up_axis "y" the front axis is z, so a
     subject walking toward +x comes out walking toward +z. A sample whose
     root joint shows no net horizontal displacement has no defined heading
-    and raises AlignmentError.
+    and raises AlignmentError; one whose heading or rotated coordinates
+    overflow float64 raises SchemaError.
     """
     _check_root(sample, root_joint)
     if up_axis not in AXIS_INDEX:
@@ -55,8 +74,9 @@ def align_walk_direction(
     front = (up + 1) % 3
     side = (up + 2) % 3
 
-    d = sample.frames[-1, root_joint] - sample.frames[0, root_joint]
-    norm = float(np.hypot(d[side], d[front]))
+    with _within_float_range(sample, "the walk heading"):
+        d = sample.frames[-1, root_joint] - sample.frames[0, root_joint]
+        norm = float(np.hypot(d[side], d[front]))
     if norm < MIN_DISPLACEMENT:
         raise AlignmentError(
             f"sample {sample.sample_id!r}: zero net horizontal displacement, "
@@ -68,8 +88,9 @@ def align_walk_direction(
     frames = sample.frames.copy()
     s_old = sample.frames[:, :, side]
     f_old = sample.frames[:, :, front]
-    frames[:, :, side] = s_old * cos_a - f_old * sin_a
-    frames[:, :, front] = s_old * sin_a + f_old * cos_a
+    with _within_float_range(sample, "the rotation onto the walk heading"):
+        frames[:, :, side] = s_old * cos_a - f_old * sin_a
+        frames[:, :, front] = s_old * sin_a + f_old * cos_a
     return sample.with_frames(frames)
 
 

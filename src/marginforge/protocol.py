@@ -26,19 +26,18 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._jsonio import finite_or_null
 from .dataset import LabeledDataset, flatten_all
 from .errors import ContractError, MarginforgeError, ValidationError
-from .learners import identity_transform, learn_mmc, learn_pcalda
+from .learners import learner_for
 from .metrics_classification import CurveSeries, ThresholdSweep, cmc_fractions
 from .metrics_separability import SeparabilityReport, separability_of_rows
 from .template_space import context_of_rows, pairwise_distances, template_rows
 
-PROTOCOL_METHODS = ("mmc", "pca_lda", "identity")
 PAIR_POLICIES = ("all", "class_best")
 
 # Common grid for pointwise curve averaging across folds.
@@ -187,21 +186,16 @@ def _run_fold(
     sample_ids: Sequence[str],
     label_codes: np.ndarray,
     label_names: np.ndarray,
-    method: str,
+    learn: Callable,
     plan: FoldPlan,
     config: ProtocolConfig,
     grid: np.ndarray,
 ) -> _FoldResult:
     # vectors is the sample matrix, one row per sample id; label_codes
-    # index label_names, which are sorted.
+    # index label_names, which are sorted; learn is learner_for's learner.
     learn_idx = list(plan.outer_folds[fold])
     learn_codes = label_codes[learn_idx]
-    if method == "identity":
-        transform = identity_transform(vectors.shape[1])
-    elif method == "mmc":
-        transform = learn_mmc(vectors[learn_idx], learn_codes)
-    else:
-        transform = learn_pcalda(vectors[learn_idx], learn_codes, config.pca_dim)
+    transform = learn(vectors[learn_idx], learn_codes)
 
     templates = template_rows(transform, vectors, sample_ids)
     context = context_of_rows(templates[learn_idx], learn_codes)
@@ -279,11 +273,7 @@ def run_protocol(
     (integer ranks for cmc, a 1001-point [0, 1] grid for the others).
     """
     config = config or ProtocolConfig()
-    method = method.replace("-", "_")
-    if method not in PROTOCOL_METHODS:
-        raise ValidationError(f"unknown method {method!r}")
-    if config.pca_dim is not None and method != "pca_lda":
-        raise ValidationError(f"pca_dim applies to pca_lda only, not {method!r}")
+    method, learn = learner_for(method, config.pca_dim)
 
     vectors = flatten_all(dataset.samples)
     covered = sorted(i for fold in plan.outer_folds for i in fold)
@@ -299,7 +289,7 @@ def run_protocol(
     def fold_task(f: int) -> _FoldResult:
         try:
             return _run_fold(
-                f, vectors, sample_ids, label_codes, label_names, method, plan,
+                f, vectors, sample_ids, label_codes, label_names, learn, plan,
                 config, grid
             )
         except MarginforgeError as exc:

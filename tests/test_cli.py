@@ -18,15 +18,20 @@ from conftest import dtw_bytes, traced_peak, walking_sample
 from marginforge import (
     GaitSample,
     LabeledDataset,
+    ProtocolConfig,
     align_walk_direction,
     average_length,
     center_on_root,
+    learner_for,
     learners,
     load_dataset,
+    plan_folds,
     resample_time,
+    run_protocol,
     save_dataset,
 )
 from marginforge.cli import main
+from marginforge.errors import ValidationError
 from oracles import rowwise_dtw
 
 
@@ -697,6 +702,44 @@ class TestExitCodes:
         assert preprocess(plain, "inf") == (0, "")
         assert [s.sample_id for s in load_dataset(out).samples] == ["e", "neg", "one"]
 
+    @pytest.mark.parametrize(
+        "root, joint, step",
+        [
+            # Aligned in place (the heading is +z), then the joint's offset
+            # from the root is -2.7e308.
+            ([[1.7e308, 0, 0], [1.7e308, 0, 1]], [-1e308, 0, 0],
+             "centering on root joint 0"),
+            # The root travels from x = -1e308 to x = 1e308.
+            ([[-1e308, 0, 0], [1e308, 0, 0]], [0, 0, 0], "the walk heading"),
+            # Both horizontal components are finite, their length is not.
+            ([[0, 0, 0], [1.5e308, 0, 1.5e308]], [1, 2, 3], "the walk heading"),
+            # A 45-degree heading turns (B, 0, B) into z = B * sqrt(2).
+            ([[0, 0, 0], [1, 0, 1]], [1.7e308, 0, 1.7e308],
+             "the rotation onto the walk heading"),
+        ],
+        ids=["center", "heading", "heading-length", "rotation"],
+    )
+    def test_root_joint_steps_past_the_float_range_are_4(
+        self, tmp_path, capsys, root, joint, step
+    ):
+        frames = np.array([[r, joint] for r in root], dtype=float)
+        sample = GaitSample(frames=frames, label="a", sample_id="s0")
+        path = tmp_path / "far.jsonl"
+        save_dataset(LabeledDataset.from_samples([sample]), path, format="jsonl")
+        out = tmp_path / "out.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "preprocess", "--input", path, "--output", out, "--root-joint", 0
+            )
+        assert [str(w.message) for w in caught] == []
+        assert (code, capsys.readouterr().err) == (
+            4,
+            f"marginforge: SchemaError: sample 's0': {step} overflows the float64 "
+            "range\n",
+        )
+        assert not out.exists()
+
     def test_alignment_error_is_5(self, tmp_path):
         still = np.tile(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]]), (3, 1, 1))
         samples = [
@@ -854,6 +897,8 @@ class TestExitCodes:
             ("learn", "mmc", "flag"),
             ("learn", "mmc", "config"),
             ("evaluate", "mmc", "flag"),
+            ("evaluate", "mmc", "config"),
+            ("evaluate", "identity", "flag"),
             ("evaluate", "identity", "config"),
         ],
     )
@@ -878,6 +923,56 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "marginforge: ValidationError: pca_dim applies to pca_lda only, "
             f"not '{method}'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, pca_dim, message",
+        [
+            ("svm", None, "unknown method 'svm'"),
+            ("pca-svm", None, "unknown method 'pca_svm'"),
+            ("svm", 5, "unknown method 'svm'"),
+            ("mmc", 5, "pca_dim applies to pca_lda only, not 'mmc'"),
+            ("identity", 5, "pca_dim applies to pca_lda only, not 'identity'"),
+        ],
+    )
+    def test_every_entry_refuses_a_method_alike(
+        self, tmp_path, capsys, method, pca_dim, message
+    ):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        with pytest.raises(ValidationError) as caught:
+            learner_for(method, pca_dim)
+        assert str(caught.value) == message
+        dataset = load_dataset(data)
+        plan = plan_folds(dataset, outer=3, inner=2, seed=0)
+        with pytest.raises(ValidationError) as caught:
+            run_protocol(dataset, method, plan, ProtocolConfig(pca_dim=pca_dim))
+        assert str(caught.value) == message
+        # The method flag's choices stop an unknown name; the config does not.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": method, "pca_dim": pca_dim}))
+        out = tmp_path / "out.json"
+        for command, extra in (("learn", []), ("evaluate", ["--inner-folds", 2])):
+            capsys.readouterr()
+            assert run(
+                command, "--input", data, "--output", out, "--config", cfg, *extra
+            ) == 2
+            err = capsys.readouterr().err
+            assert err == f"marginforge: ValidationError: {message}\n"
+            assert not out.exists()
+
+    def test_learn_refuses_identity_is_2(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert run(*gen_args(data)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "identity"}))
+        out = tmp_path / "t.json"
+        capsys.readouterr()
+        assert run("learn", "--input", data, "--output", out, "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: learn supports mmc or pca-lda, "
+            "got 'identity'\n"
         )
         assert not out.exists()
 

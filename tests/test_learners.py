@@ -18,6 +18,7 @@ from marginforge import (
     identity_transform,
     learn_mmc,
     learn_pcalda,
+    learner_for,
     learners,
     load_transform,
     margin_trace,
@@ -184,6 +185,36 @@ class TestFeatureTransform:
         assert np.array_equal(t.delta, np.ones(3))
         with pytest.raises(ContractError):
             identity_transform(0)
+
+
+class TestLearnerFor:
+    @pytest.mark.parametrize("findings", [False, True], ids=["plain", "findings"])
+    @pytest.mark.parametrize(
+        "method, pca_dim, direct",
+        [
+            ("mmc", None, learn_mmc),
+            ("pca_lda", None, learn_pcalda),
+            ("pca-lda", 5, lambda rows, labels: learn_pcalda(rows, labels, 5)),
+            ("identity", None, lambda rows, labels: identity_transform(rows.shape[1])),
+        ],
+    )
+    def test_learns_what_the_direct_learner_learns(
+        self, monkeypatch, findings, method, pca_dim, direct
+    ):
+        rows, labels = random_flats(np.random.default_rng(46), classes=3, dim=6)
+        if findings:
+            monkeypatch.setattr(learners, "OFF_DIAGONAL_WARN", -1.0)
+        name, learn = learner_for(method, pca_dim)
+        assert name == method.replace("-", "_")
+        got, want = learn(rows, labels), direct(rows, labels)
+        assert got.method == want.method == name
+        assert got.phi.shape == want.phi.shape
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert got.delta.tobytes() == want.delta.tobytes()
+        assert got.fallback_used == want.fallback_used
+        assert got.ridge_used == want.ridge_used
+        assert got.warnings == want.warnings
+        assert bool(got.warnings) == (findings and name != "identity")
 
 
 class TestLearnMmc:

@@ -25,7 +25,6 @@ from marginforge import (
     learn_mmc,
     learners,
     plan_folds,
-    protocol,
     run_protocol,
 )
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
@@ -193,7 +192,7 @@ class TestRunProtocol:
             warnings.warn("unrelated library chatter", UserWarning)
             return learn_mmc(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "learn_mmc", chatty_learn_mmc)
+        monkeypatch.setattr(learners, "learn_mmc", chatty_learn_mmc)
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
         with pytest.warns(UserWarning, match="^unrelated library chatter$"):
@@ -494,7 +493,7 @@ class TestMetamorphicInvariance:
         q = random_orthogonal(rng, dim)
         b = rng.normal(scale=5.0, size=dim)
         moved = mapped_dataset(ds, lambda x: alpha * (x @ q) + b)
-        for method in protocol.PROTOCOL_METHODS:
+        for method in learners.METHODS:
             self.assert_same_report(
                 run_protocol(ds, method, plan), run_protocol(moved, method, plan)
             )
