@@ -99,7 +99,8 @@ def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
 
     Each of the 3*J coordinate signals is interpolated independently over a
     normalized time axis; endpoints are preserved exactly. A sample already
-    at the target length is returned unchanged.
+    at the target length is returned unchanged. A frame-to-frame slope past
+    the float64 range raises SchemaError.
     """
     if target_frames < 2:
         raise ContractError("target_frames must be >= 2")
@@ -112,6 +113,13 @@ def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
     out = np.empty((target_frames, flat.shape[1]))
     for k in range(flat.shape[1]):
         out[:, k] = np.interp(new_t, old_t, flat[:, k])
+    # np.interp sets no floating-point flag, and its inputs are finite, so a
+    # non-finite output is an overflow.
+    if not np.isfinite(out).all():
+        raise SchemaError(
+            f"sample {sample.sample_id!r}: resampling to {target_frames} frames "
+            "overflows the float64 range"
+        )
     return sample.with_frames(out.reshape(target_frames, sample.joint_count, 3))
 
 

@@ -12,8 +12,9 @@ read off the thin SVD of the population's data matrix
 W W^T = St^+. whiten() maps templates to v @ W: every Mahalanobis distance
 is then a plain Euclidean distance between whitened templates, and a
 direction that carries no data contributes nothing. pairwise_distances
-measures every pair of whitened rows at once. Because the margin learner
-whitens total scatter, its context is numerically an orthogonal matrix.
+measures every pair of whitened rows, each row against itself and the rows
+after it. Because the margin learner whitens total scatter, its context is
+numerically an orthogonal matrix.
 """
 
 from __future__ import annotations
@@ -93,25 +94,21 @@ def context_of_rows(rows: np.ndarray, labels: Sequence) -> MatchingContext:
     return MatchingContext(whitener=basis.omega / basis.s)
 
 
-# Largest temporary pairwise_distances holds, in float64 entries (1 MiB).
-_BLOCK_ENTRIES = 1 << 17
-
-
 def pairwise_distances(rows: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean distances between the rows of a matrix.
 
-    Entry (i, j) is np.linalg.norm(rows - rows[i], axis=1)[j]: each row's
-    norms are a reduction over the contiguous last axis, so no entry
-    depends on which other rows share the call. Rows go in blocks whose
-    (block, n, width) difference stays within _BLOCK_ENTRIES.
+    Entry (i, j) is np.linalg.norm(rows - rows[i], axis=1)[j], bit for bit:
+    that norm is sqrt(add.reduce(d * d, axis=1)) over the contiguous last
+    axis, so no entry depends on which other rows share the call. Row i
+    computes j >= i and mirrors it into column i; rows[j] - rows[i] is the
+    exact negation of rows[i] - rows[j], so the result is bit-symmetric
+    with a zero diagonal. Each step holds one (n - i, width) difference.
     """
-    n, width = rows.shape
-    step = max(1, _BLOCK_ENTRIES // max(1, n * width))
+    n = len(rows)
     dist = np.empty((n, n))
-    for start in range(0, n, step):
-        block = rows[start : start + step]
-        dist[start : start + step] = np.linalg.norm(
-            rows[None, :, :] - block[:, None, :], axis=2
-        )
+    for i in range(n):
+        diff = rows[i:] - rows[i]
+        np.multiply(diff, diff, out=diff)
+        dist[i, i:] = dist[i:, i] = np.sqrt(np.add.reduce(diff, axis=1))
+        del diff  # freed before the next row's difference is made
     return dist
-

@@ -740,6 +740,26 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_resampling_past_the_float_range_is_4(self, tmp_path, capsys):
+        frames = np.zeros((3, 1, 3))
+        frames[:, 0, 0] = [1.7e308, -1.7e308, 1.7e308]
+        sample = GaitSample(frames=frames, label="a", sample_id="s0")
+        path = tmp_path / "steep.jsonl"
+        save_dataset(LabeledDataset.from_samples([sample]), path, format="jsonl")
+        out = tmp_path / "out.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "preprocess", "--input", path, "--output", out, "--target-frames", 4
+            )
+        assert [str(w.message) for w in caught] == []
+        assert (code, capsys.readouterr().err) == (
+            4,
+            "marginforge: SchemaError: sample 's0': resampling to 4 frames "
+            "overflows the float64 range\n",
+        )
+        assert not out.exists()
+
     def test_alignment_error_is_5(self, tmp_path):
         still = np.tile(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]]), (3, 1, 1))
         samples = [

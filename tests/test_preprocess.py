@@ -163,6 +163,15 @@ class TestResampleTime:
         with pytest.raises(ContractError):
             resample_time(scalar_sequence([0.0, 1.0]), 1)
 
+    def test_a_slope_past_the_float_range_is_refused(self):
+        # Each finite step between frames spans 3.4e308; np.interp leaves
+        # the points between them non-finite without a floating-point flag.
+        s = scalar_sequence([1.7e308, -1.7e308, 1.7e308])
+        with pytest.raises(SchemaError, match=(
+            "^sample 's0': resampling to 4 frames overflows the float64 range$"
+        )):
+            resample_time(s, 4)
+
 
 class TestAverageLength:
     def test_constant(self):

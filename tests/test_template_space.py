@@ -1,7 +1,5 @@
 """Template rows, matching contexts, Mahalanobis distance."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +15,7 @@ from conftest import (
     random_spd_ctx,
     recombination_violation,
     template_matrix,
+    traced_peak,
 )
 from marginforge import (
     FeatureTransform,
@@ -28,7 +27,6 @@ from marginforge import (
     pairwise_distances,
     template_rows,
 )
-from marginforge import template_space
 from marginforge.errors import ContractError, DegenerateDataError
 
 
@@ -257,14 +255,16 @@ def one_norm_per_row(rows: np.ndarray) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 40),
     width=st.integers(1, 30),
-    budget=st.integers(1, 3000),
 )
-def test_pairwise_distances_equal_one_norm_per_row(seed, n, width, budget):
-    # A small block budget puts block boundaries anywhere, from one row per
-    # block to all rows in one.
+# An evaluation fold's shape, mmc's one-column fallback, a single row, and
+# a wide matrix whose rows are long enough for pairwise summation.
+@example(seed=0, n=200, width=9)
+@example(seed=0, n=200, width=1)
+@example(seed=0, n=1, width=5)
+@example(seed=63, n=205, width=99)
+def test_pairwise_distances_equal_one_norm_per_row(seed, n, width):
     rows = np.random.default_rng(seed).normal(0.0, 2.0, size=(n, width))
-    with mock.patch.object(template_space, "_BLOCK_ENTRIES", budget):
-        got = pairwise_distances(rows)
+    got = pairwise_distances(rows)
     assert got.tobytes() == one_norm_per_row(rows).tobytes()
     # The protocol's "all" sweep reads the upper triangle alone, which
     # holds every pair once only because of these two.
@@ -272,8 +272,10 @@ def test_pairwise_distances_equal_one_norm_per_row(seed, n, width, budget):
     assert np.all(np.diagonal(got) == 0.0)
 
 
-def test_pairwise_distances_at_the_default_block_size():
-    # 205 rows of width 99 go in blocks of 6 with a partial last block.
-    rows = np.random.default_rng(63).normal(size=(205, 99))
-    assert template_space._BLOCK_ENTRIES // (205 * 99) == 6
-    assert pairwise_distances(rows).tobytes() == one_norm_per_row(rows).tobytes()
+@pytest.mark.parametrize("n, width", [(200, 9), (200, 1), (60, 150)])
+def test_pairwise_distances_hold_about_one_copy_of_the_rows(n, width):
+    # Beyond the (n, n) result, a few (n, width) temporaries at most: no
+    # difference of every row against a block of rows.
+    rows = np.random.default_rng(5).normal(size=(n, width))
+    peak = traced_peak(lambda: pairwise_distances(rows))
+    assert peak <= 8 * n * n + 3 * 8 * n * width + 64 * 1024
