@@ -23,6 +23,7 @@ from ._jsonio import atomic_write_text, load_json, write_json
 from .dataset import (
     LabeledDataset,
     SyntheticSpec,
+    check_fits_in_memory,
     flatten_all,
     generate_synthetic,
     load_dataset,
@@ -64,13 +65,6 @@ EXIT_CODES = (
     (MarginforgeError, 1),
     (OSError, 8),
 )
-
-
-def _exit_code(exc: BaseException) -> int:
-    for cls, code in EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 class _Options:
@@ -168,6 +162,8 @@ def cmd_preprocess(opts: _Options) -> int:
     target = opts.get("target_frames", kind=int)
     if target == 0:  # 0 asks for the dataset's average length
         target = average_length(samples)
+    if target is not None:
+        check_fits_in_memory(target * 3 * sum(s.joint_count for s in samples))
     for k, s in enumerate(samples):
         if root_joint is not None:
             # Align first: centering pins the root at the origin, which
@@ -202,20 +198,15 @@ def cmd_learn(opts: _Options) -> int:
     method, learn = learner_for(
         opts.get("method", "mmc", str), opts.get("pca_dim", kind=int)
     )
-    if method == "identity":
+    if learn is None:  # identity learns no transform
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
     transform = learn(rows, labels)
     for finding in transform.warnings:
         log.warning("%s", finding)
     output = opts.require("output", str)
     save_transform(transform, output)
-    log.info(
-        "learned %s transform %d -> %d, wrote %s",
-        method,
-        transform.input_dim,
-        transform.feature_dim,
-        output,
-    )
+    log.info("learned %s transform %d -> %d, wrote %s",
+             method, transform.input_dim, transform.feature_dim, output)
     return 0
 
 
@@ -373,7 +364,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](opts)
     except (MarginforgeError, OSError) as exc:
         print(f"marginforge: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

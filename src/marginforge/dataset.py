@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -164,6 +165,19 @@ class SyntheticSpec:
             raise ValidationError("noise must be finite and >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        sizes = (self.classes, self.samples_per_class, self.frames, self.joints, 3)
+        check_fits_in_memory(math.prod(map(int, sizes)))
+
+
+def check_fits_in_memory(coordinates: int):
+    """Refuse, before anything is allocated, a dataset of that many float64
+    coordinates when it would need more bytes than the machine's memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * coordinates > memory:
+        raise ValidationError(
+            f"the dataset would hold {coordinates} coordinates ({8 * coordinates} "
+            f"bytes), more than this machine's {memory} bytes of memory"
+        )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:

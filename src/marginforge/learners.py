@@ -84,8 +84,7 @@ def select_margin_columns(values: np.ndarray, limit: Optional[int] = None) -> Ei
     eligible = values if limit is None else values[:limit]
     kept = tuple(int(i) for i in np.flatnonzero(eligible >= DELTA_KEEP))
     fallback = not kept
-    if fallback:
-        kept = (0,)
+    kept = kept or (0,)
     return EigenSelection(
         kept_indices=kept,
         discarded_count=values.size - len(kept),
@@ -300,12 +299,8 @@ def margin_trace(stats: ScatterStatistics, phi: np.ndarray) -> float:
 
 
 def mmc_objective(transform: FeatureTransform, stats: ScatterStatistics) -> float:
-    """Margin trace of the learned transform against the given statistics."""
-    if transform.input_dim != stats.dimension:
-        raise ContractError(
-            f"transform input dimension {transform.input_dim} does not "
-            f"match statistics dimension {stats.dimension}"
-        )
+    """Margin trace of the learned transform against the given statistics;
+    margin_trace refuses a transform of another input dimension."""
     return margin_trace(stats, transform.phi)
 
 
@@ -339,8 +334,7 @@ def learn_pcalda(
     # shares within 1e-9 of the largest as zero.
     kept = [int(i) for i in np.flatnonzero(delta > delta[0] * 1e-9)[: c - 1]]
     fallback = not kept
-    if fallback:
-        kept = [0]
+    kept = kept or [0]
     return FeatureTransform(
         method="pca_lda",
         phi=_canonical_signs(psi[:, kept]),
@@ -353,13 +347,15 @@ def learn_pcalda(
 
 def learner_for(
     method: str, pca_dim: Optional[int] = None
-) -> Tuple[str, Callable[[np.ndarray, Sequence], FeatureTransform]]:
+) -> Tuple[str, Optional[Callable[[np.ndarray, Sequence], FeatureTransform]]]:
     """The learner a method name selects, as (name, learn).
 
     name is the method with "-" read as "_"; learn(rows, labels) returns
-    its FeatureTransform of the labeled rows. pca_dim is learn_pcalda's
-    rank (None: its default). Raises ValidationError on a name outside
-    METHODS and on a pca_dim given to another method than pca_lda.
+    its FeatureTransform of the labeled rows. learn is None for identity:
+    that route learns no transform, and its templates are the raw rows.
+    pca_dim is learn_pcalda's rank (None: its default). Raises
+    ValidationError on a name outside METHODS and on a pca_dim given to
+    another method than pca_lda.
     """
     name = method.replace("-", "_")
     if name not in METHODS:
@@ -370,4 +366,4 @@ def learner_for(
         return name, learn_mmc
     if name == "pca_lda":
         return name, lambda rows, labels: learn_pcalda(rows, labels, pca_dim)
-    return name, lambda rows, labels: identity_transform(rows.shape[1])
+    return name, None

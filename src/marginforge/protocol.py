@@ -12,8 +12,10 @@ reads all of it, and the metrics read each entry whose two rows lie in
 different inner folds, as per-identity minima and one threshold sweep.
 
 Leakage is structural: the transform and the matching context are
-functions of the learning fold only, and probes are stripped of their
-labels before matching; true labels come back only for scoring.
+functions of the learning fold only (the identity route has no transform:
+it matches the raw rows, whitened by that context alone), and probes are
+stripped of their labels before matching; true labels come back only for
+scoring.
 
 Reports are deterministic: fold tasks are pure and internally sequential,
 results are assembled in fold order, and the findings each fold returns
@@ -162,10 +164,7 @@ class EvaluationReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
-            "headline": {
-                k: finite_or_null(v) if k in ("dbi", "di", "fdr") else v
-                for k, v in self.headline.items()
-            },
+            "headline": {k: finite_or_null(v) for k, v in self.headline.items()},
             "separability": [s.to_json_dict() for s in self.separability],
             "curves": {k: c.to_json_dict() for k, c in self.curves.items()},
             "warnings": list(self.warnings),
@@ -186,18 +185,20 @@ def _run_fold(
     sample_ids: Sequence[str],
     label_codes: np.ndarray,
     label_names: np.ndarray,
-    learn: Callable,
+    learn: Optional[Callable],
     plan: FoldPlan,
     config: ProtocolConfig,
     grid: np.ndarray,
 ) -> _FoldResult:
-    # vectors is the sample matrix, one row per sample id; label_codes
-    # index label_names, which are sorted; learn is learner_for's learner.
+    # vectors is the sample matrix, one row per sample id; label_codes index
+    # the sorted label_names; learn is learner_for's (None: rows are templates).
     learn_idx = list(plan.outer_folds[fold])
     learn_codes = label_codes[learn_idx]
-    transform = learn(vectors[learn_idx], learn_codes)
-
-    templates = template_rows(transform, vectors, sample_ids)
+    templates, findings = vectors, ()
+    if learn is not None:
+        transform = learn(vectors[learn_idx], learn_codes)
+        templates = template_rows(transform, vectors, sample_ids)
+        findings = transform.warnings
     context = context_of_rows(templates[learn_idx], learn_codes)
 
     eval_idx = np.array(plan.evaluation_indices(fold))
@@ -256,7 +257,7 @@ def _run_fold(
             "tar": np.interp(grid, roc_far, roc_tar),
             "precision": np.interp(grid, recall, precision),
         },
-        warnings=transform.warnings + separability.warnings + cmc_findings,
+        warnings=findings + separability.warnings + cmc_findings,
     )
 
 
@@ -344,7 +345,5 @@ def run_protocol(
 
 def curve_csv_text(series: CurveSeries) -> str:
     """Plot-ready CSV rows for one curve: kind,x,y with a header line."""
-    lines = ["kind,x,y"]
-    for x, y in series.points:
-        lines.append(f"{series.kind},{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{series.kind},{x!r},{y!r}\n" for x, y in series.points)
+    return "kind,x,y\n" + "".join(rows)

@@ -100,12 +100,9 @@ def compute_scatter(rows: np.ndarray, labels: Sequence) -> ScatterStatistics:
     class_means = np.stack([s.mean(axis=0) for s in stacks])
     overall_mean = np.concatenate(stacks).mean(axis=0)
 
-    sigma_b = np.zeros((dim, dim))
-    sigma_w = np.zeros((dim, dim))
-    sigma_t = np.zeros((dim, dim))
-    comp_b = np.zeros((dim, dim))
-    comp_w = np.zeros((dim, dim))
-    comp_t = np.zeros((dim, dim))
+    sigma_b, sigma_w, sigma_t, comp_b, comp_w, comp_t = (
+        np.zeros((dim, dim)) for _ in range(6)
+    )
     for k, stack in enumerate(stacks):
         n_c = class_sizes[k]
         gap = class_means[k] - overall_mean

@@ -2,6 +2,7 @@
 
 A template is a gait sample pushed through a feature transform;
 template_rows pushes a whole (n, input_dim) matrix of flattened samples.
+The identity route has no transform: its templates are the raw rows.
 Matching uses the Mahalanobis distance of a reference template
 population's total scatter St, estimated once (normally from the learning
 fold) by context_of_rows and frozen into a MatchingContext. On the span of

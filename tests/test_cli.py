@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -37,6 +38,13 @@ from oracles import rowwise_dtw
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# The one stderr line of a size refusal, given the coordinate count.
+PAST_MEMORY = (
+    r"marginforge: ValidationError: the dataset would hold %d coordinates "
+    r"\(\d+ bytes\), more than this machine's \d+ bytes of memory\n"
+)
 
 
 def gen_args(out, classes=3, per_class=6, seed=3):
@@ -249,7 +257,8 @@ class TestPipeline:
         assert run("compare", rpt) == 0
         assert "n/a" in capsys.readouterr().out
 
-    def test_worker_count_is_invisible_in_the_files(self, tmp_path):
+    @pytest.mark.parametrize("method", ["mmc", "pca-lda", "identity"])
+    def test_worker_count_is_invisible_in_the_files(self, tmp_path, method):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
         outs = []
@@ -259,7 +268,7 @@ class TestPipeline:
                 "evaluate",
                 "--input", data,
                 "--output", out,
-                "--method", "mmc",
+                "--method", method,
                 "--outer-folds", 3,
                 "--inner-folds", 2,
                 "--workers", workers,
@@ -810,6 +819,51 @@ class TestExitCodes:
         out = tmp_path / "x.jsonl"
         assert run(*gen_args(out), flag, value) == 2
         assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, coordinates", [
+        ("--joints", 270 * 10**18), ("--frames", 108 * 10**18),
+    ])
+    def test_a_dataset_past_memory_is_2(self, tmp_path, capsys, flag, coordinates):
+        # 3 x 6 samples of 10**18 joints or frames: over 8e20 bytes, past any
+        # address space, refused before numpy is asked for them.
+        out = tmp_path / "x.jsonl"
+        assert run(*gen_args(out), flag, 10**18) == 2
+        assert re.fullmatch(PAST_MEMORY % coordinates, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_resampling_past_memory_is_2(self, tmp_path, capsys):
+        data, out = tmp_path / "data.jsonl", tmp_path / "out.jsonl"
+        assert run(*gen_args(data)) == 0
+        capsys.readouterr()
+        assert run(
+            "preprocess", "--input", data, "--output", out, "--target-frames", 10**18
+        ) == 2
+        assert re.fullmatch(PAST_MEMORY % (108 * 10**18), capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, coordinates", [
+        ("--classes", 180 * 10**18), ("--per-class", 90 * 10**18),
+    ])
+    def test_a_sample_count_past_memory_is_2(self, tmp_path, flag, coordinates):
+        # Refused before the generator's loop draws one sample. Run in a
+        # child with a 1 GiB address-space cap and a timeout, so a generator
+        # that loops anyway ends the child, not the whole pytest run.
+        def cap_memory():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "x.jsonl"
+        argv = [str(a) for a in (*gen_args(out), flag, 10**18)]
+        src = os.path.dirname(os.path.dirname(marginforge.__file__))
+        child = subprocess.run(
+            [sys.executable, "-m", "marginforge.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert child.returncode == 2
+        assert re.fullmatch(PAST_MEMORY % coordinates, child.stderr)
         assert not out.exists()
 
     def test_negative_evaluate_seed_is_2(self, tmp_path, capsys):

@@ -195,7 +195,6 @@ class TestLearnerFor:
             ("mmc", None, learn_mmc),
             ("pca_lda", None, learn_pcalda),
             ("pca-lda", 5, lambda rows, labels: learn_pcalda(rows, labels, 5)),
-            ("identity", None, lambda rows, labels: identity_transform(rows.shape[1])),
         ],
     )
     def test_learns_what_the_direct_learner_learns(
@@ -214,7 +213,12 @@ class TestLearnerFor:
         assert got.fallback_used == want.fallback_used
         assert got.ridge_used == want.ridge_used
         assert got.warnings == want.warnings
-        assert bool(got.warnings) == (findings and name != "identity")
+        assert bool(got.warnings) == findings
+
+    def test_identity_learns_nothing(self):
+        # The identity route has no transform: run_protocol matches its
+        # raw rows, and learn refuses it.
+        assert learner_for("identity") == ("identity", None)
 
 
 class TestLearnMmc:

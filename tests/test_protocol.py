@@ -226,14 +226,32 @@ class TestRunProtocol:
         report = run_protocol(scrambled, "mmc", plan)
         assert 0.05 <= report.headline["ccr"] <= 0.65
 
-    def test_worker_count_cannot_change_the_report(self):
+    @pytest.mark.parametrize("method", ["mmc", "pca_lda", "identity"])
+    def test_worker_count_cannot_change_the_report(self, method):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=3)
-        serial = run_protocol(ds, "mmc", plan, ProtocolConfig(workers=1))
-        threaded = run_protocol(ds, "mmc", plan, ProtocolConfig(workers=4))
+        serial = run_protocol(ds, method, plan, ProtocolConfig(workers=1))
+        threaded = run_protocol(ds, method, plan, ProtocolConfig(workers=4))
         assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
             threaded.to_json_dict(), sort_keys=True
         )
+
+    def test_identity_folds_form_no_square_matrix(self):
+        # The identity route matches the raw rows: no fold may build a
+        # D x D matrix (8 * D**2 bytes, 11 MiB at D = 1200).
+        ds = generate_synthetic(SyntheticSpec(
+            classes=3, samples_per_class=6, joints=20, frames=20,
+            class_spread=3.0, noise=0.3, seed=5,
+        ))
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        dim = 3 * 20 * 20
+        tracemalloc.start()
+        try:
+            run_protocol(ds, "identity", plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dim**2
 
     def test_learning_uses_only_the_fold_samples(self):
         # Perturbing every sample outside the learning fold must leave the
