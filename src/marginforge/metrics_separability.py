@@ -1,18 +1,20 @@
 """Class-separability coefficients over a labeled template population.
 
 separability_of_rows takes the templates as rows of a matrix, one label
-per row, the matching context and the template-to-template distances,
-template_space.pairwise_distances of the whitened rows: the evaluator's
-matching reads the same matrix. All four coefficients run in feature
-space under the context's metric, so they describe exactly the geometry
-the matcher sees. separability_of_rows groups the rows, takes
-feature-space class centroids, and measures every other distance as a
-Euclidean distance in the context's whitened coordinates; each scorer
-takes only the arrays it reads. Degenerate geometry (coincident
-centroids, zero dispersion) yields an infinity marker instead of an
-exception, plus a "DegenerateMetricWarning: ..." finding on the report
-that names the metric: a degenerate fold should show up in a report, not
-kill a run. Reports write the marker as JSON null.
+per row, the same rows whitened by the evaluator's matching context, and
+their distance matrix, template_space.pairwise_distances of the whitened
+rows: the evaluator's matching reads the same matrix. All four
+coefficients run in the whitened coordinates, where the context's
+Mahalanobis distance is the Euclidean one, so they describe exactly the
+geometry the matcher sees. separability_of_rows groups the rows, takes
+the class means of the whitened rows, and measures the dispersions, the
+centroid gaps and the spread as plain Euclidean geometry there; each
+scorer takes only the arrays it reads. The reported class centroids are
+the class means of the feature rows. Degenerate geometry (coincident
+whitened class means, zero dispersion) yields an infinity marker instead
+of an exception, plus a "DegenerateMetricWarning: ..." finding on the
+report that names the metric: a degenerate fold should show up in a
+report, not kill a run. Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from ._jsonio import finite_or_null
 from .errors import ContractError
-from .template_space import MatchingContext
+from .template_space import pairwise_distances
 
 
 def _degenerate(findings: list, message: str) -> float:
@@ -121,41 +123,36 @@ class SeparabilityReport:
 
 
 def separability_of_rows(
-    vectors: np.ndarray, labels: Sequence, context: MatchingContext, dist: np.ndarray
+    vectors: np.ndarray, labels: Sequence, whitened: np.ndarray, dist: np.ndarray
 ) -> SeparabilityReport:
     """All four coefficients of the templates given as rows: labels[n]
-    names the class of row n, and dist is pairwise_distances of the
-    whitened rows. Raises ContractError on fewer than 2 classes, a context
-    of another width, and labels or dist that do not match the rows."""
-    n, width = vectors.shape
-    if context.dimension != width:
-        raise ContractError(
-            f"context dimension {context.dimension} does not match "
-            f"templates of dimension {width}"
-        )
+    names the class of row n, whitened[n] is row n in the matching
+    context's whitened coordinates, and dist is pairwise_distances of
+    whitened. Raises ContractError on fewer than 2 classes, and on labels,
+    whitened rows or dist that do not match the rows."""
+    n = len(vectors)
     if len(labels) != n:
         raise ContractError(f"{len(labels)} labels for {n} templates")
-    if dist.shape != (n, n):
-        raise ContractError(f"dist must be ({n}, {n}), got {dist.shape}")
+    if len(whitened) != n or dist.shape != (n, n):
+        raise ContractError(
+            f"need {n} whitened rows and a ({n}, {n}) dist, got "
+            f"{len(whitened)} and {dist.shape}"
+        )
     labels, codes = np.unique(labels, return_inverse=True)
     if len(labels) < 2:
         raise ContractError("need at least 2 classes")
     labels = labels.tolist()  # sorted; class k is labels[k]
-    # Feature-space centroids; every distance is Euclidean in whitened
-    # coordinates, each gap taken before whitening, so coincident points
-    # sit at exactly zero distance.
-    centroids = np.stack(
-        [vectors[codes == k].mean(axis=0) for k in range(len(labels))]
-    )
-    radius = np.linalg.norm(context.whiten(vectors - centroids[codes]), axis=1)
-    pair_gaps = centroids[:, None, :] - centroids[None, :, :]
-    offsets = context.whiten(centroids - vectors.mean(axis=0))
-    # sigma: each class's mean member-to-centroid distance; gaps: the
-    # centroid-to-centroid distances; spread: the centroids' mean distance
-    # to the global mean.
+    classes = range(len(labels))
+    centroids = np.stack([vectors[codes == k].mean(axis=0) for k in classes])
+    # Every distance is Euclidean in whitened coordinates. sigma: each
+    # class's mean member-to-centroid distance; gaps: the centroid-to-
+    # centroid distances; spread: the centroids' mean distance to the
+    # global mean.
+    means = np.stack([whitened[codes == k].mean(axis=0) for k in classes])
+    radius = np.linalg.norm(whitened - means[codes], axis=1)
     sigma = np.bincount(codes, weights=radius) / np.bincount(codes)
-    gaps = np.linalg.norm(context.whiten(pair_gaps), axis=2)
-    spread = float(np.linalg.norm(offsets, axis=1).mean())
+    gaps = pairwise_distances(means)
+    spread = float(np.linalg.norm(means - whitened.mean(axis=0), axis=1).mean())
     findings = []  # arguments evaluate in order: the scorers fill it first
     return SeparabilityReport(
         dbi=_davies_bouldin(labels, sigma, gaps, findings),

@@ -8,8 +8,9 @@ evaluation template is a probe once, against the templates of the other
 inner folds (10 by default) as gallery. The learning fold's matching
 context whitens the evaluation templates once, and one matrix of
 Euclidean distances between the whitened rows serves both: separability
-reads all of it, and the metrics read each entry whose two rows lie in
-different inner folds, as per-identity minima and one threshold sweep.
+reads the whitened rows and all of the matrix, and the metrics read each
+entry whose two rows lie in different inner folds, as per-identity minima
+and one threshold sweep.
 
 Leakage is structural: the transform and the matching context are
 functions of the learning fold only (the identity route has no transform:
@@ -206,8 +207,9 @@ def _run_fold(
     codes = label_codes[eval_idx]
     # Whitened rows, so Euclidean distance is the context's Mahalanobis
     # distance; every probe/gallery pair of every inner fold is an entry.
-    dist = pairwise_distances(context.whiten(evaluation))
-    separability = separability_of_rows(evaluation, label_names[codes], context, dist)
+    whitened = context.whiten(evaluation)
+    dist = pairwise_distances(whitened)
+    separability = separability_of_rows(evaluation, label_names[codes], whitened, dist)
 
     # Every two evaluation rows in different inner folds are a probe/gallery
     # pair; a probe's own label only flags its genuine pairs.

@@ -50,10 +50,6 @@ class MatchingContext:
         whitener.flags.writeable = False
         object.__setattr__(self, "whitener", whitener)
 
-    @property
-    def dimension(self) -> int:
-        return self.whitener.shape[0]
-
     def whiten(self, vectors: np.ndarray) -> np.ndarray:
         """Map feature vectors (rows) to rank coordinates where this
         context's Mahalanobis distance is the Euclidean one."""

@@ -38,9 +38,10 @@ ZERO_DISPERSION = (
 
 
 def separability(rows, labels, ctx):
-    """separability_of_rows with the distance matrix the evaluator passes:
-    pairwise_distances of the whitened rows."""
-    return separability_of_rows(rows, labels, ctx, pairwise_distances(ctx.whiten(rows)))
+    """separability_of_rows with the whitened rows and the distance matrix
+    the evaluator passes: pairwise_distances of the whitened rows."""
+    whitened = ctx.whiten(rows)
+    return separability_of_rows(rows, labels, whitened, pairwise_distances(whitened))
 
 
 def separability_of(population, ctx):
@@ -68,6 +69,17 @@ class TestDaviesBouldin:
         report = separability_of(temps, identity_ctx(1))
         assert report.warnings == COINCIDENT
         assert np.isinf(report.dbi)
+
+    def test_coincident_whitened_means_degenerate_under_a_scaled_metric(self):
+        # Both classes hold the same rows, so their whitened class means
+        # coincide under any context: the gap is exactly zero.
+        temps = flats_nd(
+            {"a": [[0.0, 1.0], [2.0, 3.0]], "b": [[0.0, 1.0], [2.0, 3.0]]}
+        )
+        ctx = MatchingContext(whitener=np.diag([0.5, 3.0]))
+        report = separability_of(temps, ctx)
+        assert report.warnings == COINCIDENT
+        assert report.dbi == float("inf")
 
     def test_degenerate_is_a_finding_even_when_warnings_are_errors(self):
         temps = flats_1d({"a": [0.0, 2.0], "b": [0.0, 2.0]})
@@ -258,9 +270,9 @@ class TestComputeSeparability:
             )
         rows, labels = flats_1d(FIXTURE)
         dist = pairwise_distances(rows)
-        with pytest.raises(ContractError, match="context dimension"):
-            separability_of_rows(rows, labels, identity_ctx(2), dist)
+        with pytest.raises(ContractError, match="need 4 whitened rows"):
+            separability_of_rows(rows, labels, rows[:3], dist)
         with pytest.raises(ContractError, match="3 labels for 4 templates"):
-            separability_of_rows(rows, labels[:3], identity_ctx(1), dist)
-        with pytest.raises(ContractError, match="dist must be"):
-            separability_of_rows(rows, labels, identity_ctx(1), dist[:, :3])
+            separability_of_rows(rows, labels[:3], rows, dist)
+        with pytest.raises(ContractError, match=r"a \(4, 4\) dist"):
+            separability_of_rows(rows, labels, rows, dist[:, :3])
