@@ -34,6 +34,7 @@ from .learners import (
     load_transform,
     margin_trace,
     mmc_objective,
+    noise_floor_rank,
     save_transform,
     select_margin_columns,
 )

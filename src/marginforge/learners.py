@@ -19,9 +19,12 @@ better conditioning:
 
 The learners differ only in the rank and the keep rule:
 
-    learn_mmc     full numerical rank; keep columns with delta >= 1/2,
-                  exactly the directions where the margin 2*delta - 1 is
-                  nonnegative. At most C - 1 can qualify.
+    learn_mmc     full numerical rank, or a given rank; keep columns
+                  with delta >= 1/2, exactly the directions where the
+                  margin 2*delta - 1 is nonnegative. At most C - 1 can
+                  qualify. learner_for's mmc route passes
+                  noise_floor_rank, which drops the directions whose
+                  total scatter does not rise above the noise bulk.
     learn_pcalda  rank pca_dim (PCA), then keep the C - 1 leading columns
                   with nonzero delta (LDA). Since St = Sb + Sw, an LDA
                   eigenvalue lambda of the Sb/Sw pencil is the share
@@ -31,7 +34,7 @@ The learners differ only in the rank and the keep rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -240,6 +243,8 @@ def _whitened_discriminants(basis: ScatterBasis, rank: Optional[int] = None):
     diag(delta) with delta descending; findings names an off-diagonal residue.
     """
     r = basis.rank if rank is None else min(rank, basis.rank)
+    if r < 1:
+        raise ContractError(f"rank must be positive, got {rank}")
     omega = basis.omega[:, :r]
     inv_sqrt_theta = 1.0 / basis.s[:r]
     u_means = (basis.class_means - basis.overall_mean).T  # (D, C)
@@ -262,11 +267,33 @@ def _whitened_discriminants(basis: ScatterBasis, rank: Optional[int] = None):
     return psi, delta, findings
 
 
-def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
+def noise_floor_rank(basis: ScatterBasis) -> int:
+    """How many total-scatter directions rise above the noise floor.
+
+    Counts the St eigenvalues s^2 above the Marchenko-Pastur upper edge
+    sigma2 * (1 + sqrt(gamma))^2 of a pure-noise bulk, where sigma2 =
+    (tr St - tr Sb) / D is the mean within-class eigenvalue and gamma =
+    D / (N - C) (Marchenko & Pastur 1967; Johnstone 2001). The result lies
+    in [1, basis.rank]; with no within-class scatter every direction counts.
+    """
+    dim, classes = basis.omega.shape[0], len(basis.labels)
+    between = float(np.sum((basis.class_means - basis.overall_mean) ** 2))
+    sigma2 = max(float(np.sum(basis.s**2)) - between, 0.0) / dim
+    edge = sigma2 * (1.0 + np.sqrt(dim / max(basis.samples - classes, 1))) ** 2
+    return min(max(int(np.sum(basis.s**2 > edge)), 1), basis.rank)
+
+
+def learn_mmc(
+    rows: np.ndarray,
+    labels: Sequence,
+    rank: Union[int, Callable[[ScatterBasis], int], None] = None,
+) -> FeatureTransform:
     """Learn the maximum-margin transform from labeled rows.
 
-    The result whitens total scatter (phi^T St phi = I) and keeps the
-    margin-positive directions.
+    The result whitens total scatter on its rank leading directions,
+    phi^T St phi = I, and keeps the margin-positive directions. rank is a
+    count, a rule that reads the rows' ScatterBasis (noise_floor_rank), or
+    None for the full numerical rank.
 
     Raises ContractError and DegenerateDataError as
     scatter.total_scatter_basis does. When no direction reaches
@@ -274,7 +301,9 @@ def learn_mmc(rows: np.ndarray, labels: Sequence) -> FeatureTransform:
     set.
     """
     basis = total_scatter_basis(rows, labels)
-    psi, delta, findings = _whitened_discriminants(basis)
+    psi, delta, findings = _whitened_discriminants(
+        basis, rank(basis) if callable(rank) else rank
+    )
     selection = select_margin_columns(delta, limit=len(basis.labels) - 1)
     kept = list(selection.kept_indices)
     return FeatureTransform(
@@ -351,7 +380,9 @@ def learner_for(
     """The learner a method name selects, as (name, learn).
 
     name is the method with "-" read as "_"; learn(rows, labels) returns
-    its FeatureTransform of the labeled rows. learn is None for identity:
+    its FeatureTransform of the labeled rows. mmc learns at
+    noise_floor_rank, so learn and evaluate learn the same transform.
+    learn is None for identity:
     that route learns no transform, and its templates are the raw rows.
     pca_dim is learn_pcalda's rank (None: its default). Raises
     ValidationError on a name outside METHODS and on a pca_dim given to
@@ -363,7 +394,7 @@ def learner_for(
     if pca_dim is not None and name != "pca_lda":
         raise ValidationError(f"pca_dim applies to pca_lda only, not {name!r}")
     if name == "mmc":
-        return name, learn_mmc
+        return name, lambda rows, labels: learn_mmc(rows, labels, noise_floor_rank)
     if name == "pca_lda":
         return name, lambda rows, labels: learn_pcalda(rows, labels, pca_dim)
     return name, None

@@ -132,7 +132,7 @@ class ScatterBasis:
     omega (D x rank) holds the left singular vectors of X whose singular
     values s (descending) lie above the numerical-rank cutoff, so St =
     omega diag(s**2) omega^T. Class means follow sorted label order,
-    recorded in labels.
+    recorded in labels; samples counts the rows.
     """
 
     omega: np.ndarray
@@ -140,6 +140,7 @@ class ScatterBasis:
     class_means: np.ndarray
     overall_mean: np.ndarray
     labels: tuple
+    samples: int
 
     @property
     def rank(self) -> int:
@@ -173,4 +174,5 @@ def total_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
         class_means=class_means,
         overall_mean=overall_mean,
         labels=labels,
+        samples=x.shape[1],
     )

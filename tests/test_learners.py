@@ -23,9 +23,11 @@ from marginforge import (
     load_transform,
     margin_trace,
     mmc_objective,
+    noise_floor_rank,
     save_transform,
     select_margin_columns,
 )
+from marginforge.scatter import total_scatter_basis
 from marginforge.errors import (
     ContractError,
     DegenerateDataError,
@@ -192,7 +194,11 @@ class TestLearnerFor:
     @pytest.mark.parametrize(
         "method, pca_dim, direct",
         [
-            ("mmc", None, learn_mmc),
+            # The mmc route learns at the noise-floor rank.
+            pytest.param(
+                "mmc", None, lambda rows, labels: learn_mmc(rows, labels, noise_floor_rank),
+                id="mmc-None-learn_mmc",
+            ),
             ("pca_lda", None, learn_pcalda),
             ("pca-lda", 5, lambda rows, labels: learn_pcalda(rows, labels, 5)),
         ],
@@ -375,6 +381,89 @@ class TestLearnMmc:
             mmc_objective(identity_transform(2), stats)
         with pytest.raises(ContractError):
             margin_trace(stats, np.eye(3))
+
+
+def noise_floor_band(rows, labels, rel=1e-9):
+    """(lo, hi): the noise-floor rank of rows from eigh of the D x D
+    scatter matrices, counting the St eigenvalues above the edge raised
+    (lo) and lowered (hi) by rel, each clipped to [1, numerical rank].
+    The two differ only when an eigenvalue lies within rel of the edge."""
+    stats = compute_scatter(rows, labels)
+    w = np.linalg.eigvalsh(stats.sigma_t)
+    d, c = stats.dimension, stats.num_classes
+    sigma2 = max(np.trace(stats.sigma_t) - np.trace(stats.sigma_b), 0.0) / d
+    edge = sigma2 * (1.0 + np.sqrt(d / max(len(rows) - c, 1))) ** 2
+    rank = total_scatter_basis(rows, labels).rank
+    return tuple(
+        min(max(int(np.sum(w > edge * (1.0 + k * rel))), 1), rank) for k in (1, -1)
+    )
+
+
+class TestNoiseFloorRank:
+    def test_learn_mmc_at_rank_matches_the_oracle_on_the_projected_statistics(self):
+        # The top-r St eigenvectors from eigh span the subspace that rank r
+        # keeps; the direct eigensolver on the statistics of the projected
+        # rows, mapped back, must give learn_mmc's columns and deltas.
+        rng = np.random.default_rng(53)
+        truncated = 0
+        for _ in range(30):
+            c = int(rng.integers(2, 6))
+            d = int(rng.integers(6, 30))
+            rows, labels = random_flats(rng, classes=c, dim=d, members_high=8)
+            basis = total_scatter_basis(rows, labels)
+            r = noise_floor_rank(basis)
+            truncated += r < basis.rank
+            w, q = np.linalg.eigh(compute_scatter(rows, labels).sigma_t)
+            top = q[:, ::-1][:, :r]
+            vals, vecs = oracles.oracle_eigen(compute_scatter(rows @ top, labels))
+            sel = select_margin_columns(vals, limit=c - 1)
+            ref = top @ vecs[:, list(sel.kept_indices)]
+            t = learn_mmc(rows, labels, rank=r)
+            assert t.feature_dim == ref.shape[1]
+            assert t.fallback_used == sel.fallback_used
+            assert principal_angles(t.phi, ref).max() < 1e-6
+            assert np.max(np.abs(t.delta - vals[list(sel.kept_indices)])) < 1e-8
+        assert truncated  # the rule cut below full rank on some sets
+
+    def test_full_rank_stays_the_default(self):
+        rows, labels = random_flats(np.random.default_rng(54), classes=3, dim=20)
+        basis = total_scatter_basis(rows, labels)
+        assert noise_floor_rank(basis) < basis.rank
+        full = learn_mmc(rows, labels, rank=basis.rank)
+        assert learn_mmc(rows, labels).phi.tobytes() == full.phi.tobytes()
+
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ContractError, match="rank must be positive, got 0"):
+            learn_mmc(*flats_1d(FIXTURE), rank=0)
+
+    def test_noiseless_classes_keep_every_direction(self):
+        # Rows on their class means: no within-class scatter, no floor.
+        rows, labels = flats_nd({"a": [[0.0, 0.0]] * 2, "b": [[4.0, 1.0]] * 2,
+                                 "c": [[1.0, 5.0]] * 2})
+        basis = total_scatter_basis(rows, labels)
+        assert noise_floor_rank(basis) == basis.rank == 2
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(2, 5),
+    dim=st.integers(1, 40),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_noise_floor_rank_is_bounded_and_invariant(seed, classes, dim, scale):
+    # r is the oracle's count, in [1, rank], and stays so after a random
+    # rotation and a positive scaling of the rows; only an eigenvalue
+    # within 1e-9 of the edge could let rounding move it.
+    rng = np.random.default_rng(seed)
+    rows, labels = random_flats(rng, classes=classes, dim=dim, members_high=10)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    lo, hi = noise_floor_band(rows, labels)
+    for moved in (rows, rows @ q, scale * rows, scale * rows @ q):
+        basis = total_scatter_basis(moved, labels)
+        r = noise_floor_rank(basis)
+        assert 1 <= r <= basis.rank
+        assert lo <= r <= hi
 
 
 class TestOracleEigen:
