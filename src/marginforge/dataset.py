@@ -122,7 +122,11 @@ def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
 
     Every sample must be labeled and have the first one's frame count T,
     the dataset-wide normalized length; any other length is a contract
-    violation rather than silently resampled.
+    violation rather than silently resampled. Learning and matching sum
+    squared coordinate differences over all N x D entries; with every
+    coordinate within sqrt(float64 max / 16ND) each such sum, each mean
+    and the noise-floor edge stay finite, so a sample past that bound is
+    refused with SchemaError.
     """
     if not samples:
         raise ContractError("no samples")
@@ -135,7 +139,16 @@ def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
             )
         if s.label is None:
             raise ContractError(f"sample {s.sample_id!r} is unlabeled")
-    return np.stack([s.frames.reshape(-1) for s in samples])
+    rows = np.stack([s.frames.reshape(-1) for s in samples])
+    limit = np.sqrt(np.finfo(np.float64).max / (16.0 * rows.size))
+    if max(rows.max(), -rows.min()) > limit:
+        magnitude = np.abs(rows).max(axis=1)
+        k = int(np.argmax(magnitude > limit))
+        raise SchemaError(
+            f"sample {samples[k].sample_id!r}: coordinate magnitude "
+            f"{magnitude[k]:.3g} is too large to learn or match (limit {limit:.3g})"
+        )
+    return rows
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,41 @@ class TestExitCodes:
             "run preprocess with --target-frames first\n"
         )
 
+    @pytest.mark.parametrize(
+        "spread, magnitude", [("5e307", "6.52e+307"), ("3e307", "3.91e+307")]
+    )
+    @pytest.mark.parametrize(
+        "command, method",
+        [
+            ("learn", "mmc"),
+            ("learn", "pca-lda"),
+            ("evaluate", "mmc"),
+            ("evaluate", "pca-lda"),
+            ("evaluate", "identity"),
+        ],
+    )
+    def test_coordinates_that_overflow_learning_are_4(
+        self, tmp_path, capsys, command, method, spread, magnitude
+    ):
+        # The file loads; its scatter sums, class means and the identity
+        # route's raw-space centroids would overflow float64.
+        data = tmp_path / "huge.jsonl"
+        assert run(
+            "gen", "--classes", 3, "--per-class", 6, "--joints", 2, "--frames", 3,
+            "--class-spread", spread, "--noise", 0.5, "--seed", 1, "--output", data,
+        ) == 0
+        capsys.readouterr()
+        argv = ("--inner-folds", 2) if command == "evaluate" else ()
+        assert run(
+            command, "--input", data, "--output", tmp_path / "out.json",
+            "--method", method, *argv,
+        ) == 4
+        assert capsys.readouterr().err == (
+            f"marginforge: SchemaError: sample 'id000s000': coordinate magnitude "
+            f"{magnitude} is too large to learn or match (limit 1.86e+152)\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
     def test_parse_error_is_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {{{")
