@@ -67,11 +67,13 @@ def _silhouette(codes: np.ndarray, classes: int, dist: np.ndarray) -> float:
     """Mean silhouette value in [-1, 1]. Cohesion a(n) averages distance
     over the sample's own class with the class size as divisor (the zero
     self-distance included), so a singleton class gives a(n) = 0. A sample
-    with max(a, b) = 0 contributes 0."""
+    with max(a, b) = 0 contributes 0. Each row's per-class sums add up
+    dist over one class's columns at a time: no BLAS product, whose bits
+    can depend on its thread count."""
     n = len(codes)
     own = (np.arange(n), codes)
-    one_hot = (codes[:, None] == np.arange(classes)).astype(np.float64)
-    mean_to = (dist @ one_hot) / one_hot.sum(axis=0)
+    sums = np.stack([dist[:, codes == k].sum(axis=1) for k in range(classes)], axis=1)
+    mean_to = sums / np.bincount(codes)
     a = mean_to[own]
     mean_to[own] = np.inf
     b = mean_to.min(axis=1)

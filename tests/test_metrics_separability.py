@@ -1,5 +1,8 @@
 """Davies-Bouldin, Dunn, silhouette, Fisher ratio."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from conftest import (
     records,
     template_matrix,
 )
+import marginforge
 from marginforge import (
     MatchingContext,
     SeparabilityReport,
@@ -276,3 +280,32 @@ class TestComputeSeparability:
             separability_of_rows(rows, labels[:3], rows, dist)
         with pytest.raises(ContractError, match=r"a \(4, 4\) dist"):
             separability_of_rows(rows, labels, rows, dist[:, :3])
+
+
+# One report of 400 overlapping rows in 20 classes, taken as already
+# whitened, written as JSON; a BLAS product in the silhouette's per-class
+# sums gives other bits at 2 threads than at 1 on these rows.
+THREADED_REPORT = """
+import json, sys
+import numpy as np
+from marginforge import pairwise_distances, separability_of_rows
+rng = np.random.default_rng(2)
+codes = rng.permutation(np.arange(400) % 20)
+rows = rng.normal(size=(20, 12))[codes] + rng.normal(size=(400, 12))
+labels = [f"c{c:02d}" for c in codes]
+report = separability_of_rows(rows, labels, rows, pairwise_distances(rows))
+sys.stdout.write(json.dumps(report.to_json_dict()))
+"""
+
+
+def test_report_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(marginforge.__file__))
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", THREADED_REPORT],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert reports[0] == reports[1]
