@@ -27,7 +27,6 @@ from .errors import (
 from .learners import (
     EigenSelection,
     FeatureTransform,
-    identity_transform,
     learn_mmc,
     learn_pcalda,
     learner_for,

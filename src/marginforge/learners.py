@@ -42,7 +42,10 @@ from ._jsonio import load_json, write_json
 from .errors import ContractError, SchemaError, ValidationError
 from .scatter import ScatterBasis, ScatterStatistics, total_scatter_basis
 
-METHODS = ("mmc", "pca_lda", "identity")
+# The methods a FeatureTransform can hold, and the evaluator's routes:
+# identity learns no transform and matches the raw rows.
+TRANSFORM_METHODS = ("mmc", "pca_lda")
+METHODS = (*TRANSFORM_METHODS, "identity")
 
 # Margin selection boundary: a direction is kept iff its between-class
 # share delta satisfies delta >= DELTA_KEEP. The comparison is exact.
@@ -100,9 +103,9 @@ class FeatureTransform:
     """A learned linear map from measurement space to feature space.
 
     phi has shape (input_dim, feature_dim); a row vector x maps to x @ phi.
-    The learned methods (mmc, pca_lda) whiten total scatter,
-    phi^T St phi = I, and delta holds each column's between-class share
-    of total scatter, phi^T Sb phi = diag(delta); identity has ones.
+    Both methods (mmc, pca_lda) whiten total scatter, phi^T St phi = I,
+    and delta holds each column's between-class share of total scatter,
+    phi^T Sb phi = diag(delta).
     warnings holds the learner's findings; it is not part of the JSON form.
     """
 
@@ -114,7 +117,7 @@ class FeatureTransform:
     warnings: tuple = ()
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in TRANSFORM_METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         phi = np.array(self.phi, dtype=np.float64, order="C")  # own copy
         delta = np.array(self.delta, dtype=np.float64, order="C")
@@ -160,7 +163,7 @@ class FeatureTransform:
             ridge_used = _scalar(obj, "ridge_used", bool)
         except KeyError as exc:
             raise SchemaError(f"transform document missing field: {exc}")
-        if method not in METHODS:
+        if method not in TRANSFORM_METHODS:
             raise SchemaError(f"unknown method {method!r}")
         if input_dim < 1 or feature_dim < 1:
             raise SchemaError("dimensions must be positive")
@@ -214,13 +217,6 @@ def save_transform(transform: FeatureTransform, path):
 
 def load_transform(path) -> FeatureTransform:
     return FeatureTransform.from_json_dict(load_json(path, what="transform"))
-
-
-def identity_transform(dim: int) -> FeatureTransform:
-    """Pass-through transform; the no-learning baseline."""
-    if dim < 1:
-        raise ContractError("dim must be positive")
-    return FeatureTransform(method="identity", phi=np.eye(dim), delta=np.ones(dim))
 
 
 def _canonical_signs(phi: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from marginforge import (
     EigenSelection,
     FeatureTransform,
     compute_scatter,
-    identity_transform,
     learn_mmc,
     learn_pcalda,
     learner_for,
@@ -36,6 +35,11 @@ from marginforge.errors import (
 )
 
 FIXTURE = {"a": [0.0, 2.0], "b": [4.0, 6.0]}
+
+
+def eye_transform(dim: int) -> FeatureTransform:
+    """A pass-through mmc transform of width dim."""
+    return FeatureTransform(method="mmc", phi=np.eye(dim), delta=np.ones(dim))
 
 
 class TestSelectMarginColumns:
@@ -74,8 +78,10 @@ class TestSelectMarginColumns:
 
 class TestFeatureTransform:
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            FeatureTransform(method="rbf", phi=np.eye(1), delta=np.ones(1))
+        # identity is an evaluate route that learns no transform.
+        for method in ("rbf", "identity"):
+            with pytest.raises(ValidationError, match=f"unknown method '{method}'"):
+                FeatureTransform(method=method, phi=np.eye(1), delta=np.ones(1))
 
     def test_delta_length_must_match_columns(self):
         with pytest.raises(ContractError):
@@ -98,11 +104,12 @@ class TestFeatureTransform:
         assert back.ridge_used and not back.fallback_used
 
     def test_from_json_dict_validates(self):
-        good = identity_transform(2).to_json_dict()
+        good = eye_transform(2).to_json_dict()
         with pytest.raises(SchemaError):
             FeatureTransform.from_json_dict([good])
         for breakage in (
             {"method": "rbf"},
+            {"method": "identity"},
             {"phi": [1.0, 0.0, 0.0]},
             {"delta": [1.0]},
             {"input_dim": 0},
@@ -137,7 +144,7 @@ class TestFeatureTransform:
     def test_load_refuses_entries_that_are_not_finite_reals(
         self, tmp_path, key, value, message
     ):
-        doc = identity_transform(2).to_json_dict()
+        doc = eye_transform(2).to_json_dict()
         doc[key] = value
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(doc))
@@ -159,7 +166,7 @@ class TestFeatureTransform:
         self, tmp_path, key, value, message
     ):
         # Coercion would read "no" as true and 2.9 as 2 without a word.
-        doc = identity_transform(2).to_json_dict()
+        doc = eye_transform(2).to_json_dict()
         doc[key] = value
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(doc))
@@ -179,14 +186,6 @@ class TestFeatureTransform:
             doc = t.to_json_dict()
             assert "warnings" not in doc
             assert FeatureTransform.from_json_dict(doc).warnings == ()
-
-    def test_identity_transform(self):
-        t = identity_transform(3)
-        assert t.method == "identity"
-        assert np.array_equal(t.phi, np.eye(3))
-        assert np.array_equal(t.delta, np.ones(3))
-        with pytest.raises(ContractError):
-            identity_transform(0)
 
 
 class TestLearnerFor:
@@ -378,7 +377,7 @@ class TestLearnMmc:
     def test_objective_dimension_check(self):
         stats = compute_scatter(*flats_1d(FIXTURE))
         with pytest.raises(ContractError):
-            mmc_objective(identity_transform(2), stats)
+            mmc_objective(eye_transform(2), stats)
         with pytest.raises(ContractError):
             margin_trace(stats, np.eye(3))
 

@@ -22,7 +22,6 @@ from marginforge import (
     MatchingContext,
     SeparabilityReport,
     context_of_rows,
-    identity_transform,
     learn_mmc,
     pairwise_distances,
     separability_of_rows,
@@ -143,8 +142,7 @@ class TestSilhouette:
         rng = np.random.default_rng(70)
         for _ in range(20):
             flats = random_flats(rng, classes=int(rng.integers(2, 5)), dim=3)
-            temps = template_matrix(identity_transform(3), flats[0])
-            got = separability(temps, flats[1], identity_ctx(3)).sc
+            got = separability(*flats, identity_ctx(3)).sc
             assert -1.0 <= got <= 1.0
 
 
@@ -207,12 +205,11 @@ class TestComputeSeparability:
             )
             keep = [n for n, label in enumerate(labels) if label != "c00"] + [0]
             rows, labels = rows[keep], [labels[n] for n in keep]
-            temps = template_matrix(identity_transform(dim), rows)
             if trial % 2:
                 ctx, m = identity_ctx(dim), np.eye(dim)
             else:
                 ctx, m = random_spd_ctx(rng, dim)
-            got = separability(temps, labels, ctx)
+            got = separability(rows, labels, ctx)
             want = brute_separability(records(rows, labels), m)
             for name in ("dbi", "di", "sc", "fdr"):
                 assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)

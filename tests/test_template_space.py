@@ -22,7 +22,6 @@ from marginforge import (
     MatchingContext,
     compute_scatter,
     context_of_rows,
-    identity_transform,
     learn_mmc,
     pairwise_distances,
     template_rows,
@@ -33,7 +32,7 @@ from marginforge.errors import ContractError, DegenerateDataError
 def pick_first_coordinate(width: int) -> FeatureTransform:
     phi = np.zeros((width, 1))
     phi[0, 0] = 1.0
-    return FeatureTransform(method="identity", phi=phi, delta=np.ones(1))
+    return FeatureTransform(method="mmc", phi=phi, delta=np.ones(1))
 
 
 class TestExtractTemplate:
@@ -44,7 +43,7 @@ class TestExtractTemplate:
     def test_linear_in_the_input(self):
         rng = np.random.default_rng(60)
         transform = FeatureTransform(
-            method="identity", phi=rng.normal(size=(4, 2)), delta=np.ones(2)
+            method="mmc", phi=rng.normal(size=(4, 2)), delta=np.ones(2)
         )
         x = rng.normal(size=4)
         y = rng.normal(size=4)
@@ -95,7 +94,11 @@ class TestBuildMatchingContext:
         temps = flats_nd({"a": [[0.0, 1.0]], "b": [[2.0, 3.0]]})
         with pytest.raises(ContractError):
             context_of_rows(
-                template_matrix(identity_transform(1), temps[0]), temps[1]
+                template_matrix(
+                    FeatureTransform(method="mmc", phi=np.eye(1), delta=np.ones(1)),
+                    temps[0],
+                ),
+                temps[1],
             )
 
     @pytest.mark.parametrize("count", [3, 5])
@@ -191,7 +194,7 @@ def test_whitener_is_the_pseudo_inverse_metric(seed, classes, members, deficient
     flats = random_flats(
         rng, classes=classes, dim=dim, members_low=members, members_high=members
     )
-    temps = template_matrix(identity_transform(dim), flats[0])
+    temps = flats[0]  # the identity route's templates are the rows
     ctx = context_of_rows(temps, flats[1])
     assert ctx.whitener.shape[1] == min(n - 1, dim)
 
@@ -223,7 +226,7 @@ def test_template_rows_equal_extract_template(seed, n, dim, k):
     # v @ phi; a single (n, dim) @ (dim, k) product would not.
     rng = np.random.default_rng(seed)
     transform = FeatureTransform(
-        method="identity", phi=rng.normal(size=(dim, k)), delta=np.ones(k)
+        method="mmc", phi=rng.normal(size=(dim, k)), delta=np.ones(k)
     )
     vectors = rng.normal(0.0, 3.0, size=(n, dim))
     ids = [f"s{i}" for i in range(n)]
@@ -235,7 +238,7 @@ def test_template_rows_equal_extract_template(seed, n, dim, k):
 
 def test_template_rows_name_the_non_finite_row():
     transform = FeatureTransform(
-        method="identity", phi=np.full((2, 1), 1e300), delta=np.ones(1)
+        method="mmc", phi=np.full((2, 1), 1e300), delta=np.ones(1)
     )
     vectors = np.array([[1.0, 1.0], [1e10, 1e10]])
     with np.errstate(over="ignore"), pytest.raises(

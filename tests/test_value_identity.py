@@ -14,7 +14,6 @@ from marginforge import (
     FeatureTransform,
     GaitSample,
     SeparabilityReport,
-    identity_transform,
 )
 from marginforge.metrics_classification import ThresholdSweep
 from marginforge.scatter import compute_scatter, total_scatter_basis
@@ -28,7 +27,9 @@ def population():
 
 FACTORIES = {
     "GaitSample": lambda: GaitSample(frames=np.zeros((2, 1, 3)), label="a", sample_id="s"),
-    "FeatureTransform": lambda: identity_transform(2),
+    "FeatureTransform": lambda: FeatureTransform(
+        method="mmc", phi=np.eye(2), delta=np.ones(2)
+    ),
     "MatchingContext": lambda: MatchingContext(whitener=np.eye(2)),
     "ThresholdSweep": lambda: ThresholdSweep.of(
         np.array([0.5, 1.5]), np.array([True, False])
