@@ -14,8 +14,9 @@ W W^T = St^+. whiten() maps templates to v @ W: every Mahalanobis distance
 is then a plain Euclidean distance between whitened templates, and a
 direction that carries no data contributes nothing. pairwise_distances
 measures every pair of whitened rows, each row against itself and the rows
-after it. Because the margin learner whitens total scatter, its context is
-numerically an orthogonal matrix.
+after it. The evaluator whitens each fold's evaluation rows once; matching
+and separability both read those whitened rows. Because the margin learner
+whitens total scatter, its context is numerically an orthogonal matrix.
 """
 
 from __future__ import annotations
