@@ -26,13 +26,13 @@ from marginforge import (
     save_transform,
     select_margin_columns,
 )
-from marginforge.scatter import total_scatter_basis
 from marginforge.errors import (
     ContractError,
     DegenerateDataError,
     SchemaError,
     ValidationError,
 )
+from marginforge.scatter import total_scatter_basis
 
 FIXTURE = {"a": [0.0, 2.0], "b": [4.0, 6.0]}
 
@@ -412,7 +412,7 @@ class TestNoiseFloorRank:
             basis = total_scatter_basis(rows, labels)
             r = noise_floor_rank(basis)
             truncated += r < basis.rank
-            w, q = np.linalg.eigh(compute_scatter(rows, labels).sigma_t)
+            _, q = np.linalg.eigh(compute_scatter(rows, labels).sigma_t)
             top = q[:, ::-1][:, :r]
             vals, vecs = oracles.oracle_eigen(compute_scatter(rows @ top, labels))
             sel = select_margin_columns(vals, limit=c - 1)
