@@ -1,20 +1,20 @@
 """Class-separability coefficients over a labeled template population.
 
 separability_of_rows takes the templates as rows of a matrix, one label
-per row, the same rows whitened by the evaluator's matching context, and
-their distance matrix, template_space.pairwise_distances of the whitened
-rows: the evaluator's matching reads the same matrix. All four
-coefficients run in the whitened coordinates, where the context's
-Mahalanobis distance is the Euclidean one, so they describe exactly the
-geometry the matcher sees. separability_of_rows groups the rows, takes
-the class means of the whitened rows, and measures the dispersions, the
-centroid gaps and the spread as plain Euclidean geometry there; each
-scorer takes only the arrays it reads. The reported class centroids are
-the class means of the feature rows. Degenerate geometry (coincident
-whitened class means, zero dispersion) yields an infinity marker instead
-of an exception, plus a "DegenerateMetricWarning: ..." finding on the
-report that names the metric: a degenerate fold should show up in a
-report, not kill a run. Reports write the marker as JSON null.
+per row, the same rows whitened (learned templates already are; raw rows
+go through the matching context), and pairwise_distances of the whitened
+rows, which the evaluator's matching reads too. All four coefficients run
+in the whitened coordinates, where the matcher's Mahalanobis distance is
+the Euclidean one, so they describe exactly the geometry the matcher
+sees. separability_of_rows groups the rows, takes the class means of the
+whitened rows, and measures the dispersions, the centroid gaps and the
+spread as plain Euclidean geometry there; each scorer takes only the
+arrays it reads. The reported class centroids are the class means of the
+feature rows. Degenerate geometry (coincident whitened class means, zero
+dispersion) yields an infinity marker instead of an exception, plus a
+"DegenerateMetricWarning: ..." finding on the report that names the
+metric: a degenerate fold should show up in a report, not kill a run.
+Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def separability_of_rows(
     vectors: np.ndarray, labels: Sequence, whitened: np.ndarray, dist: np.ndarray
 ) -> SeparabilityReport:
     """All four coefficients of the templates given as rows: labels[n]
-    names the class of row n, whitened[n] is row n in the matching
-    context's whitened coordinates, and dist is pairwise_distances of
-    whitened. Raises ContractError on fewer than 2 classes, and on labels,
-    whitened rows or dist that do not match the rows."""
+    names the class of row n, whitened[n] is row n whitened (row n itself
+    for learned templates), and dist is pairwise_distances of whitened.
+    Raises ContractError on fewer than 2 classes, and on labels, whitened
+    rows or dist that do not match the rows."""
     n = len(vectors)
     if len(labels) != n:
         raise ContractError(f"{len(labels)} labels for {n} templates")

@@ -5,18 +5,17 @@ learns the feature transform on ONE fold, and evaluates on the union of
 the remaining folds: separability coefficients over the evaluation
 templates, then the rank and threshold metrics, in which every
 evaluation template is a probe once, against the templates of the other
-inner folds (10 by default) as gallery. The learning fold's matching
-context whitens the evaluation templates once, and one matrix of
-Euclidean distances between the whitened rows serves both: separability
-reads the whitened rows and all of the matrix, and the metrics read each
-entry whose two rows lie in different inner folds, as per-identity minima
-and one threshold sweep.
+inner folds (10 by default) as gallery. Learned templates are matched as
+they are, since both learners whiten the learning fold's total scatter;
+the identity route whitens its raw rows by that fold's matching context.
+One matrix of Euclidean distances between those rows serves both:
+separability reads the rows and all of the matrix, and the metrics read
+each entry whose two rows lie in different inner folds, as per-identity
+minima and one threshold sweep.
 
 Leakage is structural: the transform and the matching context are
-functions of the learning fold only (the identity route has no transform:
-it matches the raw rows, whitened by that context alone), and probes are
-stripped of their labels before matching; true labels come back only for
-scoring.
+functions of the learning fold only, and probes are stripped of their
+labels before matching; true labels come back only for scoring.
 
 Reports are deterministic: fold tasks are pure and internally sequential,
 results are assembled in fold order, and the findings each fold returns
@@ -97,11 +96,7 @@ def plan_folds(
 
     rng = np.random.default_rng(seed)
     outer_folds = [[] for _ in range(outer)]
-    for ci, label in enumerate(dataset.labels):
-        members = np.array(dataset.class_index[label])
-        shuffled = members[rng.permutation(len(members))]
-        for k, idx in enumerate(shuffled):
-            outer_folds[(k + ci) % outer].append(idx)
+    _deal(rng, dataset, outer_folds)
 
     inner_folds = []
     for f in range(outer):
@@ -114,13 +109,7 @@ def plan_folds(
         if n_eval < inner:  # refuse before allocating `inner` lists
             raise ValidationError(empty)
         fold_parts = [[] for _ in range(inner)]
-        for ci, label in enumerate(dataset.labels):
-            members = np.array(
-                [i for i in dataset.class_index[label] if i not in in_fold]
-            )
-            shuffled = members[rng.permutation(len(members))]
-            for k, idx in enumerate(shuffled):
-                fold_parts[(k + ci) % inner].append(idx)
+        _deal(rng, dataset, fold_parts, in_fold)
         if not all(fold_parts):
             raise ValidationError(empty)
         inner_folds.append(tuple(tuple(sorted(p)) for p in fold_parts))
@@ -130,6 +119,14 @@ def plan_folds(
         inner_folds=tuple(inner_folds),
         seed=seed,
     )
+
+
+def _deal(rng: np.random.Generator, dataset, parts: list, held=()) -> None:
+    """Shuffle each class's members outside held; deal them from part ci."""
+    for ci, label in enumerate(dataset.labels):
+        members = np.array([i for i in dataset.class_index[label] if i not in held])
+        for k, idx in enumerate(members[rng.permutation(len(members))]):
+            parts[(k + ci) % len(parts)].append(idx)
 
 
 @dataclass(frozen=True)
@@ -192,22 +189,21 @@ def _run_fold(
     grid: np.ndarray,
 ) -> _FoldResult:
     # vectors is the sample matrix, one row per sample id; label_codes index
-    # the sorted label_names; learn is learner_for's (None: rows are templates).
+    # the sorted label_names; learn is learner_for's (None: identity route).
+    # Learned templates whiten learning-fold total scatter, so they are matched
+    # as they are; raw rows are whitened by the learning fold's context.
     learn_idx = list(plan.outer_folds[fold])
     learn_codes = label_codes[learn_idx]
-    templates, findings = vectors, ()
-    if learn is not None:
-        transform = learn(vectors[learn_idx], learn_codes)
-        templates = template_rows(transform, vectors, sample_ids)
-        findings = transform.warnings
-    context = context_of_rows(templates[learn_idx], learn_codes)
-
     eval_idx = np.array(plan.evaluation_indices(fold))
-    evaluation = templates[eval_idx]
+    eval_ids = [sample_ids[i] for i in eval_idx]
+    if learn is None:
+        evaluation, findings = vectors[eval_idx], ()
+        whitened = context_of_rows(vectors[learn_idx], learn_codes).whiten(evaluation)
+    else:
+        transform = learn(vectors[learn_idx], learn_codes)
+        evaluation = whitened = template_rows(transform, vectors[eval_idx], eval_ids)
+        findings = transform.warnings
     codes = label_codes[eval_idx]
-    # Whitened rows, so Euclidean distance is the context's Mahalanobis
-    # distance; every probe/gallery pair of every inner fold is an entry.
-    whitened = context.whiten(evaluation)
     dist = pairwise_distances(whitened)
     separability = separability_of_rows(evaluation, label_names[codes], whitened, dist)
 
@@ -237,7 +233,7 @@ def _run_fold(
         # the sweep gives are the same.
         upper = np.triu(cross)
         sweep = ThresholdSweep.of(dist[upper], (codes[:, None] == codes)[upper])
-    cmc_y, cmc_findings = cmc_fractions(best, own, [sample_ids[i] for i in eval_idx])
+    cmc_y, cmc_findings = cmc_fractions(best, own, eval_ids)
     eer = sweep.eer()
     roc_far, roc_tar, auc = sweep.roc()
     recall, precision, map_value = sweep.rcl_pcn()

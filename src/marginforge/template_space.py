@@ -2,21 +2,20 @@
 
 A template is a gait sample pushed through a feature transform;
 template_rows pushes a whole (n, input_dim) matrix of flattened samples.
-The identity route has no transform: its templates are the raw rows.
-Matching uses the Mahalanobis distance of a reference template
-population's total scatter St, estimated once (normally from the learning
-fold) by context_of_rows and frozen into a MatchingContext. On the span of
-the data that distance is sqrt(g^T St^+ g) under the pseudo-inverse St^+
-(Penrose 1955). The context holds the D x r whitener W = Omega_r diag(1/s_r)
-read off the thin SVD of the population's data matrix
-(scatter.total_scatter_basis), where r is the numerical rank, so
-W W^T = St^+. whiten() maps templates to v @ W: every Mahalanobis distance
-is then a plain Euclidean distance between whitened templates, and a
-direction that carries no data contributes nothing. pairwise_distances
-measures every pair of whitened rows, each row against itself and the rows
-after it. The evaluator whitens each fold's evaluation rows once; matching
-and separability both read those whitened rows. Because the margin learner
-whitens total scatter, its context is numerically an orthogonal matrix.
+Both learners whiten the learning fold's total scatter (Phi^T St Phi = I),
+so the Euclidean distance between their templates is already its
+Mahalanobis distance, and the evaluator matches them as they are: a
+context built from them would be an orthogonal matrix to rounding. The
+identity route has no transform; it matches the raw rows through a
+MatchingContext, the Mahalanobis distance of the learning fold's total
+scatter St, estimated once by context_of_rows. On the span of the data
+that distance is sqrt(g^T St^+ g) under the pseudo-inverse St^+ (Penrose
+1955). The context holds the D x r whitener W = Omega_r diag(1/s_r) read
+off the thin SVD of the rows' data matrix (scatter.total_scatter_basis),
+where r is the numerical rank, so W W^T = St^+; whiten() maps rows to
+v @ W, where the Mahalanobis distance is the Euclidean one and a direction
+that carries no data contributes nothing. pairwise_distances measures
+every pair of rows, each row against itself and the rows after it.
 """
 
 from __future__ import annotations
@@ -54,23 +53,28 @@ class MatchingContext:
     def whiten(self, vectors: np.ndarray) -> np.ndarray:
         """Map feature vectors (rows) to rank coordinates where this
         context's Mahalanobis distance is the Euclidean one."""
-        return vectors @ self.whitener
+        return _row_products(vectors, self.whitener)
+
+
+def _row_products(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """vectors @ matrix, one vector-matrix product per row, so no row's bits
+    depend on the other rows or on the BLAS thread count."""
+    return np.matmul(vectors[..., None, :], matrix)[..., 0, :]
 
 
 def template_rows(
     transform: FeatureTransform, vectors: np.ndarray, sample_ids: Sequence[str]
 ) -> np.ndarray:
     """Templates of the rows of a (n, input_dim) matrix: row i is
-    vectors[i] @ transform.phi, bit for bit. One vector-matrix product per
-    row keeps that summation order; a single matrix product sums in
-    another. sample_ids name the rows in the ContractError a non-finite
+    vectors[i] @ transform.phi, bit for bit (one vector-matrix product per
+    row). sample_ids name the rows in the ContractError a non-finite
     template raises."""
     if vectors.shape[1] != transform.input_dim:
         raise ContractError(
             f"expected vectors of dimension {transform.input_dim}, "
             f"got {vectors.shape[1]}"
         )
-    rows = np.matmul(vectors[:, None, :], transform.phi)[:, 0, :]
+    rows = _row_products(vectors, transform.phi)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         bad = sample_ids[int(np.argmin(finite))]

@@ -294,15 +294,37 @@ report = separability_of_rows(rows, labels, rows, pairwise_distances(rows))
 sys.stdout.write(json.dumps(report.to_json_dict()))
 """
 
+# The identity route's report on an eval-wide-shaped set (N = 300, D = 600):
+# whitening the raw rows in one BLAS product gives other bits at 2 threads
+# than at 1.
+THREADED_IDENTITY_REPORT = """
+import os, sys, tempfile
+from marginforge.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    data, out = os.path.join(tmp, "wide.csv"), os.path.join(tmp, "r.json")
+    assert main(["gen", "--classes", "10", "--per-class", "30", "--joints", "10",
+                 "--frames", "20", "--seed", "1", "--output", data]) == 0
+    assert main(["evaluate", "--input", data, "--output", out, "--method",
+                 "identity", "--pair-policy", "class-best"]) == 0
+    with open(out, "rb") as f:
+        sys.stdout.buffer.write(f.read())
+"""
 
-def test_report_bytes_do_not_depend_on_blas_threads():
+
+@pytest.mark.parametrize(
+    "script",
+    [THREADED_REPORT, THREADED_IDENTITY_REPORT],
+    ids=["separability", "evaluate-identity"],
+)
+def test_report_bytes_do_not_depend_on_blas_threads(script):
     src = os.path.dirname(os.path.dirname(marginforge.__file__))
     reports = [
         subprocess.run(
-            [sys.executable, "-c", THREADED_REPORT],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True, check=True, timeout=120,
         ).stdout
         for threads in ("1", "2")
     ]
+    assert reports[0]
     assert reports[0] == reports[1]

@@ -25,6 +25,7 @@ from marginforge import (
     learn_mmc,
     learners,
     plan_folds,
+    protocol,
     run_protocol,
 )
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
@@ -252,6 +253,25 @@ class TestRunProtocol:
         finally:
             tracemalloc.stop()
         assert peak < 8 * dim**2
+
+    @pytest.mark.parametrize("method, calls", [
+        ("mmc", 0), ("pca_lda", 0), ("identity", 3),
+    ])
+    def test_only_the_identity_route_builds_a_context(
+        self, monkeypatch, method, calls
+    ):
+        # Learned templates whiten learning-fold total scatter and are
+        # matched as they are; raw rows need one context per outer fold.
+        made = []
+
+        def counted(rows, labels):
+            made.append(len(rows))
+            return context_of_rows(rows, labels)
+
+        monkeypatch.setattr(protocol, "context_of_rows", counted)
+        ds = small_dataset()
+        run_protocol(ds, method, plan_folds(ds, outer=3, inner=2, seed=0))
+        assert len(made) == calls
 
     def test_learning_uses_only_the_fold_samples(self):
         # Perturbing every sample outside the learning fold must leave the

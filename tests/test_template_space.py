@@ -22,7 +22,7 @@ from marginforge import (
     MatchingContext,
     compute_scatter,
     context_of_rows,
-    learn_mmc,
+    learner_for,
     pairwise_distances,
     template_rows,
 )
@@ -64,13 +64,17 @@ class TestBuildMatchingContext:
         assert float(whitened @ whitened) == pytest.approx(0.5, abs=1e-12)
 
     def test_margin_learner_context_is_near_identity(self):
+        # Both evaluator learners whiten total scatter, so the context of
+        # their own templates is orthogonal: they are matched as they are.
         rng = np.random.default_rng(61)
-        for _ in range(10):
-            flats = random_flats(rng, classes=3, dim=6)
-            t = learn_mmc(*flats)
-            ctx = context_of_rows(template_matrix(t, flats[0]), flats[1])
-            gap = ctx.whitener @ ctx.whitener.T - np.eye(t.feature_dim)
-            assert np.max(np.abs(gap)) < 1e-6
+        for method in ("mmc", "pca_lda"):
+            _, learn = learner_for(method)
+            for _ in range(10):
+                flats = random_flats(rng, classes=3, dim=6)
+                t = learn(*flats)
+                ctx = context_of_rows(template_matrix(t, flats[0]), flats[1])
+                gap = ctx.whitener @ ctx.whitener.T - np.eye(t.feature_dim)
+                assert np.max(np.abs(gap)) < 1e-6
 
     def test_flat_direction_whitens_to_zero(self):
         # Total scatter is diag(10, 0): the second axis carries no data.
