@@ -163,7 +163,9 @@ def cmd_preprocess(opts: _Options) -> int:
     if target == 0:  # 0 asks for the dataset's average length
         target = average_length(samples)
     if target is not None:
-        check_fits_in_memory(target * 3 * sum(s.joint_count for s in samples))
+        check_fits_in_memory(
+            target * 3 * sum(s.joint_count for s in samples), len(samples)
+        )
     for k, s in enumerate(samples):
         if root_joint is not None:
             # Align first: centering pins the root at the origin, which

@@ -5,6 +5,10 @@ coordinates in meters. flatten_all stacks time-normalized samples into
 the sample matrix the learners read, one D = 3*J*T row per sample, laid
 out frame-major, joint-minor, coordinate-innermost:
 [x11 y11 z11 ... xJ1 yJ1 zJ1 ... xJT yJT zJT].
+
+Loads, gen and every preprocess step make their samples through
+GaitSample, whose one gate, MAX_COORDINATE, keeps the sums and steps
+later stages form from coordinates finite.
 """
 
 from __future__ import annotations
@@ -25,10 +29,28 @@ from .errors import ContractError, ParseError, SchemaError, ValidationError
 
 CSV_HEADER = ["sample_id", "label", "frame", "joint", "x", "y", "z"]
 
+MAX_COORDINATE = 2.0**480  # about 3.12e144: see GaitSample
+
 
 @dataclass(frozen=True, eq=False)
 class GaitSample:
-    """One gait cycle: frames of shape (T, J, 3), optional identity label."""
+    """One gait cycle: frames of shape (T, J, 3), optional identity label.
+
+    A coordinate that is not finite, or past MAX_COORDINATE = 2^480 in
+    magnitude, raises SchemaError naming the sample. The bound keeps what
+    later stages form from coordinates finite. Two coordinates differ by
+    at most 2^481, so any 2^60 squared differences sum to at most 2^1022,
+    a quarter of the float64 maximum, and a dataset that fits in memory
+    has N * D < 2^60 coordinates (8 EiB). That bounds the DTW local
+    costs, the scatter sums and the noise-floor edge (at most 7/3 of such
+    a sum, as D >= 6); the filter bounds chain under 2^61 costs of at
+    most 2^511, and a class mean sums under 2^60 coordinates. Rounding
+    lifts a sum of nonnegative terms by less than the factor 1.65 for any
+    addition tree under 2^52 deep. Centering, the walk heading and the
+    rotation form values of at most 2^482, and a resampling slope divides
+    a difference by a frame step of at least 2^-60. A step whose output
+    passes the bound is refused when its output sample is made.
+    """
 
     frames: np.ndarray
     label: Optional[str]
@@ -51,8 +73,14 @@ class GaitSample:
             raise SchemaError(f"sample {self.sample_id!r}: needs at least 2 frames")
         if frames.shape[1] < 1:
             raise SchemaError(f"sample {self.sample_id!r}: needs at least 1 joint")
-        if not np.all(np.isfinite(frames)):
-            raise SchemaError(f"sample {self.sample_id!r}: non-finite coordinate")
+        magnitude = np.abs(frames).max()  # nan if any coordinate is nan
+        if not magnitude <= MAX_COORDINATE:
+            if not np.isfinite(magnitude):
+                raise SchemaError(f"sample {self.sample_id!r}: non-finite coordinate")
+            raise SchemaError(
+                f"sample {self.sample_id!r}: coordinate magnitude {float(magnitude)} "
+                f"is past the limit {MAX_COORDINATE:.3g}"
+            )
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
 
@@ -122,11 +150,8 @@ def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
 
     Every sample must be labeled and have the first one's frame count T,
     the dataset-wide normalized length; any other length is a contract
-    violation rather than silently resampled. Learning and matching sum
-    squared coordinate differences over all N x D entries; with every
-    coordinate within sqrt(float64 max / 16ND) each such sum, each mean
-    and the noise-floor edge stay finite, so a sample past that bound is
-    refused with SchemaError.
+    violation rather than silently resampled. Every sum that learning and
+    matching form over the matrix stays finite by GaitSample's bound.
     """
     if not samples:
         raise ContractError("no samples")
@@ -139,16 +164,7 @@ def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
             )
         if s.label is None:
             raise ContractError(f"sample {s.sample_id!r} is unlabeled")
-    rows = np.stack([s.frames.reshape(-1) for s in samples])
-    limit = np.sqrt(np.finfo(np.float64).max / (16.0 * rows.size))
-    if max(rows.max(), -rows.min()) > limit:
-        magnitude = np.abs(rows).max(axis=1)
-        k = int(np.argmax(magnitude > limit))
-        raise SchemaError(
-            f"sample {samples[k].sample_id!r}: coordinate magnitude "
-            f"{magnitude[k]:.3g} is too large to learn or match (limit {limit:.3g})"
-        )
-    return rows
+    return np.stack([s.frames.reshape(-1) for s in samples])
 
 
 @dataclass(frozen=True)
@@ -178,17 +194,25 @@ class SyntheticSpec:
             raise ValidationError("noise must be finite and >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        sizes = (self.classes, self.samples_per_class, self.frames, self.joints, 3)
-        check_fits_in_memory(math.prod(map(int, sizes)))
+        samples = int(self.classes) * int(self.samples_per_class)
+        check_fits_in_memory(samples * int(self.frames) * int(self.joints) * 3, samples)
 
 
-def check_fits_in_memory(coordinates: int):
+SAMPLE_OVERHEAD = 600  # bytes a sample needs besides its coordinates
+
+
+def check_fits_in_memory(coordinates: int, samples: int):
     """Refuse, before anything is allocated, a dataset of that many float64
-    coordinates when it would need more bytes than the machine's memory."""
+    coordinates in that many samples when it would need more bytes than
+    the machine's memory: 8 per coordinate and SAMPLE_OVERHEAD per sample.
+    The overhead was measured with tracemalloc: generate_synthetic's
+    20 000 samples of 1 joint x 2 frames, 48 coordinate bytes each, peaked
+    at 531-586 bytes per sample in classes of 10 to 2000."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * coordinates > memory:
+    needed = 8 * coordinates + SAMPLE_OVERHEAD * samples
+    if needed > memory:
         raise ValidationError(
-            f"the dataset would hold {coordinates} coordinates ({8 * coordinates} "
+            f"the dataset would hold {coordinates} coordinates ({needed} "
             f"bytes), more than this machine's {memory} bytes of memory"
         )
 

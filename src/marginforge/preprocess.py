@@ -5,17 +5,21 @@ The pipeline here brings them into a common frame: center on a root joint,
 rotate the walk direction onto a canonical axis, resample every cycle to a
 shared length, and drop outlier cycles by dynamic-time-warping distance to
 an exemplar.
+
+No step here checks for float64 overflow: GaitSample bounds every
+coordinate (dataset.MAX_COORDINATE), which keeps each step's arithmetic
+finite, and a step whose output passes that bound is refused with
+SchemaError when its output sample is made.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import GaitSample
-from .errors import AlignmentError, ContractError, SchemaError, ValidationError
+from .errors import AlignmentError, ContractError, ValidationError
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
@@ -31,27 +35,12 @@ def _check_root(sample: GaitSample, root_joint: int):
         )
 
 
-@contextmanager
-def _within_float_range(sample: GaitSample, step: str):
-    """Refuse, with SchemaError naming the sample and the step, float
-    arithmetic in the block that overflows float64: finite coordinates
-    whose result numpy would leave as inf or nan, with a RuntimeWarning."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise SchemaError(
-            f"sample {sample.sample_id!r}: {step} overflows the float64 range"
-        ) from None
-
-
 def center_on_root(sample: GaitSample, root_joint: int) -> GaitSample:
     """Translate each frame so the root joint sits at the origin. A
-    coordinate whose offset from the root overflows float64 raises
-    SchemaError."""
+    coordinate whose offset from the root passes dataset.MAX_COORDINATE
+    raises SchemaError."""
     _check_root(sample, root_joint)
-    with _within_float_range(sample, f"centering on root joint {root_joint}"):
-        frames = sample.frames - sample.frames[:, root_joint : root_joint + 1, :]
+    frames = sample.frames - sample.frames[:, root_joint : root_joint + 1, :]
     return sample.with_frames(frames)
 
 
@@ -64,8 +53,8 @@ def align_walk_direction(
     the first and last frame. With up_axis "y" the front axis is z, so a
     subject walking toward +x comes out walking toward +z. A sample whose
     root joint shows no net horizontal displacement has no defined heading
-    and raises AlignmentError; one whose heading or rotated coordinates
-    overflow float64 raises SchemaError.
+    and raises AlignmentError; one whose rotated coordinates pass
+    dataset.MAX_COORDINATE raises SchemaError.
     """
     _check_root(sample, root_joint)
     if up_axis not in AXIS_INDEX:
@@ -74,9 +63,8 @@ def align_walk_direction(
     front = (up + 1) % 3
     side = (up + 2) % 3
 
-    with _within_float_range(sample, "the walk heading"):
-        d = sample.frames[-1, root_joint] - sample.frames[0, root_joint]
-        norm = float(np.hypot(d[side], d[front]))
+    d = sample.frames[-1, root_joint] - sample.frames[0, root_joint]
+    norm = float(np.hypot(d[side], d[front]))
     if norm < MIN_DISPLACEMENT:
         raise AlignmentError(
             f"sample {sample.sample_id!r}: zero net horizontal displacement, "
@@ -88,9 +76,8 @@ def align_walk_direction(
     frames = sample.frames.copy()
     s_old = sample.frames[:, :, side]
     f_old = sample.frames[:, :, front]
-    with _within_float_range(sample, "the rotation onto the walk heading"):
-        frames[:, :, side] = s_old * cos_a - f_old * sin_a
-        frames[:, :, front] = s_old * sin_a + f_old * cos_a
+    frames[:, :, side] = s_old * cos_a - f_old * sin_a
+    frames[:, :, front] = s_old * sin_a + f_old * cos_a
     return sample.with_frames(frames)
 
 
@@ -99,8 +86,7 @@ def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
 
     Each of the 3*J coordinate signals is interpolated independently over a
     normalized time axis; endpoints are preserved exactly. A sample already
-    at the target length is returned unchanged. A frame-to-frame slope past
-    the float64 range raises SchemaError.
+    at the target length is returned unchanged.
     """
     if target_frames < 2:
         raise ContractError("target_frames must be >= 2")
@@ -113,13 +99,6 @@ def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
     out = np.empty((target_frames, flat.shape[1]))
     for k in range(flat.shape[1]):
         out[:, k] = np.interp(new_t, old_t, flat[:, k])
-    # np.interp sets no floating-point flag, and its inputs are finite, so a
-    # non-finite output is an overflow.
-    if not np.isfinite(out).all():
-        raise SchemaError(
-            f"sample {sample.sample_id!r}: resampling to {target_frames} frames "
-            "overflows the float64 range"
-        )
     return sample.with_frames(out.reshape(target_frames, sample.joint_count, 3))
 
 
@@ -137,25 +116,13 @@ def _poses(sample: GaitSample) -> np.ndarray:
 
 
 def _check_poses(candidates: Sequence[GaitSample], exemplar: GaitSample):
-    """Refuse, before any DTW work, candidates whose poses cannot be scored
-    against the exemplar's: other joint counts (ContractError), and a
-    coordinate of any of them past the magnitude `limit` (SchemaError).
-    Within `limit` a squared coordinate difference summed over a pose's 3J
-    coordinates stays below half the float64 maximum, so no local cost,
-    path sum or bound overflows.
-    """
+    """Refuse, before any DTW work, candidates whose joint count differs
+    from the exemplar's (ContractError). Their coordinates need no check:
+    GaitSample's bound keeps every local cost, path sum and bound finite."""
     for sample in candidates:
         if sample.joint_count != exemplar.joint_count:
             raise ContractError(
                 f"joint counts differ: {sample.joint_count} vs {exemplar.joint_count}"
-            )
-    limit = np.sqrt(np.finfo(float).max / (6 * exemplar.joint_count)) / 2
-    for sample in (exemplar, *candidates):
-        magnitude = np.abs(sample.frames).max()
-        if magnitude > limit:
-            raise SchemaError(
-                f"sample {sample.sample_id!r}: coordinate magnitude {magnitude:.3g} "
-                f"is too large for DTW costs (limit {limit:.3g})"
             )
 
 
@@ -296,7 +263,9 @@ def filter_gait_cycles(
     step. By induction, each cell on the path is then at most the path's
     chained sum up to it, and every cell is at least the chained minima of
     the rows, and of the columns, up to its own. So B <= DTW <= U exactly,
-    and the verdicts are those of dtw_distances.
+    and the verdicts are those of dtw_distances. Every cost, chain and
+    bound is finite, because GaitSample refuses a coordinate past
+    dataset.MAX_COORDINATE (its docstring has the proof).
     """
     if not threshold >= 0:
         raise ContractError("threshold must be >= 0")

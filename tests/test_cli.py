@@ -1,5 +1,8 @@
 """Command-line interface: pipeline wiring, config merge, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 import logging
 import os
@@ -12,6 +15,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import marginforge
@@ -26,18 +31,41 @@ from marginforge import (
     learner_for,
     learners,
     load_dataset,
+    load_transform,
     plan_folds,
     resample_time,
     run_protocol,
     save_dataset,
 )
+from marginforge._jsonio import load_json
 from marginforge.cli import main
+from marginforge.dataset import MAX_COORDINATE
 from marginforge.errors import ValidationError
 from oracles import rowwise_dtw
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def unchecked_jsonl(path, records):
+    """Write (sample_id, label, frames) records in save_dataset's JSONL
+    format without making GaitSamples, as a tool that knows no coordinate
+    bound would."""
+    path.write_text("".join(
+        json.dumps({"sample_id": i, "label": label, "frames": np.asarray(
+            frames, dtype=float).tolist()}) + "\n"
+        for i, label, frames in records
+    ))
+    return path
+
+
+# The one stderr line of the coordinate gate, given the sample's id and
+# its largest coordinate magnitude.
+PAST_BOUND = (
+    "marginforge: SchemaError: sample {!r}: coordinate magnitude {} is past "
+    "the limit 3.12e+144\n"
+)
 
 
 # The one stderr line of a size refusal, given the coordinate count.
@@ -374,9 +402,10 @@ class TestExitCodes:
             "run preprocess with --target-frames first\n"
         )
 
-    @pytest.mark.parametrize(
-        "spread, magnitude", [("5e307", "6.52e+307"), ("3e307", "3.91e+307")]
-    )
+    @pytest.mark.parametrize("spread, magnitude", [
+        pytest.param("5e307", "6.515786158021805e+307", id="5e307-6.52e+307"),
+        pytest.param("3e307", "3.9094716948130826e+307", id="3e307-3.91e+307"),
+    ])
     @pytest.mark.parametrize(
         "command, method",
         [
@@ -388,25 +417,29 @@ class TestExitCodes:
         ],
     )
     def test_coordinates_that_overflow_learning_are_4(
-        self, tmp_path, capsys, command, method, spread, magnitude
+        self, tmp_path, capsys, monkeypatch, command, method, spread, magnitude
     ):
-        # The file loads; its scatter sums, class means and the identity
-        # route's raw-space centroids would overflow float64.
+        # Scatter sums, class means and the identity route's raw-space
+        # centroids of these coordinates would overflow float64. gen refuses
+        # to make them; a file that holds them anyway is refused at the load.
         data = tmp_path / "huge.jsonl"
-        assert run(
+        gen = (
             "gen", "--classes", 3, "--per-class", 6, "--joints", 2, "--frames", 3,
             "--class-spread", spread, "--noise", 0.5, "--seed", 1, "--output", data,
-        ) == 0
-        capsys.readouterr()
+        )
+        refused = PAST_BOUND.format("id000s000", magnitude)
+        assert run(*gen) == 4
+        assert capsys.readouterr().err == refused
+        assert not data.exists()
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(marginforge.dataset, "MAX_COORDINATE", np.inf)
+            assert run(*gen) == 0
         argv = ("--inner-folds", 2) if command == "evaluate" else ()
         assert run(
             command, "--input", data, "--output", tmp_path / "out.json",
             "--method", method, *argv,
         ) == 4
-        assert capsys.readouterr().err == (
-            f"marginforge: SchemaError: sample 'id000s000': coordinate magnitude "
-            f"{magnitude} is too large to learn or match (limit 1.86e+152)\n"
-        )
+        assert capsys.readouterr().err == refused
         assert not (tmp_path / "out.json").exists()
 
     def test_parse_error_is_3(self, tmp_path):
@@ -701,9 +734,9 @@ class TestExitCodes:
 
     def test_dtw_costs_past_the_float_range_are_4(self, tmp_path, capsys):
         # Pose differences past about 1e154 square past the float64 maximum;
-        # the cycles' true DTW distances lie far below 1e250. The refusal
-        # does not depend on the threshold or on which bound would settle
-        # a cycle. A threshold that is not a number >= 0 is refused first.
+        # the cycles' true DTW distances lie far below 1e250. The load
+        # refuses them, whatever the threshold. A threshold that is not a
+        # number >= 0 is refused before any DTW work.
         grid = np.broadcast_to(
             np.arange(1.0, 4.0)[:, None, None] * np.arange(1.0, 3.0)[None, :, None],
             (3, 2, 3),
@@ -711,11 +744,7 @@ class TestExitCodes:
 
         def cycles(path, scale):
             frames = {"e": grid * scale, "neg": -grid * scale, "one": grid}
-            samples = [
-                GaitSample(frames=f, label="a", sample_id=k) for k, f in frames.items()
-            ]
-            save_dataset(LabeledDataset.from_samples(samples), path, format="jsonl")
-            return path
+            return unchecked_jsonl(path, [(k, "a", f) for k, f in frames.items()])
 
         big = cycles(tmp_path / "big.jsonl", 1e200)
         plain = cycles(tmp_path / "plain.jsonl", 1.0)
@@ -731,15 +760,12 @@ class TestExitCodes:
             assert [str(w.message) for w in caught] == []
             return code, capsys.readouterr().err
 
-        refused = (
-            "marginforge: SchemaError: sample 'e': coordinate magnitude 6e+200 "
-            "is too large for DTW costs (limit 1.94e+153)\n"
-        )
+        refused = PAST_BOUND.format("e", "6e+200")
         for threshold in ("1e250", "inf"):
             assert preprocess(big, threshold) == (4, refused)
             assert not out.exists()
         for threshold in ("nan", "-1"):
-            assert preprocess(big, threshold) == (
+            assert preprocess(plain, threshold) == (
                 2, "marginforge: ContractError: threshold must be >= 0\n"
             )
             assert not out.exists()
@@ -747,29 +773,35 @@ class TestExitCodes:
         assert [s.sample_id for s in load_dataset(out).samples] == ["e", "neg", "one"]
 
     @pytest.mark.parametrize(
-        "root, joint, step",
+        "root, joint, magnitude",
         [
             # Aligned in place (the heading is +z), then the joint's offset
             # from the root is -2.7e308.
-            ([[1.7e308, 0, 0], [1.7e308, 0, 1]], [-1e308, 0, 0],
-             "centering on root joint 0"),
+            ([[1.7e308, 0, 0], [1.7e308, 0, 1]], [-1e308, 0, 0], "1.7e+308"),
             # The root travels from x = -1e308 to x = 1e308.
-            ([[-1e308, 0, 0], [1e308, 0, 0]], [0, 0, 0], "the walk heading"),
+            ([[-1e308, 0, 0], [1e308, 0, 0]], [0, 0, 0], "1e+308"),
             # Both horizontal components are finite, their length is not.
-            ([[0, 0, 0], [1.5e308, 0, 1.5e308]], [1, 2, 3], "the walk heading"),
+            ([[0, 0, 0], [1.5e308, 0, 1.5e308]], [1, 2, 3], "1.5e+308"),
             # A 45-degree heading turns (B, 0, B) into z = B * sqrt(2).
-            ([[0, 0, 0], [1, 0, 1]], [1.7e308, 0, 1.7e308],
-             "the rotation onto the walk heading"),
+            ([[0, 0, 0], [1, 0, 1]], [1.7e308, 0, 1.7e308], "1.7e+308"),
+            # At the bound the cycle loads. The heading is +z, so alignment
+            # moves nothing, and centering moves the joint to 2^481.
+            ([[-MAX_COORDINATE, 0, 0], [-MAX_COORDINATE, 0, 1]], [MAX_COORDINATE, 0, 0],
+             "6.243497100631985e+144"),
+            # The 45-degree rotation moves the joint to z = 2^480 * sqrt(2).
+            ([[0, 0, 0], [1, 0, 1]], [MAX_COORDINATE, 0, MAX_COORDINATE],
+             "4.414819138175424e+144"),
         ],
-        ids=["center", "heading", "heading-length", "rotation"],
+        ids=["center", "heading", "heading-length", "rotation", "center-at-the-bound",
+             "rotation-at-the-bound"],
     )
     def test_root_joint_steps_past_the_float_range_are_4(
-        self, tmp_path, capsys, root, joint, step
+        self, tmp_path, capsys, root, joint, magnitude
     ):
-        frames = np.array([[r, joint] for r in root], dtype=float)
-        sample = GaitSample(frames=frames, label="a", sample_id="s0")
-        path = tmp_path / "far.jsonl"
-        save_dataset(LabeledDataset.from_samples([sample]), path, format="jsonl")
+        # Each step would overflow float64, so the load refuses the cycle;
+        # at the bound, the gate refuses the step's output.
+        frames = [[r, joint] for r in root]
+        path = unchecked_jsonl(tmp_path / "far.jsonl", [("s0", "a", frames)])
         out = tmp_path / "out.jsonl"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -778,18 +810,15 @@ class TestExitCodes:
             )
         assert [str(w.message) for w in caught] == []
         assert (code, capsys.readouterr().err) == (
-            4,
-            f"marginforge: SchemaError: sample 's0': {step} overflows the float64 "
-            "range\n",
+            4, PAST_BOUND.format("s0", magnitude)
         )
         assert not out.exists()
 
     def test_resampling_past_the_float_range_is_4(self, tmp_path, capsys):
+        # Each step between frames would span 3.4e308; the load refuses it.
         frames = np.zeros((3, 1, 3))
         frames[:, 0, 0] = [1.7e308, -1.7e308, 1.7e308]
-        sample = GaitSample(frames=frames, label="a", sample_id="s0")
-        path = tmp_path / "steep.jsonl"
-        save_dataset(LabeledDataset.from_samples([sample]), path, format="jsonl")
+        path = unchecked_jsonl(tmp_path / "steep.jsonl", [("s0", "a", frames)])
         out = tmp_path / "out.jsonl"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -798,9 +827,7 @@ class TestExitCodes:
             )
         assert [str(w.message) for w in caught] == []
         assert (code, capsys.readouterr().err) == (
-            4,
-            "marginforge: SchemaError: sample 's0': resampling to 4 frames "
-            "overflows the float64 range\n",
+            4, PAST_BOUND.format("s0", "1.7e+308")
         )
         assert not out.exists()
 
@@ -865,6 +892,24 @@ class TestExitCodes:
         out = tmp_path / "x.jsonl"
         assert run(*gen_args(out), flag, 10**18) == 2
         assert re.fullmatch(PAST_MEMORY % coordinates, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_many_small_samples_past_memory_are_2(self, tmp_path, capsys, monkeypatch):
+        # 50 000 samples hold 2.4 MB of coordinates but need over 30 MB with
+        # each one's own overhead, past a 16 MiB machine: refused before the
+        # generator makes one sample.
+        def no_sample(**fields):
+            raise AssertionError("a sample was generated")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(marginforge.dataset, "GaitSample", no_sample)
+        out = tmp_path / "x.jsonl"
+        assert run(
+            "gen", "--classes", 5000, "--per-class", 10, "--joints", 1,
+            "--frames", 2, "--output", out,
+        ) == 2
+        assert re.fullmatch(PAST_MEMORY % 300_000, capsys.readouterr().err)
         assert not out.exists()
 
     def test_resampling_past_memory_is_2(self, tmp_path, capsys):
@@ -1097,6 +1142,86 @@ class TestExitCodes:
             "marginforge: ValidationError: --up-axis applies only with --root-joint\n"
         )
         assert not out.exists()
+
+
+# Magnitudes just past the coordinate bound and near the float64 maximum.
+PAST_THE_BOUND = [float(np.nextafter(MAX_COORDINATE, np.inf)), 1.7e308,
+                  float(np.finfo(np.float64).max)]
+PREPROCESS_STEPS = ("--root-joint", "--target-frames", "--dtw-threshold")
+# preprocess with each combination of its steps, learn with both methods
+# and evaluate with every method.
+COMMAND_SHAPES = [
+    *(("preprocess", *steps) for r in (1, 2, 3)
+      for steps in itertools.combinations(PREPROCESS_STEPS, r)),
+    *(("learn", "--method", method) for method in ("mmc", "pca-lda")),
+    *(("evaluate", "--method", method) for method in ("mmc", "pca-lda", "identity")),
+]
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 8}
+
+
+@st.composite
+def extreme_records(draw):
+    """3 identities x 6 cycles of 2 joints x 3 frames, as gen draws them,
+    with either every coordinate scaled so the largest magnitude is an
+    extreme, or 1 to 3 coordinates set to extremes. An extreme is the
+    bound itself or a magnitude past it, of either sign."""
+    extreme = st.builds(
+        lambda inside, past, sign: sign * (MAX_COORDINATE if inside else past),
+        st.booleans(), st.sampled_from(PAST_THE_BOUND), st.sampled_from([1.0, -1.0]),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.normal(0.0, 4.0, size=(3, 1, 3, 2, 3))
+    frames = (means + rng.normal(0.0, 0.4, size=(3, 6, 3, 2, 3))).reshape(18, 3, 2, 3)
+    if draw(st.booleans()):
+        frames = frames / np.abs(frames).max() * draw(extreme)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            frames.flat[draw(st.integers(0, frames.size - 1))] = draw(extreme)
+    return [(f"id{n // 6}s{n % 6}", f"id{n // 6}", f) for n, f in enumerate(frames)]
+
+
+@pytest.mark.parametrize("shape", COMMAND_SHAPES, ids=" ".join)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    records=extreme_records(),
+    values=st.fixed_dictionaries({
+        "--root-joint": st.sampled_from([0, 1]),
+        "--target-frames": st.sampled_from([0, 2, 5]),
+        "--dtw-threshold": st.sampled_from([0.0, 10.0, 1e150, np.inf]),
+        "--pair-policy": st.sampled_from(["all", "class-best"]),
+    }),
+)
+def test_extreme_coordinates_end_in_a_documented_exit(
+    tmp_path_factory, shape, records, values
+):
+    # No floating-point error or warning on any path: a run exits 0, or with
+    # a documented code and one error line, and an exit-0 run's outputs load.
+    command, *flags = shape
+    if command == "preprocess":
+        flags = [a for flag in flags for a in (flag, values[flag])]
+    elif command == "evaluate":
+        flags += ["--pair-policy", values["--pair-policy"], "--inner-folds", 2]
+    folder = tmp_path_factory.mktemp("extremes")
+    data = unchecked_jsonl(folder / "in.jsonl", records)
+    out = folder / ("out.jsonl" if command == "preprocess" else "out.json")
+    stderr = io.StringIO()
+    with np.errstate(over="raise", invalid="raise", divide="raise"), \
+            contextlib.redirect_stderr(stderr):
+        code = run(command, "--input", data, "--output", out, *flags)
+    assert code in DOCUMENTED_EXITS
+    errors = re.findall(r"^marginforge: [A-Za-z]+: ", stderr.getvalue(), re.MULTILINE)
+    assert len(errors) == (1 if code else 0)
+    if code != 0:
+        assert not out.exists()
+    elif command == "preprocess":
+        load_dataset(out)
+    elif command == "learn":
+        load_transform(out)
+    else:
+        load_json(out, what="report")
+        for kind in ("cmc", "far_frr", "roc", "rcl_pcn"):
+            np.loadtxt(folder / f"out.{kind}.csv", delimiter=",", skiprows=1,
+                       usecols=(1, 2), ndmin=2)
 
 
 class TestLogEnvironment:

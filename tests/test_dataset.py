@@ -1,7 +1,9 @@
 """Data model, file round trips, the sample matrix, synthetic generation."""
 
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from marginforge.errors import (
     SchemaError,
     ValidationError,
 )
-from marginforge.dataset import _read_csv_fast, _read_csv_rows
+from marginforge.dataset import MAX_COORDINATE, _read_csv_fast, _read_csv_rows
 from oracles import csv_writer_text
 
 
@@ -346,7 +348,8 @@ def csv_datasets(draw):
     samples = []
     for sample_id, label in names:
         frames = draw(st.integers(2, 3))
-        coords = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+        # A valid sample's domain: finite and within the coordinate bound.
+        coords = draw(st.lists(st.floats(-MAX_COORDINATE, MAX_COORDINATE),
                                min_size=frames * joints * 3, max_size=frames * joints * 3))
         samples.append(GaitSample(frames=np.reshape(coords, (frames, joints, 3)),
                                   label=label, sample_id=sample_id))
@@ -388,11 +391,22 @@ def test_csv_reader_matches_the_row_parser(tmp_path_factory, dataset, edits):
     pytest.param("a,b,0,0,1,2,3\r\na,b,1,0,4,5,6\r\n"
                  "s1,a,0,0,7,8,9\r\ns1,a,1,0,1,1,1\r\n", id="id-equal-to-a-label"),
     pytest.param('"s0",a,0,0,1,2,3\r\ns0,a,1,0,4,5,6\r\n', id="quoted-and-bare-id"),
+    # Coordinates at the bound load; one float past it is refused by both.
+    pytest.param(f"s0,a,0,0,{MAX_COORDINATE!r},0,0\r\n"
+                 f"s0,a,1,0,{-MAX_COORDINATE!r},0,0\r\n", id="at-the-bound"),
+    pytest.param(f"s0,a,0,0,0,{float(np.nextafter(MAX_COORDINATE, np.inf))!r},0\r\n"
+                 "s0,a,1,0,4,5,6\r\n", id="past-the-bound"),
 ])
 def test_csv_reader_traps(tmp_path, body):
     path = tmp_path / "d.csv"
     path.write_bytes((HEADER + body).encode())
     assert_readers_agree(path)
+
+
+def test_readme_states_the_coordinate_bound():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.findall(r"`MAX_COORDINATE` = 2\^480 \(([^)]*)\)", readme)
+    assert stated == [f"{MAX_COORDINATE:.3g}"]
 
 
 class TestCsvMemory:

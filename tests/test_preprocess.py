@@ -23,6 +23,7 @@ from marginforge import (
     filter_gait_cycles,
     resample_time,
 )
+from marginforge.dataset import MAX_COORDINATE
 from marginforge.errors import AlignmentError, ContractError, SchemaError
 from marginforge.preprocess import (
     _dtw_table,
@@ -164,13 +165,19 @@ class TestResampleTime:
             resample_time(scalar_sequence([0.0, 1.0]), 1)
 
     def test_a_slope_past_the_float_range_is_refused(self):
-        # Each finite step between frames spans 3.4e308; np.interp leaves
-        # the points between them non-finite without a floating-point flag.
-        s = scalar_sequence([1.7e308, -1.7e308, 1.7e308])
+        # Each finite step between frames would span 3.4e308, where np.interp
+        # leaves the points between them non-finite without a floating-point
+        # flag; the cycle is refused when it is made. At the bound the same
+        # shape resamples to finite frames within it.
         with pytest.raises(SchemaError, match=(
-            "^sample 's0': resampling to 4 frames overflows the float64 range$"
+            r"^sample 's0': coordinate magnitude 1\.7e\+308 is past the limit "
+            r"3\.12e\+144$"
         )):
-            resample_time(s, 4)
+            scalar_sequence([1.7e308, -1.7e308, 1.7e308])
+        steep = scalar_sequence([MAX_COORDINATE, -MAX_COORDINATE, MAX_COORDINATE])
+        out = resample_time(steep, 4).frames[:, 0, 0]
+        third = np.array([3.0, -1.0, -1.0, 3.0]) * MAX_COORDINATE / 3
+        assert np.allclose(out, third, rtol=1e-15, atol=0)
 
 
 class TestAverageLength:
@@ -638,13 +645,18 @@ class TestFilterRoutes:
         self, monkeypatch, threshold
     ):
         # Pose differences past about 1e154 square past the float64
-        # maximum, whichever bound would settle the cycle.
+        # maximum, whichever bound would settle the cycle: the cycle is
+        # refused when it is made. At the bound every cost is finite, and
+        # the DTW distance is the bound itself.
         calls = spy_on_dtw_steps(monkeypatch)
         exemplar = scalar_sequence([0.0, 1.0], sample_id="e")
-        far = scalar_sequence([0.0, -1e200], sample_id="far")
-        refused = "sample 'far': coordinate magnitude 1e\\+200"
-        with pytest.raises(SchemaError, match=refused):
-            filter_gait_cycles([exemplar, far], exemplar, threshold)
+        with pytest.raises(SchemaError, match=(
+            r"^sample 'far': coordinate magnitude 1e\+200 is past the limit "
+            r"3\.12e\+144$"
+        )):
+            scalar_sequence([0.0, -1e200], sample_id="far")
         assert calls == []
-        with pytest.raises(SchemaError, match="sample 'far'"):
-            dtw_distances([far], exemplar)
+        far = scalar_sequence([0.0, -MAX_COORDINATE], sample_id="far")
+        assert dtw_distances([far], exemplar).tolist() == [MAX_COORDINATE]
+        kept = filter_gait_cycles([exemplar, far], exemplar, threshold)
+        assert kept == ((exemplar, far) if threshold >= MAX_COORDINATE else (exemplar,))
