@@ -180,6 +180,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        """Raise ValidationError for a spec that cannot make a dataset.
+
+        A spread and noise whose draws could pass MAX_COORDINATE (read at
+        each call) are refused before any draw: numpy's ziggurat normal
+        returns rabs * w < r = 3.6542 from a 52-bit rabs, or, in its tail,
+        r - log1p(-u) / r with a 53-bit uniform u <= 1 - 2^-53, which is
+        below 3.6542 + 53 ln 2 / 3.6542 < 13.8. So a mean and its noise
+        stay below 13.8 * (class_spread + noise) with rounding, and
+        16 * (class_spread + noise) <= MAX_COORDINATE is enough.
+        """
         if self.classes < 2:
             raise ValidationError("need at least 2 classes")
         if self.samples_per_class < 2:
@@ -192,6 +202,11 @@ class SyntheticSpec:
             raise ValidationError("class_spread must be finite and > 0")
         if not self.noise >= 0 or not math.isfinite(self.noise):
             raise ValidationError("noise must be finite and >= 0")
+        if not 16 * (self.class_spread + self.noise) <= MAX_COORDINATE:
+            raise ValidationError(
+                f"class_spread + noise must be at most {MAX_COORDINATE / 16:.3g}, "
+                f"so that every draw is within the limit {MAX_COORDINATE:.3g}"
+            )
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         samples = int(self.classes) * int(self.samples_per_class)
@@ -245,9 +260,7 @@ def load_dataset(path, format: str = "jsonl") -> LabeledDataset:
         if format == "jsonl":
             samples = _load_jsonl(path)
         elif format == "csv":
-            samples = _read_csv_fast(path)
-            if samples is None:
-                samples = _read_csv_rows(path)
+            samples = _read_csv_fast(path) or _read_csv_rows(path)
         else:
             raise ValidationError(f"unknown dataset format {format!r}")
     except UnicodeDecodeError as exc:
@@ -377,6 +390,7 @@ def _read_csv_fast(path) -> Optional[list]:
 
     None means the file does not open with the header the writer writes,
     or fails a check; _read_csv_rows then reads it and raises any error.
+    The first sample GaitSample refuses raises here, as in the row parser.
     """
     ids, labels = _coder(), _coder()
     # newline="" keeps a quoted \r in an id or label as written.
@@ -427,19 +441,12 @@ def _read_csv_fast(path) -> Optional[list]:
     sample_labels = [names[c] for c in label[first].tolist()]
     # Free the records before each sample copies its frames out of flat.
     del rows, code, label, frame, joint, cell
-    try:
-        return [
-            GaitSample(
-                frames=flat[a : a + t * j].reshape(t, j, 3),
-                label=sample_label,
-                sample_id=sample_id,
-            )
-            for sample_id, sample_label, a, t, j in zip(
-                ids, sample_labels, starts.tolist(), n_frames.tolist(),
-                n_joints.tolist())
-        ]
-    except SchemaError:
-        return None
+    return [
+        GaitSample(frames=flat[a : a + t * j].reshape(t, j, 3), label=sample_label,
+                   sample_id=sample_id)
+        for sample_id, sample_label, a, t, j in zip(
+            ids, sample_labels, starts.tolist(), n_frames.tolist(), n_joints.tolist())
+    ]
 
 
 def _csv_rows(fh):

@@ -38,7 +38,8 @@ from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import learner_for
 from .metrics_classification import CurveSeries, ThresholdSweep, cmc_fractions
 from .metrics_separability import SeparabilityReport, separability_of_rows
-from .template_space import context_of_rows, pairwise_distances, template_rows
+from .template_space import (
+    _row_products, context_of_rows, pairwise_distances, template_rows)
 
 PAIR_POLICIES = ("all", "class_best")
 
@@ -198,7 +199,8 @@ def _run_fold(
     eval_ids = [sample_ids[i] for i in eval_idx]
     if learn is None:
         evaluation, findings = vectors[eval_idx], ()
-        whitened = context_of_rows(vectors[learn_idx], learn_codes).whiten(evaluation)
+        context = context_of_rows(vectors[learn_idx], learn_codes)
+        whitened = _row_products(evaluation, context.whitener, eval_ids)
     else:
         transform = learn(vectors[learn_idx], learn_codes)
         evaluation = whitened = template_rows(transform, vectors[eval_idx], eval_ids)

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import MAX_COORDINATE
 from .errors import ContractError
 from .learners import FeatureTransform
 from .scatter import total_scatter_basis
@@ -52,14 +53,24 @@ class MatchingContext:
 
     def whiten(self, vectors: np.ndarray) -> np.ndarray:
         """Map feature vectors (rows) to rank coordinates where this
-        context's Mahalanobis distance is the Euclidean one."""
-        return _row_products(vectors, self.whitener)
+        context's Mahalanobis distance is the Euclidean one; a row refused
+        by the bound of _row_products is named by its index."""
+        return _row_products(vectors, self.whitener, range(len(vectors)))
 
 
-def _row_products(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def _row_products(vectors: np.ndarray, matrix: np.ndarray, sample_ids) -> np.ndarray:
     """vectors @ matrix, one vector-matrix product per row, so no row's bits
-    depend on the other rows or on the BLAS thread count."""
-    return np.matmul(vectors[..., None, :], matrix)[..., 0, :]
+    depend on the other rows or on the BLAS thread count. A row with a NaN or
+    an entry past MAX_COORDINATE raises ContractError naming its sample_ids
+    entry: rows within GaitSample's bound keep every distance, separability
+    sum and sweep finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.matmul(vectors[..., None, :], matrix)[..., 0, :]
+        bad = np.flatnonzero(~(np.abs(rows) <= MAX_COORDINATE).all(axis=-1))
+    if bad.size:
+        raise ContractError(f"template {sample_ids[bad[0]]!r}: an entry is not "
+                            f"within the limit {MAX_COORDINATE:.3g}")
+    return rows
 
 
 def template_rows(
@@ -67,19 +78,13 @@ def template_rows(
 ) -> np.ndarray:
     """Templates of the rows of a (n, input_dim) matrix: row i is
     vectors[i] @ transform.phi, bit for bit (one vector-matrix product per
-    row). sample_ids name the rows in the ContractError a non-finite
-    template raises."""
+    row). sample_ids name the rows in the ContractError of _row_products."""
     if vectors.shape[1] != transform.input_dim:
         raise ContractError(
             f"expected vectors of dimension {transform.input_dim}, "
             f"got {vectors.shape[1]}"
         )
-    rows = _row_products(vectors, transform.phi)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        bad = sample_ids[int(np.argmin(finite))]
-        raise ContractError(f"template {bad!r}: non-finite entry")
-    return rows
+    return _row_products(vectors, transform.phi, sample_ids)
 
 
 def context_of_rows(rows: np.ndarray, labels: Sequence) -> MatchingContext:

@@ -68,6 +68,14 @@ PAST_BOUND = (
 )
 
 
+# The one stderr line of gen's refusal of a spread and noise whose draws
+# could pass the coordinate bound.
+DRAWS_PAST_BOUND = (
+    "marginforge: ValidationError: class_spread + noise must be at most "
+    "1.95e+143, so that every draw is within the limit 3.12e+144\n"
+)
+
+
 # The one stderr line of a size refusal, given the coordinate count.
 PAST_MEMORY = (
     r"marginforge: ValidationError: the dataset would hold %d coordinates "
@@ -421,15 +429,16 @@ class TestExitCodes:
     ):
         # Scatter sums, class means and the identity route's raw-space
         # centroids of these coordinates would overflow float64. gen refuses
-        # to make them; a file that holds them anyway is refused at the load.
+        # the spread that draws them; a file that holds them anyway is
+        # refused at the load.
         data = tmp_path / "huge.jsonl"
         gen = (
             "gen", "--classes", 3, "--per-class", 6, "--joints", 2, "--frames", 3,
             "--class-spread", spread, "--noise", 0.5, "--seed", 1, "--output", data,
         )
         refused = PAST_BOUND.format("id000s000", magnitude)
-        assert run(*gen) == 4
-        assert capsys.readouterr().err == refused
+        assert run(*gen) == 2
+        assert capsys.readouterr().err == DRAWS_PAST_BOUND
         assert not data.exists()
         with monkeypatch.context() as unbounded:
             unbounded.setattr(marginforge.dataset, "MAX_COORDINATE", np.inf)
@@ -883,6 +892,58 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("spread, noise", [
+        pytest.param("1e308", "0.5", id="spread-1e308"),
+        pytest.param("1", "1e200", id="noise-1e200"),
+        pytest.param("1.9e143", "1e142", id="sum-past-the-bound"),
+    ])
+    def test_draws_that_could_pass_the_coordinate_bound_are_2(
+        self, tmp_path, capsys, monkeypatch, spread, noise
+    ):
+        # Refused as a bad option before any draw, not as a schema violation
+        # of the drawn data.
+        def no_sample(**fields):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(marginforge.dataset, "GaitSample", no_sample)
+        out = tmp_path / "x.jsonl"
+        assert run(
+            "gen", "--classes", 2, "--per-class", 2, "--class-spread", spread,
+            "--noise", noise, "--output", out,
+        ) == 2
+        assert capsys.readouterr().err == DRAWS_PAST_BOUND
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mmc", "pca-lda", "identity"])
+    def test_matched_rows_past_the_coordinate_bound_are_2(
+        self, tmp_path, capsys, method
+    ):
+        # A learning fold at 1e-200 scale whitens by about 1e200, so the
+        # evaluation row with a coordinate at the bound leaves it once
+        # whitened: refused with one line naming that sample, and no numpy
+        # warning, on every route.
+        rng = np.random.default_rng(1)
+        means = rng.normal(0.0, 4.0, size=(3, 1, 3, 2, 3))
+        frames = 1e-200 * (means + rng.normal(0.0, 0.4, size=(3, 6, 3, 2, 3)))
+        frames = frames.reshape(18, 3, 2, 3)
+        frames[-1, 0, 0, 0] = MAX_COORDINATE
+        data = unchecked_jsonl(tmp_path / "tiny.jsonl", [
+            (f"id{n // 6}s{n % 6}", f"id{n // 6}", f) for n, f in enumerate(frames)
+        ])
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(
+                "evaluate", "--input", data, "--output", out, "--method", method,
+                "--inner-folds", 2,
+            ) == 2
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "marginforge: ContractError: outer fold 0: template 'id2s5': an entry "
+            "is not within the limit 3.12e+144\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, coordinates", [
         ("--joints", 270 * 10**18), ("--frames", 108 * 10**18),
     ])
@@ -1222,6 +1283,111 @@ def test_extreme_coordinates_end_in_a_documented_exit(
         for kind in ("cmc", "far_frr", "roc", "rcl_pcn"):
             np.loadtxt(folder / f"out.{kind}.csv", delimiter=",", skiprows=1,
                        usecols=(1, 2), ndmin=2)
+
+
+# The numeric options of gen, preprocess and evaluate, and the values a
+# property gives them: as flags, and as config values, which also take a
+# fraction and a float too large for any count.
+NUMERIC_OPTIONS = {
+    "gen": ("classes", "per_class", "joints", "frames", "class_spread", "noise",
+            "seed"),
+    "preprocess": ("root_joint", "target_frames", "dtw_threshold"),
+    "evaluate": ("seed", "outer_folds", "inner_folds", "pca_dim", "workers"),
+}
+FLAG_VALUES = [0, -1, 1, 2, 2**62]
+CONFIG_VALUES = [*FLAG_VALUES, 2.5, 1e308]
+# The options each command is given when the property sets none: a
+# 3 x 6 set of 2 joints x 5 frames, evaluated over 2 inner folds.
+BASE_OPTIONS = {
+    "gen": {"classes": 3, "per_class": 6, "joints": 2, "frames": 5,
+            "class_spread": 4.0, "noise": 0.4},
+    "preprocess": {},
+    "evaluate": {"inner_folds": 2},
+}
+
+
+@pytest.mark.parametrize("command", list(NUMERIC_OPTIONS))
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_numeric_options_end_in_a_documented_exit(tmp_path_factory, command, data):
+    # Each drawn option is a flag or a config value; argparse accepts every
+    # flag value drawn, so each refusal is the program's own. Every count
+    # is 2 or less or far past the memory check, so nothing large is
+    # allocated; a large --workers starts at most one thread per fold.
+    placed = st.one_of(
+        st.tuples(st.just("flag"), st.sampled_from(FLAG_VALUES)),
+        st.tuples(st.just("config"), st.sampled_from(CONFIG_VALUES)),
+    )
+    drawn = data.draw(st.dictionaries(
+        st.sampled_from(NUMERIC_OPTIONS[command]), placed, min_size=1))
+    folder = tmp_path_factory.mktemp("numeric")
+    out = folder / ("out.json" if command == "evaluate" else "out.jsonl")
+    argv = [command, "--output", out]
+    if command != "gen":
+        assert run(*gen_args(folder / "in.jsonl")) == 0
+        argv += ["--input", folder / "in.jsonl"]
+    if command == "evaluate":
+        argv += ["--method", data.draw(st.sampled_from(["mmc", "pca-lda", "identity"]))]
+    options = {**BASE_OPTIONS[command], **{k: v for k, (_, v) in drawn.items()}}
+    config = {k: v for k, (where, v) in drawn.items() if where == "config"}
+    for key, value in options.items():
+        if key not in config:
+            argv += [f"--{key.replace('_', '-')}", value]
+    if config:
+        (folder / "config.json").write_text(json.dumps(config))
+        argv += ["--config", folder / "config.json"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(*argv)
+    assert code in DOCUMENTED_EXITS
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert stderr.getvalue() == ""
+        assert out.exists()
+    else:
+        assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
+        assert not out.exists()
+
+
+REPORT_SCHEMA = json.loads(
+    resources.files("marginforge").joinpath("schemas/report.schema.json").read_text()
+)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(
+    classes=st.integers(2, 4),
+    per_class=st.integers(6, 8),
+    joints=st.integers(1, 2),
+    frames=st.integers(2, 4),
+    noise=st.sampled_from([0.0, 0.4]),
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(["mmc", "pca-lda", "identity"]),
+    policy=st.sampled_from(["all", "class-best"]),
+)
+def test_reports_round_trip_and_match_the_schema(
+    tmp_path_factory, classes, per_class, joints, frames, noise, seed, method, policy
+):
+    # The report evaluate writes reloads to the value run_protocol gives
+    # on the same set and plan, and validates against the shipped schema.
+    folder = tmp_path_factory.mktemp("report")
+    data, out = folder / "data.jsonl", folder / "r.json"
+    assert run(
+        "gen", "--classes", classes, "--per-class", per_class, "--joints", joints,
+        "--frames", frames, "--noise", noise, "--seed", seed, "--output", data,
+    ) == 0
+    assert run(
+        "evaluate", "--input", data, "--output", out, "--method", method,
+        "--pair-policy", policy, "--inner-folds", 2,
+    ) == 0
+    report = load_json(out, what="report")
+    jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
+    dataset = load_dataset(data)
+    want = run_protocol(
+        dataset, method, plan_folds(dataset, inner=2),
+        ProtocolConfig(pair_policy=policy.replace("-", "_")),
+    ).to_json_dict()
+    assert report == want
 
 
 class TestLogEnvironment:

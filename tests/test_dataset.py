@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marginforge.dataset
 from marginforge import (
     GaitSample,
     LabeledDataset,
@@ -378,6 +379,16 @@ def test_csv_reader_matches_the_row_parser(tmp_path_factory, dataset, edits):
     assert_readers_agree(path)
 
 
+# Files whose every record parses and whose grids are complete, but whose
+# first sample the GaitSample gate refuses.
+GATE_REFUSALS = [
+    pytest.param(f"s0,a,0,0,0,{float(np.nextafter(MAX_COORDINATE, np.inf))!r},0\r\n"
+                 "s0,a,1,0,4,5,6\r\n", id="past-the-bound"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns1,a,0,0,1,2,3\r\n", id="one-frame"),
+    pytest.param(S0 + "s1,a,0,0,1,nan,3\r\ns1,a,1,0,4,5,6\r\n", id="nan-coordinate"),
+]
+
+
 @pytest.mark.parametrize("body", [
     # usecols would drop the eighth column and read the row.
     pytest.param(S0 + "s1,a,0,0,1,2,3,4\r\ns1,a,1,0,4,5,6\r\n", id="extra-column"),
@@ -391,16 +402,34 @@ def test_csv_reader_matches_the_row_parser(tmp_path_factory, dataset, edits):
     pytest.param("a,b,0,0,1,2,3\r\na,b,1,0,4,5,6\r\n"
                  "s1,a,0,0,7,8,9\r\ns1,a,1,0,1,1,1\r\n", id="id-equal-to-a-label"),
     pytest.param('"s0",a,0,0,1,2,3\r\ns0,a,1,0,4,5,6\r\n', id="quoted-and-bare-id"),
-    # Coordinates at the bound load; one float past it is refused by both.
+    # Coordinates at the bound load; one float past it is refused by both,
+    # and so are a one-frame sample and a nan.
     pytest.param(f"s0,a,0,0,{MAX_COORDINATE!r},0,0\r\n"
                  f"s0,a,1,0,{-MAX_COORDINATE!r},0,0\r\n", id="at-the-bound"),
-    pytest.param(f"s0,a,0,0,0,{float(np.nextafter(MAX_COORDINATE, np.inf))!r},0\r\n"
-                 "s0,a,1,0,4,5,6\r\n", id="past-the-bound"),
+    *GATE_REFUSALS,
 ])
 def test_csv_reader_traps(tmp_path, body):
     path = tmp_path / "d.csv"
     path.write_bytes((HEADER + body).encode())
     assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("body", GATE_REFUSALS)
+def test_gate_refusals_parse_the_csv_once(tmp_path, monkeypatch, body):
+    # The C parser's one pass raises the gate's SchemaError, with the
+    # message the row parser gives; the file is not read a second time.
+    path = tmp_path / "d.csv"
+    path.write_bytes((HEADER + body).encode())
+    with pytest.raises(SchemaError) as by_rows:
+        _read_csv_rows(path)
+
+    def second_pass(path):
+        raise AssertionError("the file was parsed a second time")
+
+    monkeypatch.setattr(marginforge.dataset, "_read_csv_rows", second_pass)
+    with pytest.raises(SchemaError) as by_load:
+        load_dataset(path, format="csv")
+    assert str(by_load.value) == str(by_rows.value)
 
 
 def test_readme_states_the_coordinate_bound():

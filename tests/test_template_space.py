@@ -1,5 +1,7 @@
 """Template rows, matching contexts, Mahalanobis distance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from marginforge import (
     pairwise_distances,
     template_rows,
 )
+from marginforge.dataset import MAX_COORDINATE
 from marginforge.errors import ContractError, DegenerateDataError
 
 
@@ -240,17 +243,40 @@ def test_template_rows_equal_extract_template(seed, n, dim, k):
     assert got.tobytes() == want.tobytes()
 
 
+PAST_THE_LIMIT = re.escape("an entry is not within the limit 3.12e+144")
+
+
 def test_template_rows_name_the_non_finite_row():
+    # Row a's template, 2e140, is within the coordinate bound; row b's
+    # overflows, with no numpy warning.
     transform = FeatureTransform(
         method="mmc", phi=np.full((2, 1), 1e300), delta=np.ones(1)
     )
-    vectors = np.array([[1.0, 1.0], [1e10, 1e10]])
-    with np.errstate(over="ignore"), pytest.raises(
-        ContractError, match="^template 'b': non-finite entry$"
-    ):
+    vectors = np.array([[1e-160, 1e-160], [1e10, 1e10]])
+    with pytest.raises(ContractError, match=f"^template 'b': {PAST_THE_LIMIT}$"):
         template_rows(transform, vectors, ["a", "b"])
     with pytest.raises(ContractError):
         template_rows(transform, np.ones((2, 3)), ["a", "b"])
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(float(np.nextafter(MAX_COORDINATE, np.inf)), id="past-the-bound"),
+    pytest.param(np.nan, id="nan"),
+])
+def test_matched_rows_keep_the_coordinate_bound(entry):
+    # Templates and whitened rows pass one check: rows at the bound come
+    # out as they are, and the first row with an entry past MAX_COORDINATE
+    # or a NaN is named (by whiten, by its index).
+    transform = FeatureTransform(method="mmc", phi=np.eye(2), delta=np.ones(2))
+    context = MatchingContext(whitener=np.eye(2))
+    at_bound = np.array([[1.0, 0.0], [0.0, -MAX_COORDINATE]])
+    assert template_rows(transform, at_bound, ["a", "b"]).tolist() == at_bound.tolist()
+    assert context.whiten(at_bound).tolist() == at_bound.tolist()
+    vectors = np.array([[1.0, 0.0], [0.0, entry], [0.0, np.inf]])
+    with pytest.raises(ContractError, match=f"^template 'b': {PAST_THE_LIMIT}$"):
+        template_rows(transform, vectors, ["a", "b", "c"])
+    with pytest.raises(ContractError, match=f"^template 1: {PAST_THE_LIMIT}$"):
+        context.whiten(vectors)
 
 
 def one_norm_per_row(rows: np.ndarray) -> np.ndarray:
