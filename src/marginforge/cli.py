@@ -91,8 +91,9 @@ class _Options:
         """The flag, else the config file's value, else default (a null
         in the file counts as unset). The file is untyped, so the value is
         passed through kind (int, float, str) when one is given; a boolean,
-        a number that int would truncate, or a str option's non-string is
-        refused."""
+        a float that is not a whole number of magnitude at most 2**53 (past
+        that, the float may not be the integer the file spelled), or a str
+        option's non-string is refused."""
         value = self._args.get(key)
         if value is None:
             value = self._config.get(key)
@@ -100,9 +101,10 @@ class _Options:
             value = default
         if kind is None or value is None:
             return value
-        truncated = kind is int and isinstance(value, float) and not value.is_integer()
+        inexact = kind is int and isinstance(value, float) and not (
+            value.is_integer() and abs(value) <= 2**53)
         mistyped = kind is str and not isinstance(value, str)
-        if not isinstance(value, bool) and not truncated and not mistyped:
+        if not isinstance(value, bool) and not inexact and not mistyped:
             try:
                 return kind(value)
             except (TypeError, ValueError):

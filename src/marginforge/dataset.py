@@ -391,7 +391,13 @@ def _read_csv_fast(path) -> Optional[list]:
     None means the file does not open with the header the writer writes,
     or fails a check; _read_csv_rows then reads it and raises any error.
     The first sample GaitSample refuses raises here, as in the row parser.
+    numpy's parser reads the control bytes 0x1C-0x1F beside a number as
+    blanks, where int() and float() refuse them: a file holding one is None.
     """
+    with open(path, "rb") as fh:
+        chunks = iter(lambda: fh.read(1 << 20), b"")
+        if any(bytes([c]) in chunk for chunk in chunks for c in range(0x1C, 0x20)):
+            return None
     ids, labels = _coder(), _coder()
     # newline="" keeps a quoted \r in an id or label as written.
     with open(path, newline="") as fh:

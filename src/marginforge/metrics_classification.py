@@ -80,7 +80,8 @@ def cmc_fractions(best, genuine, probe_ids) -> tuple[np.ndarray, tuple]:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdSweep:
-    """Accept counts and error rates at every threshold that matters.
+    """Accept counts at every threshold that matters; rates are derived
+    from them when read.
 
     Entry k belongs to the k-th threshold of [-inf, the distinct distances
     ascending, +inf]; a pair is accepted iff its distance <= threshold.
@@ -89,8 +90,6 @@ class ThresholdSweep:
 
     accepted_genuine: np.ndarray
     accepted_impostor: np.ndarray
-    far: np.ndarray
-    frr: np.ndarray
 
     @classmethod
     def of(cls, distance: np.ndarray, genuine: np.ndarray) -> "ThresholdSweep":
@@ -109,20 +108,38 @@ class ThresholdSweep:
         # at or below it.
         ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
         accepted = np.searchsorted(np.sort(distance[genuine]), ordered[ends], "right")
+        del ordered  # freed before the counts are made
         acc_gen = np.concatenate(([0], accepted, [n_gen]))
-        acc_imp = np.concatenate(([0], ends + 1 - accepted, [n_imp]))
-        far = acc_imp / n_imp if n_imp else np.zeros(acc_imp.size)
-        return cls(acc_gen, acc_imp, far, (n_gen - acc_gen) / n_gen)
+        return cls(acc_gen, np.concatenate(([0], ends + 1 - accepted, [n_imp])))
 
     def _require_impostors(self):
         if self.accepted_impostor[-1] == 0:
             raise ContractError("no impostor records")
 
     @property
+    def far(self) -> np.ndarray:
+        """False accept rate at each threshold; all 0 without impostors."""
+        return self.accepted_impostor / max(self.accepted_impostor[-1], 1)
+
+    @property
+    def frr(self) -> np.ndarray:
+        """False reject rate at each threshold."""
+        n_gen = self.accepted_genuine[-1]
+        return (n_gen - self.accepted_genuine) / n_gen
+
+    @property
     def quantile(self) -> np.ndarray:
         """Fraction of all distances at or below each threshold."""
         accepted = self.accepted_genuine + self.accepted_impostor
         return accepted / accepted[-1]
+
+    def far_frr_at(self, grid: np.ndarray) -> tuple:
+        """(FAR, FRR) interpolated at the grid's quantiles of all distances,
+        an axis that sweeps of any pair count share. The +inf sentinel
+        repeats the largest threshold's rates and is dropped."""
+        quantile = self.quantile[:-1]
+        far = np.interp(grid, quantile, self.far[:-1])
+        return far, np.interp(grid, quantile, self.frr[:-1])
 
     def eer(self) -> float:
         """Equal error rate at the sign change of FAR - FRR.
@@ -132,12 +149,13 @@ class ThresholdSweep:
         """
         self._require_impostors()
         # The gap runs from -1 to +1 along the sweep, so it always crosses.
-        gap = self.far - self.frr
+        far = self.far
+        gap = far - self.frr
         i = int(np.argmax(gap >= 0.0))
         if gap[i] == 0.0:
-            return float(self.far[i])
+            return float(far[i])
         lam = -gap[i - 1] / (gap[i] - gap[i - 1])
-        return float(self.far[i - 1] + lam * (self.far[i] - self.far[i - 1]))
+        return float(far[i - 1] + lam * (far[i] - far[i - 1]))
 
     def roc(self):
         """(FAR, TAR) points with strictly increasing FAR, and the AUC.
@@ -146,26 +164,25 @@ class ThresholdSweep:
         TAR, which is the last of them in threshold order.
         """
         self._require_impostors()
-        last = np.append(self.far[1:] != self.far[:-1], True)
-        far, tar = self.far[last], (1.0 - self.frr)[last]
+        far = self.far
+        last = np.append(far[1:] != far[:-1], True)
+        far, tar = far[last], 1.0 - self.frr[last]
         return far, tar, float(np.trapezoid(tar, far))
 
     def rcl_pcn(self):
         """(recall, precision) points with strictly increasing recall, and MAP.
 
-        Sweep points with nothing accepted have undefined precision and
-        are skipped; the curve instead starts at recall 0 with the
+        The -inf point is the one that accepts nothing, and its undefined
+        precision is skipped; the curve instead starts at recall 0 with the
         precision of the smallest-threshold point. Among points sharing a
         recall value the first in threshold order (best precision) is kept.
         """
-        accepted = self.accepted_genuine + self.accepted_impostor
-        acc_gen = self.accepted_genuine[accepted > 0]
+        acc_gen = self.accepted_genuine[1:]
         recall = acc_gen / self.accepted_genuine[-1]
-        precision = acc_gen / accepted[accepted > 0]
         first = np.insert(recall[1:] != recall[:-1], 0, True)
-        recall, precision = recall[first], precision[first]
+        recall, acc_gen = recall[first], acc_gen[first]
+        precision = acc_gen / (acc_gen + self.accepted_impostor[1:][first])
         if recall[0] > 0.0:
             recall = np.insert(recall, 0, 0.0)
             precision = np.insert(precision, 0, precision[0])
         return recall, precision, float(np.trapezoid(precision, recall))
-

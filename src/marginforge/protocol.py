@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -179,20 +179,26 @@ class _FoldResult:
 
 
 def _run_fold(
-    fold: int,
-    vectors: np.ndarray,
-    sample_ids: Sequence[str],
-    label_codes: np.ndarray,
-    label_names: np.ndarray,
-    learn: Optional[Callable],
-    plan: FoldPlan,
-    config: ProtocolConfig,
-    grid: np.ndarray,
+    fold, vectors, sample_ids, label_codes, label_names, learn, plan, config, grid
 ) -> _FoldResult:
     # vectors is the sample matrix, one row per sample id; label_codes index
     # the sorted label_names; learn is learner_for's (None: identity route).
-    # Learned templates whiten learning-fold total scatter, so they are matched
-    # as they are; raw rows are whitened by the learning fold's context.
+    eval_idx, eval_ids, dist, separability, findings = _fold_rows(
+        fold, vectors, sample_ids, label_codes, label_names, learn, plan)
+    best, own, distance, genuine = _fold_pairs(
+        dist, eval_idx, label_codes, plan.inner_folds[fold], config.pair_policy)
+    del dist  # the metrics read only the pairs, not the n x n matrix
+    scalars, curves, metric_findings = _fold_metrics(
+        best, own, distance, genuine, eval_ids, separability, grid)
+    warnings = findings + separability.warnings + metric_findings
+    return _FoldResult(separability, scalars, curves, warnings)
+
+
+def _fold_rows(fold, vectors, sample_ids, label_codes, label_names, learn, plan):
+    """(eval_idx, eval_ids, dist, separability, findings): the evaluation
+    rows' distances and separability, from matched rows only this stage
+    holds. Learned templates whiten learning-fold total scatter, so they
+    are matched as they are; raw rows are whitened by the fold's context."""
     learn_idx = list(plan.outer_folds[fold])
     learn_codes = label_codes[learn_idx]
     eval_idx = np.array(plan.evaluation_indices(fold))
@@ -205,60 +211,59 @@ def _run_fold(
         transform = learn(vectors[learn_idx], learn_codes)
         evaluation = whitened = template_rows(transform, vectors[eval_idx], eval_ids)
         findings = transform.warnings
-    codes = label_codes[eval_idx]
     dist = pairwise_distances(whitened)
-    separability = separability_of_rows(evaluation, label_names[codes], whitened, dist)
+    labels = label_names[label_codes[eval_idx]]
+    separability = separability_of_rows(evaluation, labels, whitened, dist)
+    return eval_idx, eval_ids, dist, separability, findings
 
-    # Every two evaluation rows in different inner folds are a probe/gallery
-    # pair; a probe's own label only flags its genuine pairs.
+
+def _fold_pairs(dist, eval_idx, label_codes, inner_folds, pair_policy):
+    """(best, own, distance, genuine): the rank metrics' score block and
+    the sweep's pairs under pair_policy. Every two evaluation rows in
+    different inner folds are a probe/gallery pair; a probe's own label
+    only flags its genuine pairs."""
+    codes = label_codes[eval_idx]
     inner = np.empty(len(eval_idx), dtype=np.intp)
-    for k, part in enumerate(plan.inner_folds[fold]):
+    for k, part in enumerate(inner_folds):
         inner[np.searchsorted(eval_idx, part)] = k
     cross = inner[:, None] != inner
     # best[p, k]: probe p's minimum distance to the gallery rows of the k-th
-    # identity present, +inf where it has none (enrolled is False there).
+    # identity present; +inf exactly where it has none (distances are finite).
     present = np.flatnonzero(np.bincount(codes))
     best = np.empty((len(eval_idx), len(present)))
-    enrolled = np.empty(best.shape, dtype=bool)
     for k, c in enumerate(present):
         members = np.flatnonzero(codes == c)
-        gallery = cross[:, members]
-        best[:, k] = np.min(dist[:, members], axis=1, where=gallery, initial=np.inf)
-        enrolled[:, k] = np.any(gallery, axis=1)
+        best[:, k] = np.min(
+            dist[:, members], axis=1, where=cross[:, members], initial=np.inf)
     own = codes[:, None] == present
-    if config.pair_policy == "class_best":
+    if pair_policy == "class_best":
         # One pair per probe and gallery identity, at its best distance.
-        sweep = ThresholdSweep.of(best[enrolled], own[enrolled])
-    else:
-        # dist and cross are symmetric and cross is false on the diagonal,
-        # so the upper triangle holds each pair once, not twice; the rates
-        # the sweep gives are the same.
-        upper = np.triu(cross)
-        sweep = ThresholdSweep.of(dist[upper], (codes[:, None] == codes)[upper])
-    cmc_y, cmc_findings = cmc_fractions(best, own, eval_ids)
-    eer = sweep.eer()
-    roc_far, roc_tar, auc = sweep.roc()
-    recall, precision, map_value = sweep.rcl_pcn()
-    # Parameterize the sweep by the empirical quantile of each threshold
-    # among all observed distances; folds then share the [0, 1] axis.
-    # The +inf sentinel duplicates the largest threshold's rates and is
-    # dropped; -inf lands at quantile 0 by itself.
-    qs = sweep.quantile[:-1]
+        enrolled = best < np.inf
+        return best, own, best[enrolled], own[enrolled]
+    # dist and cross are symmetric and cross is false on the diagonal, so
+    # the upper triangle holds each pair once, not twice; the rates the
+    # sweep gives are the same.
+    upper = np.triu(cross)
+    return best, own, dist[upper], (codes[:, None] == codes)[upper]
 
+
+def _fold_metrics(best, own, distance, genuine, probe_ids, separability, grid):
+    """(scalars, curves, findings): the fold's headline scalars, its grid
+    curves and the rank findings. One sweep of the pairs serves every
+    threshold metric; each is built in turn and is on the grid before
+    the next one is built."""
+    sweep = ThresholdSweep.of(distance, genuine)
+    cmc_y, findings = cmc_fractions(best, own, probe_ids)
+    eer = sweep.eer()
+    far, frr = sweep.far_frr_at(grid)
+    roc_far, roc_tar, auc = sweep.roc()
+    tar = np.interp(grid, roc_far, roc_tar)
+    recall, precision, map_value = sweep.rcl_pcn()
+    precision = np.interp(grid, recall, precision)
     scalars = {"ccr": float(cmc_y[0]), "eer": eer, "auc": auc, "map": map_value}
     scalars.update((k, getattr(separability, k)) for k in ("dbi", "di", "sc", "fdr"))
-    return _FoldResult(
-        separability=separability,
-        scalars=scalars,
-        curves={
-            "cmc": cmc_y,
-            "far": np.interp(grid, qs, sweep.far[:-1]),
-            "frr": np.interp(grid, qs, sweep.frr[:-1]),
-            "tar": np.interp(grid, roc_far, roc_tar),
-            "precision": np.interp(grid, recall, precision),
-        },
-        warnings=findings + separability.warnings + cmc_findings,
-    )
+    curves = {"cmc": cmc_y, "far": far, "frr": frr, "tar": tar, "precision": precision}
+    return scalars, curves, findings
 
 
 def run_protocol(

@@ -39,8 +39,8 @@ from marginforge import (
 )
 from marginforge._jsonio import load_json
 from marginforge.cli import main
-from marginforge.dataset import MAX_COORDINATE
-from marginforge.errors import ValidationError
+from marginforge.dataset import MAX_COORDINATE, _read_csv_rows
+from marginforge.errors import MarginforgeError, ValidationError
 from oracles import rowwise_dtw
 
 
@@ -613,6 +613,17 @@ class TestExitCodes:
                 {"classes": 3, "noise": False},
                 "option --noise must be float, got False",
             ),
+            # Past 2**53 a float may not be the integer the file spelled.
+            (
+                "gen",
+                {"classes": 3, "seed": 2.0**53 + 2},
+                "option --seed must be int, got 9007199254740994.0",
+            ),
+            (
+                "evaluate",
+                {"outer_folds": 1e308},
+                "option --outer-folds must be int, got 1e+308",
+            ),
         ],
     )
     def test_config_value_of_the_wrong_type_is_2(
@@ -633,6 +644,14 @@ class TestExitCodes:
         assert run(*argv, "--config", cfg) == 2
         assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
         assert not out.exists()
+
+    def test_config_whole_float_up_to_2_53_is_that_int(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2.0**53}))
+        args = ("gen", "--classes", 3, "--per-class", 4)
+        assert run(*args, "--config", cfg, "--output", tmp_path / "a.jsonl") == 0
+        assert run(*args, "--seed", 2**53, "--output", tmp_path / "b.jsonl") == 0
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
         "command, config, message",
@@ -1341,12 +1360,59 @@ def test_numeric_options_end_in_a_documented_exit(tmp_path_factory, command, dat
         code = run(*argv)
     assert code in DOCUMENTED_EXITS
     assert "Traceback" not in stderr.getvalue()
+    # Drawn integers are at most 2**62, and no product of four of them has
+    # 100 digits; a run that long is a config float past 2**53 read as the
+    # exact integer it rounds to (1e308 has 309 digits) and printed whole.
+    assert not re.search(r"\d{100}", stderr.getvalue())
     if code == 0:
         assert stderr.getvalue() == ""
         assert out.exists()
     else:
         assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
         assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_datasets_end_in_a_documented_exit(tmp_path_factory, fmt, data):
+    # One byte of a valid 3 x 6 set (2 joints x 3 frames) set to any value,
+    # or the file cut at any offset: evaluate and preprocess each exit 0,
+    # or with a documented code other than 1 and one error line.
+    folder = tmp_path_factory.mktemp("mutated")
+    valid = folder / f"valid.{fmt}"
+    assert run("gen", "--classes", 3, "--per-class", 6, "--joints", 2,
+               "--frames", 3, "--output", valid) == 0
+    raw = bytearray(valid.read_bytes())
+    offset = data.draw(st.integers(0, len(raw)), label="offset")
+    if offset < len(raw) and data.draw(st.booleans(), label="flip"):
+        raw[offset] = data.draw(st.integers(0, 255), label="byte")
+    else:
+        del raw[offset:]
+    path = folder / f"data.{fmt}"
+    path.write_bytes(raw)
+    for argv in (
+        ("evaluate", "--inner-folds", 2, "--output", folder / "r.json"),
+        ("preprocess", "--output", folder / "p.jsonl"),
+    ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run(*argv, "--input", path)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert code in DOCUMENTED_EXITS - {1}
+            assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
+    if fmt == "csv":
+        # The fast reader's contract: a file it loads reads as the row
+        # parser reads it.
+        try:
+            loaded = load_dataset(path, format="csv").samples
+        except MarginforgeError:
+            return
+        rows = _read_csv_rows(path)
+        assert [(s.sample_id, s.label) for s in loaded] == [
+            (s.sample_id, s.label) for s in rows]
+        assert [s.frames.tobytes() for s in loaded] == [s.frames.tobytes() for s in rows]
 
 
 REPORT_SCHEMA = json.loads(

@@ -407,6 +407,10 @@ GATE_REFUSALS = [
     pytest.param(f"s0,a,0,0,{MAX_COORDINATE!r},0,0\r\n"
                  f"s0,a,1,0,{-MAX_COORDINATE!r},0,0\r\n", id="at-the-bound"),
     *GATE_REFUSALS,
+    # numpy's parser reads \x1c-\x1f beside a number as blanks: the sign
+    # would be dropped, and the frame read as 1.
+    pytest.param("s0,a,0,0,1,\x1c2,3\r\ns0,a,1,0,4,5,6\r\n", id="control-for-a-sign"),
+    pytest.param("s0,a,0,0,1,2,3\r\ns0,a,1\x1f,0,4,5,6\r\n", id="control-after-a-frame"),
 ])
 def test_csv_reader_traps(tmp_path, body):
     path = tmp_path / "d.csv"

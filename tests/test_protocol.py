@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Pair
+from conftest import Pair, traced_peak
 from marginforge import (
     GaitSample,
     LabeledDataset,
     ProtocolConfig,
+    SeparabilityReport,
     SyntheticSpec,
     compute_scatter,
     context_of_rows,
@@ -253,6 +254,30 @@ class TestRunProtocol:
         finally:
             tracemalloc.stop()
         assert peak < 8 * dim**2
+
+    def test_a_folds_sweep_holds_at_most_8_times_its_pair_distances(self):
+        # 600 rows of 20 classes over 10 inner folds, every distance
+        # distinct, so the sweep has one threshold per pair: its counts and
+        # each metric's arrays are as long as the pair list.
+        n, rng = 600, np.random.default_rng(0)
+        dist = np.zeros((n, n))
+        dist[np.triu_indices(n, 1)] = rng.permutation(n * (n - 1) // 2) + 1.0
+        dist += dist.T
+        eval_idx, codes = np.arange(n), np.arange(n) // 30
+        inner_folds = tuple(tuple(range(k, n, 10)) for k in range(10))
+        separability = SeparabilityReport(
+            dbi=0.5, di=2.0, sc=0.5, fdr=3.0, per_class_sigma={}, class_centroids={}
+        )
+        grid = np.linspace(0.0, 1.0, protocol.GRID_POINTS)
+
+        def pairs():
+            return protocol._fold_pairs(dist, eval_idx, codes, inner_folds, "all")
+
+        pair_bytes = pairs()[2].nbytes  # 162000 pairs
+        probe_ids = [f"s{i}" for i in range(n)]
+        peak = traced_peak(lambda: protocol._fold_metrics(
+            *pairs(), probe_ids, separability, grid))
+        assert peak <= 8 * pair_bytes
 
     @pytest.mark.parametrize("method, calls", [
         ("mmc", 0), ("pca_lda", 0), ("identity", 3),
