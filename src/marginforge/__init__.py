@@ -1,9 +1,11 @@
 """marginforge: maximum-margin gait feature learning and evaluation.
 
 The package learns linear feature transforms from labeled gait cycles,
-matches templates with a Mahalanobis metric, and evaluates both class
-separability and rank/threshold recognition metrics under a nested
-cross-validation protocol.
+matches templates by Euclidean distance (the learned templates whiten
+total scatter, so that distance is its Mahalanobis one; the identity
+baseline matches the raw rows), and evaluates both class separability
+and rank/threshold recognition metrics under a nested cross-validation
+protocol.
 """
 
 from .dataset import (

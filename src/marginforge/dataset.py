@@ -42,14 +42,15 @@ class GaitSample:
     at most 2^481, so any 2^60 squared differences sum to at most 2^1022,
     a quarter of the float64 maximum, and a dataset that fits in memory
     has N * D < 2^60 coordinates (8 EiB). That bounds the DTW local
-    costs, the scatter sums and the noise-floor edge (at most 7/3 of such
-    a sum, as D >= 6); the filter bounds chain under 2^61 costs of at
-    most 2^511, and a class mean sums under 2^60 coordinates. Rounding
-    lifts a sum of nonnegative terms by less than the factor 1.65 for any
-    addition tree under 2^52 deep. Centering, the walk heading and the
-    rotation form values of at most 2^482, and a resampling slope divides
-    a difference by a frame step of at least 2^-60. A step whose output
-    passes the bound is refused when its output sample is made.
+    costs, the distances between raw rows, the scatter sums and the
+    noise-floor edge (at most 7/3 of such a sum, as D >= 6); the filter
+    bounds chain under 2^61 costs of at most 2^511, and a class mean sums
+    under 2^60 coordinates. Rounding lifts a sum of nonnegative terms by
+    less than the factor 1.65 for any addition tree under 2^52 deep.
+    Centering, the walk heading and the rotation form values of at most
+    2^482, and a resampling slope divides a difference by a frame step of
+    at least 2^-60. A step whose output passes the bound is refused when
+    its output sample is made.
     """
 
     frames: np.ndarray
@@ -392,12 +393,14 @@ def _read_csv_fast(path) -> Optional[list]:
     or fails a check; _read_csv_rows then reads it and raises any error.
     The first sample GaitSample refuses raises here, as in the row parser.
     numpy's parser reads the control bytes 0x1C-0x1F beside a number as
-    blanks, where int() and float() refuse them: a file holding one is None.
+    blanks, and a non-ASCII character in an int field as a digit, where
+    int() and float() refuse them: a file holding one, or any byte past
+    ASCII, is None.
     """
     with open(path, "rb") as fh:
-        chunks = iter(lambda: fh.read(1 << 20), b"")
-        if any(bytes([c]) in chunk for chunk in chunks for c in range(0x1C, 0x20)):
-            return None
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if not chunk.isascii() or any(c in chunk for c in range(0x1C, 0x20)):
+                return None
     ids, labels = _coder(), _coder()
     # newline="" keeps a quoted \r in an id or label as written.
     with open(path, newline="") as fh:

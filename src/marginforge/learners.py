@@ -378,8 +378,8 @@ def learner_for(
     name is the method with "-" read as "_"; learn(rows, labels) returns
     its FeatureTransform of the labeled rows. mmc learns at
     noise_floor_rank, so learn and evaluate learn the same transform.
-    learn is None for identity:
-    that route learns no transform, and its templates are the raw rows.
+    learn is None for identity: that route learns no transform, and the
+    evaluator matches its raw rows as they are, by Euclidean distance.
     pca_dim is learn_pcalda's rank (None: its default). Raises
     ValidationError on a name outside METHODS and on a pca_dim given to
     another method than pca_lda.

@@ -1,20 +1,18 @@
 """Class-separability coefficients over a labeled template population.
 
 separability_of_rows takes the templates as rows of a matrix, one label
-per row, the same rows whitened (learned templates already are; raw rows
-go through the matching context), and pairwise_distances of the whitened
-rows, which the evaluator's matching reads too. All four coefficients run
-in the whitened coordinates, where the matcher's Mahalanobis distance is
-the Euclidean one, so they describe exactly the geometry the matcher
-sees. separability_of_rows groups the rows, takes the class means of the
-whitened rows, and measures the dispersions, the centroid gaps and the
-spread as plain Euclidean geometry there; each scorer takes only the
-arrays it reads. The reported class centroids are the class means of the
-feature rows. Degenerate geometry (coincident whitened class means, zero
-dispersion) yields an infinity marker instead of an exception, plus a
-"DegenerateMetricWarning: ..." finding on the report that names the
-metric: a degenerate fold should show up in a report, not kill a run.
-Reports write the marker as JSON null.
+per row, and pairwise_distances of the rows, which the evaluator's
+matching reads too: the learned routes' templates, which whiten the
+learning fold's total scatter, or the identity route's raw rows. All four
+coefficients are plain Euclidean geometry on those rows, so they describe
+exactly the geometry the matcher sees. separability_of_rows groups the
+rows, takes their class means (the reported centroids), and measures the
+dispersions, the centroid gaps and the spread from them; each scorer
+takes only the arrays it reads. Degenerate geometry (coincident class
+means, zero dispersion) yields an infinity marker instead of an
+exception, plus a "DegenerateMetricWarning: ..." finding on the report
+that names the metric: a degenerate fold should show up in a report, not
+kill a run. Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
@@ -125,36 +123,29 @@ class SeparabilityReport:
 
 
 def separability_of_rows(
-    vectors: np.ndarray, labels: Sequence, whitened: np.ndarray, dist: np.ndarray
+    vectors: np.ndarray, labels: Sequence, dist: np.ndarray
 ) -> SeparabilityReport:
     """All four coefficients of the templates given as rows: labels[n]
-    names the class of row n, whitened[n] is row n whitened (row n itself
-    for learned templates), and dist is pairwise_distances of whitened.
-    Raises ContractError on fewer than 2 classes, and on labels, whitened
-    rows or dist that do not match the rows."""
+    names the class of row n, and dist is pairwise_distances of the rows.
+    Raises ContractError on fewer than 2 classes, and on labels or a dist
+    that do not match the rows."""
     n = len(vectors)
     if len(labels) != n:
         raise ContractError(f"{len(labels)} labels for {n} templates")
-    if len(whitened) != n or dist.shape != (n, n):
-        raise ContractError(
-            f"need {n} whitened rows and a ({n}, {n}) dist, got "
-            f"{len(whitened)} and {dist.shape}"
-        )
+    if dist.shape != (n, n):
+        raise ContractError(f"need a ({n}, {n}) dist, got {dist.shape}")
     labels, codes = np.unique(labels, return_inverse=True)
     if len(labels) < 2:
         raise ContractError("need at least 2 classes")
     labels = labels.tolist()  # sorted; class k is labels[k]
-    classes = range(len(labels))
-    centroids = np.stack([vectors[codes == k].mean(axis=0) for k in classes])
-    # Every distance is Euclidean in whitened coordinates. sigma: each
-    # class's mean member-to-centroid distance; gaps: the centroid-to-
-    # centroid distances; spread: the centroids' mean distance to the
-    # global mean.
-    means = np.stack([whitened[codes == k].mean(axis=0) for k in classes])
-    radius = np.linalg.norm(whitened - means[codes], axis=1)
+    # sigma: each class's mean member-to-centroid distance; gaps: the
+    # centroid-to-centroid distances; spread: the centroids' mean distance
+    # to the global mean.
+    centroids = np.stack([vectors[codes == k].mean(axis=0) for k in range(len(labels))])
+    radius = np.linalg.norm(vectors - centroids[codes], axis=1)
     sigma = np.bincount(codes, weights=radius) / np.bincount(codes)
-    gaps = pairwise_distances(means)
-    spread = float(np.linalg.norm(means - whitened.mean(axis=0), axis=1).mean())
+    gaps = pairwise_distances(centroids)
+    spread = float(np.linalg.norm(centroids - vectors.mean(axis=0), axis=1).mean())
     findings = []  # arguments evaluate in order: the scorers fill it first
     return SeparabilityReport(
         dbi=_davies_bouldin(labels, sigma, gaps, findings),

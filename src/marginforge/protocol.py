@@ -5,17 +5,17 @@ learns the feature transform on ONE fold, and evaluates on the union of
 the remaining folds: separability coefficients over the evaluation
 templates, then the rank and threshold metrics, in which every
 evaluation template is a probe once, against the templates of the other
-inner folds (10 by default) as gallery. Learned templates are matched as
-they are, since both learners whiten the learning fold's total scatter;
-the identity route whitens its raw rows by that fold's matching context.
-One matrix of Euclidean distances between those rows serves both:
-separability reads the rows and all of the matrix, and the metrics read
-each entry whose two rows lie in different inner folds, as per-identity
-minima and one threshold sweep.
+inner folds (10 by default) as gallery. Every route matches its rows as
+they are, by Euclidean distance: learned templates, which whiten the
+learning fold's total scatter, or for the identity route the raw rows,
+the baseline with no learning. One matrix of distances between those
+rows serves both: separability reads the rows and all of the matrix, and
+the metrics read each entry whose two rows lie in different inner folds,
+as per-identity minima and one threshold sweep.
 
-Leakage is structural: the transform and the matching context are
-functions of the learning fold only, and probes are stripped of their
-labels before matching; true labels come back only for scoring.
+Leakage is structural: the transform is a function of the learning fold
+only, and probes are stripped of their labels before matching; true
+labels come back only for scoring.
 
 Reports are deterministic: fold tasks are pure and internally sequential,
 results are assembled in fold order, and the findings each fold returns
@@ -38,8 +38,7 @@ from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import learner_for
 from .metrics_classification import CurveSeries, ThresholdSweep, cmc_fractions
 from .metrics_separability import SeparabilityReport, separability_of_rows
-from .template_space import (
-    _row_products, context_of_rows, pairwise_distances, template_rows)
+from .template_space import pairwise_distances, template_rows
 
 PAIR_POLICIES = ("all", "class_best")
 
@@ -197,23 +196,17 @@ def _run_fold(
 def _fold_rows(fold, vectors, sample_ids, label_codes, label_names, learn, plan):
     """(eval_idx, eval_ids, dist, separability, findings): the evaluation
     rows' distances and separability, from matched rows only this stage
-    holds. Learned templates whiten learning-fold total scatter, so they
-    are matched as they are; raw rows are whitened by the fold's context."""
-    learn_idx = list(plan.outer_folds[fold])
-    learn_codes = label_codes[learn_idx]
+    holds. Every route matches its rows as they are: the identity route
+    its raw rows, the learners their templates."""
     eval_idx = np.array(plan.evaluation_indices(fold))
     eval_ids = [sample_ids[i] for i in eval_idx]
-    if learn is None:
-        evaluation, findings = vectors[eval_idx], ()
-        context = context_of_rows(vectors[learn_idx], learn_codes)
-        whitened = _row_products(evaluation, context.whitener, eval_ids)
-    else:
-        transform = learn(vectors[learn_idx], learn_codes)
-        evaluation = whitened = template_rows(transform, vectors[eval_idx], eval_ids)
-        findings = transform.warnings
-    dist = pairwise_distances(whitened)
-    labels = label_names[label_codes[eval_idx]]
-    separability = separability_of_rows(evaluation, labels, whitened, dist)
+    rows, findings = vectors[eval_idx], ()
+    if learn is not None:
+        learn_idx = list(plan.outer_folds[fold])
+        transform = learn(vectors[learn_idx], label_codes[learn_idx])
+        rows, findings = template_rows(transform, rows, eval_ids), transform.warnings
+    dist = pairwise_distances(rows)
+    separability = separability_of_rows(rows, label_names[label_codes[eval_idx]], dist)
     return eval_idx, eval_ids, dist, separability, findings
 
 

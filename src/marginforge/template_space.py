@@ -4,18 +4,21 @@ A template is a gait sample pushed through a feature transform;
 template_rows pushes a whole (n, input_dim) matrix of flattened samples.
 Both learners whiten the learning fold's total scatter (Phi^T St Phi = I),
 so the Euclidean distance between their templates is already its
-Mahalanobis distance, and the evaluator matches them as they are: a
-context built from them would be an orthogonal matrix to rounding. The
-identity route has no transform; it matches the raw rows through a
-MatchingContext, the Mahalanobis distance of the learning fold's total
-scatter St, estimated once by context_of_rows. On the span of the data
-that distance is sqrt(g^T St^+ g) under the pseudo-inverse St^+ (Penrose
-1955). The context holds the D x r whitener W = Omega_r diag(1/s_r) read
-off the thin SVD of the rows' data matrix (scatter.total_scatter_basis),
-where r is the numerical rank, so W W^T = St^+; whiten() maps rows to
-v @ W, where the Mahalanobis distance is the Euclidean one and a direction
-that carries no data contributes nothing. pairwise_distances measures
-every pair of rows, each row against itself and the rows after it.
+Mahalanobis distance, and the evaluator matches them as they are. The
+identity route has no transform: the evaluator matches its raw rows as
+they are, by Euclidean distance, so it is a baseline with no learning.
+pairwise_distances measures every pair of rows, each row against itself
+and the rows after it.
+
+MatchingContext is the public Mahalanobis matcher, which the evaluator
+does not use: the distance of a population's total scatter St,
+estimated by context_of_rows. On the span of the data that distance is
+sqrt(g^T St^+ g) under the pseudo-inverse St^+ (Penrose 1955). The
+context holds the D x r whitener W = Omega_r diag(1/s_r) read off the
+thin SVD of the rows' data matrix (scatter.total_scatter_basis), where r
+is the numerical rank, so W W^T = St^+; whiten() maps rows to v @ W,
+where the Mahalanobis distance is the Euclidean one and a direction that
+carries no data contributes nothing.
 """
 
 from __future__ import annotations

@@ -411,6 +411,10 @@ GATE_REFUSALS = [
     # would be dropped, and the frame read as 1.
     pytest.param("s0,a,0,0,1,\x1c2,3\r\ns0,a,1,0,4,5,6\r\n", id="control-for-a-sign"),
     pytest.param("s0,a,0,0,1,2,3\r\ns0,a,1\x1f,0,4,5,6\r\n", id="control-after-a-frame"),
+    # numpy's parser reads a non-ASCII character in an int field as a digit,
+    # its code point less ord("0"): U+01FE would be read as frame 462.
+    pytest.param("".join(f"s0,a,{t},0,1,2,3\r\n" for t in range(462))
+                 + "s0,a,\u01fe,0,1,2,3\r\n", id="non-ascii-digit"),
 ])
 def test_csv_reader_traps(tmp_path, body):
     path = tmp_path / "d.csv"

@@ -41,10 +41,10 @@ ZERO_DISPERSION = (
 
 
 def separability(rows, labels, ctx):
-    """separability_of_rows with the whitened rows and the distance matrix
-    the evaluator passes: pairwise_distances of the whitened rows."""
+    """separability_of_rows of the rows whitened by ctx, with the distance
+    matrix the evaluator passes: pairwise_distances of those rows."""
     whitened = ctx.whiten(rows)
-    return separability_of_rows(rows, labels, whitened, pairwise_distances(whitened))
+    return separability_of_rows(whitened, labels, pairwise_distances(whitened))
 
 
 def separability_of(population, ctx):
@@ -211,14 +211,19 @@ class TestComputeSeparability:
                 ctx, m = random_spd_ctx(rng, dim)
             got = separability(rows, labels, ctx)
             want = brute_separability(records(rows, labels), m)
+            whitened = ctx.whiten(rows)
             for name in ("dbi", "di", "sc", "fdr"):
                 assert getattr(got, name) == pytest.approx(want[name], rel=1e-9)
             assert got.per_class_sigma.keys() == want["per_class_sigma"].keys()
             for lab, sigma in want["per_class_sigma"].items():
                 assert got.per_class_sigma[lab] == pytest.approx(sigma, rel=1e-9)
             assert got.per_class_sigma["c00"] == 0.0
-            for lab, centroid in want["class_centroids"].items():
-                assert got.class_centroids[lab].tobytes() == centroid.tobytes()
+            # The centroids are the class means of the rows passed: here,
+            # the whitened rows.
+            assert got.class_centroids.keys() == want["class_centroids"].keys()
+            for lab, centroid in got.class_centroids.items():
+                mean = whitened[np.array(labels) == lab].mean(axis=0)
+                assert centroid.tobytes() == mean.tobytes()
 
     def test_separation_ordering(self):
         near = separability_of(flats_1d(FIXTURE), identity_ctx(1))
@@ -271,17 +276,15 @@ class TestComputeSeparability:
             )
         rows, labels = flats_1d(FIXTURE)
         dist = pairwise_distances(rows)
-        with pytest.raises(ContractError, match="need 4 whitened rows"):
-            separability_of_rows(rows, labels, rows[:3], dist)
         with pytest.raises(ContractError, match="3 labels for 4 templates"):
-            separability_of_rows(rows, labels[:3], rows, dist)
+            separability_of_rows(rows, labels[:3], dist)
         with pytest.raises(ContractError, match=r"a \(4, 4\) dist"):
-            separability_of_rows(rows, labels, rows, dist[:, :3])
+            separability_of_rows(rows, labels, dist[:, :3])
 
 
-# One report of 400 overlapping rows in 20 classes, taken as already
-# whitened, written as JSON; a BLAS product in the silhouette's per-class
-# sums gives other bits at 2 threads than at 1 on these rows.
+# One report of 400 overlapping rows in 20 classes, written as JSON; a
+# BLAS product in the silhouette's per-class sums gives other bits at 2
+# threads than at 1 on these rows.
 THREADED_REPORT = """
 import json, sys
 import numpy as np
@@ -290,37 +293,44 @@ rng = np.random.default_rng(2)
 codes = rng.permutation(np.arange(400) % 20)
 rows = rng.normal(size=(20, 12))[codes] + rng.normal(size=(400, 12))
 labels = [f"c{c:02d}" for c in codes]
-report = separability_of_rows(rows, labels, rows, pairwise_distances(rows))
+report = separability_of_rows(rows, labels, pairwise_distances(rows))
 sys.stdout.write(json.dumps(report.to_json_dict()))
 """
 
-# The identity route's report on an eval-wide-shaped set (N = 300, D = 600):
-# whitening the raw rows in one BLAS product gives other bits at 2 threads
-# than at 1.
+# The identity route's report on a generated set, at the eval-wide shape
+# (N = 300, D = 600) and at a paper-shaped width (N = 80, D = 1860). Raw
+# rows are matched as they are, so no SVD or BLAS product moves a bit; an
+# SVD of the learning fold on this route gives other bits at 2 threads
+# than at 1 on the second set.
 THREADED_IDENTITY_REPORT = """
 import os, sys, tempfile
 from marginforge.cli import main
 with tempfile.TemporaryDirectory() as tmp:
-    data, out = os.path.join(tmp, "wide.csv"), os.path.join(tmp, "r.json")
-    assert main(["gen", "--classes", "10", "--per-class", "30", "--joints", "10",
-                 "--frames", "20", "--seed", "1", "--output", data]) == 0
+    data, out = os.path.join(tmp, "set.csv"), os.path.join(tmp, "r.json")
+    assert main(["gen", *sys.argv[1:], "--output", data]) == 0
     assert main(["evaluate", "--input", data, "--output", out, "--method",
                  "identity", "--pair-policy", "class-best"]) == 0
     with open(out, "rb") as f:
         sys.stdout.buffer.write(f.read())
 """
+GEN_FLAGS = ("--classes", "--per-class", "--joints", "--frames", "--seed")
 
 
 @pytest.mark.parametrize(
-    "script",
-    [THREADED_REPORT, THREADED_IDENTITY_REPORT],
-    ids=["separability", "evaluate-identity"],
+    "script, args",
+    [
+        (THREADED_REPORT, ()),
+        (THREADED_IDENTITY_REPORT, (10, 30, 10, 20, 1)),
+        (THREADED_IDENTITY_REPORT, (10, 8, 31, 20, 3)),
+    ],
+    ids=["separability", "evaluate-identity", "evaluate-identity-d1860"],
 )
-def test_report_bytes_do_not_depend_on_blas_threads(script):
+def test_report_bytes_do_not_depend_on_blas_threads(script, args):
     src = os.path.dirname(os.path.dirname(marginforge.__file__))
+    argv = [str(a) for pair in zip(GEN_FLAGS, args) for a in pair]
     reports = [
         subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, *argv],
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True, check=True, timeout=120,
         ).stdout

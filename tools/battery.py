@@ -9,12 +9,13 @@ working files of the checkout that holds this script. Both sides run the
 same commands, each in its own subprocess with OPENBLAS_NUM_THREADS=1 and
 relative paths, so that a message naming a file reads the same on both:
 
-- `gen` for the acceptance tests' RUN_SPEC (JSONL) and for the
-  eval-wide benchmark's shape (CSV); perfbench/workloads.py writes the
+- `gen` for the acceptance tests' RUN_SPEC (JSONL), for the eval-wide
+  benchmark's shape (CSV) and for a paper-shaped width, 31 joints by 20
+  frames (D = 1860, CSV); perfbench/workloads.py writes the
   preprocess-dtw benchmark's seed-1 input.
-- `evaluate` on both generated sets for every method, pair policy,
+- `evaluate` on each generated set for every method, pair policy,
   plan seed (0, 7) and inner fold count (2, 3), each writing its report
-  and four curve CSVs; `learn` on both for mmc and pca-lda.
+  and four curve CSVs; `learn` on each for mmc and pca-lda.
 - `preprocess` on the preprocess-dtw input raw, at --target-frames 0, and
   through every step with its DTW threshold, to JSONL and to CSV.
 - `compare` over each set's reports.
@@ -44,8 +45,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (file stem, gen flags): RUN_SPEC of tests/test_acceptance.py, and the
-# eval-wide workload's shape at its seed 1, in its CSV format.
+# (file stem, gen flags): RUN_SPEC of tests/test_acceptance.py, the
+# eval-wide workload's shape at its seed 1, in its CSV format, and a
+# paper-shaped width (N = 600, D = 1860) in CSV.
 INPUTS = (
     ("run.jsonl", ["--classes", "10", "--per-class", "50", "--joints", "5",
                    "--frames", "10", "--class-spread", "5", "--noise", "0.5",
@@ -53,6 +55,8 @@ INPUTS = (
     ("wide.csv", ["--classes", "10", "--per-class", "30", "--joints", "10",
                   "--frames", "20", "--class-spread", "5", "--noise", "0.5",
                   "--seed", "1"]),
+    ("d1860.csv", ["--classes", "20", "--per-class", "30", "--joints", "31",
+                   "--frames", "20", "--seed", "3"]),
 )
 METHODS = ("mmc", "pca-lda", "identity")
 POLICIES = ("all", "class-best")
