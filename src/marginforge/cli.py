@@ -358,8 +358,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("MARGINFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # A level name reads as its number; any other name, even one of the
+    # logging module's other attributes, as WARNING.
+    level = logging.getLevelName(os.environ.get("MARGINFORGE_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
     parser = build_parser()
     args = parser.parse_args(argv)

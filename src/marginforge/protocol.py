@@ -180,8 +180,11 @@ class _FoldResult:
 def _run_fold(
     fold, vectors, sample_ids, label_codes, label_names, learn, plan, config, grid
 ) -> _FoldResult:
-    # vectors is the sample matrix, one row per sample id; label_codes index
-    # the sorted label_names; learn is learner_for's (None: identity route).
+    """One outer fold's result. vectors is the sample matrix, one row per
+    sample id; label_codes index the sorted label_names; learn is
+    learner_for's (None: identity route). _fold_rows allocates the fold's
+    own distance matrix, so threads running other folds share none of it;
+    separability reads it there, before _fold_pairs writes into it."""
     eval_idx, eval_ids, dist, separability, findings = _fold_rows(
         fold, vectors, sample_ids, label_codes, label_names, learn, plan)
     best, own, distance, genuine = _fold_pairs(
@@ -214,29 +217,27 @@ def _fold_pairs(dist, eval_idx, label_codes, inner_folds, pair_policy):
     """(best, own, distance, genuine): the rank metrics' score block and
     the sweep's pairs under pair_policy. Every two evaluation rows in
     different inner folds are a probe/gallery pair; a probe's own label
-    only flags its genuine pairs."""
+    only flags its genuine pairs. Takes over dist, which separability has
+    already read: each inner fold's own block, diagonal included, is set
+    to +inf, so every finite entry left is a pair (distances are finite)."""
     codes = label_codes[eval_idx]
-    inner = np.empty(len(eval_idx), dtype=np.intp)
-    for k, part in enumerate(inner_folds):
-        inner[np.searchsorted(eval_idx, part)] = k
-    cross = inner[:, None] != inner
+    for part in inner_folds:
+        rows = np.searchsorted(eval_idx, part)
+        dist[np.ix_(rows, rows)] = np.inf
     # best[p, k]: probe p's minimum distance to the gallery rows of the k-th
-    # identity present; +inf exactly where it has none (distances are finite).
+    # identity present; +inf exactly where it has none.
     present = np.flatnonzero(np.bincount(codes))
     best = np.empty((len(eval_idx), len(present)))
     for k, c in enumerate(present):
-        members = np.flatnonzero(codes == c)
-        best[:, k] = np.min(
-            dist[:, members], axis=1, where=cross[:, members], initial=np.inf)
+        best[:, k] = dist[:, codes == c].min(axis=1)
     own = codes[:, None] == present
     if pair_policy == "class_best":
         # One pair per probe and gallery identity, at its best distance.
         enrolled = best < np.inf
         return best, own, best[enrolled], own[enrolled]
-    # dist and cross are symmetric and cross is false on the diagonal, so
-    # the upper triangle holds each pair once, not twice; the rates the
-    # sweep gives are the same.
-    upper = np.triu(cross)
+    # dist is symmetric and +inf on the diagonal, so the upper triangle
+    # holds each pair once, not twice; the rates the sweep gives are the same.
+    upper = np.triu(dist < np.inf)
     return best, own, dist[upper], (codes[:, None] == codes)[upper]
 
 
@@ -275,9 +276,16 @@ def run_protocol(
     method, learn = learner_for(method, config.pca_dim)
 
     vectors = flatten_all(dataset.samples)
-    covered = sorted(i for fold in plan.outer_folds for i in fold)
-    if covered != list(range(dataset.num_samples)):
+    everything = list(range(dataset.num_samples))
+    if sorted(i for fold in plan.outer_folds for i in fold) != everything:
         raise ContractError("fold plan does not partition this dataset")
+    for f in range(plan.n_outer):
+        parts = plan.inner_folds[f] if f < len(plan.inner_folds) else ()
+        outside = sorted(set(everything) - set(plan.outer_folds[f]))
+        if len(parts) != plan.n_inner or sorted(i for p in parts for i in p) != outside:
+            raise ContractError(
+                f"fold plan: the inner folds of outer fold {f} do not "
+                "partition the samples outside it")
 
     sample_ids = [s.sample_id for s in dataset.samples]
     label_names, label_codes = np.unique(

@@ -1467,6 +1467,19 @@ class TestLogEnvironment:
         monkeypatch.setenv("MARGINFORGE_LOG", "banana")
         assert run(*gen_args(tmp_path / "x.jsonl")) == 0
 
+    @pytest.mark.parametrize("name", ["BASIC_FORMAT", "_styles"])
+    def test_a_logging_attribute_that_is_no_level_falls_back(self, tmp_path, name):
+        # In a fresh process, where basicConfig sets the root level; under
+        # pytest the root logger already has handlers and it does nothing.
+        src = os.path.dirname(os.path.dirname(marginforge.__file__))
+        argv = map(str, gen_args(tmp_path / "x.jsonl"))
+        done = subprocess.run(
+            [sys.executable, "-m", "marginforge.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, "MARGINFORGE_LOG": name},
+            capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_learn_logs_each_learner_finding(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(learners, "OFF_DIAGONAL_WARN", -1.0)
         data = tmp_path / "data.jsonl"

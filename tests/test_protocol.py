@@ -1,5 +1,6 @@
 """Nested cross-validation protocol and report aggregation."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -257,29 +258,49 @@ class TestRunProtocol:
             tracemalloc.stop()
         assert peak < 8 * dim**2
 
-    def test_a_folds_sweep_holds_at_most_8_times_its_pair_distances(self):
+    @staticmethod
+    def fold_of_600_rows():
         # 600 rows of 20 classes over 10 inner folds, every distance
-        # distinct, so the sweep has one threshold per pair: its counts and
-        # each metric's arrays are as long as the pair list.
+        # distinct: (dist, eval_idx, codes, inner_folds) for _fold_pairs.
         n, rng = 600, np.random.default_rng(0)
         dist = np.zeros((n, n))
         dist[np.triu_indices(n, 1)] = rng.permutation(n * (n - 1) // 2) + 1.0
         dist += dist.T
-        eval_idx, codes = np.arange(n), np.arange(n) // 30
         inner_folds = tuple(tuple(range(k, n, 10)) for k in range(10))
+        return dist, np.arange(n), np.arange(n) // 30, inner_folds
+
+    def test_a_folds_sweep_holds_at_most_8_times_its_pair_distances(self):
+        # Every distance is distinct, so the sweep has one threshold per
+        # pair: its counts and each metric's arrays are as long as the pair
+        # list. The pair stage writes into its matrix, so each call gets its
+        # own, and the copy is made before the trace starts.
+        dist, eval_idx, codes, inner_folds = self.fold_of_600_rows()
         separability = SeparabilityReport(
             dbi=0.5, di=2.0, sc=0.5, fdr=3.0, per_class_sigma={}, class_centroids={}
         )
         grid = np.linspace(0.0, 1.0, protocol.GRID_POINTS)
 
-        def pairs():
-            return protocol._fold_pairs(dist, eval_idx, codes, inner_folds, "all")
+        def pairs(matrix):
+            return protocol._fold_pairs(matrix, eval_idx, codes, inner_folds, "all")
 
-        pair_bytes = pairs()[2].nbytes  # 162000 pairs
-        probe_ids = [f"s{i}" for i in range(n)]
+        pair_bytes = pairs(dist.copy())[2].nbytes  # 162000 pairs
+        probe_ids = [f"s{i}" for i in range(len(eval_idx))]
         peak = traced_peak(lambda: protocol._fold_metrics(
-            *pairs(), probe_ids, separability, grid))
+            *pairs(dist), probe_ids, separability, grid))
         assert peak <= 8 * pair_bytes
+
+    @pytest.mark.parametrize("policy, bound", [("class_best", 4), ("all", 2)])
+    def test_a_folds_pair_stage_holds_a_small_multiple_of_its_pairs(
+        self, policy, bound
+    ):
+        # The stage reads the matrix it is given in place: beside its pairs
+        # it holds one identity's columns or the all policy's two masks.
+        dist, eval_idx, codes, inner_folds = self.fold_of_600_rows()
+        pair_bytes = protocol._fold_pairs(
+            dist.copy(), eval_idx, codes, inner_folds, policy)[2].nbytes
+        peak = traced_peak(lambda: protocol._fold_pairs(
+            dist, eval_idx, codes, inner_folds, policy))
+        assert peak <= bound * pair_bytes
 
     @pytest.mark.parametrize("method, calls", [
         ("mmc", 3), ("pca_lda", 3), ("identity", 0),
@@ -344,6 +365,29 @@ class TestRunProtocol:
         plan = plan_folds(other, outer=3, inner=2, seed=0)
         with pytest.raises(ContractError):
             run_protocol(ds, "mmc", plan)
+
+    @pytest.mark.parametrize("edit", ["leak", "overlap", "miss", "count"])
+    def test_inner_folds_must_partition_each_evaluation_set(self, edit):
+        # Each outer fold's inner folds must hold each sample outside it
+        # exactly once, in as many parts as the config echo reports (the
+        # first fold's count).
+        ds = small_dataset(seed=1)
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        first, second = plan.inner_folds[0]
+        fold, parts = {
+            "leak": (0, (first + plan.outer_folds[0][:1], second)),
+            "overlap": (0, (first, second + first[:1])),
+            "miss": (0, (first[1:], second)),
+            "count": (2, (sum(plan.inner_folds[2], ()),)),
+        }[edit]
+        inner_folds = list(plan.inner_folds)
+        inner_folds[fold] = parts
+        bad = dataclasses.replace(plan, inner_folds=tuple(inner_folds))
+        with pytest.raises(ContractError, match=(
+            f"^fold plan: the inner folds of outer fold {fold} do not "
+            "partition the samples outside it$"
+        )):
+            run_protocol(ds, "mmc", bad)
 
     def test_mixed_frame_counts_rejected(self):
         ds = small_dataset()

@@ -15,7 +15,8 @@ relative paths, so that a message naming a file reads the same on both:
   preprocess-dtw benchmark's seed-1 input.
 - `evaluate` on each generated set for every method, pair policy,
   plan seed (0, 7) and inner fold count (2, 3), each writing its report
-  and four curve CSVs; `learn` on each for mmc and pca-lda.
+  and four curve CSVs, and again at --workers 3 for plan seed 7 and 3
+  inner folds; `learn` on each for mmc and pca-lda.
 - `preprocess` on the preprocess-dtw input raw, at --target-frames 0, and
   through every step with its DTW threshold, to JSONL and to CSV.
 - `compare` over each set's reports.
@@ -62,6 +63,7 @@ METHODS = ("mmc", "pca-lda", "identity")
 POLICIES = ("all", "class-best")
 PLAN_SEEDS = ("0", "7")
 INNER_FOLDS = ("2", "3")
+THREADED = ("7", "3")  # (plan seed, inner folds) also run at --workers 3
 DTW_INPUT = os.path.join("dtw", "input.jsonl")
 
 
@@ -73,10 +75,14 @@ def commands(dtw_threshold: str) -> list:
         reports = []
         for method, policy, seed, inner in itertools.product(
                 METHODS, POLICIES, PLAN_SEEDS, INNER_FOLDS):
-            reports.append(f"eval/{stem}-{method}-{policy}-s{seed}-i{inner}.json")
-            runs.append(["evaluate", "--input", data, "--output", reports[-1],
-                         "--method", method, "--pair-policy", policy,
-                         "--seed", seed, "--inner-folds", inner])
+            name = f"eval/{stem}-{method}-{policy}-s{seed}-i{inner}"
+            flags = ["--method", method, "--pair-policy", policy,
+                     "--seed", seed, "--inner-folds", inner]
+            reports.append(f"{name}.json")
+            runs.append(["evaluate", "--input", data, "--output", reports[-1], *flags])
+            if (seed, inner) == THREADED:
+                runs.append(["evaluate", "--input", data, "--output",
+                             f"{name}-w3.json", *flags, "--workers", "3"])
         for method in METHODS[:2]:
             runs.append(["learn", "--input", data, "--method", method,
                          "--output", f"learn/{stem}-{method}.json"])
