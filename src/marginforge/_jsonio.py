@@ -1,4 +1,5 @@
-"""Shared JSON file helpers: atomic writes, parse errors with context."""
+"""Shared JSON file helpers: atomic writes, parse errors with context, and
+the one rule that types a value read from a JSON document."""
 
 from __future__ import annotations
 
@@ -54,6 +55,27 @@ def write_json(path, obj):
 def finite_or_null(value: float):
     """value, or None (JSON null) when it is infinite or NaN."""
     return value if math.isfinite(value) else None
+
+
+def json_as(value, kind: type):
+    """value, as json parsed it, read as kind (int, float, bool or str);
+    ValueError if it is not one. A boolean or a string is never a number.
+    An int is a JSON integer or a whole float of magnitude at most 2**53
+    (past that, the float may not be the integer the document spelled). A
+    float is a number whose float64 value is finite, so 1e400, which json
+    reads as inf, is refused, and so is an integer past the float64 range."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if kind is int and number and (
+                isinstance(value, int) or value.is_integer() and abs(value) <= 2**53):
+            return int(value)
+        if kind is float and number and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past the float64 range
+        pass
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ValueError(f"not a JSON {kind.__name__}")
 
 
 def load_json(path, what: str = "file"):

@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-from ._jsonio import atomic_write_text, load_json, write_json
+from ._jsonio import atomic_write_text, json_as, load_json, write_json
 from .dataset import (
     LabeledDataset,
     SyntheticSpec,
@@ -88,31 +88,22 @@ class _Options:
             self._config = obj
 
     def get(self, key: str, default=None, kind=None):
-        """The flag, else the config file's value, else default (a null
-        in the file counts as unset). The file is untyped, so the value is
-        passed through kind (int, float, str) when one is given; a boolean,
-        a float that is not a whole number of magnitude at most 2**53 (past
-        that, the float may not be the integer the file spelled), or a str
-        option's non-string is refused."""
+        """The flag, as argparse typed it, else the config file's value,
+        else default (a null in the file counts as unset). A file value is
+        read as kind (int, float or str) by _jsonio.json_as when one is
+        given, and refused when it is not one."""
         value = self._args.get(key)
         if value is None:
             value = self._config.get(key)
-        if value is None:
-            value = default
-        if kind is None or value is None:
-            return value
-        inexact = kind is int and isinstance(value, float) and not (
-            value.is_integer() and abs(value) <= 2**53)
-        mistyped = kind is str and not isinstance(value, str)
-        if not isinstance(value, bool) and not inexact and not mistyped:
-            try:
-                return kind(value)
-            except (TypeError, ValueError):
-                pass
-        raise ValidationError(
-            f"option --{key.replace('_', '-')} must be {kind.__name__}, "
-            f"got {value!r}"
-        )
+            if value is not None and kind is not None:
+                try:
+                    value = json_as(value, kind)
+                except ValueError:
+                    raise ValidationError(
+                        f"option --{key.replace('_', '-')} must be {kind.__name__}, "
+                        f"got {value!r}"
+                    ) from None
+        return default if value is None else value
 
     def require(self, key: str, kind=None):
         value = self.get(key, kind=kind)
@@ -239,30 +230,29 @@ def cmd_evaluate(opts: _Options) -> int:
 
 
 def cmd_compare(opts: _Options) -> int:
-    paths = opts.require("inputs")
     keys = ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map")
     rows = []
-    for path in paths:
+    for path in opts.require("inputs"):
         report = load_json(path, what="report")
+        if not isinstance(report, dict):
+            raise SchemaError(f"report {path}: a report must be a JSON object")
         try:
+            for section in ("config", "headline"):
+                if not isinstance(report[section], dict):
+                    raise SchemaError(f"report {path}: {section} is not an object")
             method = report["config"]["method"]
-            headline = report["headline"]
-            values = [headline[k] for k in keys]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"report {path}: missing field {exc}")
+            values = [report["headline"][k] for k in keys]
+        except KeyError as exc:
+            raise SchemaError(f"report {path}: missing field {exc}") from None
         if not isinstance(method, str):
             raise SchemaError(f"report {path}: config.method is not a string")
         numbers = []
         for key, value in zip(keys, values):
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise SchemaError(f"report {path}: headline.{key} is not a number")
             try:
-                numbers.append(None if value is None else float(value))
-            except OverflowError:
+                numbers.append(None if value is None else json_as(value, float))
+            except ValueError:
                 raise SchemaError(
-                    f"report {path}: headline.{key} is too large for a float"
+                    f"report {path}: headline.{key} is not a number"
                 ) from None
         rows.append((method, numbers))
 
@@ -297,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic labeled dataset")
     common(p)
     p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int, dest="per_class")
+    p.add_argument("--per-class", type=int)
     p.add_argument("--joints", type=int)
     p.add_argument("--frames", type=int)
-    p.add_argument("--class-spread", type=float, dest="class_spread")
+    p.add_argument("--class-spread", type=float)
     p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
@@ -309,22 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--root-joint", type=int, dest="root_joint")
-    p.add_argument("--up-axis", choices=["x", "y", "z"], dest="up_axis")
-    p.add_argument(
-        "--target-frames",
-        type=int,
-        dest="target_frames",
-        help="common cycle length; 0 means the dataset's average length",
-    )
-    p.add_argument("--dtw-threshold", type=float, dest="dtw_threshold")
+    p.add_argument("--root-joint", type=int)
+    p.add_argument("--up-axis", choices=["x", "y", "z"])
+    p.add_argument("--target-frames", type=int,
+                   help="common cycle length; 0 means the dataset's average length")
+    p.add_argument("--dtw-threshold", type=float)
 
     p = sub.add_parser("learn", help="fit a feature transform")
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
     p.add_argument("--method", choices=["mmc", "pca-lda"])
-    p.add_argument("--pca-dim", type=int, dest="pca_dim")
+    p.add_argument("--pca-dim", type=int)
 
     p = sub.add_parser("evaluate", help="run the nested cross-validation")
     common(p)
@@ -332,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--method", choices=["mmc", "pca-lda", "identity"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--outer-folds", type=int, dest="outer_folds")
-    p.add_argument("--inner-folds", type=int, dest="inner_folds")
-    p.add_argument(
-        "--pair-policy", choices=["all", "class-best"], dest="pair_policy"
-    )
-    p.add_argument("--pca-dim", type=int, dest="pca_dim")
+    p.add_argument("--outer-folds", type=int)
+    p.add_argument("--inner-folds", type=int)
+    p.add_argument("--pair-policy", choices=["all", "class-best"])
+    p.add_argument("--pca-dim", type=int)
     p.add_argument("--workers", type=int)
 
     p = sub.add_parser("compare", help="tabulate headline scalars of reports")

@@ -34,7 +34,7 @@ MAX_COORDINATE = 2.0**480  # about 3.12e144: see GaitSample
 
 @dataclass(frozen=True, eq=False)
 class GaitSample:
-    """One gait cycle: frames of shape (T, J, 3), optional identity label.
+    """One gait cycle: frames of shape (T, J, 3) and its identity label.
 
     A coordinate that is not finite, or past MAX_COORDINATE = 2^480 in
     magnitude, raises SchemaError naming the sample. The bound keeps what
@@ -54,16 +54,14 @@ class GaitSample:
     """
 
     frames: np.ndarray
-    label: Optional[str]
+    label: str
     sample_id: str
 
     def __post_init__(self):
         if not isinstance(self.sample_id, str):
             raise SchemaError(f"sample {self.sample_id!r}: sample_id must be a string")
-        if not isinstance(self.label, (str, type(None))):
-            raise SchemaError(
-                f"sample {self.sample_id!r}: label must be a string or null"
-            )
+        if not isinstance(self.label, str):
+            raise SchemaError(f"sample {self.sample_id!r}: label must be a string")
         frames = np.array(self.frames, dtype=np.float64, order="C")  # own copy
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise SchemaError(
@@ -122,8 +120,6 @@ class LabeledDataset:
             if s.sample_id in seen:
                 raise SchemaError(f"duplicate sample_id {s.sample_id!r}")
             seen.add(s.sample_id)
-            if s.label is None:
-                raise SchemaError(f"sample {s.sample_id!r} is unlabeled")
             if s.joint_count != joint_count:
                 raise SchemaError(
                     f"inconsistent joint counts: sample {s.sample_id!r} has "
@@ -149,8 +145,8 @@ class LabeledDataset:
 def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
     """The (N, D) sample matrix: row n is sample n's frames flattened.
 
-    Every sample must be labeled and have the first one's frame count T,
-    the dataset-wide normalized length; any other length is a contract
+    Every sample must have the first one's frame count T, the
+    dataset-wide normalized length; any other length is a contract
     violation rather than silently resampled. Every sum that learning and
     matching form over the matrix stays finite by GaitSample's bound.
     """
@@ -163,8 +159,6 @@ def flatten_all(samples: Sequence[GaitSample]) -> np.ndarray:
                 f"sample {s.sample_id!r} has {s.frame_count} frames, "
                 f"expected {frame_count}: run preprocess with --target-frames first"
             )
-        if s.label is None:
-            raise ContractError(f"sample {s.sample_id!r} is unlabeled")
     return np.stack([s.frames.reshape(-1) for s in samples])
 
 
@@ -329,11 +323,12 @@ def _load_jsonl(path) -> list:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"line {lineno}: a record must be a JSON object")
             try:
-                sample_id = record["sample_id"]
-                label = record["label"]
-                frames = record["frames"]
-            except (TypeError, KeyError) as exc:
+                sample_id, label, frames = (
+                    record[key] for key in ("sample_id", "label", "frames"))
+            except KeyError as exc:
                 raise ParseError(f"line {lineno}: missing field {exc}") from exc
             try:
                 # No dtype: float() would read "1.5" and true as numbers.

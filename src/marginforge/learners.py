@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._jsonio import load_json, write_json
+from ._jsonio import json_as, load_json, write_json
 from .errors import ContractError, SchemaError, ValidationError
 from .scatter import ScatterBasis, ScatterStatistics, total_scatter_basis
 
@@ -184,14 +184,12 @@ class FeatureTransform:
 
 
 def _scalar(doc: dict, key: str, kind: type):
-    """doc[key] as kind: a JSON boolean for bool, a whole non-bool number for int."""
-    value = doc[key]
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
-        return value
-    what = "boolean" if kind is bool else "whole number"
-    raise SchemaError(f"{key} must be a {what}")
+    """doc[key] read as kind, bool or int, by _jsonio.json_as."""
+    try:
+        return json_as(doc[key], kind)
+    except ValueError:
+        what = "boolean" if kind is bool else "whole number"
+        raise SchemaError(f"{key} must be a {what}") from None
 
 
 def _finite_reals(doc: dict, key: str) -> np.ndarray:

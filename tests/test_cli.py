@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -37,7 +38,7 @@ from marginforge import (
     run_protocol,
     save_dataset,
 )
-from marginforge._jsonio import load_json
+from marginforge._jsonio import json_as, load_json
 from marginforge.cli import main
 from marginforge.dataset import MAX_COORDINATE, _read_csv_rows
 from marginforge.errors import MarginforgeError, ValidationError
@@ -510,6 +511,16 @@ class TestExitCodes:
         assert err.startswith("marginforge: ParseError: line 1: invalid JSON (")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"s0"', "5", "null"])
+    def test_a_dataset_line_that_is_not_an_object_is_3(self, tmp_path, capsys, line):
+        data = tmp_path / "lines.jsonl"
+        good = {"sample_id": "s0", "label": "a", "frames": [[[0, 0, 0]], [[1, 1, 1]]]}
+        data.write_text(json.dumps(good) + "\n" + line + "\n")
+        assert run("learn", "--input", data, "--output", tmp_path / "t.json") == 3
+        assert capsys.readouterr().err == (
+            "marginforge: ParseError: line 2: a record must be a JSON object\n"
+        )
+
     @pytest.mark.parametrize("frames", [
         {"a": 1},
         [[[{"x": 1}, 0, 0]], [[0, 0, 0]]],
@@ -568,7 +579,9 @@ class TestExitCodes:
         [
             ({"headline": {"ccr": "abc"}}, "headline.ccr is not a number"),
             ({"config": {"method": 5}}, "config.method is not a string"),
-            ({"headline": {"eer": 10**400}}, "headline.eer is too large for a float"),
+            ({"headline": {"eer": 10**400}}, "headline.eer is not a number"),
+            # Written as the literal 1e400, which json reads as inf.
+            ({"headline": {"sc": math.inf}}, "headline.sc is not a number"),
         ],
     )
     def test_malformed_report_values_are_4(self, tmp_path, capsys, edit, message):
@@ -581,10 +594,31 @@ class TestExitCodes:
         for section, values in edit.items():
             report[section].update(values)
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(report))
+        path.write_text(json.dumps(report).replace("Infinity", "1e400"))
         assert run("compare", path) == 4
         assert capsys.readouterr().err == (
             f"marginforge: SchemaError: report {path}: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "a report must be a JSON object"),
+            ('"report"', "a report must be a JSON object"),
+            ('{"config": ["mmc"], "headline": {}}', "config is not an object"),
+            ('{"config": {"method": "mmc"}, "headline": "x"}',
+             "headline is not an object"),
+        ],
+        ids=["list", "string", "config-list", "headline-string"],
+    )
+    def test_a_report_or_section_that_is_not_an_object_is_4(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert run("compare", path) == 4
+        assert capsys.readouterr() == (
+            "", f"marginforge: SchemaError: report {path}: {message}\n"
         )
 
     @pytest.mark.parametrize(
@@ -624,6 +658,13 @@ class TestExitCodes:
                 {"outer_folds": 1e308},
                 "option --outer-folds must be int, got 1e+308",
             ),
+            pytest.param(
+                "gen",
+                {"classes": 3, "noise": 10**400},
+                f"option --noise must be float, got {10**400}",
+                id="gen-noise-past-the-float-range",
+            ),
+            ("gen", {"classes": 3, "seed": "7"}, "option --seed must be int, got '7'"),
         ],
     )
     def test_config_value_of_the_wrong_type_is_2(
@@ -644,6 +685,43 @@ class TestExitCodes:
         assert run(*argv, "--config", cfg) == 2
         assert capsys.readouterr().err == f"marginforge: ValidationError: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, kind, read", [
+        (7, int, 7),
+        (7.0, int, 7),
+        (2.0**53, int, 2**53),
+        (10**400, int, 10**400),
+        (2.0**53 + 2, int, None),
+        (2.5, int, None),
+        (True, int, None),
+        ("7", int, None),
+        (5, float, 5.0),
+        # Past the float64 maximum, but rounds to it.
+        (2**1024 - 2**970 - 1, float, sys.float_info.max),
+        (2**1024 - 2**970, float, None),
+        (math.inf, float, None),
+        (False, float, None),
+        ("1.5", float, None),
+        (None, float, None),
+        (True, bool, True),
+        (1, bool, None),
+        ("x", str, "x"),
+        (5, str, None),
+        (["x"], str, None),
+    ], ids=[
+        "int", "whole-float", "float-2-53", "int-past-floats", "float-past-2-53",
+        "fraction", "true-as-int", "string-as-int", "int-as-float",
+        "int-rounding-to-max", "int-rounding-past-max", "inf", "false-as-float",
+        "string-as-float", "null", "true", "one-as-bool", "string", "int-as-str",
+        "list-as-str",
+    ])
+    def test_json_as_reads_by_one_rule(self, value, kind, read):
+        if read is None:
+            with pytest.raises(ValueError):
+                json_as(value, kind)
+        else:
+            assert type(json_as(value, kind)) is kind
+            assert json_as(value, kind) == read
 
     def test_config_whole_float_up_to_2_53_is_that_int(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -724,6 +802,7 @@ class TestExitCodes:
             ("label", True, True, "'id000s000'"),
             # One int label among string labels.
             ("label", 1, False, "'id000s000'"),
+            ("label", None, False, "'id000s000'"),
         ],
     )
     def test_a_non_string_id_or_label_is_4(
@@ -741,9 +820,8 @@ class TestExitCodes:
         assert run(
             "evaluate", "--input", bad, "--output", report, "--method", "identity"
         ) == 4
-        must = {"sample_id": "a string", "label": "a string or null"}[field]
         assert capsys.readouterr().err == (
-            f"marginforge: SchemaError: sample {named}: {field} must be {must}\n"
+            f"marginforge: SchemaError: sample {named}: {field} must be a string\n"
         )
         assert not report.exists()
 
@@ -1376,6 +1454,122 @@ def test_numeric_options_end_in_a_documented_exit(tmp_path_factory, command, dat
     else:
         assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
         assert not out.exists()
+
+
+# The options of gen, preprocess, learn and evaluate that name no file,
+# the flags each is given where a config sets none, and config values of
+# every JSON type but numbers: none but null is a value any of them takes.
+CONFIG_OPTIONS = {
+    "gen": ("classes", "per_class", "joints", "frames", "class_spread", "noise",
+            "seed", "format"),
+    "preprocess": ("root_joint", "up_axis", "target_frames", "dtw_threshold",
+                   "format"),
+    "learn": ("method", "pca_dim", "format"),
+    "evaluate": ("method", "seed", "outer_folds", "inner_folds", "pair_policy",
+                 "pca_dim", "workers", "format"),
+}
+CONFIG_FLAGS = {
+    "gen": BASE_OPTIONS["gen"],
+    "preprocess": {},
+    "learn": {"method": "pca-lda", "pca_dim": 2},
+    "evaluate": {"method": "pca-lda", "inner_folds": 2},
+}
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["7", "a"]))
+NON_NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["7", "2.5", "nan", "1e400", "abc"]),
+    st.lists(JSON_SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "7"]), JSON_SCALARS, max_size=2),
+)
+
+
+@pytest.mark.parametrize("command", list(CONFIG_OPTIONS))
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_config_values_that_are_not_numbers_end_in_a_documented_exit(
+    tmp_path_factory, command, data
+):
+    # A null counts as unset; any other value here is of the wrong type for
+    # its option and is refused (exit 2) before any output is written.
+    config = data.draw(st.dictionaries(
+        st.sampled_from(CONFIG_OPTIONS[command]), NON_NUMBERS, min_size=1))
+    folder = tmp_path_factory.mktemp("config")
+    out = folder / ("out.json" if command == "evaluate" else "out.jsonl")
+    argv = [command, "--output", out, "--config", folder / "config.json"]
+    if command != "gen":
+        assert run(*gen_args(folder / "in.jsonl")) == 0
+        argv += ["--input", folder / "in.jsonl"]
+    for key, value in CONFIG_FLAGS[command].items():
+        if key not in config:
+            argv += [f"--{key.replace('_', '-')}", value]
+    (folder / "config.json").write_text(json.dumps(config))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(*argv)
+    assert code in DOCUMENTED_EXITS - {1}
+    if any(value is not None for value in config.values()):
+        assert code == 2
+    if code == 0:
+        assert stderr.getvalue() == ""
+        assert out.exists()
+    else:
+        assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
+        assert not out.exists()
+
+
+HEADLINE_KEYS = ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    field=st.sampled_from(["method", *HEADLINE_KEYS]),
+    text=st.one_of(
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4))
+        .map(json.dumps),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+            | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=2)
+            | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+            max_leaves=4,
+        ).map(json.dumps),
+        st.sampled_from(["1e400", "-1e400", "1" + "0" * 400]),
+    ),
+)
+def test_compare_of_an_edited_report_shows_finite_numbers_or_exits_3_or_4(
+    tmp_path_factory, field, text
+):
+    # One headline value or config.method of a valid report set to a JSON
+    # value of any type, or to a literal past the float64 range (json reads
+    # 1e400 as inf). json.dumps writes an infinite float as Infinity, a
+    # token the report reader refuses (exit 3).
+    report = {"config": {"method": "mmc"},
+              "headline": dict.fromkeys(HEADLINE_KEYS, 0.5)}
+    section = "config" if field == "method" else "headline"
+    report[section][field] = "@edit@"
+    path = tmp_path_factory.mktemp("compare") / "report.json"
+    path.write_text(json.dumps(report).replace('"@edit@"', text))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run("compare", path)
+    if code == 0:
+        assert stderr.getvalue() == ""
+        row = stdout.getvalue().splitlines()[-1]
+        if field == "method":
+            assert row.endswith("    0.5000" * 8)
+        else:
+            # Eight cells, each n/a or a finite number with four decimals;
+            # a number past the 10-character cell runs into the one before.
+            assert re.fullmatch(r"mmc   ( *(n/a|-?\d+\.\d{4})){8}", row)
+    else:
+        assert code in (3, 4)
+        assert stdout.getvalue() == ""
+        assert re.fullmatch(
+            r"marginforge: (ParseError|SchemaError): report [^\n]*\n",
+            stderr.getvalue(),
+        )
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

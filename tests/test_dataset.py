@@ -59,9 +59,10 @@ class TestFlatten:
             flatten_all([])
 
     def test_unlabeled_sample_rejected(self):
-        s = GaitSample(frames=np.zeros((2, 1, 3)), label=None, sample_id="s0")
-        with pytest.raises(ContractError):
-            flatten_all([s])
+        # The constructor refuses it, so no unlabeled sample reaches the
+        # sample matrix.
+        with pytest.raises(SchemaError, match="^sample 's0': label must be a string$"):
+            GaitSample(frames=np.zeros((2, 1, 3)), label=None, sample_id="s0")
 
 
 class TestDatasetModel:

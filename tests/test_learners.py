@@ -159,8 +159,13 @@ class TestFeatureTransform:
             ("input_dim", 2.9, "input_dim must be a whole number"),
             ("feature_dim", "2", "feature_dim must be a whole number"),
             ("input_dim", True, "input_dim must be a whole number"),
+            # Past 2**53 a float may not be the integer the file spelled.
+            ("input_dim", 1e308, "input_dim must be a whole number"),
         ],
-        ids=["string-flag", "number-flag", "fraction", "number-string", "true"],
+        ids=[
+            "string-flag", "number-flag", "fraction", "number-string", "true",
+            "past-2-53",
+        ],
     )
     def test_load_refuses_scalars_of_another_json_type(
         self, tmp_path, key, value, message
