@@ -33,8 +33,6 @@ from .learners import (
     learn_pcalda,
     learner_for,
     load_transform,
-    margin_trace,
-    mmc_objective,
     noise_floor_rank,
     save_transform,
     select_margin_columns,
@@ -58,12 +56,14 @@ from .protocol import (
     plan_folds,
     run_protocol,
 )
-from .scatter import ScatterStatistics, compute_scatter
-from .template_space import (
+from .reference import (
     MatchingContext,
+    ScatterStatistics,
+    compute_scatter,
     context_of_rows,
-    pairwise_distances,
-    template_rows,
+    margin_trace,
+    mmc_objective,
 )
+from .template_space import pairwise_distances, template_rows
 
 __version__ = "0.1.0"

@@ -6,10 +6,11 @@ runs the nested cross-validation, and compare tabulates headline scalars
 across report files.
 
 Every command reads an optional JSON config file whose keys mirror the
-long flag names (underscored); explicit flags win over the file, and a
-key that names none of the command's options is an error. Outputs
-are written atomically. Errors exit with a class-specific code and a
-single machine-parsable stderr line. MARGINFORGE_LOG sets the log level.
+long flag names (underscored): a flag wins over the file, and the file
+over the parser's defaults; a key that names none of the command's
+options is an error. Outputs are written atomically. Errors exit with a
+class-specific code and a single machine-parsable stderr line.
+MARGINFORGE_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .learners import learner_for, save_transform
+from .learners import METHODS, TRANSFORM_METHODS, learner_for, save_transform
 from .preprocess import (
     align_walk_direction,
     average_length,
@@ -47,6 +48,7 @@ from .preprocess import (
     resample_time,
 )
 from .protocol import (
+    PAIR_POLICIES,
     ProtocolConfig,
     curve_csv_text,
     plan_folds,
@@ -67,92 +69,80 @@ EXIT_CODES = (
 )
 
 
-class _Options:
-    """Flag values merged over a JSON config file; flags override."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = {}
-        config_path = self._args.get("config")
-        if config_path:
-            obj = load_json(config_path, what="config")
-            if not isinstance(obj, dict):
-                raise ValidationError("config file must hold a JSON object")
-            options = set(self._args) - {"command", "config"}
-            unknown = sorted(set(obj) - options)
-            if unknown:
-                raise ValidationError(
-                    f"unknown config keys for {self._args['command']}: "
-                    + ", ".join(repr(k) for k in unknown)
-                )
-            self._config = obj
-
-    def get(self, key: str, default=None, kind=None):
-        """The flag, as argparse typed it, else the config file's value,
-        else default (a null in the file counts as unset). A file value is
-        read as kind (int, float or str) by _jsonio.json_as when one is
-        given, and refused when it is not one."""
-        value = self._args.get(key)
-        if value is None:
-            value = self._config.get(key)
-            if value is not None and kind is not None:
-                try:
-                    value = json_as(value, kind)
-                except ValueError:
-                    raise ValidationError(
-                        f"option --{key.replace('_', '-')} must be {kind.__name__}, "
-                        f"got {value!r}"
-                    ) from None
-        return default if value is None else value
-
-    def require(self, key: str, kind=None):
-        value = self.get(key, kind=kind)
-        if value is None:
-            raise ValidationError(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _config_as_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """Make the JSON object in args.config the defaults of args.command's
+    parser, so that a flag overrides it and it overrides the parser's own
+    defaults. A value is read as its option's type (int or float, else
+    str) by _jsonio.json_as; a null is dropped, so the parser's default
+    stands; a key that names no option of the command is an error."""
+    obj = load_json(args.config, what="config")
+    if not isinstance(obj, dict):
+        raise ValidationError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(obj) - set(options))
+    if unknown:
+        raise ValidationError(f"unknown config keys for {args.command}: "
+                              + ", ".join(map(repr, unknown)))
+    defaults = {}
+    for key, value in obj.items():
+        action = options[key]
+        kind = action.type if action.type in (int, float) else str
+        try:
+            if value is not None:
+                defaults[key] = json_as(value, kind)
+        except ValueError:
+            raise ValidationError(f"option {action.option_strings[0]} must be "
+                                  f"{kind.__name__}, got {value!r}") from None
+    command.set_defaults(**defaults)
 
 
-def _format(opts: _Options, path: str) -> str:
-    explicit = opts.get("format", kind=str)
-    if explicit and explicit != "auto":
-        return explicit
+def _required(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ValidationError(f"missing required option --{key.replace('_', '-')}")
+    return value
+
+
+def _format(args: argparse.Namespace, path: str) -> str:
+    if args.format and args.format != "auto":
+        return args.format
     return "csv" if path.endswith(".csv") else "jsonl"
 
 
-def _load(opts: _Options) -> LabeledDataset:
-    path = opts.require("input", str)
-    return load_dataset(path, format=_format(opts, path))
+def _load(args: argparse.Namespace) -> LabeledDataset:
+    path = _required(args, "input")
+    return load_dataset(path, format=_format(args, path))
 
 
-def cmd_gen(opts: _Options) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(
-        classes=opts.require("classes", int),
-        samples_per_class=opts.require("per_class", int),
-        joints=opts.get("joints", 5, int),
-        frames=opts.get("frames", 10, int),
-        class_spread=opts.get("class_spread", 5.0, float),
-        noise=opts.get("noise", 0.5, float),
-        seed=opts.get("seed", 0, int),
+        classes=_required(args, "classes"),
+        samples_per_class=_required(args, "per_class"),
+        joints=args.joints, frames=args.frames, class_spread=args.class_spread,
+        noise=args.noise, seed=args.seed,
     )
     dataset = generate_synthetic(spec)
-    output = opts.require("output", str)
-    save_dataset(dataset, output, format=_format(opts, output))
+    output = _required(args, "output")
+    save_dataset(dataset, output, format=_format(args, output))
     log.info("wrote %d samples to %s", dataset.num_samples, output)
     return 0
 
 
-def cmd_preprocess(opts: _Options) -> int:
+def cmd_preprocess(args: argparse.Namespace) -> int:
     # Each sample's next form replaces it here: with the loaded dataset
     # dropped, one copy of each is alive.
-    dataset = _load(opts)
+    dataset = _load(args)
     samples, class_index = list(dataset.samples), dataset.class_index
     del dataset
 
-    root_joint = opts.get("root_joint", kind=int)
-    if root_joint is None and opts.get("up_axis") is not None:
+    root_joint, target = args.root_joint, args.target_frames
+    if root_joint is None and args.up_axis is not None:
         raise ValidationError("--up-axis applies only with --root-joint")
-    up_axis = opts.get("up_axis", "y", str)
-    target = opts.get("target_frames", kind=int)
+    # Unset, the axis is align_walk_direction's own default.
+    axis = () if args.up_axis is None else (args.up_axis,)
     if target == 0:  # 0 asks for the dataset's average length
         target = average_length(samples)
     if target is not None:
@@ -163,12 +153,12 @@ def cmd_preprocess(opts: _Options) -> int:
         if root_joint is not None:
             # Align first: centering pins the root at the origin, which
             # erases the displacement the alignment needs.
-            s = center_on_root(align_walk_direction(s, root_joint, up_axis), root_joint)
+            s = center_on_root(align_walk_direction(s, root_joint, *axis), root_joint)
         if target is not None:
             s = resample_time(s, target)
         samples[k] = s
 
-    threshold = opts.get("dtw_threshold", kind=float)
+    threshold = args.dtw_threshold
     if threshold is not None:
         kept = set()
         for members in class_index.values():
@@ -180,47 +170,39 @@ def cmd_preprocess(opts: _Options) -> int:
         samples = [s for s in samples if s.sample_id in kept]
 
     result = LabeledDataset.from_samples(samples)
-    output = opts.require("output", str)
-    save_dataset(result, output, format=_format(opts, output))
+    output = _required(args, "output")
+    save_dataset(result, output, format=_format(args, output))
     log.info("wrote %d samples to %s", result.num_samples, output)
     return 0
 
 
-def cmd_learn(opts: _Options) -> int:
-    dataset = _load(opts)
+def cmd_learn(args: argparse.Namespace) -> int:
+    dataset = _load(args)
     rows = flatten_all(dataset.samples)
     labels = [s.label for s in dataset.samples]
-    method, learn = learner_for(
-        opts.get("method", "mmc", str), opts.get("pca_dim", kind=int)
-    )
+    method, learn = learner_for(args.method, args.pca_dim)
     if learn is None:  # identity learns no transform
         raise ValidationError(f"learn supports mmc or pca-lda, got {method!r}")
     transform = learn(rows, labels)
     for finding in transform.warnings:
         log.warning("%s", finding)
-    output = opts.require("output", str)
+    output = _required(args, "output")
     save_transform(transform, output)
     log.info("learned %s transform %d -> %d, wrote %s",
              method, transform.input_dim, transform.feature_dim, output)
     return 0
 
 
-def cmd_evaluate(opts: _Options) -> int:
-    dataset = _load(opts)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    dataset = _load(args)
     plan = plan_folds(
-        dataset,
-        outer=opts.get("outer_folds", 3, int),
-        inner=opts.get("inner_folds", 10, int),
-        seed=opts.get("seed", 0, int),
+        dataset, outer=args.outer_folds, inner=args.inner_folds, seed=args.seed
     )
-    config = ProtocolConfig(
-        pair_policy=opts.get("pair_policy", "all", str).replace("-", "_"),
-        pca_dim=opts.get("pca_dim", kind=int),
-        workers=opts.get("workers", 1, int),
-    )
-    report = run_protocol(dataset, opts.get("method", "mmc", str), plan, config)
+    config = ProtocolConfig(pair_policy=args.pair_policy.replace("-", "_"),
+                            pca_dim=args.pca_dim, workers=args.workers)
+    report = run_protocol(dataset, args.method, plan, config)
 
-    output = opts.require("output", str)
+    output = _required(args, "output")
     write_json(output, report.to_json_dict())
     stem = output[: -len(".json")] if output.endswith(".json") else output
     for kind, series in report.curves.items():
@@ -229,10 +211,10 @@ def cmd_evaluate(opts: _Options) -> int:
     return 0
 
 
-def cmd_compare(opts: _Options) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     keys = ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map")
     rows = []
-    for path in opts.require("inputs"):
+    for path in args.inputs:
         report = load_json(path, what="report")
         if not isinstance(report, dict):
             raise SchemaError(f"report {path}: a report must be a JSON object")
@@ -246,29 +228,28 @@ def cmd_compare(opts: _Options) -> int:
             raise SchemaError(f"report {path}: missing field {exc}") from None
         if not isinstance(method, str):
             raise SchemaError(f"report {path}: config.method is not a string")
-        numbers = []
+        cells = []
         for key, value in zip(keys, values):
             try:
-                numbers.append(None if value is None else json_as(value, float))
+                cells.append("n/a" if value is None else f"{json_as(value, float):.4f}")
             except ValueError:
                 raise SchemaError(
                     f"report {path}: headline.{key} is not a number"
                 ) from None
-        rows.append((method, numbers))
+        rows.append((method, cells))
 
+    # Each column is 10 wide, or one wider than its widest cell, so a
+    # space always parts two cells.
+    widths = [max(10, 1 + max(map(len, c))) for c in zip(*(r[1] for r in rows))]
     name_width = max(len("method"), max(len(r[0]) for r in rows))
-    header = "method".ljust(name_width) + "".join(k.rjust(10) for k in keys)
-    lines = [header, "-" * len(header)]
-    for method, values in rows:
-        lines.append(
-            method.ljust(name_width)
-            + "".join("n/a".rjust(10) if v is None else f"{v:10.4f}" for v in values)
-        )
+    lines = ["method".ljust(name_width) + "".join(map(str.rjust, keys, widths))]
+    lines.append("-" * len(lines[0]))
+    for method, cells in rows:
+        lines.append(method.ljust(name_width) + "".join(map(str.rjust, cells, widths)))
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
-    output = opts.get("output", kind=str)
-    if output:
-        atomic_write_text(output, [table])
+    if args.output:
+        atomic_write_text(args.output, [table])
     return 0
 
 
@@ -279,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def spelled(names):  # as a flag spells them
+        return [name.replace("_", "-") for name in names]
+
     def common(p, dataset_files=True):
         p.add_argument("--config", help="JSON file with default option values")
         if dataset_files:
@@ -288,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--classes", type=int)
     p.add_argument("--per-class", type=int)
-    p.add_argument("--joints", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--class-spread", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--joints", type=int, default=5)
+    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--class-spread", type=float, default=5.0)
+    p.add_argument("--noise", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
 
     p = sub.add_parser("preprocess", help="center, align, resample, filter")
@@ -309,20 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--method", choices=["mmc", "pca-lda"])
+    p.add_argument("--method", choices=spelled(TRANSFORM_METHODS), default="mmc")
     p.add_argument("--pca-dim", type=int)
 
     p = sub.add_parser("evaluate", help="run the nested cross-validation")
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--method", choices=["mmc", "pca-lda", "identity"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--outer-folds", type=int)
-    p.add_argument("--inner-folds", type=int)
-    p.add_argument("--pair-policy", choices=["all", "class-best"])
+    p.add_argument("--method", choices=spelled(METHODS), default="mmc")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--outer-folds", type=int, default=3)
+    p.add_argument("--inner-folds", type=int, default=10)
+    p.add_argument("--pair-policy", choices=spelled(PAIR_POLICIES), default="all")
     p.add_argument("--pca-dim", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("compare", help="tabulate headline scalars of reports")
     common(p, dataset_files=False)
@@ -350,8 +334,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        return COMMANDS[args.command](opts)
+        if args.config:
+            _config_as_defaults(parser, args)
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except (MarginforgeError, OSError) as exc:
         print(f"marginforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._jsonio import json_as, load_json, write_json
 from .errors import ContractError, SchemaError, ValidationError
-from .scatter import ScatterBasis, ScatterStatistics, total_scatter_basis
+from .scatter import ScatterBasis, total_scatter_basis
 
 # The methods a FeatureTransform can hold, and the evaluator's routes:
 # identity learns no transform and matches the raw rows.
@@ -307,24 +307,6 @@ def learn_mmc(
         fallback_used=selection.fallback_used,
         warnings=findings,
     )
-
-
-def margin_trace(stats: ScatterStatistics, phi: np.ndarray) -> float:
-    """tr(phi^T (Sb - Sw) phi) for an arbitrary column matrix phi."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[0] != stats.dimension:
-        raise ContractError(
-            f"phi rows ({phi.shape[0] if phi.ndim == 2 else 'n/a'}) must "
-            f"match statistics dimension {stats.dimension}"
-        )
-    m = stats.sigma_b - stats.sigma_w
-    return float(np.trace(phi.T @ m @ phi))
-
-
-def mmc_objective(transform: FeatureTransform, stats: ScatterStatistics) -> float:
-    """Margin trace of the learned transform against the given statistics;
-    margin_trace refuses a transform of another input dimension."""
-    return margin_trace(stats, transform.phi)
 
 
 def learn_pcalda(

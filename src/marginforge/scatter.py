@@ -1,24 +1,13 @@
-"""Scatter statistics of a labeled vector population.
-
-Conventions, for classes c with N_c members, class means mu_c, and global
-mean mu over all N vectors:
-
-    between class  Sb = sum_c (mu_c - mu)(mu_c - mu)^T
-    within class   Sw = sum_c (1/N_c) sum_n (x_n - mu_c)(x_n - mu_c)^T
-    total          St = sum_c (1/N_c) sum_n (x_n - mu)(x_n - mu)^T
-
-The between-class sum is over classes, not samples, so class sizes do not
-weight it; the within and total sums normalize per class. Under these
-conventions St = Sb + Sw holds identically.
+"""Total-scatter eigenbasis of a labeled vector population.
 
 A labeled population is a matrix with one vector per row plus one label
-per row; any sortable labels do, such as names or integer codes. Both
-entry points group it the same way: classes in sorted label order, each
-keeping its rows' order. compute_scatter forms the three D x D matrices.
-total_scatter_basis never does: it takes the thin SVD of the data matrix
-X, with one column (x_n - mu) / sqrt(N_c(n)) per row so that X X^T = St,
-and keeps the St eigenbasis of the data's span. The learners and the
-matching context run on that basis.
+per row; any sortable labels do, such as names or integer codes. It is
+grouped into classes in sorted label order, each keeping its rows' order.
+total_scatter_basis takes the thin SVD of the data matrix X, with one
+column (x_n - mu) / sqrt(N_c(n)) per row, mu the mean of all N rows and
+N_c(n) the size of row n's class, so that X X^T is the per-class
+normalized total scatter St. It keeps the St eigenbasis of the data's
+span, and never forms a D x D matrix. The learners run on that basis.
 """
 
 from __future__ import annotations
@@ -29,40 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateDataError
-
-
-@dataclass(frozen=True, eq=False)
-class ScatterStatistics:
-    """Scatter matrices plus the means they were computed from.
-
-    Class-indexed arrays (class_means, class_sizes) follow sorted label
-    order, recorded in labels.
-    """
-
-    sigma_b: np.ndarray
-    sigma_w: np.ndarray
-    sigma_t: np.ndarray
-    overall_mean: np.ndarray
-    class_means: np.ndarray
-    class_sizes: np.ndarray
-    labels: tuple
-
-    @property
-    def dimension(self) -> int:
-        return self.overall_mean.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.labels)
-
-
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
-    # Compensated accumulation keeps the class-sum order-exact enough that
-    # a run is reproducible bit for bit across repeats.
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
 
 
 def _class_stacks(rows: np.ndarray, labels: Sequence) -> tuple:
@@ -86,43 +41,6 @@ def _class_stacks(rows: np.ndarray, labels: Sequence) -> tuple:
     if len(names) < 2:
         raise ContractError("need at least 2 classes")
     return tuple(names.tolist()), [rows[codes == k] for k in range(len(names))]
-
-
-def compute_scatter(rows: np.ndarray, labels: Sequence) -> ScatterStatistics:
-    """Compute scatter statistics of a labeled population.
-
-    Accumulation over classes runs in sorted label order with compensated
-    summation, so the result is deterministic for a fixed input set.
-    """
-    labels, stacks = _class_stacks(rows, labels)
-    dim = stacks[0].shape[1]
-    class_sizes = np.array([s.shape[0] for s in stacks], dtype=np.int64)
-    class_means = np.stack([s.mean(axis=0) for s in stacks])
-    overall_mean = np.concatenate(stacks).mean(axis=0)
-
-    sigma_b, sigma_w, sigma_t, comp_b, comp_w, comp_t = (
-        np.zeros((dim, dim)) for _ in range(6)
-    )
-    for k, stack in enumerate(stacks):
-        n_c = class_sizes[k]
-        gap = class_means[k] - overall_mean
-        _kahan_add(sigma_b, comp_b, np.outer(gap, gap))
-        dev_w = stack - class_means[k]
-        _kahan_add(sigma_w, comp_w, dev_w.T @ dev_w / n_c)
-        dev_t = stack - overall_mean
-        _kahan_add(sigma_t, comp_t, dev_t.T @ dev_t / n_c)
-
-    for a in (sigma_b, sigma_w, sigma_t, overall_mean, class_means, class_sizes):
-        a.flags.writeable = False
-    return ScatterStatistics(
-        sigma_b=sigma_b,
-        sigma_w=sigma_w,
-        sigma_t=sigma_t,
-        overall_mean=overall_mean,
-        class_means=class_means,
-        class_sizes=class_sizes,
-        labels=labels,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +68,8 @@ class ScatterBasis:
 def total_scatter_basis(rows: np.ndarray, labels: Sequence) -> ScatterBasis:
     """Thin SVD of the per-class-scaled data matrix, cut at its numerical rank.
 
-    Means are taken in compute_scatter's order. Raises ContractError like
-    compute_scatter, and DegenerateDataError when the data has no
-    variance at all.
+    Raises ContractError as _class_stacks does, and DegenerateDataError
+    when the data has no variance at all.
     """
     labels, stacks = _class_stacks(rows, labels)
     class_means = np.stack([stack.mean(axis=0) for stack in stacks])

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from marginforge.errors import ContractError, DegenerateDataError
 from marginforge.learners import FeatureTransform, _canonical_signs
-from marginforge.scatter import ScatterStatistics
+from marginforge.reference import ScatterStatistics
 
 
 def threshold_sweep(records) -> list:

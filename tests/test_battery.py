@@ -73,3 +73,22 @@ def test_text_that_does_not_parse_falls_back_to_bytes():
 ])
 def test_relative_difference(a, b, want):
     assert battery.relative(a, b) == want
+
+
+def test_wall_clock_figures_of_the_verdicts_are_masked():
+    lines = (
+        "criterion  1: PASS  worst angle 3.94e-08 rad, 0 dimension mismatches, "
+        "100 datasets in 0.2s\n"
+        "criterion  6: PASS  mmc ccr=1.0000 auc=1.0000 sc=0.9763, "
+        "pca_lda sc=0.9763, 12.5s\n"
+        "criterion  8: PASS  report + 4 curve csvs, 180342/180342 bytes, "
+        "workers 1 vs 8\n"
+    )
+    assert battery.mask_wall_clock(lines) == (
+        "criterion  1: PASS  worst angle 3.94e-08 rad, 0 dimension mismatches, "
+        "100 datasets in ?s\n"
+        "criterion  6: PASS  mmc ccr=1.0000 auc=1.0000 sc=0.9763, "
+        "pca_lda sc=0.9763, ?s\n"
+        "criterion  8: PASS  report + 4 curve csvs, 180342/180342 bytes, "
+        "workers 1 vs 8\n"
+    )

@@ -363,6 +363,32 @@ class TestConfigFile:
         assert len(samples) == 6
         assert len({s.label for s in samples}) == 3
 
+    def test_config_null_keeps_the_parser_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"joints": None, "noise": None, "seed": None}))
+        args = ("gen", "--classes", 3, "--per-class", 4)
+        assert run(*args, "--config", cfg, "--output", tmp_path / "a.jsonl") == 0
+        assert run(*args, "--output", tmp_path / "b.jsonl") == 0
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_config_is_typed_whole_before_any_input_is_read(self, tmp_path, capsys):
+        # Every value is typed, even one a flag overrides, and before the
+        # command opens its input.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classes": "abc"}))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run("gen", "--classes", 3, "--per-class", 2, "--output", out,
+                   "--config", cfg) == 2
+        cfg.write_text(json.dumps({"inner_folds": "x"}))
+        assert run("evaluate", "--input", tmp_path / "missing.jsonl",
+                   "--output", out, "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            "marginforge: ValidationError: option --classes must be int, got 'abc'\n"
+            "marginforge: ValidationError: option --inner-folds must be int, got 'x'\n"
+        )
+        assert not out.exists()
+
     def test_config_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
@@ -1188,6 +1214,36 @@ class TestExitCodes:
             "'format'\n",
         )
 
+    def test_compare_refuses_an_inputs_config_key(self, tmp_path, capsys):
+        # Report files are positional; no flag takes them.
+        report = self.valid_report(tmp_path / "r.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": [str(report)]}))
+        capsys.readouterr()
+        assert run("compare", report, "--config", cfg) == 2
+        assert capsys.readouterr() == (
+            "",
+            "marginforge: ValidationError: unknown config keys for compare: "
+            "'inputs'\n",
+        )
+
+    def test_compare_widens_a_column_past_its_widest_cell(self, tmp_path, capsys):
+        # A column is 10 wide, or one wider than its widest cell, so a
+        # space parts every two cells.
+        report = self.valid_report(tmp_path / "r.json")
+        doc = json.loads(report.read_text())
+        doc["headline"].update(di=-1000, sc=123456.7)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("compare", report) == 0
+        assert capsys.readouterr().out == (
+            "method       dbi         di          sc       fdr       ccr"
+            "       eer       auc       map\n"
+            + "-" * 89 + "\n"
+            "mmc       0.5000 -1000.0000 123456.7000    0.5000    0.5000"
+            "    0.5000    0.5000    0.5000\n"
+        )
+
     def test_missing_required_option_is_2(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
@@ -1560,9 +1616,9 @@ def test_compare_of_an_edited_report_shows_finite_numbers_or_exits_3_or_4(
         if field == "method":
             assert row.endswith("    0.5000" * 8)
         else:
-            # Eight cells, each n/a or a finite number with four decimals;
-            # a number past the 10-character cell runs into the one before.
-            assert re.fullmatch(r"mmc   ( *(n/a|-?\d+\.\d{4})){8}", row)
+            # Eight cells, each n/a or a finite number with four decimals,
+            # and a space before each.
+            assert re.fullmatch(r"mmc   ( +(n/a|-?\d+\.\d{4})){8}", row)
     else:
         assert code in (3, 4)
         assert stdout.getvalue() == ""

@@ -28,8 +28,8 @@ from marginforge import (
     pairwise_distances,
     plan_folds,
     protocol,
+    reference,
     run_protocol,
-    template_space,
 )
 from marginforge.errors import ContractError, DegenerateDataError, ValidationError
 from marginforge.scatter import total_scatter_basis
@@ -317,7 +317,7 @@ class TestRunProtocol:
             made.append(len(rows))
             return total_scatter_basis(rows, labels)
 
-        for module in (learners, template_space):
+        for module in (learners, reference):
             monkeypatch.setattr(module, "total_scatter_basis", counted)
         ds = small_dataset()
         run_protocol(ds, method, plan_folds(ds, outer=3, inner=2, seed=0))

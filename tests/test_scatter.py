@@ -1,10 +1,15 @@
 """Between/within/total scatter statistics."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import marginforge
 from conftest import flats_1d, random_flats
 from marginforge import compute_scatter, context_of_rows, learn_mmc, learn_pcalda
+from marginforge import reference
 from marginforge.errors import ContractError, DegenerateDataError
 from marginforge.scatter import total_scatter_basis
 
@@ -229,3 +234,37 @@ def test_every_consumer_rejects_a_malformed_population(consumer, case):
     rows, labels, message = MALFORMED[case]
     with pytest.raises(ContractError, match=message):
         CONSUMERS[consumer](rows, labels)
+
+
+def test_only_the_package_imports_the_reference_route():
+    # The program's modules never run the D x D route; the package
+    # re-exports it for the criteria and the library.
+    package = os.path.dirname(marginforge.__file__)
+    importers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            if any(t.split(".")[-1] == "reference" for t in targets):
+                importers.append(name)
+    assert importers == []
+
+
+def test_the_reference_names_are_the_package_names():
+    moved = sorted(
+        name for name, value in vars(reference).items()
+        if getattr(value, "__module__", None) == reference.__name__
+        and not name.startswith("_")
+    )
+    assert moved == ["MatchingContext", "ScatterStatistics", "compute_scatter",
+                     "context_of_rows", "margin_trace", "mmc_objective"]
+    for name in moved:
+        assert getattr(marginforge, name) is getattr(reference, name)

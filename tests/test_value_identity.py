@@ -16,8 +16,8 @@ from marginforge import (
     SeparabilityReport,
 )
 from marginforge.metrics_classification import ThresholdSweep
-from marginforge.scatter import compute_scatter, total_scatter_basis
-from marginforge.template_space import MatchingContext
+from marginforge.reference import MatchingContext, compute_scatter
+from marginforge.scatter import total_scatter_basis
 
 
 def population():

@@ -20,6 +20,10 @@ relative paths, so that a message naming a file reads the same on both:
 - `preprocess` on the preprocess-dtw input raw, at --target-frames 0, and
   through every step with its DTW threshold, to JSONL and to CSV.
 - `compare` over each set's reports.
+- `python3 tests/test_acceptance.py`, whose criteria run the library
+  route that no command runs (the D x D scatter and the matching
+  context); its verdict lines are compared with their wall-clock
+  figures masked.
 
 Every output file, exit code, stdout and stderr is compared. Each
 difference is printed with the first differing JSON leaf or CSV cell and
@@ -65,6 +69,13 @@ PLAN_SEEDS = ("0", "7")
 INNER_FOLDS = ("2", "3")
 THREADED = ("7", "3")  # (plan seed, inner folds) also run at --workers 3
 DTW_INPUT = os.path.join("dtw", "input.jsonl")
+# The wall-clock figures of the acceptance verdicts: "in 0.2s", ", 0.1s".
+WALL_CLOCK = re.compile(r"(in |, )\d+\.\d+s\b")
+
+
+def mask_wall_clock(text: str) -> str:
+    """text with each wall-clock figure of an acceptance verdict as "?s"."""
+    return WALL_CLOCK.sub(r"\1?s", text)
 
 
 def commands(dtw_threshold: str) -> list:
@@ -123,6 +134,9 @@ def run_side(tree: str, work: str) -> list:
         threshold = repr(json.load(fh)["dtw_threshold"])
     os.remove(meta)
     results += [call([*cli, *argv]) for argv in commands(threshold)]
+    script = os.path.join("tests", "test_acceptance.py")
+    _, code, out, err = call([sys.executable, os.path.join(tree, script)])
+    results.append((script, code, mask_wall_clock(out), err))
     return results
 
 
