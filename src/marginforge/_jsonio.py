@@ -1,5 +1,6 @@
-"""Shared JSON file helpers: atomic writes, parse errors with context, and
-the one rule that types a value read from a JSON document."""
+"""Shared JSON file helpers: atomic writes, parse errors with context, the
+one rule that types a value read from a JSON document, and the one reader
+of the fields of a transform or report document."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import os
 import stat
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, SchemaError
 
 
 def atomic_write_text(path, chunks: Iterable[str]):
@@ -76,6 +77,38 @@ def json_as(value, kind: type):
     if kind in (bool, str) and isinstance(value, kind):
         return value
     raise ValueError(f"not a JSON {kind.__name__}")
+
+
+# What json_fields reads for each kind, as its messages name it.
+_KIND_NAMES = {int: "a whole number", float: "a number", float | None: "a number",
+               bool: "a boolean", str: "a string", dict: "an object",
+               list: "a list of finite numbers"}
+
+
+def json_fields(doc: dict, kinds: dict, where: str, path: str = "") -> list:
+    """The values of doc at the keys of kinds, in order, each read as its
+    kind: int, float, bool and str by json_as; float | None also reads
+    null as None; dict reads an object as it is; list reads a list whose
+    entries json_as reads as floats, as a list of floats. A missing key
+    or a value of another kind is a SchemaError that names where, and
+    path before the key."""
+    values = []
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        value = doc[key]
+        try:
+            if kind in (dict, list):
+                if not isinstance(value, kind):
+                    raise ValueError
+                if kind is list:
+                    value = [json_as(v, float) for v in value]
+            elif value is not None or kind != float | None:
+                value = json_as(value, float if kind == float | None else kind)
+        except ValueError:
+            raise SchemaError(f"{where}: {path}{key} is not {_KIND_NAMES[kind]}") from None
+        values.append(value)
+    return values
 
 
 def load_json(path, what: str = "file"):

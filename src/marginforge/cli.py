@@ -49,8 +49,11 @@ from .preprocess import (
 )
 from .protocol import (
     PAIR_POLICIES,
+    RECOGNITION_KEYS,
+    SEPARABILITY_KEYS,
     ProtocolConfig,
     curve_csv_text,
+    headline_of,
     plan_folds,
     run_protocol,
 )
@@ -212,31 +215,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    keys = ("dbi", "di", "sc", "fdr", "ccr", "eer", "auc", "map")
+    keys = SEPARABILITY_KEYS + RECOGNITION_KEYS
     rows = []
     for path in args.inputs:
         report = load_json(path, what="report")
         if not isinstance(report, dict):
             raise SchemaError(f"report {path}: a report must be a JSON object")
-        try:
-            for section in ("config", "headline"):
-                if not isinstance(report[section], dict):
-                    raise SchemaError(f"report {path}: {section} is not an object")
-            method = report["config"]["method"]
-            values = [report["headline"][k] for k in keys]
-        except KeyError as exc:
-            raise SchemaError(f"report {path}: missing field {exc}") from None
-        if not isinstance(method, str):
-            raise SchemaError(f"report {path}: config.method is not a string")
-        cells = []
-        for key, value in zip(keys, values):
-            try:
-                cells.append("n/a" if value is None else f"{json_as(value, float):.4f}")
-            except ValueError:
-                raise SchemaError(
-                    f"report {path}: headline.{key} is not a number"
-                ) from None
-        rows.append((method, cells))
+        method, headline = headline_of(report, f"report {path}")
+        rows.append((method, ["n/a" if v is None else f"{v:.4f}"
+                              for v in headline.values()]))
 
     # Each column is 10 wide, or one wider than its widest cell, so a
     # space always parts two cells.

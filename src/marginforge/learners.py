@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._jsonio import json_as, load_json, write_json
+from ._jsonio import json_fields, load_json, write_json
 from .errors import ContractError, SchemaError, ValidationError
 from .scatter import ScatterBasis, total_scatter_basis
 
@@ -153,16 +153,9 @@ class FeatureTransform:
     def from_json_dict(cls, obj) -> "FeatureTransform":
         if not isinstance(obj, dict):
             raise SchemaError("transform document must be a JSON object")
-        try:
-            method = obj["method"]
-            input_dim = _scalar(obj, "input_dim", int)
-            feature_dim = _scalar(obj, "feature_dim", int)
-            delta = _finite_reals(obj, "delta")
-            phi = _finite_reals(obj, "phi")
-            fallback_used = _scalar(obj, "fallback_used", bool)
-            ridge_used = _scalar(obj, "ridge_used", bool)
-        except KeyError as exc:
-            raise SchemaError(f"transform document missing field: {exc}")
+        method, input_dim, feature_dim, delta, phi, fallback_used, ridge_used = json_fields(
+            obj, {"method": str, "input_dim": int, "feature_dim": int, "delta": list,
+                  "phi": list, "fallback_used": bool, "ridge_used": bool}, "transform document")
         if method not in TRANSFORM_METHODS:
             raise SchemaError(f"unknown method {method!r}")
         if input_dim < 1 or feature_dim < 1:
@@ -176,37 +169,11 @@ class FeatureTransform:
             raise SchemaError("delta length must equal feature_dim")
         return cls(
             method=method,
-            phi=phi.reshape(input_dim, feature_dim),
+            phi=np.reshape(phi, (input_dim, feature_dim)),
             delta=delta,
             fallback_used=fallback_used,
             ridge_used=ridge_used,
         )
-
-
-def _scalar(doc: dict, key: str, kind: type):
-    """doc[key] read as kind, bool or int, by _jsonio.json_as."""
-    try:
-        return json_as(doc[key], kind)
-    except ValueError:
-        what = "boolean" if kind is bool else "whole number"
-        raise SchemaError(f"{key} must be a {what}") from None
-
-
-def _finite_reals(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array; it must be a list of finite real
-    numbers, so a null, a boolean or a number string is refused."""
-    values = doc[key]
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise SchemaError(f"{key} must be a list of numbers")
-    try:
-        array = np.array(values, dtype=np.float64)
-    except OverflowError:  # an integer too large for a float
-        array = None
-    if array is None or not np.isfinite(array).all():
-        raise SchemaError(f"{key} must hold finite numbers")
-    return array
 
 
 def save_transform(transform: FeatureTransform, path):

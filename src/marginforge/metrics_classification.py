@@ -27,31 +27,29 @@ from .errors import ContractError, ValidationError
 CURVE_KINDS = ("cmc", "far_frr", "roc", "rcl_pcn")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveSeries:
-    """A polyline of (x, y) points of a declared kind."""
+    """A polyline of a declared kind: point k is (x[k], y[k])."""
 
     kind: str
-    points: tuple
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise ValidationError(f"unknown curve kind {self.kind!r}")
-        points = tuple((float(x), float(y)) for x, y in self.points)
-        if not points:
+        x, y = (np.asarray(v, dtype=np.float64) for v in (self.x, self.y))
+        if x.size == 0:
             raise ContractError("curve needs at least one point")
-        if self.kind in ("cmc", "roc"):
-            xs = [p[0] for p in points]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ContractError(f"{self.kind} x values must strictly increase")
-        object.__setattr__(self, "points", points)
+        if x.ndim != 1 or y.shape != x.shape:
+            raise ContractError("curve needs one y per x")
+        if self.kind in ("cmc", "roc") and np.any(x[1:] <= x[:-1]):
+            raise ContractError(f"{self.kind} x values must strictly increase")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": [p[0] for p in self.points],
-            "y": [p[1] for p in self.points],
-        }
+        return {"kind": self.kind, "x": self.x.tolist(), "y": self.y.tolist()}
 
 
 def cmc_fractions(best, genuine, probe_ids) -> tuple[np.ndarray, tuple]:

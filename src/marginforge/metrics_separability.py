@@ -6,13 +6,14 @@ matching reads too: the learned routes' templates, which whiten the
 learning fold's total scatter, or the identity route's raw rows. All four
 coefficients are plain Euclidean geometry on those rows, so they describe
 exactly the geometry the matcher sees. separability_of_rows groups the
-rows, takes their class means (the reported centroids), and measures the
-dispersions, the centroid gaps and the spread from them; each scorer
-takes only the arrays it reads. Degenerate geometry (coincident class
-means, zero dispersion) yields an infinity marker instead of an
-exception, plus a "DegenerateMetricWarning: ..." finding on the report
-that names the metric: a degenerate fold should show up in a report, not
-kill a run. Reports write the marker as JSON null.
+rows, takes their class means (the reported centroids; a class whose
+rows are all equal takes that row, so its dispersion is exactly 0), and
+measures the dispersions, the centroid gaps and the spread from them;
+each scorer takes only the arrays it reads. Degenerate geometry
+(coincident class means, zero dispersion) yields an infinity marker
+instead of an exception, plus a "DegenerateMetricWarning: ..." finding
+on the report that names the metric: a degenerate fold should show up in
+a report, not kill a run. Reports write the marker as JSON null.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ def separability_of_rows(
     labels = labels.tolist()  # sorted; class k is labels[k]
     # sigma: each class's mean member-to-centroid distance; gaps: the
     # centroid-to-centroid distances; spread: the centroids' mean distance
-    # to the global mean.
-    centroids = np.stack([vectors[codes == k].mean(axis=0) for k in range(len(labels))])
+    # to the global mean. A class of equal rows is centered on that row, as
+    # its mean can round off it and leave a dispersion of about 1e-16.
+    groups = [vectors[codes == k] for k in range(len(labels))]
+    centroids = np.stack([g[0] if (g == g[0]).all() else g.mean(axis=0) for g in groups])
     radius = np.linalg.norm(vectors - centroids[codes], axis=1)
     sigma = np.bincount(codes, weights=radius) / np.bincount(codes)
     gaps = pairwise_distances(centroids)

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._jsonio import finite_or_null
+from ._jsonio import finite_or_null, json_fields
 from .dataset import LabeledDataset, flatten_all
 from .errors import ContractError, MarginforgeError, ValidationError
 from .learners import learner_for
@@ -41,6 +41,11 @@ from .metrics_separability import SeparabilityReport, separability_of_rows
 from .template_space import pairwise_distances, template_rows
 
 PAIR_POLICIES = ("all", "class_best")
+
+# The headline keys: the rank and threshold metrics, in the report's
+# order, then the separability coefficients, which compare prints first.
+RECOGNITION_KEYS = ("ccr", "eer", "auc", "map")
+SEPARABILITY_KEYS = ("dbi", "di", "sc", "fdr")
 
 # Common grid for pointwise curve averaging across folds.
 GRID_POINTS = 1001
@@ -169,6 +174,17 @@ class EvaluationReport:
         }
 
 
+def headline_of(report: dict, where: str) -> tuple:
+    """(method, headline) of a report document, as to_json_dict writes it:
+    config.method, and a dict of the separability then the recognition
+    values, each a float or None (null). A missing field or a value of
+    another kind is a SchemaError that names where."""
+    config, headline = json_fields(report, {"config": dict, "headline": dict}, where)
+    (method,) = json_fields(config, {"method": str}, where, "config.")
+    kinds = dict.fromkeys(SEPARABILITY_KEYS + RECOGNITION_KEYS, float | None)
+    return method, dict(zip(kinds, json_fields(headline, kinds, where, "headline.")))
+
+
 @dataclass(eq=False)
 class _FoldResult:
     separability: SeparabilityReport
@@ -254,8 +270,8 @@ def _fold_metrics(best, own, distance, genuine, probe_ids, separability, grid):
     tar = np.interp(grid, roc_far, roc_tar)
     recall, precision, map_value = sweep.rcl_pcn()
     precision = np.interp(grid, recall, precision)
-    scalars = {"ccr": float(cmc_y[0]), "eer": eer, "auc": auc, "map": map_value}
-    scalars.update((k, getattr(separability, k)) for k in ("dbi", "di", "sc", "fdr"))
+    scalars = dict(zip(RECOGNITION_KEYS, (float(cmc_y[0]), eer, auc, map_value)))
+    scalars.update((k, getattr(separability, k)) for k in SEPARABILITY_KEYS)
     curves = {"cmc": cmc_y, "far": far, "frr": frr, "tar": tar, "precision": precision}
     return scalars, curves, findings
 
@@ -321,7 +337,7 @@ def run_protocol(
         mean[key] = np.mean([np.pad(c, (0, n - len(c)), "edge") for c in folds], axis=0)
     mean["rank"] = np.arange(1.0, len(mean["cmc"]) + 1)
     curves = {
-        kind: CurveSeries(kind=kind, points=tuple(zip(mean[x], mean[y])))
+        kind: CurveSeries(kind=kind, x=mean[x], y=mean[y])
         for kind, x, y in (
             ("cmc", "rank", "cmc"),
             ("far_frr", "far", "frr"),
@@ -351,5 +367,6 @@ def run_protocol(
 
 def curve_csv_text(series: CurveSeries) -> str:
     """Plot-ready CSV rows for one curve: kind,x,y with a header line."""
-    rows = (f"{series.kind},{x!r},{y!r}\n" for x, y in series.points)
+    rows = (f"{series.kind},{x!r},{y!r}\n"
+            for x, y in zip(series.x.tolist(), series.y.tolist()))
     return "kind,x,y\n" + "".join(rows)

@@ -1,5 +1,6 @@
 """Command-line interface: pipeline wiring, config merge, exit codes."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -39,7 +40,7 @@ from marginforge import (
     save_dataset,
 )
 from marginforge._jsonio import json_as, load_json
-from marginforge.cli import main
+from marginforge.cli import build_parser, main
 from marginforge.dataset import MAX_COORDINATE, _read_csv_rows
 from marginforge.errors import MarginforgeError, ValidationError
 from oracles import rowwise_dtw
@@ -1669,6 +1670,56 @@ def test_mutated_datasets_end_in_a_documented_exit(tmp_path_factory, fmt, data):
         assert [(s.sample_id, s.label) for s in loaded] == [
             (s.sample_id, s.label) for s in rows]
         assert [s.frames.tobytes() for s in loaded] == [s.frames.tobytes() for s in rows]
+
+
+def numeric_flags():
+    """(command, flag) for every int and float option of every command."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, command in sub.choices.items()
+            for a in command._actions if a.type in (int, float)]
+
+
+EXTREME_FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10**30))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=st.sampled_from([
+    (command, flag, value)
+    for (command, flag), value in itertools.product(numeric_flags(),
+                                                     EXTREME_FLAG_VALUES)
+    # A valid worker count this large would be a pool of that many threads.
+    if (flag, value) != ("--workers", str(10**30))
+]))
+def test_numeric_flags_at_extremes_end_in_a_documented_exit(tmp_path_factory, case):
+    # Each value reaches the option's type as --flag=value: argparse's own
+    # exit 2 (SystemExit) when the type cannot read it, else exit 0 or a
+    # documented code other than 1 with one error line.
+    command, flag, value = case
+    folder = tmp_path_factory.mktemp("flags")
+    data = folder / "data.jsonl"
+    assert run("gen", "--classes", 3, "--per-class", 6, "--joints", 2,
+               "--frames", 3, "--output", data) == 0
+    argv = {
+        "gen": ("gen", "--classes", 3, "--per-class", 6, "--joints", 2,
+                "--frames", 3),
+        "preprocess": ("preprocess", "--input", data),
+        "learn": ("learn", "--input", data, "--method", "pca-lda"),
+        "evaluate": ("evaluate", "--input", data, "--inner-folds", 2,
+                     *(("--method", "pca-lda") if flag == "--pca-dim" else ())),
+    }[command]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = run(*argv, "--output", folder / "out", f"{flag}={value}")
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert f"error: argument {flag}: invalid" in stderr.getvalue()
+            return
+    assert "Traceback" not in stderr.getvalue()
+    if code != 0:
+        assert code in DOCUMENTED_EXITS - {1}
+        assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
 
 
 REPORT_SCHEMA = json.loads(

@@ -125,42 +125,41 @@ class TestFeatureTransform:
             FeatureTransform.from_json_dict(doc)
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "key, value",
         [
-            ("phi", [None, 0.0, 0.0, 1.0], "phi must be a list of numbers"),
-            ("delta", [True, 1.0], "delta must be a list of numbers"),
-            ("phi", ["1.0", 0.0, 0.0, 1.0], "phi must be a list of numbers"),
-            ("delta", ["x", 1.0], "delta must be a list of numbers"),
-            ("phi", [[1.0], [0.0], [0.0], [1.0]], "phi must be a list of numbers"),
-            ("delta", [10**400, 1.0], "delta must hold finite numbers"),
-            ("phi", 4, "phi must be a list of numbers"),
-            ("delta", "ab", "delta must be a list of numbers"),
+            ("phi", [None, 0.0, 0.0, 1.0]),
+            ("delta", [True, 1.0]),
+            ("phi", ["1.0", 0.0, 0.0, 1.0]),
+            ("delta", ["x", 1.0]),
+            ("phi", [[1.0], [0.0], [0.0], [1.0]]),
+            ("delta", [10**400, 1.0]),
+            ("phi", 4),
+            ("delta", "ab"),
         ],
         ids=[
             "null", "true", "number-string", "word", "nested", "huge-int",
             "number-phi", "string-delta",
         ],
     )
-    def test_load_refuses_entries_that_are_not_finite_reals(
-        self, tmp_path, key, value, message
-    ):
+    def test_load_refuses_entries_that_are_not_finite_reals(self, tmp_path, key, value):
         doc = eye_transform(2).to_json_dict()
         doc[key] = value
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(doc))
+        message = f"transform document: {key} is not a list of finite numbers"
         with pytest.raises(SchemaError, match=f"^{message}$"):
             load_transform(path)
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("fallback_used", "no", "fallback_used must be a boolean"),
-            ("ridge_used", 1, "ridge_used must be a boolean"),
-            ("input_dim", 2.9, "input_dim must be a whole number"),
-            ("feature_dim", "2", "feature_dim must be a whole number"),
-            ("input_dim", True, "input_dim must be a whole number"),
+            ("fallback_used", "no", "transform document: fallback_used is not a boolean"),
+            ("ridge_used", 1, "transform document: ridge_used is not a boolean"),
+            ("input_dim", 2.9, "transform document: input_dim is not a whole number"),
+            ("feature_dim", "2", "transform document: feature_dim is not a whole number"),
+            ("input_dim", True, "transform document: input_dim is not a whole number"),
             # Past 2**53 a float may not be the integer the file spelled.
-            ("input_dim", 1e308, "input_dim must be a whole number"),
+            ("input_dim", 1e308, "transform document: input_dim is not a whole number"),
         ],
         ids=[
             "string-flag", "number-flag", "fraction", "number-string", "true",
@@ -176,6 +175,14 @@ class TestFeatureTransform:
         path = tmp_path / "transform.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_transform(path)
+
+    def test_load_names_a_missing_field(self, tmp_path):
+        doc = eye_transform(2).to_json_dict()
+        del doc["phi"]
+        path = tmp_path / "transform.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^transform document: missing field 'phi'$"):
             load_transform(path)
 
     def test_off_diagonal_residue_is_a_finding_outside_the_json(self, monkeypatch):

@@ -212,12 +212,14 @@ class TestValidation:
 
     def test_curve_series_validation(self):
         with pytest.raises(ValidationError):
-            CurveSeries(kind="precision", points=((0.0, 1.0),))
+            CurveSeries(kind="precision", x=[0.0], y=[1.0])
+        with pytest.raises(ContractError, match="at least one point"):
+            CurveSeries(kind="roc", x=[], y=[])
+        with pytest.raises(ContractError, match="one y per x"):
+            CurveSeries(kind="far_frr", x=[0.0, 0.5], y=[1.0])
         with pytest.raises(ContractError):
-            CurveSeries(kind="roc", points=())
-        with pytest.raises(ContractError):
-            CurveSeries(kind="roc", points=((0.5, 0.5), (0.5, 0.7)))
-        series = CurveSeries(kind="far_frr", points=((0.0, 1.0), (0.0, 0.5)))
+            CurveSeries(kind="roc", x=[0.5, 0.5], y=[0.5, 0.7])
+        series = CurveSeries(kind="far_frr", x=[0.0, 0.0], y=[1.0, 0.5])
         assert series.to_json_dict() == {
             "kind": "far_frr",
             "x": [0.0, 0.0],

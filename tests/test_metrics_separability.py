@@ -115,6 +115,21 @@ class TestDunn:
         assert report.warnings == ZERO_DISPERSION
         assert np.isinf(report.di)
 
+    @pytest.mark.parametrize("width", [40, 97])
+    @pytest.mark.parametrize("k", [3, 5, 6, 7, 8, 10, 11])
+    def test_classes_of_equal_rows_have_zero_dispersion(self, width, k):
+        # A mean of k equal rows can round off the row, which would leave
+        # each class a dispersion near 1e-16 and Dunn near 1e16.
+        means = np.random.default_rng(0).normal(size=(3, width))
+        rows = np.repeat(means, k, axis=0)
+        report = separability_of_rows(rows, np.repeat(["a", "b", "c"], k),
+                                      pairwise_distances(rows))
+        assert report.per_class_sigma == {"a": 0.0, "b": 0.0, "c": 0.0}
+        for label, mean in zip("abc", means):
+            assert report.class_centroids[label].tobytes() == mean.tobytes()
+        assert report.warnings == ZERO_DISPERSION
+        assert np.isinf(report.di) and np.isinf(report.fdr)
+
 
 class TestSilhouette:
     def test_fixture_value(self):

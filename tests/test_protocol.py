@@ -170,13 +170,13 @@ class TestRunProtocol:
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
         report = run_protocol(ds, "mmc", plan)
-        assert len(report.curves["cmc"].points) == 3  # one per identity
+        assert len(report.curves["cmc"].x) == 3  # one per identity
         for kind in ("far_frr", "roc", "rcl_pcn"):
-            assert len(report.curves[kind].points) == 1001
+            assert len(report.curves[kind].x) == len(report.curves[kind].y) == 1001
         far_frr = report.curves["far_frr"]
-        assert far_frr.points[0] == (0.0, 1.0)
-        assert far_frr.points[-1] == (1.0, 0.0)
-        assert report.curves["roc"].points[-1] == (1.0, 1.0)
+        assert (far_frr.x[0], far_frr.y[0]) == (0.0, 1.0)
+        assert (far_frr.x[-1], far_frr.y[-1]) == (1.0, 0.0)
+        assert (report.curves["roc"].x[-1], report.curves["roc"].y[-1]) == (1.0, 1.0)
 
     def test_noise_free_classes_are_perfectly_matched(self):
         ds = small_dataset(noise=0.0)
@@ -575,9 +575,10 @@ class TestMetamorphicInvariance:
             expected = pytest.approx(value, rel=self.HEADLINE_RTOL, abs=0)
             assert b.headline[key] == expected, key
         for kind, series in a.curves.items():
-            np.testing.assert_allclose(
-                b.curves[kind].points, series.points, rtol=0, atol=self.CURVE_ATOL
-            )
+            for axis in ("x", "y"):
+                np.testing.assert_allclose(getattr(b.curves[kind], axis),
+                                           getattr(series, axis), rtol=0,
+                                           atol=self.CURVE_ATOL)
 
     @settings(max_examples=20, deadline=None, database=None, derandomize=True)
     @given(
@@ -647,7 +648,7 @@ class TestCurveCsv:
         text = curve_csv_text(report.curves["cmc"])
         lines = text.splitlines()
         assert lines[0] == "kind,x,y"
-        assert len(lines) == 1 + len(report.curves["cmc"].points)
+        assert len(lines) == 1 + len(report.curves["cmc"].x)
         kind, x, y = lines[1].split(",")
         assert kind == "cmc"
         assert float(x) == 1.0

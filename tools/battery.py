@@ -20,6 +20,10 @@ relative paths, so that a message naming a file reads the same on both:
 - `preprocess` on the preprocess-dtw input raw, at --target-frames 0, and
   through every step with its DTW threshold, to JSONL and to CSV.
 - `compare` over each set's reports.
+- a noise-free set (JSONL), whose classes are each one repeated row:
+  `evaluate` with 3 inner folds for every method, then `compare`, so
+  that null headlines, DegenerateMetricWarning findings and `n/a` cells
+  are compared too.
 - `python3 tests/test_acceptance.py`, whose criteria run the library
   route that no command runs (the D x D scatter and the matching
   context); its verdict lines are compared with their wall-clock
@@ -63,6 +67,10 @@ INPUTS = (
     ("d1860.csv", ["--classes", "20", "--per-class", "30", "--joints", "31",
                    "--frames", "20", "--seed", "3"]),
 )
+# Zero noise: every class is one row repeated, so Dunn and Fisher are
+# undefined and reported as null.
+NOISE_FREE = ("still.jsonl", ["--classes", "4", "--per-class", "12", "--noise", "0",
+                              "--seed", "5"])
 METHODS = ("mmc", "pca-lda", "identity")
 POLICIES = ("all", "class-best")
 PLAN_SEEDS = ("0", "7")
@@ -98,6 +106,11 @@ def commands(dtw_threshold: str) -> list:
             runs.append(["learn", "--input", data, "--method", method,
                          "--output", f"learn/{stem}-{method}.json"])
         compares.append(["compare", *reports, "--output", f"cmp/{stem}.txt"])
+    reports = [f"eval/still-{method}.json" for method in METHODS]
+    for method, report in zip(METHODS, reports):
+        runs.append(["evaluate", "--input", NOISE_FREE[0], "--output", report,
+                     "--method", method, "--inner-folds", "3"])
+    compares.append(["compare", *reports, "--output", "cmp/still.txt"])
     for name, flags in (
         ("raw", []),
         ("t0", ["--target-frames", "0"]),
@@ -123,7 +136,8 @@ def run_side(tree: str, work: str) -> list:
         return " ".join(argv[1:]), done.returncode, done.stdout, done.stderr
 
     cli = [sys.executable, "-m", "marginforge.cli"]
-    results = [call([*cli, "gen", *flags, "--output", data]) for data, flags in INPUTS]
+    results = [call([*cli, "gen", *flags, "--output", data])
+               for data, flags in (*INPUTS, NOISE_FREE)]
     results.append(call([
         sys.executable, os.path.join(tree, "perfbench", "workloads.py"),
         "--workload", "preprocess-dtw", "--seed", "1", "--out", "dtw",
