@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 
 from ._jsonio import atomic_write_text, json_as, load_json, write_json
@@ -70,6 +71,12 @@ EXIT_CODES = (
     (MarginforgeError, 1),
     (OSError, 8),
 )
+
+# The words that read as a negative value, not as an option: "-1e3",
+# "-inf" and "-nan" as well as "-1" and "-.5", which are all that
+# argparse's own pattern takes. Without it "--noise -inf" reads as a flag
+# missing its value, and the option's type never sees the value.
+NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 def _config_as_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -251,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         return [name.replace("_", "-") for name in names]
 
     def common(p, dataset_files=True):
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.add_argument("--config", help="JSON file with default option values")
         if dataset_files:
             p.add_argument("--format", choices=["auto", "jsonl", "csv"], default=None)

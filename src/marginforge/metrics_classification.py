@@ -48,9 +48,6 @@ class CurveSeries:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "x": self.x.tolist(), "y": self.y.tolist()}
-
 
 def cmc_fractions(best, genuine, probe_ids) -> tuple[np.ndarray, tuple]:
     """(fractions, findings): cumulative match fractions at ranks 1 ..

@@ -156,7 +156,8 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Everything one protocol run produces."""
+    """Everything one protocol run produces. Its JSON document holds all
+    but the curves, which are written apart, one curve_csv_text each."""
 
     separability: tuple
     curves: dict
@@ -169,7 +170,6 @@ class EvaluationReport:
             "config": self.config,
             "headline": {k: finite_or_null(v) for k, v in self.headline.items()},
             "separability": [s.to_json_dict() for s in self.separability],
-            "curves": {k: c.to_json_dict() for k, c in self.curves.items()},
             "warnings": list(self.warnings),
         }
 
@@ -351,9 +351,7 @@ def run_protocol(
         "outer_folds": plan.n_outer,
         "inner_folds": plan.n_inner,
         "seed": plan.seed,
-        "stratified": True,
         "pair_policy": config.pair_policy,
-        "context_source": "learning",
         "pca_dim": config.pca_dim,
     }
     return EvaluationReport(

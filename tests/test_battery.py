@@ -62,6 +62,38 @@ def test_same_values_in_other_bytes_and_extra_leaves():
     )
 
 
+def test_a_key_removed_mid_document_moves_no_other_leaf():
+    # Paired by position, every leaf after the removed ones would differ.
+    theirs = {
+        "config": {"method": "mmc", "stratified": True, "pair_policy": "all"},
+        "curves": {"cmc": {"x": [1.0, 2.0], "y": [0.5, 1.0]}},
+        "headline": {"eer": 0.1, "sc": 0.5},
+    }
+    ours = {"config": {"method": "mmc", "pair_policy": "all"},
+            "headline": {"eer": 0.1, "sc": 0.5}}
+    assert battery.describe("r.json", dumps(ours), dumps(theirs)) == (
+        "r.json: 4 against 9 leaves; the common ones are equal; "
+        "sections only in theirs: config.stratified, curves.cmc"
+    )
+    ours["headline"]["sc"] = 0.25
+    ours["config"]["seed"] = 0
+    assert battery.describe("r.json", dumps(ours), dumps(theirs), ("here", "rev")) == (
+        "r.json: headline.sc: 0.25 against 0.5 (relative 0.5); 1 leaves differ, "
+        "the largest relative difference is 0.5, under headline.sc; "
+        "5 against 9 leaves; sections only in here: config.seed; "
+        "sections only in rev: config.stratified, curves.cmc"
+    )
+
+
+def test_jsonl_names_a_key_missing_from_every_line():
+    ours = b'{"id": "a"}\n{"id": "b"}\n'
+    theirs = b'{"id": "a", "label": "x"}\n{"id": "b", "label": "y"}\n'
+    assert battery.describe("d.jsonl", ours, theirs) == (
+        "d.jsonl: 2 against 4 leaves; the common ones are equal; "
+        "sections only in theirs: label"
+    )
+
+
 def test_text_that_does_not_parse_falls_back_to_bytes():
     line = battery.describe("r.json", b"{1", b"{2")
     assert line == "r.json: bytes differ from offset 1"

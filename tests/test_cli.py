@@ -30,6 +30,7 @@ from marginforge import (
     align_walk_direction,
     average_length,
     center_on_root,
+    curve_csv_text,
     learner_for,
     learners,
     load_dataset,
@@ -234,9 +235,12 @@ class TestPipeline:
         report = json.loads(rpt.read_text())
         jsonschema.validate(instance=report, schema=schema)
         assert report["config"]["pair_policy"] == "class_best"
-        assert report["config"]["context_source"] == "learning"
+        assert list(report["config"]) == [
+            "method", "outer_folds", "inner_folds", "seed", "pair_policy", "pca_dim"]
 
-    def test_schema_refuses_the_deleted_gallery_context_source(self, tmp_path):
+    def test_schema_refuses_the_keys_reports_no_longer_write(self, tmp_path):
+        # The curves are the four CSVs beside the report; the two config
+        # keys read the same on every route.
         data = tmp_path / "data.jsonl"
         rpt = tmp_path / "rpt.json"
         assert run(*gen_args(data)) == 0
@@ -250,9 +254,16 @@ class TestPipeline:
         )
         report = json.loads(rpt.read_text())
         jsonschema.validate(instance=report, schema=schema)
-        report["config"]["context_source"] = "gallery"
-        with pytest.raises(jsonschema.ValidationError, match="'gallery' is not one of"):
-            jsonschema.validate(instance=report, schema=schema)
+        for section, key, value in (
+            (report["config"], "context_source", "learning"),
+            (report["config"], "stratified", True),
+            (report, "curves", {}),
+        ):
+            section[key] = value
+            with pytest.raises(jsonschema.ValidationError,
+                               match=f"'{key}' was unexpected"):
+                jsonschema.validate(instance=report, schema=schema)
+            del section[key]
 
     def test_degenerate_metric_is_strict_json_null(self, tmp_path, capsys):
         # Zero noise puts every member on its class centroid, so the Dunn
@@ -1169,6 +1180,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("word", ["-x", "-info", "-1e", "-nana"])
+    def test_a_dash_word_that_is_no_number_is_an_unknown_option(self, capsys, word):
+        # Only a float's spellings read as negative values.
+        with pytest.raises(SystemExit) as exc:
+            run("gen", word)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {word}\n")
+
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
@@ -1692,9 +1711,11 @@ EXTREME_FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10**30))
     if (flag, value) != ("--workers", str(10**30))
 ]))
 def test_numeric_flags_at_extremes_end_in_a_documented_exit(tmp_path_factory, case):
-    # Each value reaches the option's type as --flag=value: argparse's own
-    # exit 2 (SystemExit) when the type cannot read it, else exit 0 or a
-    # documented code other than 1 with one error line.
+    # Each value reaches the option's type, as --flag=value and as
+    # --flag value alike: argparse's own exit 2 (SystemExit) when the type
+    # cannot read it, else exit 0 or a documented code other than 1 with
+    # one error line. The two forms end the same way, which fails loudly
+    # if argparse renames the negative-number pattern the parser widens.
     command, flag, value = case
     folder = tmp_path_factory.mktemp("flags")
     data = folder / "data.jsonl"
@@ -1708,18 +1729,25 @@ def test_numeric_flags_at_extremes_end_in_a_documented_exit(tmp_path_factory, ca
         "evaluate": ("evaluate", "--input", data, "--inner-folds", 2,
                      *(("--method", "pca-lda") if flag == "--pca-dim" else ())),
     }[command]
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        try:
-            code = run(*argv, "--output", folder / "out", f"{flag}={value}")
-        except SystemExit as exc:
-            assert exc.code == 2
-            assert f"error: argument {flag}: invalid" in stderr.getvalue()
-            return
-    assert "Traceback" not in stderr.getvalue()
+    outcomes = []
+    for given in ((f"{flag}={value}",), (flag, value)):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                ending = ("return", run(*argv, "--output", folder / "out", *given))
+            except SystemExit as exc:
+                ending = ("exit", exc.code)
+        outcomes.append((ending, stderr.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    (how, code), err = outcomes[0]
+    if how == "exit":
+        assert code == 2
+        assert f"error: argument {flag}: invalid" in err
+        return
+    assert "Traceback" not in err
     if code != 0:
         assert code in DOCUMENTED_EXITS - {1}
-        assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", stderr.getvalue())
+        assert re.fullmatch(r"marginforge: [A-Za-z]+: [^\n]*\n", err)
 
 
 REPORT_SCHEMA = json.loads(
@@ -1742,7 +1770,8 @@ def test_reports_round_trip_and_match_the_schema(
     tmp_path_factory, classes, per_class, joints, frames, noise, seed, method, policy
 ):
     # The report evaluate writes reloads to the value run_protocol gives
-    # on the same set and plan, and validates against the shipped schema.
+    # on the same set and plan, and validates against the shipped schema;
+    # each curve CSV beside it holds that run's curve.
     folder = tmp_path_factory.mktemp("report")
     data, out = folder / "data.jsonl", folder / "r.json"
     assert run(
@@ -1759,8 +1788,10 @@ def test_reports_round_trip_and_match_the_schema(
     want = run_protocol(
         dataset, method, plan_folds(dataset, inner=2),
         ProtocolConfig(pair_policy=policy.replace("-", "_")),
-    ).to_json_dict()
-    assert report == want
+    )
+    assert report == want.to_json_dict()
+    for kind, series in want.curves.items():
+        assert (folder / f"r.{kind}.csv").read_text() == curve_csv_text(series)
 
 
 class TestLogEnvironment:

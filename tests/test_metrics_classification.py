@@ -220,8 +220,5 @@ class TestValidation:
         with pytest.raises(ContractError):
             CurveSeries(kind="roc", x=[0.5, 0.5], y=[0.5, 0.7])
         series = CurveSeries(kind="far_frr", x=[0.0, 0.0], y=[1.0, 0.5])
-        assert series.to_json_dict() == {
-            "kind": "far_frr",
-            "x": [0.0, 0.0],
-            "y": [1.0, 0.5],
-        }
+        assert series.x.dtype == series.y.dtype == np.float64
+        assert (series.x.tolist(), series.y.tolist()) == ([0.0, 0.0], [1.0, 0.5])

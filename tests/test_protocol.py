@@ -160,9 +160,7 @@ class TestRunProtocol:
             "outer_folds": 3,
             "inner_folds": 2,
             "seed": 0,
-            "stratified": True,
             "pair_policy": "all",
-            "context_source": "learning",
             "pca_dim": None,
         }
 

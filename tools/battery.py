@@ -33,7 +33,10 @@ Every output file, exit code, stdout and stderr is compared. Each
 difference is printed with the first differing JSON leaf or CSV cell and
 its relative difference; for JSON, the count of differing leaves, the
 largest relative difference among them and the first two keys of each
-of their paths follow. The exit code is 0 when everything matches, 1 when
+of their paths follow. Leaves are paired by path, not by position, so a
+key removed from one side moves no other leaf: the common leaves are
+compared one to one, and the sections (first two keys) found on one
+side only are named. The exit code is 0 when everything matches, 1 when
 something differs, and 2 when the battery could not run.
 """
 
@@ -186,9 +189,18 @@ def _cells(text: str):
                 yield f"row {r + 1}, column {c + 1}", cell
 
 
-def describe(name: str, ours: bytes, theirs: bytes):
+def _section(path: str) -> str:
+    """A JSON leaf path's first two keys, list indices and a JSONL line
+    number dropped."""
+    path = re.sub(r"^line \d+: ", "", path)
+    return ".".join(re.sub(r"\[\d+\]", "[]", path).split(".")[:2])
+
+
+def describe(name: str, ours: bytes, theirs: bytes, sides=("ours", "theirs")):
     """None when the bytes are equal, else one line saying where the
-    first difference is and by how much."""
+    first difference is and by how much. Leaves and cells are paired by
+    path, so one missing on one side moves no other; for JSON and JSONL,
+    the sections found on one side only are named after sides."""
     if ours == theirs:
         return None
     try:
@@ -210,24 +222,29 @@ def describe(name: str, ours: bytes, theirs: bytes):
         pairs = enumerate(zip(ours, theirs))
         offset = next((k for k, (x, y) in pairs if x != y), min(len(ours), len(theirs)))
         return f"{name}: bytes differ from offset {offset}"
-    differing = [
-        (pa, va, vb) for (pa, va), (pb, vb) in zip(a, b) if pa != pb or va != vb
-    ]
-    if len(a) != len(b) and not differing:
-        return f"{name}: {len(a)} against {len(b)} leaves; the common ones are equal"
-    if not differing:
+    by_path = dict(b)
+    differing = [(p, va, by_path[p]) for p, va in a if p in by_path and va != by_path[p]]
+    one_sided = {p for p, _ in a}.symmetric_difference(by_path)
+    counts = f"{len(a)} against {len(b)} leaves"
+    if one_sided and not differing:
+        line = f"{name}: {counts}; the common ones are equal"
+    elif not differing:
         return f"{name}: the same values written with different bytes"
-    path, va, vb = differing[0]
-    line = f"{name}: {path}: {va!r} against {vb!r} (relative {relative(va, vb):.3g})"
-    if name.endswith(".json"):
-        # Where they sit: each path's first two keys, list indices dropped.
-        sections = sorted({".".join(re.sub(r"\[\d+\]", "[]", path).split(".")[:2])
-                           for path, _, _ in differing})
-        worst = max(relative(x, y) for _, x, y in differing)
-        line += (f"; {len(differing)} leaves differ, the largest relative "
-                 f"difference is {worst:.3g}, under {', '.join(sections)}")
-    if len(a) != len(b):
-        line += f"; {len(a)} against {len(b)} leaves"
+    else:
+        path, va, vb = differing[0]
+        line = f"{name}: {path}: {va!r} against {vb!r} (relative {relative(va, vb):.3g})"
+        if name.endswith(".json"):
+            sections = sorted({_section(path) for path, _, _ in differing})
+            worst = max(relative(x, y) for _, x, y in differing)
+            line += (f"; {len(differing)} leaves differ, the largest relative "
+                     f"difference is {worst:.3g}, under {', '.join(sections)}")
+        if one_sided:
+            line += f"; {counts}"
+    if name.endswith((".json", ".jsonl")):
+        mine, other = ({_section(p) for p, _ in leaves} for leaves in (a, b))
+        for side, only in zip(sides, (mine - other, other - mine)):
+            if only:
+                line += f"; sections only in {side}: {', '.join(sorted(only))}"
     return line
 
 
@@ -275,7 +292,8 @@ def main() -> int:
                 side = "this checkout" if name in files_a else args.against
                 problems.append(f"{name}: written only by {side}")
                 continue
-            line = describe(name, files_a[name], files_b[name])
+            line = describe(name, files_a[name], files_b[name],
+                            ("this checkout", args.against))
             if line:
                 problems.append(line)
     for line in problems:
