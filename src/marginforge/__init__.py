@@ -51,7 +51,6 @@ from .preprocess import (
 from .protocol import (
     EvaluationReport,
     FoldPlan,
-    ProtocolConfig,
     curve_csv_text,
     plan_folds,
     run_protocol,

@@ -31,17 +31,10 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .errors import (
-    AlignmentError,
-    ContractError,
-    DegenerateDataError,
-    MarginforgeError,
-    ParseError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import MarginforgeError, SchemaError, ValidationError
 from .learners import METHODS, TRANSFORM_METHODS, learner_for, save_transform
 from .preprocess import (
+    _check_steps,
     align_walk_direction,
     average_length,
     center_on_root,
@@ -52,7 +45,6 @@ from .protocol import (
     PAIR_POLICIES,
     RECOGNITION_KEYS,
     SEPARABILITY_KEYS,
-    ProtocolConfig,
     curve_csv_text,
     headline_of,
     plan_folds,
@@ -60,17 +52,6 @@ from .protocol import (
 )
 
 log = logging.getLogger("marginforge")
-
-EXIT_CODES = (
-    (ValidationError, 2),
-    (ContractError, 2),
-    (ParseError, 3),
-    (SchemaError, 4),
-    (AlignmentError, 5),
-    (DegenerateDataError, 6),
-    (MarginforgeError, 1),
-    (OSError, 8),
-)
 
 # The words that read as a negative value, not as an option: "-1e3",
 # "-inf" and "-nan" as well as "-1" and "-.5", which are all that
@@ -142,18 +123,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    root_joint, target, threshold = args.root_joint, args.target_frames, args.dtw_threshold
+    # Each flag is refused before the load; a --target-frames of 0 asks
+    # for the dataset's average length, which only the load gives.
+    if root_joint is None and args.up_axis is not None:
+        raise ValidationError("--up-axis applies only with --root-joint")
+    _check_steps(target_frames=target or None, threshold=threshold)
+    # Unset, the axis is align_walk_direction's own default.
+    axis = () if args.up_axis is None else (args.up_axis,)
+
     # Each sample's next form replaces it here: with the loaded dataset
     # dropped, one copy of each is alive.
     dataset = _load(args)
     samples, class_index = list(dataset.samples), dataset.class_index
     del dataset
 
-    root_joint, target = args.root_joint, args.target_frames
-    if root_joint is None and args.up_axis is not None:
-        raise ValidationError("--up-axis applies only with --root-joint")
-    # Unset, the axis is align_walk_direction's own default.
-    axis = () if args.up_axis is None else (args.up_axis,)
-    if target == 0:  # 0 asks for the dataset's average length
+    if target == 0:
         target = average_length(samples)
     if target is not None:
         check_fits_in_memory(
@@ -168,7 +153,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             s = resample_time(s, target)
         samples[k] = s
 
-    threshold = args.dtw_threshold
     if threshold is not None:
         kept = set()
         for members in class_index.values():
@@ -208,9 +192,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     plan = plan_folds(
         dataset, outer=args.outer_folds, inner=args.inner_folds, seed=args.seed
     )
-    config = ProtocolConfig(pair_policy=args.pair_policy.replace("-", "_"),
-                            pca_dim=args.pca_dim, workers=args.workers)
-    report = run_protocol(dataset, args.method, plan, config)
+    report = run_protocol(dataset, args.method, plan,
+                          pair_policy=args.pair_policy.replace("-", "_"),
+                          pca_dim=args.pca_dim, workers=args.workers)
 
     output = _required(args, "output")
     write_json(output, report.to_json_dict())
@@ -335,7 +319,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except (MarginforgeError, OSError) as exc:
         print(f"marginforge: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        return getattr(exc, "exit_code", 8)  # 8: an OSError
 
 
 if __name__ == "__main__":

@@ -81,6 +81,16 @@ def align_walk_direction(
     return sample.with_frames(frames)
 
 
+def _check_steps(target_frames=None, threshold=None):
+    """The checks of resample_time and filter_gait_cycles that read no
+    sample, so that the preprocess command runs them before its load; an
+    option that is None is not checked."""
+    if target_frames is not None and target_frames < 2:
+        raise ContractError("target_frames must be >= 2")
+    if threshold is not None and not threshold >= 0:  # nan too
+        raise ContractError("threshold must be >= 0")
+
+
 def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
     """Linearly resample the cycle to target_frames frames.
 
@@ -88,8 +98,7 @@ def resample_time(sample: GaitSample, target_frames: int) -> GaitSample:
     normalized time axis; endpoints are preserved exactly. A sample already
     at the target length is returned unchanged.
     """
-    if target_frames < 2:
-        raise ContractError("target_frames must be >= 2")
+    _check_steps(target_frames=target_frames)
     t_raw = sample.frame_count
     if t_raw == target_frames:
         return sample
@@ -267,8 +276,7 @@ def filter_gait_cycles(
     bound is finite, because GaitSample refuses a coordinate past
     dataset.MAX_COORDINATE (its docstring has the proof).
     """
-    if not threshold >= 0:
-        raise ContractError("threshold must be >= 0")
+    _check_steps(threshold=threshold)
     others = [c for c in candidates if c is not exemplar]
     _check_poses(others, exemplar)
     pb = _poses(exemplar)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -135,26 +134,6 @@ def _deal(rng: np.random.Generator, dataset, parts: list, held=()) -> None:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Knobs of run_protocol that belong in the report's config echo.
-
-    workers is deliberately not echoed: it cannot change any number in
-    the report, and echoing it would break byte-identity across worker
-    counts.
-    """
-
-    pair_policy: str = "all"
-    pca_dim: Optional[int] = None
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.pair_policy not in PAIR_POLICIES:
-            raise ValidationError(f"unknown pair policy {self.pair_policy!r}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
     """Everything one protocol run produces. Its JSON document holds all
     but the curves, which are written apart, one curve_csv_text each."""
@@ -191,25 +170,6 @@ class _FoldResult:
     scalars: dict
     curves: dict  # cmc fractions by rank; far, frr, tar, precision on the grid
     warnings: tuple
-
-
-def _run_fold(
-    fold, vectors, sample_ids, label_codes, label_names, learn, plan, config, grid
-) -> _FoldResult:
-    """One outer fold's result. vectors is the sample matrix, one row per
-    sample id; label_codes index the sorted label_names; learn is
-    learner_for's (None: identity route). _fold_rows allocates the fold's
-    own distance matrix, so threads running other folds share none of it;
-    separability reads it there, before _fold_pairs writes into it."""
-    eval_idx, eval_ids, dist, separability, findings = _fold_rows(
-        fold, vectors, sample_ids, label_codes, label_names, learn, plan)
-    best, own, distance, genuine = _fold_pairs(
-        dist, eval_idx, label_codes, plan.inner_folds[fold], config.pair_policy)
-    del dist  # the metrics read only the pairs, not the n x n matrix
-    scalars, curves, metric_findings = _fold_metrics(
-        best, own, distance, genuine, eval_ids, separability, grid)
-    warnings = findings + separability.warnings + metric_findings
-    return _FoldResult(separability, scalars, curves, warnings)
 
 
 def _fold_rows(fold, vectors, sample_ids, label_codes, label_names, learn, plan):
@@ -280,16 +240,26 @@ def run_protocol(
     dataset: LabeledDataset,
     method: str,
     plan: FoldPlan,
-    config: Optional[ProtocolConfig] = None,
+    *,
+    pair_policy: str = "all",
+    pca_dim: int | None = None,
+    workers: int = 1,
 ) -> EvaluationReport:
     """Run the full nested evaluation and aggregate over outer folds.
 
     Headline scalars are unweighted means of the per-fold values; curves
     are pointwise means after resampling every fold onto a common grid
     (integer ranks for cmc, a 1001-point [0, 1] grid for the others).
+    pair_policy is "all" (every probe/gallery pair) or "class_best" (one
+    pair per probe and gallery identity); pca_dim is pca_lda's rank;
+    workers threads run the outer folds. An unknown pair policy or
+    workers < 1 is a ValidationError, raised before any other work.
     """
-    config = config or ProtocolConfig()
-    method, learn = learner_for(method, config.pca_dim)
+    if pair_policy not in PAIR_POLICIES:
+        raise ValidationError(f"unknown pair policy {pair_policy!r}")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
+    method, learn = learner_for(method, pca_dim)
 
     vectors = flatten_all(dataset.samples)
     everything = list(range(dataset.num_samples))
@@ -310,16 +280,24 @@ def run_protocol(
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
 
     def fold_task(f: int) -> _FoldResult:
+        # _fold_rows allocates the fold's own distance matrix, so threads
+        # running other folds share none of it; separability reads it
+        # there, before _fold_pairs writes into it.
         try:
-            return _run_fold(
-                f, vectors, sample_ids, label_codes, label_names, learn, plan,
-                config, grid
-            )
+            eval_idx, eval_ids, dist, separability, findings = _fold_rows(
+                f, vectors, sample_ids, label_codes, label_names, learn, plan)
+            best, own, distance, genuine = _fold_pairs(
+                dist, eval_idx, label_codes, plan.inner_folds[f], pair_policy)
+            del dist  # the metrics read only the pairs, not the n x n matrix
+            scalars, curves, metric_findings = _fold_metrics(
+                best, own, distance, genuine, eval_ids, separability, grid)
         except MarginforgeError as exc:
             raise type(exc)(f"outer fold {f}: {exc}") from exc
+        warnings = findings + separability.warnings + metric_findings
+        return _FoldResult(separability, scalars, curves, warnings)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fold_task, range(plan.n_outer)))
     else:
         results = [fold_task(f) for f in range(plan.n_outer)]
@@ -346,13 +324,15 @@ def run_protocol(
         )
     }
 
+    # workers is not echoed: it cannot change any number in the report,
+    # and echoing it would break byte identity across worker counts.
     config_echo = {
         "method": method,
         "outer_folds": plan.n_outer,
         "inner_folds": plan.n_inner,
         "seed": plan.seed,
-        "pair_policy": config.pair_policy,
-        "pca_dim": config.pca_dim,
+        "pair_policy": pair_policy,
+        "pca_dim": pca_dim,
     }
     return EvaluationReport(
         separability=tuple(r.separability for r in results),

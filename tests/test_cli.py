@@ -26,10 +26,10 @@ from conftest import dtw_bytes, traced_peak, walking_sample
 from marginforge import (
     GaitSample,
     LabeledDataset,
-    ProtocolConfig,
     align_walk_direction,
     average_length,
     center_on_root,
+    cli,
     curve_csv_text,
     learner_for,
     learners,
@@ -43,7 +43,15 @@ from marginforge import (
 from marginforge._jsonio import json_as, load_json
 from marginforge.cli import build_parser, main
 from marginforge.dataset import MAX_COORDINATE, _read_csv_rows
-from marginforge.errors import MarginforgeError, ValidationError
+from marginforge.errors import (
+    AlignmentError,
+    ContractError,
+    DegenerateDataError,
+    MarginforgeError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
 from oracles import rowwise_dtw
 
 
@@ -1167,6 +1175,53 @@ class TestExitCodes:
         assert repr(str(out)) in err
         assert ".tmp-" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dtw-threshold", "-1"], "ContractError: threshold must be >= 0"),
+        (["--dtw-threshold", "nan"], "ContractError: threshold must be >= 0"),
+        (["--target-frames", "1"], "ContractError: target_frames must be >= 2"),
+        (["--target-frames", "-3"], "ContractError: target_frames must be >= 2"),
+        (["--up-axis", "z"], "ValidationError: --up-axis applies only with --root-joint"),
+        (["--target-frames", "0", "--dtw-threshold", "0"], None),
+        (["--root-joint", "0", "--up-axis", "z", "--target-frames", "2"], None),
+    ], ids=["threshold-negative", "threshold-nan", "target-1", "target-negative",
+            "up-axis-alone", "valid-threshold", "valid-axis"])
+    def test_preprocess_flags_are_refused_before_the_load(
+        self, tmp_path, capsys, flags, message
+    ):
+        # The input does not exist: a flag refused before the load exits 2
+        # with its own message, and valid flags reach the load, which exits 8.
+        missing, out = tmp_path / "missing.jsonl", tmp_path / "out.jsonl"
+        code = run("preprocess", "--input", missing, "--output", out, *flags)
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 8
+            assert err.startswith("marginforge: FileNotFoundError: ")
+        else:
+            assert (code, err) == (2, f"marginforge: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, code", [
+        (MarginforgeError, 1),
+        (ContractError, 2),
+        (ValidationError, 2),
+        (ParseError, 3),
+        (SchemaError, 4),
+        (AlignmentError, 5),
+        (DegenerateDataError, 6),
+        (FileNotFoundError, 8),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_each_error_class_exits_with_its_code(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def command(args):
+            raise error("refused")
+
+        monkeypatch.setitem(cli.COMMANDS, "gen", command)
+        assert run(*gen_args(tmp_path / "x.jsonl")) == code
+        assert capsys.readouterr() == (
+            "", f"marginforge: {error.__name__}: refused\n"
+        )
+
     def test_context_source_flag_is_gone(self, tmp_path):
         data = tmp_path / "data.jsonl"
         assert run(*gen_args(data)) == 0
@@ -1341,7 +1396,7 @@ class TestExitCodes:
         dataset = load_dataset(data)
         plan = plan_folds(dataset, outer=3, inner=2, seed=0)
         with pytest.raises(ValidationError) as caught:
-            run_protocol(dataset, method, plan, ProtocolConfig(pca_dim=pca_dim))
+            run_protocol(dataset, method, plan, pca_dim=pca_dim)
         assert str(caught.value) == message
         # The method flag's choices stop an unknown name; the config does not.
         cfg = tmp_path / "cfg.json"
@@ -1787,7 +1842,7 @@ def test_reports_round_trip_and_match_the_schema(
     dataset = load_dataset(data)
     want = run_protocol(
         dataset, method, plan_folds(dataset, inner=2),
-        ProtocolConfig(pair_policy=policy.replace("-", "_")),
+        pair_policy=policy.replace("-", "_"),
     )
     assert report == want.to_json_dict()
     for kind, series in want.curves.items():

@@ -16,7 +16,6 @@ from conftest import Pair, traced_peak
 from marginforge import (
     GaitSample,
     LabeledDataset,
-    ProtocolConfig,
     SeparabilityReport,
     SyntheticSpec,
     context_of_rows,
@@ -128,21 +127,36 @@ class TestPlanFolds:
         assert peak < 2**20
 
 
-class TestProtocolConfig:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ProtocolConfig(pair_policy="best")
-        with pytest.raises(ValidationError):
-            ProtocolConfig(workers=0)
-
-
 class TestRunProtocol:
+    def test_options_are_refused_before_any_work(self, monkeypatch):
+        ds = small_dataset()
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+
+        def called(*args):
+            raise AssertionError("an option is checked before this is called")
+
+        monkeypatch.setattr(protocol, "learner_for", called)
+        monkeypatch.setattr(protocol, "flatten_all", called)
+        for options, message in (
+            (dict(pair_policy="best"), "unknown pair policy 'best'"),
+            (dict(workers=0), "workers must be >= 1"),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                run_protocol(ds, "mmc", plan, **options)
+            assert str(caught.value) == message
+
+    def test_options_are_keywords(self):
+        ds = small_dataset()
+        plan = plan_folds(ds, outer=3, inner=2, seed=0)
+        with pytest.raises(TypeError):
+            run_protocol(ds, "mmc", plan, "all")
+
     def test_pca_dim_only_with_pca_lda(self):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
         for method in ("mmc", "identity"):
             with pytest.raises(ValidationError, match="pca_lda only"):
-                run_protocol(ds, method, plan, ProtocolConfig(pca_dim=3))
+                run_protocol(ds, method, plan, pca_dim=3)
 
     def test_report_shape(self):
         ds = small_dataset()
@@ -233,8 +247,8 @@ class TestRunProtocol:
     def test_worker_count_cannot_change_the_report(self, method):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=3)
-        serial = run_protocol(ds, method, plan, ProtocolConfig(workers=1))
-        threaded = run_protocol(ds, method, plan, ProtocolConfig(workers=4))
+        serial = run_protocol(ds, method, plan, workers=1)
+        threaded = run_protocol(ds, method, plan, workers=4)
         assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
             threaded.to_json_dict(), sort_keys=True
         )
@@ -345,8 +359,7 @@ class TestRunProtocol:
     def test_alternate_policies_run(self):
         ds = small_dataset()
         plan = plan_folds(ds, outer=3, inner=2, seed=0)
-        config = ProtocolConfig(pair_policy="class_best")
-        report = run_protocol(ds, "mmc", plan, config)
+        report = run_protocol(ds, "mmc", plan, pair_policy="class_best")
         assert report.config["pair_policy"] == "class_best"
         assert 0.0 <= report.headline["ccr"] <= 1.0
 
@@ -498,8 +511,7 @@ class TestScoreBlockAgainstRecords:
         else:
             ds = two_sample_class_dataset()
             plan = plan_folds(ds, outer=2, inner=2, seed=0)
-        config = ProtocolConfig(pair_policy=pair_policy)
-        report = run_protocol(ds, "identity", plan, config)
+        report = run_protocol(ds, "identity", plan, pair_policy=pair_policy)
         folds = [
             brute_force_fold_records(ds, plan, f, pair_policy)
             for f in range(plan.n_outer)

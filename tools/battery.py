@@ -20,6 +20,11 @@ relative paths, so that a message naming a file reads the same on both:
 - `preprocess` on the preprocess-dtw input raw, at --target-frames 0, and
   through every step with its DTW threshold, to JSONL and to CSV.
 - `compare` over each set's reports.
+- six commands that are refused, so that the error paths' exit codes
+  and stderr lines are compared too: three exit 2 (`evaluate --workers
+  0`, `evaluate --method mmc --pca-dim 3` and a negative DTW threshold),
+  `compare` of a JSONL dataset exits 3, `compare` of a transform 4, and
+  `evaluate` of a missing file 8.
 - a noise-free set (JSONL), whose classes are each one repeated row:
   `evaluate` with 3 inner folds for every method, then `compare`, so
   that null headlines, DegenerateMetricWarning findings and `n/a` cells
@@ -123,7 +128,18 @@ def commands(dtw_threshold: str) -> list:
         for ext in ("jsonl", "csv"):
             runs.append(["preprocess", "--input", DTW_INPUT,
                          "--output", f"pre/{name}.{ext}", *flags])
-    return runs + compares
+    data = INPUTS[0][0]
+    refused = [
+        ["evaluate", "--input", data, "--output", "eval/refused.json", "--workers", "0"],
+        ["evaluate", "--input", data, "--output", "eval/refused.json",
+         "--method", "mmc", "--pca-dim", "3"],
+        ["preprocess", "--input", DTW_INPUT, "--output", "pre/refused.jsonl",
+         "--dtw-threshold", "-1"],
+        ["compare", data],
+        ["compare", f"learn/{data.split('.')[0]}-mmc.json"],
+        ["evaluate", "--input", "missing.jsonl", "--output", "eval/refused.json"],
+    ]
+    return runs + compares + refused
 
 
 def run_side(tree: str, work: str) -> list:
